@@ -196,6 +196,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pns(args: argparse.Namespace) -> int:
+    if not args.step_km > 0.0:
+        raise ValueError(f"--step-km must be positive, got {args.step_km}")
     source = pns_mod.WcpSource(args.mu)
     if args.attack == "pns":
         info = lambda l: pns_mod.eve_info_pns(pns_mod.FiberLink(args.alpha, l), source)
@@ -304,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qber", type=float, default=0.0, help="channel QBER per pass")
     p.add_argument("--eve", choices=["none", "intercept-resend"], default="none")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="number of RNG streams the rounds are split over; the "
+                        "report depends on it, the thread count does not")
     p.add_argument("--sb1-tolerance", type=float, default=0.0617)
     p.add_argument("--histogram", default=None,
                    help="write the noiseless-branch histogram CSV here")

@@ -23,18 +23,28 @@ symmetric QBER in both bases.  The intercept-resend eavesdropper measures
 every transit qubit in a uniformly random basis and forwards her outcome.
 
 Monte-Carlo rounds are independent.  :func:`run_simulation` partitions
-rounds over ``workers`` deterministic child RNG streams (spawned from the
-seed), so reports are bit-for-bit reproducible for a fixed (seed, workers)
-pair.  :func:`run_round` is the scalar reference path; the bulk simulator
-uses a vectorized kernel with its own (equally deterministic) stream layout.
+rounds over ``workers`` deterministic RNG streams (spawned from the seed) and
+cuts each stream into chunks of :data:`CHUNK` rounds with their own spawned
+streams, so reports are bit-for-bit reproducible for a fixed (seed, workers)
+pair.  ``workers`` counts RNG streams, not threads: the chunks run on one
+thread per CPU the process may use, and memory stays O(threads x CHUNK)
+however many rounds are asked for.  A chunk only histograms each round's
+(s_a, y, r1, r2) code; sift fraction, QBER and the orthogonal fraction follow
+from per-code tables built by the scalar :func:`sift_p1`/:func:`sift_p2`, so
+the sifting rules live in one place.  :func:`run_round` is the scalar
+reference path; the bulk simulator uses a vectorized kernel with its own
+(equally deterministic) stream layout.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cache
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -140,6 +150,8 @@ class SimulationConfig:
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
         validate_qber(self.channel_qber)
+        if not self.sb1_tolerance >= 0.0:
+            raise ValueError(f"sb1 tolerance must be >= 0, got {self.sb1_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -341,16 +353,60 @@ class SimulationReport:
         return "\n".join(lines)
 
 
+#: Rounds per chunk: each chunk draws its own RNG stream and holds arrays of
+#: this length only, so peak memory is O(threads x CHUNK).
+CHUNK = 2**20
+
+
+def _code_record(code: int) -> RoundRecord:
+    """The round whose (s_a, y, r1, r2) states, as 2*basis + bit, pack into
+    ``code`` = ((s_a * 4 + y) * 4 + r1) * 4 + r2."""
+    s_a, y, r1, r2 = (PureState((code >> shift) & 3) for shift in (6, 4, 2, 0))
+    return RoundRecord(
+        alice_bit=s_a.bit,
+        alice_basis=s_a.basis,
+        bob_basis=y.basis,
+        bob_result=y,
+        sb1_result=r1,
+        sb2_basis=r2.basis,
+        sb2_result=r2,
+        bob_j=y.basis.j,
+        m_value=y.m_value,
+    )
+
+
+@cache
+def _sift_tables() -> tuple[dict[ProtocolId, np.ndarray], dict[ProtocolId, np.ndarray],
+                            np.ndarray]:
+    """Per-code 0/1 tables (KEPT[protocol], ERR[protocol], ORTH) from the
+    scalar sifting rules: a round is kept, kept with a wrong determination,
+    or has its return-pass result orthogonal to Alice's state."""
+    kept = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
+    err = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
+    orth = np.zeros(256, dtype=np.int64)
+    for code in range(256):
+        record = _code_record(code)
+        orth[code] = record.sb1_result == record.alice_state.orthogonal
+        for pid, sift in ((ProtocolId.P1, sift_p1), (ProtocolId.P2, sift_p2)):
+            determined = sift(record)
+            if determined is not None:
+                kept[pid][code] = 1
+                err[pid][code] = determined[1] != record.bob_result
+    for table in (*kept.values(), *err.values(), orth):
+        table.setflags(write=False)
+    return kept, err, orth
+
+
 def _measure_bits(state_basis: np.ndarray, state_bits: np.ndarray,
                   meas_basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     rand = rng.integers(0, 2, state_bits.shape[0], dtype=np.int8)
-    return np.where(state_basis == meas_basis, state_bits, rand).astype(np.int8)
+    # np.where(same basis, state_bits, rand) without its much slower select.
+    return rand ^ ((state_bits ^ rand) & (state_basis == meas_basis))
 
 
 def _transmit_vec(basis: np.ndarray, bits: np.ndarray, e: float, eve: bool,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    flips = rng.random(bits.shape[0]) < e
-    bits = (bits ^ flips.astype(np.int8)).astype(np.int8)
+    bits = bits ^ (rng.random(bits.shape[0]) < e)
     if eve:
         eve_basis = rng.integers(0, 2, bits.shape[0], dtype=np.int8)
         bits = _measure_bits(basis, bits, eve_basis, rng)
@@ -358,8 +414,8 @@ def _transmit_vec(basis: np.ndarray, bits: np.ndarray, e: float, eve: bool,
     return basis, bits
 
 
-def _simulate_chunk(config: SimulationConfig, n: int,
-                    rng: np.random.Generator) -> dict[str, np.ndarray | int]:
+def _simulate_chunk(config: SimulationConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Simulate ``n`` rounds; return the int64[256] count of each round code."""
     e = config.channel_qber
     eve = config.eve is Eavesdropper.INTERCEPT_RESEND
     bits_a = rng.integers(0, 2, n, dtype=np.int8)
@@ -372,48 +428,15 @@ def _simulate_chunk(config: SimulationConfig, n: int,
     t_basis, t_bits = _transmit_vec(basis_b, y, e, eve, rng)
     r1 = _measure_bits(t_basis, t_bits, basis_a, rng)
 
-    sb2_basis = (1 - basis_b).astype(np.int8)
-    t_basis, t_bits = _transmit_vec(sb2_basis, y, e, eve, rng)
-    r1_same = r1 == bits_a
-    mb = np.where(r1_same, 1 - basis_a, basis_a).astype(np.int8)
+    t_basis, t_bits = _transmit_vec(1 - basis_b, y, e, eve, rng)
+    mb = basis_a ^ (r1 == bits_a)
     r2 = _measure_bits(t_basis, t_bits, mb, rng)
 
-    # Sifting masks; determined state encoded as 2*basis + bit.
-    basis_match = basis_a == basis_b
-    if config.protocol is ProtocolId.P1:
-        case_a = ~r1_same  # conclusive without the basis announcement
-        det_a_state = 2 * (1 - basis_a) + r2
-        case_b = r1_same & (r2 == bits_a) & basis_match
-        kept = case_a | case_b
-        det_state = np.where(case_a, det_a_state, 2 * basis_a + bits_a).astype(np.int8)
-    else:
-        m = y
-        imm = m != bits_a
-        det_imm = 2 * (1 - basis_a) + m
-        p_other = r1_same & (r2 != bits_a)   # r2 in other basis, flipped bit
-        p_echo = (~r1_same) & (r2 == bits_a)  # r2 echoed Alice's state
-        p_same = r1_same & (r2 == bits_a)
-        det_state = np.where(
-            imm, det_imm,
-            np.where(p_same, 2 * basis_a + bits_a, 2 * (1 - basis_a) + bits_a),
-        ).astype(np.int8)
-        kept = imm | p_other | p_echo | p_same
-    y_state = 2 * basis_b + y
-    errors = kept & (det_state != y_state)
-
-    r1_state = 2 * basis_a + r1
-    r2_state = 2 * mb + r2
-    s_state = 2 * basis_a + bits_a
-    code = ((s_state.astype(np.int32) * 4 + y_state) * 4 + r1_state) * 4 + r2_state
-    code_counts = np.bincount(code, minlength=256)
-
-    return {
-        "n": n,
-        "orth": int(np.count_nonzero(~r1_same)),
-        "kept": int(np.count_nonzero(kept)),
-        "errors": int(np.count_nonzero(errors)),
-        "code_counts": code_counts,
-    }
+    # code = ((s_a * 4 + y) * 4 + r1) * 4 + r2 with each state = 2*basis + bit,
+    # packed bit by bit; bit 7 lands in the int8 sign bit, read back as uint8.
+    code = (basis_a << 7 | bits_a << 6 | basis_b << 5 | y << 4
+            | basis_a << 3 | r1 << 2 | mb << 1 | r2)
+    return np.bincount(code.view(np.uint8), minlength=256)
 
 
 def _worker_sizes(n_rounds: int, workers: int) -> list[int]:
@@ -421,26 +444,69 @@ def _worker_sizes(n_rounds: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+def _chunks(sizes: list[int], seed: int) -> Iterator[tuple[int, np.random.SeedSequence]]:
+    """Yield (rounds, seed sequence) for every chunk of streams of these sizes.
+
+    Chunk 0 of a stream draws from the stream itself; chunk j >= 1 draws from
+    the stream's (j-1)-th child, equal to ``stream.spawn(j)[j - 1]`` but built
+    one at a time so that no list of all chunks is held.
+    """
+    for size, stream in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        for j, start in enumerate(range(0, size, CHUNK)):
+            if j > 0:
+                stream_j = np.random.SeedSequence(
+                    stream.entropy, spawn_key=stream.spawn_key + (j - 1,),
+                    pool_size=stream.pool_size)
+            else:
+                stream_j = stream
+            yield min(CHUNK, size - start), stream_j
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationReport:
     """Run ``config.n_rounds`` rounds and aggregate sift/QBER statistics.
 
     Rounds are partitioned across ``workers`` independent RNG streams spawned
-    deterministically from the seed; the aggregate is order-independent, so
-    the report depends only on (config, workers).
+    deterministically from the seed, and each stream is cut into chunks of
+    :data:`CHUNK` rounds.  The chunks run on one thread per CPU the process
+    may use (at most one per chunk) and hold O(threads x CHUNK) memory.  The
+    aggregate is order-independent, so the report depends only on
+    (config, workers).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    children = np.random.SeedSequence(config.rng_seed).spawn(workers)
+    kept_table, err_table, orth_table = _sift_tables()
     code_counts = np.zeros(256, dtype=np.int64)
-    orth = kept = errors = 0
-    for size, child in zip(_worker_sizes(config.n_rounds, workers), children):
-        if size == 0:
-            continue
-        part = _simulate_chunk(config, size, np.random.default_rng(child))
-        orth += part["orth"]
-        kept += part["kept"]
-        errors += part["errors"]
-        code_counts += part["code_counts"]
+    sizes = _worker_sizes(config.n_rounds, workers)
+    chunks = _chunks(sizes, config.rng_seed)
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                task = next(chunks, None)
+            if task is None:
+                return
+            counts = _simulate_chunk(config, task[0], np.random.default_rng(task[1]))
+            with lock:
+                np.add(code_counts, counts, out=code_counts)
+
+    threads = min(_cpu_count(), sum(-(-size // CHUNK) for size in sizes))
+    if threads == 1:
+        drain()
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            for future in [pool.submit(drain) for _ in range(threads)]:
+                future.result()
 
     branch_counts = []
     for s, y, r1, r2, _ in TABLE1_BRANCHES:
@@ -448,7 +514,9 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationRepo
         branch_counts.append(int(code_counts[code]))
     other = config.n_rounds - sum(branch_counts)
 
-    orth_fraction = orth / config.n_rounds
+    kept = int(kept_table[config.protocol] @ code_counts)
+    errors = int(err_table[config.protocol] @ code_counts)
+    orth_fraction = int(orth_table @ code_counts) / config.n_rounds
     return SimulationReport(
         protocol=config.protocol,
         n_rounds=config.n_rounds,

@@ -48,7 +48,6 @@ from .qmath import (
     eve_state,
     maximizing_mu4,
     mixture_from_qber,
-    reconditioned_entropy,  # noqa: F401  (re-exported: it feeds the X-announced rate)
     validate_qber,
     von_neumann_entropy,
 )
@@ -100,8 +99,8 @@ def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
     Requires rate_fn(lo) > 0 > rate_fn(hi); raises :class:`BracketError`
     otherwise.  The returned point has bracket width <= tol.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     f_lo, f_hi = rate_fn(lo), rate_fn(hi)
     if not (f_lo > 0.0 > f_hi):
         raise BracketError(
@@ -114,10 +113,6 @@ def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _entropy(m: np.ndarray) -> float:
-    return von_neumann_entropy(m)
 
 
 def _flip_error(e: float, q: float) -> float:
@@ -136,8 +131,9 @@ def lower_bound_rate(e: float, q: float, mu4: Optional[float] = None) -> float:
     mix = mixture_from_qber(e, maximizing_mu4(e) if mu4 is None else mu4)
     s0 = eve_state(mix, 0).matrix
     s1 = eve_state(mix, 1).matrix
-    cond = 0.5 * _entropy((1.0 - q) * s0 + q * s1) + 0.5 * _entropy(q * s0 + (1.0 - q) * s1)
-    unc = _entropy(0.5 * (s0 + s1))
+    cond = (0.5 * von_neumann_entropy((1.0 - q) * s0 + q * s1)
+            + 0.5 * von_neumann_entropy(q * s0 + (1.0 - q) * s1))
+    unc = von_neumann_entropy(0.5 * (s0 + s1))
     return (cond - unc) - (binary_entropy(_flip_error(e, q)) - 1.0)
 
 
@@ -168,9 +164,9 @@ def holevo_chi(e: float, q: float, mu4: Optional[float] = None) -> float:
     given_0 = (2.0 * p00 + p0p) / 3.0
     given_1 = (2.0 * p11 + p1m) / 3.0
     return (
-        _entropy(avg)
-        - 0.5 * _entropy((1.0 - q) * given_0 + q * given_1)
-        - 0.5 * _entropy(q * given_0 + (1.0 - q) * given_1)
+        von_neumann_entropy(avg)
+        - 0.5 * von_neumann_entropy((1.0 - q) * given_0 + q * given_1)
+        - 0.5 * von_neumann_entropy(q * given_0 + (1.0 - q) * given_1)
     )
 
 

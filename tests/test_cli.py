@@ -42,6 +42,14 @@ def test_thresholds_loose_tolerance_runs(tmp_path):
     assert "sb1," in _read(out)
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
+def test_thresholds_invalid_tol_exits_2(tmp_path, capsys, tol):
+    out = tmp_path / "t.csv"
+    assert main(["thresholds", f"--tol={tol}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: tol must be positive")
+    assert not out.exists()
+
+
 def test_thresholds_mu4_override_flagged(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["thresholds", "--mu4-override", "0.0", "--out", str(out)]) == 0
@@ -152,6 +160,15 @@ def test_simulate_seed_env_default(monkeypatch, capsys):
     assert "seed/workers:            123/1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_simulate_invalid_sb1_tolerance_exits_2(capsys, tol):
+    assert main(["simulate", "--protocol", "p1", "--rounds", "1000",
+                 "--sb1-tolerance", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sb1 tolerance must be >= 0")
+    assert captured.out == ""
+
+
 def test_pns_summary_and_csv(tmp_path, capsys):
     out = tmp_path / "pns.csv"
     assert main(["pns", "--attack", "pns", "--alpha", "0.25", "--mu", "0.1",
@@ -181,6 +198,15 @@ def test_pns_irud_reports_reference_and_deviation(capsys):
 
 def test_pns_no_crossing_exits_2(capsys):
     assert main(["pns", "--attack", "pns", "--alpha", "0", "--mu", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+def test_pns_invalid_step_exits_2_without_csv(tmp_path, capsys, step):
+    out = tmp_path / "pns.csv"
+    assert main(["pns", "--attack", "pns", "--mu", "0.1", "--step-km", step,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --step-km must be positive")
+    assert not out.exists()
 
 
 def test_efficiency_presets(capsys):

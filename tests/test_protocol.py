@@ -1,8 +1,11 @@
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from threepass import protocol
 from threepass.protocol import (
     TABLE1_BRANCHES,
     Basis,
@@ -353,3 +356,106 @@ def test_config_validation():
 def test_sb1_orthogonal_fraction_requires_records():
     with pytest.raises(ValueError):
         sb1_orthogonal_fraction([])
+
+
+# The unchunked simulator's report for this configuration, frozen when chunks
+# were introduced: a stream of at most 2**20 rounds is one chunk with the
+# same draws in the same order, so nothing may move.
+FROZEN_CONFIG = SimulationConfig(protocol=ProtocolId.P2, n_rounds=30_000, channel_qber=0.05,
+                                 eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=2212)
+FROZEN_BRANCH_COUNTS = (
+    1409, 429, 463, 672, 445, 472, 696, 1439, 461, 464, 675, 484, 475, 651,
+    1446, 483, 438, 711, 462, 487, 664, 1452, 450, 478, 727, 440, 462, 698,
+)
+
+
+def _code(key) -> int:
+    """The simulator's round code of an oracle histogram key."""
+    code = 0
+    for basis, bit in key:
+        code = code * 4 + 2 * basis + bit
+    return code
+
+
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("e", [Fraction(0), Fraction(3, 100), Fraction(1, 5)])
+def test_sift_tables_reproduce_oracle_exactly(e, eve):
+    oracle = oracle_stats(e=e, eve=eve)
+    kept, err, orth = protocol._sift_tables()
+
+    def expect(table):
+        return sum(p * int(table[_code(key)]) for key, p in oracle.histogram.items())
+
+    assert expect(orth) == oracle.orth_fraction
+    for pid, sift, qber in ((ProtocolId.P1, oracle.p1_sift, oracle.p1_qber),
+                            (ProtocolId.P2, oracle.p2_sift, oracle.p2_qber)):
+        assert expect(kept[pid]) == sift
+        assert expect(err[pid]) / expect(kept[pid]) == qber
+
+
+def test_simulation_frozen_outputs():
+    report = run_simulation(FROZEN_CONFIG, workers=2)
+    assert report.branch_counts == FROZEN_BRANCH_COUNTS
+    assert report.other_count == 11_367
+    assert report.sifted_count == 27_512
+    assert report.error_count == 9_696
+
+
+def test_simulation_chunk_layout(monkeypatch):
+    # Chunk 0 of a stream draws from the stream; chunk j >= 1 from the
+    # stream's (j-1)-th spawned child.
+    monkeypatch.setattr(protocol, "CHUNK", 1000)
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=5_500,
+                              channel_qber=0.1, rng_seed=17)
+    streams = np.random.SeedSequence(17).spawn(2)
+    counts = np.zeros(256, dtype=np.int64)
+    for stream in streams:
+        seeds = [stream] + stream.spawn(2)
+        for n, seed in zip((1000, 1000, 750), seeds):
+            counts += protocol._simulate_chunk(config, n, np.random.default_rng(seed))
+    report = run_simulation(config, workers=2)
+    kept, err, _ = protocol._sift_tables()
+    assert report.sifted_count == int(kept[ProtocolId.P1] @ counts)
+    assert report.error_count == int(err[ProtocolId.P1] @ counts)
+    assert sum(report.branch_counts) + report.other_count == 5_500
+
+
+def test_simulation_independent_of_thread_count(monkeypatch):
+    monkeypatch.setattr(protocol, "CHUNK", 1 << 10)
+    config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=40_000, channel_qber=0.03,
+                              eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=8)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 8):  # 8 threads is more than the cores of most runners
+            monkeypatch.setattr(protocol, "_cpu_count", lambda cpus=cpus: cpus)
+            reports.append(run_simulation(config, workers=3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1]
+    assert reports[0].to_text() == reports[1].to_text()
+
+
+@pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18])
+def test_simulation_memory_bounded_by_chunk(monkeypatch, n_rounds):
+    chunk, threads = 1 << 12, 2
+    monkeypatch.setattr(protocol, "CHUNK", chunk)
+    monkeypatch.setattr(protocol, "_cpu_count", lambda: threads)
+    config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=n_rounds, channel_qber=0.03,
+                              eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=3)
+    run_simulation(config)  # build the lazy tables outside the measurement
+    tracemalloc.start()
+    try:
+        run_simulation(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 20 B per in-flight round; an unchunked run holds ~38 B per round.
+    assert peak <= 64 * threads * chunk
+
+
+def test_config_rejects_bad_sb1_tolerance():
+    for tol in (-0.01, float("nan")):
+        with pytest.raises(ValueError):
+            SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, sb1_tolerance=tol)
