@@ -19,6 +19,8 @@ import sys
 from datetime import datetime, timezone
 from typing import IO, Sequence
 
+import numpy as np
+
 from . import __version__
 from .protocol import (
     TABLE1_BRANCHES,
@@ -126,37 +128,44 @@ def _parse_grid(start: float, stop: float, step: float) -> list[float]:
 
 def cmd_curves(args: argparse.Namespace) -> int:
     e_grid = _parse_grid(args.e_start, args.e_stop, args.e_step)
+    params = {
+        "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
+        "e_step": args.e_step,
+    }
+    # Every rate is computed before the output is opened, so an invalid
+    # point leaves no partial CSV behind.  Each block is the text of its
+    # q column ("" for one-parameter rates) and a float64 array of the rates
+    # over the e-grid, 8 bytes per row until it is written.
+    if args.kind in ("sb1", "sifted"):
+        params["announce"] = args.announce
+        fn = secrate.key_rate_sb1 if args.kind == "sb1" else secrate.key_rate_sifted
+        header = "e,r"
+        blocks = [("", np.array([fn(e, args.announce) for e in e_grid]))]
+    else:
+        q_grid = _parse_grid(args.q_start, args.q_stop, args.q_step)
+        params.update(q_start=args.q_start, q_stop=args.q_stop, q_step=args.q_step,
+                      mu4_override="default (e^2)" if args.mu4_override is None
+                      else args.mu4_override)
+        if args.kind == "upper":
+            # The r column is the information margin (mutual information
+            # minus Holevo ceiling); its sign boundary locates the
+            # threshold, which the published closed form cannot express.
+            params["r_column"] = "information margin [H(b)-H(b|c)] - chi(E)"
+            fn = secrate.upper_bound_crossing
+        else:
+            fn = secrate.lower_bound_rate
+        # One array call per q value; a whole (q x e) batch would hold every
+        # row's intermediates at once.
+        header = "e,q,r"
+        blocks = [(f",{_fmt(q)}", fn(e_grid, q, args.mu4_override)) for q in q_grid]
+
     out, close = _open_out(args.out)
     try:
-        params = {
-            "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
-            "e_step": args.e_step,
-        }
-        if args.kind in ("sb1", "sifted"):
-            params["announce"] = args.announce
-            write_manifest(out, "curves", params)
-            fn = secrate.key_rate_sb1 if args.kind == "sb1" else secrate.key_rate_sifted
-            out.write("e,r\n")
-            for e in e_grid:
-                out.write(f"{_fmt(e)},{_fmt(fn(e, args.announce))}\n")
-        else:
-            q_grid = _parse_grid(args.q_start, args.q_stop, args.q_step)
-            params.update(q_start=args.q_start, q_stop=args.q_stop, q_step=args.q_step,
-                          mu4_override="default (e^2)" if args.mu4_override is None
-                          else args.mu4_override)
-            if args.kind == "upper":
-                # The r column is the information margin (mutual information
-                # minus Holevo ceiling); its sign boundary locates the
-                # threshold, which the published closed form cannot express.
-                params["r_column"] = "information margin [H(b)-H(b|c)] - chi(E)"
-                fn = lambda e, q: secrate.upper_bound_crossing(e, q, args.mu4_override)
-            else:
-                fn = lambda e, q: secrate.lower_bound_rate(e, q, args.mu4_override)
-            write_manifest(out, "curves", params)
-            out.write("e,q,r\n")
-            for q in q_grid:
-                for e in e_grid:
-                    out.write(f"{_fmt(e)},{_fmt(q)},{_fmt(fn(e, q))}\n")
+        write_manifest(out, "curves", params)
+        out.write(header + "\n")
+        for q_column, rates in blocks:
+            for e, r in zip(e_grid, rates.tolist()):
+                out.write(f"{_fmt(e)}{q_column},{_fmt(r)}\n")
     finally:
         if close:
             out.close()

@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .secrate import BracketError, find_threshold
+
 DEFAULT_IRUD_OVERLAP = 1.0 / math.sqrt(2.0)
 
 #: Published reference critical distance / attenuation for each attack.
@@ -76,8 +78,8 @@ class WcpSource:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
-            raise ValueError(f"mean photon number must be positive, got {self.mu}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mean photon number must be positive and finite, got {self.mu}")
 
     def pmf(self, n: int) -> float:
         return poisson_pmf(n, self.mu)
@@ -103,8 +105,10 @@ class FiberLink:
     length: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0 or self.length < 0.0:
-            raise ValueError("attenuation and length must be nonnegative")
+        # Chained comparisons: NaN fails them, and a scan builds one link per point.
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.length < math.inf):
+            raise ValueError("attenuation and length must be nonnegative and finite, "
+                             f"got alpha={self.alpha}, length={self.length}")
 
     @property
     def loss_db(self) -> float:
@@ -116,11 +120,19 @@ def transmittance(link: FiberLink) -> float:
     return 10.0 ** (-link.loss_db / 10.0)
 
 
+def _per_detection(numerator: float, link: FiberLink, source: WcpSource) -> float:
+    """``numerator`` over the detection probability sum_{n>=1} p(n, mu*eta).
+
+    A link so long that no photon arrives (eta underflows to 0) leaves the
+    attacker knowing everything: the result is then inf.
+    """
+    detected = poisson_tail(1, source.mu * transmittance(link))
+    return numerator / detected if detected > 0.0 else math.inf
+
+
 def eve_info_pns(link: FiberLink, source: WcpSource) -> float:
     """Attacker's key fraction under the storage attack; raw (unclamped) value."""
-    eta = transmittance(link)
-    numerator = 0.625 * source.tail(2) ** 2
-    return numerator / poisson_tail(1, source.mu * eta)
+    return _per_detection(0.625 * source.tail(2) ** 2, link, source)
 
 
 def unambiguous_info(n: int, chi: float) -> float:
@@ -146,9 +158,7 @@ def eve_info_irud(link: FiberLink, source: WcpSource,
     The cube applies to the product I(3, chi) * p(3, mu): a conclusive
     result is needed on each of the three passes.
     """
-    eta = transmittance(link)
-    numerator = (unambiguous_info(3, chi) * source.pmf(3)) ** 3
-    return numerator / poisson_tail(1, source.mu * eta)
+    return _per_detection((unambiguous_info(3, chi) * source.pmf(3)) ** 3, link, source)
 
 
 def critical_distance(info_fn: Callable[[float], float], alpha: float,
@@ -157,19 +167,14 @@ def critical_distance(info_fn: Callable[[float], float], alpha: float,
 
     Requires info_fn(0) < 1 < info_fn(hi_km); the information functions here
     increase monotonically with distance because only the expected-detection
-    denominator depends on it.
+    denominator depends on it.  The bisection is
+    :func:`threepass.secrate.find_threshold` on the margin 1 - info_fn(l).
     """
-    lo, hi = 0.0, hi_km
-    f_lo, f_hi = info_fn(lo), info_fn(hi)
-    if not (f_lo < 1.0 < f_hi):
+    try:
+        l_c = find_threshold(lambda l: 1.0 - info_fn(float(l)), 0.0, hi_km, tol_km)
+    except BracketError:
         raise ValueError(
-            f"no crossing on [0, {hi_km}] km: info(0)={f_lo:.6g}, info(hi)={f_hi:.6g}"
-        )
-    while hi - lo > tol_km:
-        mid = 0.5 * (lo + hi)
-        if info_fn(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    l_c = 0.5 * (lo + hi)
+            f"no crossing on [0, {hi_km}] km: info(0)={info_fn(0.0):.6g}, "
+            f"info(hi)={info_fn(hi_km):.6g}"
+        ) from None
     return l_c, alpha * l_c

@@ -439,19 +439,22 @@ def _simulate_chunk(config: SimulationConfig, n: int, rng: np.random.Generator) 
     return np.bincount(code.view(np.uint8), minlength=256)
 
 
-def _worker_sizes(n_rounds: int, workers: int) -> list[int]:
-    base, extra = divmod(n_rounds, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+def _chunks(n_rounds: int, workers: int, seed: int
+            ) -> Iterator[tuple[int, np.random.SeedSequence]]:
+    """Yield (rounds, seed sequence) for every chunk of ``n_rounds`` split
+    over ``workers`` streams, the first ``n_rounds % workers`` one round longer.
 
-
-def _chunks(sizes: list[int], seed: int) -> Iterator[tuple[int, np.random.SeedSequence]]:
-    """Yield (rounds, seed sequence) for every chunk of streams of these sizes.
-
+    Stream i is ``SeedSequence(seed, spawn_key=(i,))``, equal to
+    ``SeedSequence(seed).spawn(workers)[i]``; only the first
+    ``min(workers, n_rounds)`` streams hold rounds, and only those are built.
     Chunk 0 of a stream draws from the stream itself; chunk j >= 1 draws from
     the stream's (j-1)-th child, equal to ``stream.spawn(j)[j - 1]`` but built
     one at a time so that no list of all chunks is held.
     """
-    for size, stream in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+    base, extra = divmod(n_rounds, workers)
+    for i in range(min(workers, n_rounds)):
+        size = base + (i < extra)
+        stream = np.random.SeedSequence(seed, spawn_key=(i,))
         for j, start in enumerate(range(0, size, CHUNK)):
             if j > 0:
                 stream_j = np.random.SeedSequence(
@@ -460,6 +463,12 @@ def _chunks(sizes: list[int], seed: int) -> Iterator[tuple[int, np.random.SeedSe
             else:
                 stream_j = stream
             yield min(CHUNK, size - start), stream_j
+
+
+def _chunk_count(n_rounds: int, workers: int) -> int:
+    """How many chunks :func:`_chunks` yields, without building a stream."""
+    base, extra = divmod(n_rounds, workers)
+    return extra * -(-(base + 1) // CHUNK) + (workers - extra) * -(-base // CHUNK)
 
 
 def _cpu_count() -> int:
@@ -484,8 +493,7 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationRepo
         raise ValueError("workers must be >= 1")
     kept_table, err_table, orth_table = _sift_tables()
     code_counts = np.zeros(256, dtype=np.int64)
-    sizes = _worker_sizes(config.n_rounds, workers)
-    chunks = _chunks(sizes, config.rng_seed)
+    chunks = _chunks(config.n_rounds, workers, config.rng_seed)
     lock = threading.Lock()
 
     def drain() -> None:
@@ -498,7 +506,7 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationRepo
             with lock:
                 np.add(code_counts, counts, out=code_counts)
 
-    threads = min(_cpu_count(), sum(-(-size // CHUNK) for size in sizes))
+    threads = min(_cpu_count(), _chunk_count(config.n_rounds, workers))
     if threads == 1:
         drain()
     else:

@@ -8,8 +8,15 @@ Bell diagonal with weights (mu1, mu2, mu3, mu4); the linear constraints
 
 leave one free parameter, conventionally mu4 in [0, e].  The eavesdropper's
 conditional states sigma_E^k derived from a purification of that mixture are
-4x4 and block diagonal in the ancilla basis; their spectral entropies drive
-the collective-attack bounds in :mod:`threepass.secrate`.
+4x4 and block diagonal in the ancilla basis with rank-one 2x2 blocks, so the
+spectra of their mixtures are closed form (:func:`eve_mixture_spectrum`);
+:func:`eve_state` builds the explicit matrices as the reference.  Their
+spectral entropies drive the collective-attack bounds in
+:mod:`threepass.secrate`.
+
+:func:`bell_weights`, :func:`binary_entropy`, :func:`spectral_entropy`,
+:func:`von_neumann_entropy` and :func:`eve_mixture_spectrum` work elementwise
+on arrays; a scalar input gives a Python float.
 
 All entropies are in bits (base-2 logarithms) and 0*log(0) is taken to be 0.
 Every function here is pure; concurrent use is safe.
@@ -32,20 +39,75 @@ EIGENVALUE_FLOOR = 1e-12
 _SUM_TOL = 1e-12
 
 
-def binary_entropy(p: float) -> float:
-    """Shannon entropy, in bits, of a {p, 1-p} distribution."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binary_entropy requires p in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+def in_range(what: str, x, lo: float, hi: float) -> np.ndarray:
+    """``x`` as a float array, after checking lo <= x <= hi elementwise.
+
+    NaN fails the check.  The error names ``what`` and the first offending
+    value, e.g. ``q must lie in [0, 1], got 1.5``.
+    """
+    x = np.asarray(x, dtype=float)
+    ok = (lo <= x) & (x <= hi)
+    if not ok.all():
+        raise ValueError(f"{what} in [{lo:g}, {hi:g}], got {float(x[~ok][0])}")
+    return x
+
+
+def float_if_0d(x):
+    """A Python float for a 0-d result, else the array itself."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def spectral_entropy(eigenvalues) -> float | np.ndarray:
+    """-sum(lam * log2(lam)) over the last axis, in bits.
+
+    Eigenvalues below 1e-12 are treated as exact zeros; eigenvalues in
+    [-1e-10, 0) are clamped to zero.  An eigenvalue below -1e-10 violates the
+    PSD invariant and raises ValueError.  A 1-d input gives a float.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.size and lam.min() < -PSD_DRIFT:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {lam.min()}")
+    kept = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)
+    # 0.0 - sum keeps an all-zero sum at +0.0 rather than -0.0.
+    return float_if_0d(0.0 - (kept * np.log2(kept)).sum(axis=-1))
+
+
+def binary_entropy(p) -> float | np.ndarray:
+    """Shannon entropy, in bits, of a {p, 1-p} distribution; elementwise on arrays."""
+    p = in_range("binary_entropy requires p", p, 0.0, 1.0)
+    dist = np.empty(p.shape + (2,))
+    dist[..., 0] = p
+    dist[..., 1] = 1.0 - p
+    return spectral_entropy(dist)
 
 
 def validate_qber(e: float) -> float:
-    """Check that ``e`` is a valid symmetric QBER, i.e. lies in [0, 1/2]."""
+    """Check that a scalar ``e`` is a valid symmetric QBER, i.e. lies in [0, 1/2].
+
+    :func:`bell_weights` checks arrays elementwise against the same range.
+    """
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"QBER must lie in [0, 0.5], got {e}")
     return float(e)
+
+
+def bell_weights(e, mu4) -> np.ndarray:
+    """Bell weights (1-2e+mu4, e-mu4, e-mu4, mu4) as an (..., 4) array.
+
+    ``e`` and ``mu4`` broadcast against each other; ``e`` must lie in
+    [0, 1/2] and ``mu4`` in [0, e], elementwise.
+    """
+    e = in_range("QBER must lie", e, 0.0, 0.5)
+    mu4 = np.asarray(mu4, dtype=float)
+    ok = (0.0 <= mu4) & (mu4 <= e)
+    if not ok.all():
+        e_bad, mu4_bad = (np.broadcast_to(x, ok.shape)[~ok][0] for x in (e, mu4))
+        raise ValueError(f"mu4 must lie in [0, e={float(e_bad)}], got {float(mu4_bad)}")
+    weights = np.empty(ok.shape + (4,))
+    weights[..., 0] = 1.0 - 2.0 * e + mu4
+    weights[..., 1] = weights[..., 2] = e - mu4
+    weights[..., 3] = mu4
+    return weights
 
 
 @dataclass(frozen=True)
@@ -98,46 +160,49 @@ def mixture_from_qber(e: float, mu4: float) -> BellMixture:
     ``mu4`` is the free parameter of the constraint system and must lie in
     [0, e].
     """
-    e = validate_qber(e)
-    if not 0.0 <= mu4 <= e:
-        raise ValueError(f"mu4 must lie in [0, e={e}], got {mu4}")
-    return BellMixture(1.0 - 2.0 * e + mu4, e - mu4, e - mu4, mu4)
+    return BellMixture(*bell_weights(e, mu4).tolist())
 
 
 def hv_entropy(mix: BellMixture) -> float:
     """Shannon entropy, in bits, of the four-outcome Bell-projector distribution."""
-    total = 0.0
-    for m in mix.as_array():
-        if m > 0.0:
-            total -= m * math.log2(m)
-    return total
+    return spectral_entropy(mix.as_array())
 
 
-def maximizing_mu4(e: float) -> float:
+def maximizing_mu4(e) -> float | np.ndarray:
     """The mu4 in [0, e] that maximizes :func:`hv_entropy`, namely e**2.
 
     At this choice the mixture entropy equals ``2 * binary_entropy(e)``.
+    Elementwise on arrays.
     """
-    e = validate_qber(e)
-    return e * e
+    e = in_range("QBER must lie", e, 0.0, 0.5)
+    return float_if_0d(e * e)
 
 
-def von_neumann_entropy(rho: DensityMatrix4 | np.ndarray) -> float:
+def von_neumann_entropy(rho: DensityMatrix4 | np.ndarray) -> float | np.ndarray:
     """Spectral entropy -sum(lam * log2(lam)) of a density matrix, in bits.
 
-    Eigenvalues below 1e-12 are treated as exact zeros; eigenvalues in
-    [-1e-10, 0) are clamped to zero.  A matrix with an eigenvalue below
-    -1e-10 violates the PSD invariant and raises ValueError.
+    ``rho`` may be a stack of shape (..., 4, 4), solved by one batched
+    ``eigvalsh``; a single matrix gives a float.  The eigenvalue floor and
+    the PSD rule are those of :func:`spectral_entropy`.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix4) else np.asarray(rho, dtype=complex)
-    eigs = np.linalg.eigvalsh(m)
-    if eigs.min() < -PSD_DRIFT:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {eigs.min()}")
-    out = 0.0
-    for lam in eigs:
-        if lam > EIGENVALUE_FLOOR:
-            out -= lam * math.log2(lam)
-    return out
+    m = rho.matrix if isinstance(rho, DensityMatrix4) else np.asarray(rho)
+    return spectral_entropy(np.linalg.eigvalsh(m))
+
+
+def eve_mixture_spectrum(weights, q) -> np.ndarray:
+    """Eigenvalues of (1-q) eve_state(mix, 0) + q eve_state(mix, 1), as (..., 4).
+
+    ``weights`` are Bell weights (..., 4), e.g. from :func:`bell_weights`, and
+    ``q`` broadcasts against their leading axes.  Each 2x2 block
+    [[a, s*sqrt(ab)], [s*sqrt(ab), b]] with s = |1-2q| has eigenvalues
+    (a+b)/2 +- sqrt(((a-b)/2)**2 + s**2 ab).
+    """
+    w = np.asarray(weights, dtype=float)
+    a, b = w[..., 0::2], w[..., 1::2]  # blocks (mu1, mu2) and (mu3, mu4)
+    s2 = ((1.0 - 2.0 * np.asarray(q, dtype=float)) ** 2)[..., None]
+    mean = 0.5 * (a + b)
+    half_gap = np.sqrt((0.5 * (a - b)) ** 2 + s2 * a * b)
+    return np.concatenate([mean + half_gap, mean - half_gap], axis=-1)
 
 
 def eve_state(mix: BellMixture, k: int) -> DensityMatrix4:
@@ -152,6 +217,10 @@ def eve_state(mix: BellMixture, k: int) -> DensityMatrix4:
 
     with s = (-1)**k.  Note the lower block couples mu3 and mu4; the two
     conditional states are isospectral and related by diag(1, -1, 1, -1).
+    Each block is rank one, the outer product of (sqrt(a), s*sqrt(b)), so the
+    spectrum of this state, and of any q-mixture of the two, is closed form:
+    :func:`eve_mixture_spectrum` computes it without building the matrix,
+    which remains as the validated reference.
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
@@ -177,12 +246,11 @@ def reconditioned_entropy(e: float, mu4: float) -> float:
     ``hv_entropy(mixture_from_qber(e, mu4)) - binary_entropy(e)``.
     Boundary values mu4 in {0, e} and e in {0} are handled by continuity.
     """
-    e = validate_qber(e)
-    if not 0.0 <= mu4 <= e:
-        raise ValueError(f"mu4 must lie in [0, e={e}], got {mu4}")
+    mu1, mu2, _, _ = bell_weights(e, mu4).tolist()
+    e = float(e)
     out = 0.0
     if e < 1.0:
-        out += (1.0 - e) * binary_entropy((1.0 - 2.0 * e + mu4) / (1.0 - e))
+        out += (1.0 - e) * binary_entropy(mu1 / (1.0 - e))
     if e > 0.0:
-        out += e * binary_entropy((e - mu4) / e)
+        out += e * binary_entropy(mu2 / e)
     return out

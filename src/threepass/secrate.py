@@ -20,6 +20,14 @@ satisfy rate(e, q) == rate(e, 1-q) and vanish identically at q = 1/2, so
 thresholds are reported as the supremum over q in [0, 1/2) of the zero
 crossing in e.
 
+The bound functions take broadcastable arrays of (e, q) and a scalar mu4,
+and a scalar call is the same code on 0-d arrays returning a float.  The
+lower bound is closed form: Eve's states have rank-one 2x2 blocks, so every
+q-mixture has the 2x2 spectrum of :func:`threepass.qmath.eve_mixture_spectrum`.
+The Holevo term of the upper bound is a genuine 4x4 and costs one batched
+``eigvalsh`` per call.  :func:`bound_threshold` bisects the whole q-grid at
+once with the elementwise :func:`find_threshold`.
+
 A note on the upper bound: the published closed form chi(E) - [H(b|c) - H(b)]
 is the sum of a Holevo quantity and the mutual information 1 - h(...), both
 nonnegative, so it has no zero crossing in e and cannot define a threshold.
@@ -43,11 +51,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .qmath import (
+# eve_state is unused here but stays importable: perfbench/tracing.py patches
+# it in this namespace.
+from .qmath import (  # noqa: F401
+    bell_weights,
     binary_entropy,
+    eve_mixture_spectrum,
     eve_state,
+    float_if_0d,
+    in_range,
     maximizing_mu4,
-    mixture_from_qber,
+    spectral_entropy,
     validate_qber,
     von_neumann_entropy,
 )
@@ -77,11 +91,7 @@ def key_rate_sb1(e: float, announce_y: bool = False) -> float:
     """
     e = validate_qber(e)
     c_y = 1.0 if announce_y else 2.0
-    mutual = 1.0
-    if e > 0.0:
-        mutual += (e / 2.0) * math.log2(e / 2.0)
-    if e < 1.0:
-        mutual += ((1.0 - e) / 2.0) * math.log2((1.0 - e) / 2.0)
+    mutual = 1.0 - spectral_entropy([e / 2.0, (1.0 - e) / 2.0])
     return mutual - c_y * binary_entropy(e)
 
 
@@ -92,102 +102,120 @@ def key_rate_sifted(e: float, announce_x: bool = False) -> float:
     return 1.0 - binary_entropy(1.0 / 6.0 + 2.0 * e / 3.0) - c_x * binary_entropy(e)
 
 
-def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-6) -> float:
-    """Bisection root of a decreasing rate function on [lo, hi].
+def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
+    """Bisection root of a decreasing rate function on [lo, hi], elementwise.
 
-    Requires rate_fn(lo) > 0 > rate_fn(hi); raises :class:`BracketError`
-    otherwise.  The returned point has bracket width <= tol.
+    ``rate_fn`` may return an array of rates, with ``lo`` and ``hi``
+    broadcasting against it: every element is then bisected on its own
+    bracket, in one loop, exactly as a scalar call would bisect it.  An
+    element needs rate_fn(lo) > 0 > rate_fn(hi); one that does not gives NaN,
+    and :class:`BracketError` is raised when no element does (so a scalar
+    call either brackets or raises).  Each returned point has bracket width
+    <= tol, or the float spacing when tol is smaller.  A scalar call returns
+    a float.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     f_lo, f_hi = rate_fn(lo), rate_fn(hi)
-    if not (f_lo > 0.0 > f_hi):
+    bracketed = np.greater(f_lo, 0.0) & np.less(f_hi, 0.0)
+    if not bracketed.any():
         raise BracketError(
             f"rate must straddle zero on the bracket: f({lo})={f_lo}, f({hi})={f_hi}"
         )
-    while hi - lo > tol:
+    active = bracketed & (hi - lo > tol)
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if rate_fn(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        # Below the float spacing the midpoint no longer splits the bracket.
+        active &= (lo < mid) & (mid < hi)
+        positive = np.greater(rate_fn(mid), 0.0)
+        lo = np.where(active & positive, mid, lo)
+        hi = np.where(active & ~positive, mid, hi)
+        active &= hi - lo > tol
+    return float_if_0d(np.where(bracketed, 0.5 * (lo + hi), np.nan))
 
 
-def _flip_error(e: float, q: float) -> float:
-    return q * (1.0 - e) + (1.0 - q) * e
+def _bound_inputs(e, q, mu4: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (e, q) broadcast to one shape, and the Bell weights (..., 4)
+    of (e, mu4) with mu4 defaulting to the maximizer e**2."""
+    e, q = np.broadcast_arrays(np.asarray(e, dtype=float), in_range("q must lie", q, 0.0, 1.0))
+    return e, q, bell_weights(e, maximizing_mu4(e) if mu4 is None else mu4)
 
 
-def lower_bound_rate(e: float, q: float, mu4: Optional[float] = None) -> float:
+def _mutual_information(e, q):
+    """H(b) - H(b|c) = 1 - h(q(1-e) + (1-q)e): bit flip q on top of QBER e."""
+    e, q = np.asarray(e, dtype=float), np.asarray(q, dtype=float)
+    return 1.0 - binary_entropy(q * (1.0 - e) + (1.0 - q) * e)
+
+
+def lower_bound_rate(e, q, mu4: Optional[float] = None):
     """Lower collective-attack bound S(E|c) - S(E) - [H(b|c) - H(b)].
 
     ``q`` is Alice's pre-processing bit-flip probability; ``mu4`` defaults to
-    the entropy-maximizing value e**2.
+    the entropy-maximizing value e**2.  The two q-mixtures of Eve's states
+    are isospectral, so S(E|c) is the entropy of one closed-form spectrum and
+    S(E) that of the q = 1/2 mixture, which makes the rate exactly 0 at
+    q = 1/2.  ``e`` and ``q`` broadcast; a scalar call returns a float.
     """
-    e = validate_qber(e)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    mix = mixture_from_qber(e, maximizing_mu4(e) if mu4 is None else mu4)
-    s0 = eve_state(mix, 0).matrix
-    s1 = eve_state(mix, 1).matrix
-    cond = (0.5 * von_neumann_entropy((1.0 - q) * s0 + q * s1)
-            + 0.5 * von_neumann_entropy(q * s0 + (1.0 - q) * s1))
-    unc = von_neumann_entropy(0.5 * (s0 + s1))
-    return (cond - unc) - (binary_entropy(_flip_error(e, q)) - 1.0)
+    e, q, weights = _bound_inputs(e, q, mu4)
+    cond = spectral_entropy(eve_mixture_spectrum(weights, q))
+    unc = spectral_entropy(eve_mixture_spectrum(weights, 0.5))
+    return (cond - unc) + _mutual_information(e, q)
 
 
-def _eve_projectors(mix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Projectors onto the normalized ancilla states for the outcome pairs
-    (0,0), (1,1), (0,+), (1,-), in the ancilla basis."""
-    r = np.sqrt(np.maximum(mix.as_array(), 0.0))
-    v00 = np.array([r[0], r[1], 0.0, 0.0])
-    v11 = np.array([r[0], -r[1], 0.0, 0.0])
-    v0p = np.array([r[0], r[1], r[2], r[3]])
-    v1m = np.array([-r[0], r[1], r[2], -r[3]])
-    out = []
-    for v in (v00, v11, v0p, v1m):
-        norm = np.linalg.norm(v)
-        v = v / norm if norm > 0.0 else v
-        out.append(np.outer(v, v))
-    return tuple(out)
+# Ancilla vectors for the outcome pairs (0,0), (1,1), (0,+), (1,-): the sign
+# pattern (0 drops a component) applied to sqrt(mu).
+_OUTCOME_SIGNS = np.array([[1.0, 1.0, 0.0, 0.0],
+                           [1.0, -1.0, 0.0, 0.0],
+                           [1.0, 1.0, 1.0, 1.0],
+                           [-1.0, 1.0, 1.0, -1.0]])
 
 
-def holevo_chi(e: float, q: float, mu4: Optional[float] = None) -> float:
-    """Holevo quantity of Eve's measured four-state ensemble under bit flip q."""
-    e = validate_qber(e)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    mix = mixture_from_qber(e, maximizing_mu4(e) if mu4 is None else mu4)
-    p00, p11, p0p, p1m = _eve_projectors(mix)
-    avg = (p00 + p11) / 3.0 + (p0p + p1m) / 6.0
-    given_0 = (2.0 * p00 + p0p) / 3.0
-    given_1 = (2.0 * p11 + p1m) / 3.0
-    return (
-        von_neumann_entropy(avg)
-        - 0.5 * von_neumann_entropy((1.0 - q) * given_0 + q * given_1)
-        - 0.5 * von_neumann_entropy(q * given_0 + (1.0 - q) * given_1)
-    )
+def holevo_chi(e, q, mu4: Optional[float] = None):
+    """Holevo quantity of Eve's measured four-state ensemble under bit flip q.
+
+    chi = S(avg) - [S(rho_q) + S(rho_(1-q))]/2 with rho_q the q-mixture of
+    Eve's states given b = 0 and b = 1.  diag(1, -1, 1, -1) maps rho_q to
+    rho_(1-q), so the two are isospectral and both entropies come from one
+    batched ``eigvalsh`` over the stacked (avg, rho_q) pairs.  ``e`` and
+    ``q`` broadcast; a scalar call returns a float.
+    """
+    _, q, weights = _bound_inputs(e, q, mu4)
+    vectors = _OUTCOME_SIGNS * np.sqrt(weights)[..., None, :]
+    # Squared norms are 1 - e >= 1/2 or 1, so the division is always defined.
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    # Outcome weights of the average state and of rho_q: (2 p00 + p0p)/3
+    # given b = 0 and (2 p11 + p1m)/3 given b = 1.
+    p = 1.0 - q
+    mix = np.stack([np.broadcast_to([1 / 3, 1 / 3, 1 / 6, 1 / 6], weights.shape),
+                    np.stack([2.0 * p, 2.0 * q, p, q], axis=-1) / 3.0], axis=-2)
+    states = np.einsum("...sk,...ki,...kj->...sij", mix, vectors, vectors)
+    entropies = von_neumann_entropy(states)
+    return float_if_0d(entropies[..., 0] - entropies[..., 1])
 
 
-def upper_bound_rate(e: float, q: float, mu4: Optional[float] = None) -> float:
+def upper_bound_rate(e, q, mu4: Optional[float] = None):
     """The published upper-bound expression chi(E) - [H(b|c) - H(b)].
 
     Both chi(E) and -[H(b|c) - H(b)] = 1 - h(...) are nonnegative, so this
     quantity is nonnegative everywhere and vanishes only on the line q = 1/2;
     it has no zero crossing in e.  See :func:`upper_bound_crossing` for the
-    sign-definite margin used to extract a threshold.
+    sign-definite margin used to extract a threshold.  Takes arrays like
+    :func:`holevo_chi`.
     """
-    return holevo_chi(e, q, mu4) - (binary_entropy(_flip_error(e, q)) - 1.0)
+    chi = holevo_chi(e, q, mu4)
+    return chi + _mutual_information(e, q)
 
 
-def upper_bound_crossing(e: float, q: float, mu4: Optional[float] = None) -> float:
+def upper_bound_crossing(e, q, mu4: Optional[float] = None):
     """Information margin [H(b) - H(b|c)] - chi(E).
 
     Positive while the Alice-Bob mutual information exceeds Eve's Holevo
-    ceiling; its zero in e is the upper-bound threshold.
+    ceiling; its zero in e is the upper-bound threshold.  Takes arrays like
+    :func:`holevo_chi`.
     """
-    return (1.0 - binary_entropy(_flip_error(e, q))) - holevo_chi(e, q, mu4)
+    chi = holevo_chi(e, q, mu4)
+    return _mutual_information(e, q) - chi
 
 
 def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
@@ -228,18 +256,21 @@ def bound_threshold(rate_fn: Callable[[float, float], float],
                     q_grid: int = 26, tol: float = 1e-7) -> tuple[float, float]:
     """Supremum over q in [0, 1/2) of the zero crossing of rate_fn(., q).
 
-    Returns (threshold e, maximizing q).  ``rate_fn(e, q)`` must be
-    decreasing in e with a sign change on (0, 0.45) for the relevant q.
+    Returns (threshold e, maximizing q).  ``rate_fn(e, q)`` must take
+    arrays, be decreasing in e and change sign on (0, 0.45) for the relevant
+    q.  The roots on the whole q-grid come from one elementwise bisection;
+    q values without a sign change count as -1.
     """
 
-    def root_at(q: float) -> float:
+    def root_at(q):
         try:
-            return find_threshold(lambda e: rate_fn(e, q), 1e-4, 0.45, tol)
+            roots = find_threshold(lambda e: rate_fn(e, q), 1e-4, 0.45, tol)
         except BracketError:
-            return -1.0
+            return np.full(np.shape(q), -1.0)
+        return np.where(np.isnan(roots), -1.0, roots)
 
     grid = np.linspace(0.0, _Q_MAX, q_grid)
-    roots = [root_at(q) for q in grid]
+    roots = root_at(grid)
     i = int(np.argmax(roots))
     if roots[i] < 0.0:
         raise BracketError("no zero crossing in e for any q in [0, 1/2)")

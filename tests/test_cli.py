@@ -117,6 +117,19 @@ def test_curves_invalid_grid_exits_2():
                  "--e-stop", "0.1", "--e-step", "0.01"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--kind", "lower", "--mu4-override", "0.05"], "error: mu4 must lie in [0, e=0.0], got 0.05"),
+    (["--kind", "sb1", "--e-stop", "0.6"], "error: QBER must lie in [0, 0.5], got 0.505"),
+    (["--kind", "upper", "--q-stop", "1.5", "--e-step", "0.1"],
+     "error: q must lie in [0, 1], got 1.0250000000000001"),
+])
+def test_curves_invalid_point_exits_2_without_csv(tmp_path, capsys, argv, message):
+    out = tmp_path / "curves.csv"
+    assert main(["curves", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
 def test_curves_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["curves", "--kind", "sifted", "--e-start", "0", "--e-stop", "0.1",
@@ -207,6 +220,29 @@ def test_pns_invalid_step_exits_2_without_csv(tmp_path, capsys, step):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: --step-km must be positive")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mu", "nan"], ["--mu", "inf"], ["--mu", "0.1", "--alpha", "nan"],
+    ["--mu", "0.1", "--alpha", "inf"], ["--mu", "0.1", "--max-km", "nan"],
+])
+def test_pns_non_finite_input_exits_2_without_csv(tmp_path, capsys, argv):
+    out = tmp_path / "pns.csv"
+    assert main(["pns", "--attack", "pns", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--max-km", "20000", "--step-km", "5000"],
+                                  ["--alpha", "1e308", "--step-km", "100"]])
+def test_pns_long_fiber_scan_exits_0(tmp_path, capsys, argv):
+    # The transmittance underflows to 0 at the far end: the attacker then
+    # knows everything, which the information column shows as inf.
+    out = tmp_path / "pns.csv"
+    assert main(["pns", "--attack", "pns", "--mu", "0.1", *argv, "--out", str(out)]) == 0
+    assert "critical distance" in capsys.readouterr().out
+    assert _read(out).splitlines()[-1].endswith(",inf")
 
 
 def test_efficiency_presets(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -86,10 +88,20 @@ def test_transmittance_multiplicative(l1, l2):
 
 
 def test_source_validation():
-    with pytest.raises(ValueError):
-        WcpSource(0.0)
-    with pytest.raises(ValueError):
-        FiberLink(-0.1, 10.0)
+    for mu in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            WcpSource(mu)
+    for alpha, length in ((-0.1, 10.0), (float("nan"), 10.0), (float("inf"), 10.0),
+                          (0.25, float("nan")), (0.25, float("inf")), (0.25, -1.0)):
+        with pytest.raises(ValueError):
+            FiberLink(alpha, length)
+
+
+def test_eve_info_is_infinite_when_nothing_is_detected():
+    link = FiberLink(0.25, 20_000.0)
+    assert transmittance(link) == 0.0
+    assert eve_info_pns(link, WcpSource(0.1)) == math.inf
+    assert eve_info_irud(link, WcpSource(0.2)) == math.inf
 
 
 def test_eve_info_pns_at_zero_distance():

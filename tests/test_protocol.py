@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -453,6 +454,36 @@ def test_simulation_memory_bounded_by_chunk(monkeypatch, n_rounds):
         tracemalloc.stop()
     # About 20 B per in-flight round; an unchunked run holds ~38 B per round.
     assert peak <= 64 * threads * chunk
+
+
+def test_streams_equal_spawned_children():
+    # Stream i is built alone, as the i-th child that spawn(workers) returns.
+    children = np.random.SeedSequence(5).spawn(4)
+    for i, child in enumerate(children):
+        alone = np.random.SeedSequence(5, spawn_key=(i,))
+        assert (alone.generate_state(4) == child.generate_state(4)).all()
+
+
+@pytest.mark.parametrize("n_rounds,workers", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
+def test_chunk_count_matches_chunks(monkeypatch, n_rounds, workers):
+    monkeypatch.setattr(protocol, "CHUNK", 1000)
+    sizes = [n for n, _ in protocol._chunks(n_rounds, workers, 1)]
+    assert sum(sizes) == n_rounds
+    assert len(sizes) == protocol._chunk_count(n_rounds, workers)
+
+
+def test_huge_worker_count_builds_only_used_streams():
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, channel_qber=0.1,
+                              rng_seed=4)
+    few = run_simulation(config, workers=10)  # also builds the lazy tables
+    tracemalloc.start()
+    try:
+        many = run_simulation(config, workers=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataclasses.replace(many, workers=10) == few
+    assert peak < 1 << 20
 
 
 def test_config_rejects_bad_sb1_tolerance():

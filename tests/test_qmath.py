@@ -7,12 +7,15 @@ from hypothesis import given, strategies as st
 from threepass.qmath import (
     BellMixture,
     DensityMatrix4,
+    bell_weights,
     binary_entropy,
+    eve_mixture_spectrum,
     eve_state,
     hv_entropy,
     maximizing_mu4,
     mixture_from_qber,
     reconditioned_entropy,
+    spectral_entropy,
     von_neumann_entropy,
 )
 
@@ -225,3 +228,65 @@ def test_density_matrix_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         DensityMatrix4(bad)  # not Hermitian
+
+
+def test_binary_entropy_takes_arrays():
+    p = np.array([[0.0, 0.1, 0.5], [0.9, 1.0, 0.25]])
+    values = binary_entropy(p)
+    assert values.shape == (2, 3)
+    assert values.tolist() == [[binary_entropy(float(x)) for x in row] for row in p]
+    assert type(binary_entropy(0.3)) is float
+    with pytest.raises(ValueError, match=r"requires p in \[0, 1\], got 1.5"):
+        binary_entropy(np.array([0.2, 1.5]))
+    with pytest.raises(ValueError):
+        binary_entropy(float("nan"))
+
+
+def test_spectral_entropy_floor_and_drift():
+    assert spectral_entropy([0.5, 0.5, 0.0, -1e-11]) == 1.0
+    assert spectral_entropy([1.0, 1e-13]) == 0.0  # below the floor: an exact zero
+    assert spectral_entropy([[1.0, 0.0], [0.5, 0.5]]).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError):
+        spectral_entropy([1.0, -1e-9])
+
+
+def test_bell_weights_match_mixture_from_qber():
+    e = np.array([0.0, 0.1, 0.25, 0.5])
+    weights = bell_weights(e[:, None], np.array([0.0, 0.5])[None, :] * e[:, None])
+    assert weights.shape == (4, 2, 4)
+    for i, ei in enumerate(e):
+        for j, frac in enumerate((0.0, 0.5)):
+            mix = mixture_from_qber(float(ei), frac * float(ei))
+            assert weights[i, j].tolist() == mix.as_array().tolist()
+
+
+def test_bell_weights_validate_elementwise():
+    with pytest.raises(ValueError, match=r"QBER must lie in \[0, 0.5\], got 0.6"):
+        bell_weights(np.array([0.1, 0.6]), 0.0)
+    with pytest.raises(ValueError, match=r"mu4 must lie in \[0, e=0.1\], got 0.2"):
+        bell_weights(np.array([0.3, 0.1]), 0.2)
+    with pytest.raises(ValueError):
+        bell_weights(0.1, float("nan"))
+
+
+def test_von_neumann_entropy_batched_equals_loop():
+    mixes = [mixture_from_qber(e, mu4) for e, mu4 in ((0.05, 0.0), (0.2, 0.04), (0.4, 0.3))]
+    stack = np.stack([[eve_state(mix, k).matrix for k in (0, 1)] for mix in mixes])
+    batched = von_neumann_entropy(stack)
+    assert batched.shape == (3, 2)
+    for i, mix in enumerate(mixes):
+        for k in (0, 1):
+            assert batched[i, k] == pytest.approx(
+                von_neumann_entropy(eve_state(mix, k)), abs=1e-14)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+def test_eve_mixture_spectrum_matches_eigvalsh(e, frac, q):
+    mix = mixture_from_qber(e, frac * e)
+    rho = (1.0 - q) * eve_state(mix, 0).matrix + q * eve_state(mix, 1).matrix
+    closed = np.sort(eve_mixture_spectrum(mix.as_array(), q))
+    assert closed == pytest.approx(np.linalg.eigvalsh(rho), abs=1e-14)

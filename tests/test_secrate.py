@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from threepass.qmath import binary_entropy
+from threepass.qmath import (
+    binary_entropy,
+    eve_state,
+    maximizing_mu4,
+    mixture_from_qber,
+    von_neumann_entropy,
+)
 from threepass.secrate import (
     EFFICIENCY_PRESETS,
     BracketError,
@@ -32,6 +38,12 @@ LOWER_AT_0P1_Q0P1 = 0.06269436857898337
 CHI_AT_0P1_Q0P1 = 0.26934859765218252
 UPPER_AT_0P1_Q0P1 = 0.58927155192390268
 CROSSING_AT_0P1_Q0P1 = 0.050574356619537638
+# Bound thresholds (e, q*) as computed by the per-point 4x4 implementation;
+# the closed-form and batched rates must reproduce them bit for bit.
+LOWER_THRESHOLD = (0.12412022876143455, 0.49987627991917233)
+UPPER_THRESHOLD = (0.1201374971807003, 0.49987627991917233)
+LOWER_THRESHOLD_MU4_0 = (0.12981747640967373, 0.49987627991917233)
+UPPER_THRESHOLD_MU4_0 = (0.115529306191206, 0.49987627991917233)
 
 
 def test_key_rate_sb1_limit_at_zero():
@@ -88,6 +100,11 @@ def test_both_sifted_rates_negative_above_15_percent():
 def test_find_threshold_linear():
     assert find_threshold(lambda e: 0.1 - e, 0.0, 0.4, 1e-9) == \
         pytest.approx(0.1, abs=1e-8)
+
+
+def test_find_threshold_stops_at_float_spacing():
+    root = find_threshold(lambda e: 0.1 - e, 0.0, 0.4, tol=1e-300)
+    assert root == pytest.approx(0.1, abs=1e-16)
 
 
 def test_find_threshold_bracket_error():
@@ -251,3 +268,99 @@ def test_efficiency_inputs_validation():
         EfficiencyInputs(b_s=0.5, q_t=0.0, b_t=1.0)
     with pytest.raises(ValueError):
         EfficiencyInputs(b_s=-0.5, q_t=1.0, b_t=1.0)
+
+
+def _reference_mixture(e, mu4):
+    return mixture_from_qber(e, maximizing_mu4(e) if mu4 is None else mu4)
+
+
+def _reference_lower(e, q, mu4):
+    """Lower bound from the explicit 4x4 conditional states, one point at a time."""
+    mix = _reference_mixture(e, mu4)
+    s0, s1 = eve_state(mix, 0).matrix, eve_state(mix, 1).matrix
+    cond = (0.5 * von_neumann_entropy((1.0 - q) * s0 + q * s1)
+            + 0.5 * von_neumann_entropy(q * s0 + (1.0 - q) * s1))
+    unc = von_neumann_entropy(0.5 * (s0 + s1))
+    return (cond - unc) - (binary_entropy(q * (1.0 - e) + (1.0 - q) * e) - 1.0)
+
+
+def _reference_chi(e, q, mu4):
+    """Holevo quantity from four explicit projectors and three unbatched eigvalsh."""
+    r = np.sqrt(_reference_mixture(e, mu4).as_array())
+    projectors = []
+    for v in ((r[0], r[1], 0.0, 0.0), (r[0], -r[1], 0.0, 0.0),
+              (r[0], r[1], r[2], r[3]), (-r[0], r[1], r[2], -r[3])):
+        v = np.array(v) / np.linalg.norm(v)
+        projectors.append(np.outer(v, v))
+    p00, p11, p0p, p1m = projectors
+    given_0, given_1 = (2.0 * p00 + p0p) / 3.0, (2.0 * p11 + p1m) / 3.0
+
+    def entropy(m):
+        lam = np.linalg.eigvalsh(m)
+        return -sum(x * np.log2(x) for x in lam if x > 1e-12)
+
+    return (entropy((p00 + p11) / 3.0 + (p0p + p1m) / 6.0)
+            - 0.5 * entropy((1.0 - q) * given_0 + q * given_1)
+            - 0.5 * entropy(q * given_0 + (1.0 - q) * given_1))
+
+
+_MU4_CHOICES = st.sampled_from([None, 0.0, 1 / 3, 1.0])  # None, or a fraction of e
+
+
+@given(
+    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    _MU4_CHOICES,
+)
+def test_bound_rates_match_4x4_reference(e, q, mu4_frac):
+    mu4 = None if mu4_frac is None else mu4_frac * e
+    assert lower_bound_rate(e, q, mu4) == pytest.approx(_reference_lower(e, q, mu4), abs=1e-12)
+    assert holevo_chi(e, q, mu4) == pytest.approx(_reference_chi(e, q, mu4), abs=1e-12)
+
+
+@pytest.mark.parametrize("fn", [lower_bound_rate, holevo_chi, upper_bound_rate,
+                                upper_bound_crossing])
+@pytest.mark.parametrize("mu4", [None, 0.0])
+def test_bound_rates_take_arrays(fn, mu4):
+    e = np.linspace(0.0, 0.3, 13)
+    q = np.linspace(0.0, 1.0, 9)
+    surface = fn(e[:, None], q[None, :], mu4)
+    assert surface.shape == (13, 9)
+    for i, ei in enumerate(e):
+        for j, qj in enumerate(q):
+            scalar = fn(float(ei), float(qj), mu4)
+            assert type(scalar) is float
+            assert surface[i, j] == pytest.approx(scalar, abs=1e-14)
+    row = fn(e, 0.3, mu4)
+    assert row.shape == (13,)
+    assert row == pytest.approx([fn(float(ei), 0.3, mu4) for ei in e], abs=1e-14)
+
+
+def test_bound_rates_validate_elementwise():
+    e = np.array([0.1, 0.2])
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\], got 1.5"):
+        lower_bound_rate(e, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match=r"QBER must lie in \[0, 0.5\], got 0.6"):
+        holevo_chi(np.array([0.1, 0.6]), 0.3)
+    with pytest.raises(ValueError, match=r"mu4 must lie in \[0, e=0.01\], got 0.05"):
+        upper_bound_crossing(np.array([0.1, 0.01]), 0.3, 0.05)
+
+
+def test_find_threshold_bisects_arrays_elementwise():
+    roots = np.array([0.05, 0.1, 0.2, 0.3])
+    found = find_threshold(lambda e: roots - e, 0.0, 0.4, 1e-9)
+    assert found == pytest.approx(roots, abs=1e-9)
+    for root, value in zip(roots, found):
+        assert find_threshold(lambda e: root - e, 0.0, 0.4, 1e-9) == value
+    # A point without a sign change on its bracket gives NaN; none at all raises.
+    partial = find_threshold(lambda e: np.array([0.1, 0.5]) - e, 0.0, 0.4, 1e-9)
+    assert partial[0] == pytest.approx(0.1, abs=1e-9) and np.isnan(partial[1])
+    with pytest.raises(BracketError):
+        find_threshold(lambda e: np.array([0.5, 0.6]) - e, 0.0, 0.4)
+
+
+def test_bound_thresholds_frozen_bit_for_bit():
+    assert lower_bound_threshold() == LOWER_THRESHOLD
+    assert upper_bound_threshold() == UPPER_THRESHOLD
+    assert lower_bound_threshold(mu4=0.0) == LOWER_THRESHOLD_MU4_0
+    assert upper_bound_threshold(mu4=0.0) == UPPER_THRESHOLD_MU4_0
