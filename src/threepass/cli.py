@@ -16,8 +16,9 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from . import secrate
 
 CHECK_FAILED_EXIT = 1
 ERROR_EXIT = 2
+
+#: Distances per eve_info call in a pns scan: bounded memory for any grid.
+_PNS_BLOCK = 2048
 
 #: (key, rate callable, bracket) for the four closed-form thresholds.
 _THRESHOLD_SPECS = [
@@ -75,10 +79,31 @@ def write_manifest(stream: IO[str], command: str, params: dict, seed=None) -> No
         stream.write(f"# {key}: {params[key]}\n")
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _csv_out(path: str | None) -> Iterator[IO[str]]:
+    """The CSV output stream: stdout for None or "-", else ``path``.
+
+    A path is written as ``<path>.<pid>.tmp`` in the same directory and
+    renamed over ``path`` only when the block finishes, so a failing command
+    leaves an existing file unchanged and no partial CSV; the temp file is
+    removed on any exception.  A target that exists and is not a regular
+    file (e.g. /dev/null) cannot be renamed over and is written directly.
+    """
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            yield out
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as out:
+            yield out
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
@@ -95,8 +120,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     rows.append(("upper_bound", f"collective upper bound (q*={upper_q:.4g})",
                  upper_e, secrate.REFERENCE_THRESHOLDS["upper_bound"], 2e-3))
 
-    out, close = _open_out(args.out)
-    try:
+    with _csv_out(args.out) as out:
         params = {"tol": tol, "mu4_override": "default (e^2)" if mu4 is None else mu4}
         write_manifest(out, "thresholds", params)
         out.write("key,description,computed,reference,deviation,within_tolerance\n")
@@ -110,9 +134,6 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
                       f"{_fmt(dev)},{'yes' if ok else 'NO'}\n")
         if mu4 is not None:
             out.write("# note: bound thresholds computed under a non-default mu4\n")
-    finally:
-        if close:
-            out.close()
     if args.check and failures:
         print(f"check failed for: {', '.join(failures)}", file=sys.stderr)
         return CHECK_FAILED_EXIT
@@ -132,15 +153,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
         "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
         "e_step": args.e_step,
     }
-    # Every rate is computed before the output is opened, so an invalid
-    # point leaves no partial CSV behind.  Each block is the text of its
-    # q column ("" for one-parameter rates) and a float64 array of the rates
-    # over the e-grid, 8 bytes per row until it is written.
     if args.kind in ("sb1", "sifted"):
         params["announce"] = args.announce
         fn = secrate.key_rate_sb1 if args.kind == "sb1" else secrate.key_rate_sifted
         header = "e,r"
-        blocks = [("", np.array([fn(e, args.announce) for e in e_grid]))]
+        q_rows = [("", fn(e_grid, args.announce))]
     else:
         q_grid = _parse_grid(args.q_start, args.q_stop, args.q_step)
         params.update(q_start=args.q_start, q_stop=args.q_stop, q_step=args.q_step,
@@ -154,21 +171,17 @@ def cmd_curves(args: argparse.Namespace) -> int:
             fn = secrate.upper_bound_crossing
         else:
             fn = secrate.lower_bound_rate
-        # One array call per q value; a whole (q x e) batch would hold every
-        # row's intermediates at once.
+        # One array call per q value, evaluated as it is written; a whole
+        # (q x e) batch would hold every row's intermediates at once.
         header = "e,q,r"
-        blocks = [(f",{_fmt(q)}", fn(e_grid, q, args.mu4_override)) for q in q_grid]
+        q_rows = ((f",{_fmt(q)}", fn(e_grid, q, args.mu4_override)) for q in q_grid)
 
-    out, close = _open_out(args.out)
-    try:
+    with _csv_out(args.out) as out:
         write_manifest(out, "curves", params)
         out.write(header + "\n")
-        for q_column, rates in blocks:
+        for q_column, rates in q_rows:
             for e, r in zip(e_grid, rates.tolist()):
                 out.write(f"{_fmt(e)}{q_column},{_fmt(r)}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -184,8 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = run_simulation(config, workers=args.workers)
     print(report.to_text())
     if args.histogram:
-        out, close = _open_out(args.histogram)
-        try:
+        with _csv_out(args.histogram) as out:
             write_manifest(out, "simulate", {
                 "protocol": args.protocol, "rounds": args.rounds, "qber": args.qber,
                 "eve": args.eve, "workers": args.workers,
@@ -198,9 +210,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 out.write(f"{s},{y},{r1},{r2},{_fmt(float(prob))},"
                           f"{_fmt(expected)},{count}\n")
             out.write(f"(off-table),,,,0,0,{report.other_count}\n")
-        finally:
-            if close:
-                out.close()
     return 0
 
 
@@ -217,20 +226,17 @@ def cmd_pns(args: argparse.Namespace) -> int:
     l_c, delta_c = pns_mod.critical_distance(info, args.alpha, args.max_km)
 
     if args.out:
-        out, close = _open_out(args.out)
-        try:
+        with _csv_out(args.out) as out:
             write_manifest(out, "pns", {
                 "attack": args.attack, "alpha": args.alpha, "mu": args.mu,
                 "chi": args.chi, "max_km": args.max_km, "step_km": args.step_km,
             })
             out.write("l_km,i_eve\n")
             n = int(args.max_km / args.step_km) + 1
-            for i in range(n):
-                l = i * args.step_km
-                out.write(f"{_fmt(l)},{_fmt(info(l))}\n")
-        finally:
-            if close:
-                out.close()
+            for start in range(0, n, _PNS_BLOCK):
+                lengths = np.arange(start, min(start + _PNS_BLOCK, n)) * args.step_km
+                for l, i_eve in zip(lengths.tolist(), info(lengths).tolist()):
+                    out.write(f"{_fmt(l)},{_fmt(i_eve)}\n")
 
     print(f"attack:            {args.attack}")
     print(f"critical distance: l_c = {l_c:.2f} km")
@@ -246,9 +252,8 @@ def cmd_pns(args: argparse.Namespace) -> int:
             # The published crossing is not asserted for this attack; check
             # the conclusive-information formula and monotonicity instead.
             i3 = pns_mod.unambiguous_info(3, args.chi)
-            grid = [info(200.0 * i / 40) for i in range(41)]
-            ok = abs(i3 - 0.7942369457243101) <= 1e-6 and all(
-                a < b for a, b in zip(grid, grid[1:]))
+            grid = info(np.arange(41) * 5.0)
+            ok = abs(i3 - 0.7942369457243101) <= 1e-6 and bool(np.all(grid[:-1] < grid[1:]))
         if not ok:
             print("check failed", file=sys.stderr)
             return CHECK_FAILED_EXIT

@@ -24,10 +24,12 @@ the attacker as a function of distance:
 
 Both formulas are evaluated exactly as written; information values above 1
 are meaningful only as "the attacker knows everything", and the critical
-distance is the crossing I(l) = 1.  Published reference figures for the
-second attack (delta_c = 75.7 dB, l_c = 302.8 km) disagree with the formula
-as written, which crosses near 84.9 dB / 339.5 km; callers should report
-both (the CLI does).
+distance is the crossing I(l) = 1.  A :class:`FiberLink` length may be an
+array: both attacks then work elementwise and compute the distance-free
+numerator once per call; a scalar length gives a float.  Published reference
+figures for the second attack (delta_c = 75.7 dB, l_c = 302.8 km) disagree
+with the formula as written, which crosses near 84.9 dB / 339.5 km; callers
+should report both (the CLI does).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
+from .qmath import binary_entropy, float_if_0d
 from .secrate import BracketError, find_threshold
 
 DEFAULT_IRUD_OVERLAP = 1.0 / math.sqrt(2.0)
@@ -58,16 +63,17 @@ def poisson_pmf(n: int, mu: float) -> float:
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
 
 
-def poisson_tail(k: int, mu: float) -> float:
+def poisson_tail(k: int, mu):
     """P(n >= k), computed as 1 - sum_{n<k} p(n, mu) for accuracy.
 
     For mu*k small this is dominated by the complement sum; the k = 1 case
-    uses expm1 so that tiny means (long fibers) keep full precision.
+    uses expm1 so that tiny means (long fibers) keep full precision, and
+    takes ``mu`` as an array.
     """
     if k <= 0:
         return 1.0
     if k == 1:
-        return -math.expm1(-mu)
+        return float_if_0d(-np.expm1(np.negative(mu)))
     return 1.0 - sum(poisson_pmf(n, mu) for n in range(k))
 
 
@@ -87,50 +93,44 @@ class WcpSource:
     def tail(self, k: int) -> float:
         return poisson_tail(k, self.mu)
 
-    def pmf_vector(self, tail_bound: float = 1e-15) -> list[float]:
-        """Adaptively truncated pmf; stops once the remaining tail < tail_bound."""
-        out = []
-        n = 0
-        while poisson_tail(n, self.mu) >= tail_bound:
-            out.append(self.pmf(n))
-            n += 1
-        return out
-
 
 @dataclass(frozen=True)
 class FiberLink:
-    """Fiber of ``alpha`` dB/km attenuation and ``length`` km."""
+    """Fiber of ``alpha`` dB/km attenuation and ``length`` km (or an array of them)."""
 
     alpha: float
-    length: float
+    length: float | np.ndarray
 
     def __post_init__(self) -> None:
-        # Chained comparisons: NaN fails them, and a scan builds one link per point.
-        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.length < math.inf):
+        # Comparisons that NaN fails.
+        if not (0.0 <= self.alpha < math.inf
+                and np.all((0.0 <= self.length) & (self.length < math.inf))):
             raise ValueError("attenuation and length must be nonnegative and finite, "
                              f"got alpha={self.alpha}, length={self.length}")
 
     @property
-    def loss_db(self) -> float:
+    def loss_db(self) -> float | np.ndarray:
         return self.alpha * self.length
 
 
-def transmittance(link: FiberLink) -> float:
-    """eta = 10^(-alpha*length/10)."""
+def transmittance(link: FiberLink) -> float | np.ndarray:
+    """eta = 10^(-alpha*length/10), elementwise over the link's lengths."""
     return 10.0 ** (-link.loss_db / 10.0)
 
 
-def _per_detection(numerator: float, link: FiberLink, source: WcpSource) -> float:
+def _per_detection(numerator: float, link: FiberLink, source: WcpSource) -> float | np.ndarray:
     """``numerator`` over the detection probability sum_{n>=1} p(n, mu*eta).
 
-    A link so long that no photon arrives (eta underflows to 0) leaves the
-    attacker knowing everything: the result is then inf.
+    A link so long that no photon arrives (the loss overflows or eta
+    underflows to 0) leaves the attacker knowing everything: IEEE division
+    then gives inf.
     """
-    detected = poisson_tail(1, source.mu * transmittance(link))
-    return numerator / detected if detected > 0.0 else math.inf
+    with np.errstate(over="ignore", divide="ignore"):
+        detected = poisson_tail(1, source.mu * transmittance(link))
+        return float_if_0d(np.divide(numerator, detected))
 
 
-def eve_info_pns(link: FiberLink, source: WcpSource) -> float:
+def eve_info_pns(link: FiberLink, source: WcpSource) -> float | np.ndarray:
     """Attacker's key fraction under the storage attack; raw (unclamped) value."""
     return _per_detection(0.625 * source.tail(2) ** 2, link, source)
 
@@ -141,18 +141,11 @@ def unambiguous_info(n: int, chi: float) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= chi <= 1.0:
         raise ValueError(f"chi must lie in [0, 1], got {chi}")
-    p_conclusive = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - chi ** (2 * n))))
-    if p_conclusive >= 1.0:
-        return 1.0
-    if p_conclusive <= 0.5:
-        return 0.0
-    h = -p_conclusive * math.log2(p_conclusive) \
-        - (1.0 - p_conclusive) * math.log2(1.0 - p_conclusive)
-    return 1.0 - h
+    return 1.0 - binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - chi ** (2 * n))))
 
 
 def eve_info_irud(link: FiberLink, source: WcpSource,
-                  chi: float = DEFAULT_IRUD_OVERLAP) -> float:
+                  chi: float = DEFAULT_IRUD_OVERLAP) -> float | np.ndarray:
     """Attacker's key fraction under unambiguous discrimination; raw value.
 
     The cube applies to the product I(3, chi) * p(3, mu): a conclusive
@@ -171,7 +164,7 @@ def critical_distance(info_fn: Callable[[float], float], alpha: float,
     :func:`threepass.secrate.find_threshold` on the margin 1 - info_fn(l).
     """
     try:
-        l_c = find_threshold(lambda l: 1.0 - info_fn(float(l)), 0.0, hi_km, tol_km)
+        l_c = find_threshold(lambda l: 1.0 - info_fn(l), 0.0, hi_km, tol_km)
     except BracketError:
         raise ValueError(
             f"no crossing on [0, {hi_km}] km: info(0)={info_fn(0.0):.6g}, "

@@ -20,13 +20,14 @@ satisfy rate(e, q) == rate(e, 1-q) and vanish identically at q = 1/2, so
 thresholds are reported as the supremum over q in [0, 1/2) of the zero
 crossing in e.
 
-The bound functions take broadcastable arrays of (e, q) and a scalar mu4,
-and a scalar call is the same code on 0-d arrays returning a float.  The
-lower bound is closed form: Eve's states have rank-one 2x2 blocks, so every
-q-mixture has the 2x2 spectrum of :func:`threepass.qmath.eve_mixture_spectrum`.
-The Holevo term of the upper bound is a genuine 4x4 and costs one batched
-``eigvalsh`` per call.  :func:`bound_threshold` bisects the whole q-grid at
-once with the elementwise :func:`find_threshold`.
+The two closed-form rates take an array of e, the bound functions
+broadcastable arrays of (e, q) and a scalar mu4; a scalar call is the same
+code on 0-d arrays returning a float.  The lower bound is closed form: Eve's
+states have rank-one 2x2 blocks, so every q-mixture has the 2x2 spectrum of
+:func:`threepass.qmath.eve_mixture_spectrum`.  The Holevo term of the upper
+bound is a genuine 4x4 and costs one batched ``eigvalsh`` per call.
+:func:`bound_threshold` bisects the whole q-grid at once with the elementwise
+:func:`find_threshold`.
 
 A note on the upper bound: the published closed form chi(E) - [H(b|c) - H(b)]
 is the sum of a Holevo quantity and the mutual information 1 - h(...), both
@@ -62,7 +63,6 @@ from .qmath import (  # noqa: F401
     in_range,
     maximizing_mu4,
     spectral_entropy,
-    validate_qber,
     von_neumann_entropy,
 )
 
@@ -83,23 +83,24 @@ class BracketError(ValueError):
     """Raised when a root bracket does not straddle zero."""
 
 
-def key_rate_sb1(e: float, announce_y: bool = False) -> float:
+def key_rate_sb1(e, announce_y: bool = False):
     """Return-pass key rate; subtracts 2h(e), or h(e) with Y announced.
 
     Endpoint values at e = 0 and e = 1/2 are the continuity limits
     (x log x -> 0), giving 0.5 and -c_Y respectively.
     """
-    e = validate_qber(e)
+    e = in_range("QBER must lie", e, 0.0, 0.5)
     c_y = 1.0 if announce_y else 2.0
-    mutual = 1.0 - spectral_entropy([e / 2.0, (1.0 - e) / 2.0])
-    return mutual - c_y * binary_entropy(e)
+    mutual = 1.0 - spectral_entropy(np.stack([e / 2.0, (1.0 - e) / 2.0], axis=-1))
+    return float_if_0d(mutual - c_y * binary_entropy(e))
 
 
-def key_rate_sifted(e: float, announce_x: bool = False) -> float:
+def key_rate_sifted(e, announce_x: bool = False):
     """Sifted-key rate 1 - h(1/6 + 2e/3) - c_X h(e); c_X = 1 with X announced."""
-    e = validate_qber(e)
+    e = in_range("QBER must lie", e, 0.0, 0.5)
     c_x = 1.0 if announce_x else 2.0
-    return 1.0 - binary_entropy(1.0 / 6.0 + 2.0 * e / 3.0) - c_x * binary_entropy(e)
+    return float_if_0d(1.0 - binary_entropy(1.0 / 6.0 + 2.0 * e / 3.0)
+                       - c_x * binary_entropy(e))
 
 
 def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
@@ -301,10 +302,11 @@ class EfficiencyInputs:
     b_t: float
 
     def __post_init__(self) -> None:
-        if self.q_t <= 0.0:
-            raise ValueError("q_t must be positive")
-        if self.b_s < 0.0 or self.b_t < 0.0:
-            raise ValueError("b_s and b_t must be nonnegative")
+        if not (0.0 < self.q_t < math.inf and 0.0 <= self.b_s < math.inf
+                and 0.0 <= self.b_t < math.inf):
+            raise ValueError("efficiency inputs need 0 < q_t < inf, 0 <= b_s < inf and "
+                             f"0 <= b_t < inf, got b_s={self.b_s}, q_t={self.q_t}, "
+                             f"b_t={self.b_t}")
 
 
 #: Per-protocol resource accounting used in the efficiency comparison.
@@ -317,7 +319,4 @@ EFFICIENCY_PRESETS = {
 
 def cabello_efficiency(inputs: EfficiencyInputs) -> float:
     """Secret bits per transmitted qubit plus classical bit: b_s/(q_t + b_t)."""
-    total = inputs.q_t + inputs.b_t
-    if total <= 0.0:
-        raise ValueError("q_t + b_t must be positive")
-    return inputs.b_s / total
+    return inputs.b_s / (inputs.q_t + inputs.b_t)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from threepass.cli import main
@@ -130,6 +132,28 @@ def test_curves_invalid_point_exits_2_without_csv(tmp_path, capsys, argv, messag
     assert not out.exists()
 
 
+def test_failing_curves_leaves_existing_target_unchanged(tmp_path, capsys):
+    # The q = 1.025 row fails after earlier rows were written: the temp file
+    # holding them is removed and the old CSV stays as it was.
+    out = tmp_path / "curves.csv"
+    out.write_text("old\n", encoding="utf-8")
+    assert main(["curves", "--kind", "upper", "--q-stop", "1.5", "--e-step", "0.1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: q must lie in [0, 1]")
+    assert _read(out) == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
+
+
+def test_csv_replaces_target_and_writes_non_regular_files_directly(tmp_path):
+    out = tmp_path / "curves.csv"
+    out.write_text("old\n", encoding="utf-8")
+    args = ["curves", "--kind", "sb1", "--e-stop", "0.1", "--e-step", "0.05"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert _read(out).splitlines()[-1].startswith("0.1,")
+    assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
+    assert main(args + ["--out", os.devnull]) == 0
+
+
 def test_curves_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["curves", "--kind", "sifted", "--e-start", "0", "--e-stop", "0.1",
@@ -195,6 +219,22 @@ def test_pns_summary_and_csv(tmp_path, capsys):
     assert len(data) == 1 + 9
 
 
+@pytest.mark.parametrize("argv,rows", [
+    (["--attack", "pns", "--mu", "0.1"],
+     ["0,0.000143777", "154.555,1.00008", "500,4.3267e+08"]),
+    (["--attack", "irud", "--mu", "0.2"],
+     ["0,3.59555e-09", "339.48,1.00014", "500,10305.3"]),
+])
+def test_pns_fine_scan_rows_frozen(tmp_path, argv, rows):
+    # 100001 distances, evaluated in blocks; rows frozen from the per-point scan.
+    out = tmp_path / "pns.csv"
+    assert main(["pns", *argv, "--step-km", "0.005", "--out", str(out)]) == 0
+    data = [l for l in _read(out).splitlines() if l and not l.startswith("#")]
+    assert len(data) == 1 + 100001
+    assert set(rows) <= set(data)
+    assert data[1] == rows[0] and data[-1] == rows[-1]
+
+
 def test_pns_check_passes_for_storage_attack():
     assert main(["pns", "--attack", "pns", "--alpha", "0.25", "--mu", "0.1",
                  "--check"]) == 0
@@ -241,7 +281,9 @@ def test_pns_long_fiber_scan_exits_0(tmp_path, capsys, argv):
     # knows everything, which the information column shows as inf.
     out = tmp_path / "pns.csv"
     assert main(["pns", "--attack", "pns", "--mu", "0.1", *argv, "--out", str(out)]) == 0
-    assert "critical distance" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "critical distance" in captured.out
+    assert captured.err == ""
     assert _read(out).splitlines()[-1].endswith(",inf")
 
 
@@ -262,3 +304,15 @@ def test_efficiency_custom(capsys):
     assert main(["efficiency", "--bs", "1", "--qt", "1", "--bt", "1"]) == 0
     assert "eta = 0.5" in capsys.readouterr().out
     assert main(["efficiency", "--bs", "1", "--qt", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bs", "nan", "--qt", "1", "--bt", "1"], ["--bs", "1", "--qt", "nan", "--bt", "1"],
+    ["--bs", "1", "--qt", "1", "--bt", "nan"], ["--bs", "inf", "--qt", "1", "--bt", "1"],
+    ["--bs", "1", "--qt", "inf", "--bt", "1"], ["--bs", "1", "--qt", "1", "--bt", "inf"],
+])
+def test_efficiency_non_finite_input_exits_2(capsys, argv):
+    assert main(["efficiency", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: efficiency inputs need 0 < q_t < inf")
+    assert captured.out == ""

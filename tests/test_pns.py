@@ -49,14 +49,6 @@ def test_poisson_pmf_domain():
         poisson_pmf(2, -0.1)
 
 
-@given(st.floats(min_value=1e-3, max_value=5.0, allow_nan=False))
-def test_poisson_mean_under_adaptive_truncation(mu):
-    source = WcpSource(mu)
-    pmf = source.pmf_vector(tail_bound=1e-15)
-    assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
-    assert sum(n * p for n, p in enumerate(pmf)) == pytest.approx(mu, abs=1e-10)
-
-
 def test_poisson_tail_matches_complement():
     mu = 0.3
     for k in (0, 1, 2, 5):
@@ -92,8 +84,10 @@ def test_source_validation():
         with pytest.raises(ValueError):
             WcpSource(mu)
     for alpha, length in ((-0.1, 10.0), (float("nan"), 10.0), (float("inf"), 10.0),
-                          (0.25, float("nan")), (0.25, float("inf")), (0.25, -1.0)):
-        with pytest.raises(ValueError):
+                          (0.25, float("nan")), (0.25, float("inf")), (0.25, -1.0),
+                          (0.25, np.array([0.0, float("nan")])),
+                          (0.25, np.array([0.0, -1.0]))):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
             FiberLink(alpha, length)
 
 
@@ -102,6 +96,50 @@ def test_eve_info_is_infinite_when_nothing_is_detected():
     assert transmittance(link) == 0.0
     assert eve_info_pns(link, WcpSource(0.1)) == math.inf
     assert eve_info_irud(link, WcpSource(0.2)) == math.inf
+    # Elementwise, and with a loss that overflows to inf, without warnings.
+    lengths = np.array([0.0, 20_000.0])
+    assert np.isinf(eve_info_pns(FiberLink(0.25, lengths), WcpSource(0.1))).tolist() == [
+        False, True]
+    assert eve_info_irud(FiberLink(1e308, lengths), WcpSource(0.2))[1] == math.inf
+
+
+def _reference_info(attack, alpha, mu, l):
+    """The module docstring's I1(l) or I2(l), one distance at a time with math."""
+
+    def p(n):
+        return math.exp(-mu) * mu ** n / math.factorial(n)
+
+    if attack == "pns":
+        # 1 - sum_{n<2} p(n): the complement sum, as poisson_tail evaluates it.
+        numerator = 0.625 * (1.0 - (p(0) + p(1))) ** 2
+    else:
+        p_conclusive = 0.5 * (1.0 + math.sqrt(1.0 - DEFAULT_IRUD_OVERLAP ** 6))
+        i3 = 1.0 + p_conclusive * math.log2(p_conclusive) \
+            + (1.0 - p_conclusive) * math.log2(1.0 - p_conclusive)
+        numerator = (i3 * p(3)) ** 3
+    return numerator / -math.expm1(-mu * 10.0 ** (-alpha * l / 10.0))
+
+
+@given(
+    st.sampled_from(["pns", "irud"]),
+    st.floats(min_value=0.1, max_value=0.4),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.lists(st.floats(min_value=0.0, max_value=600.0), min_size=1, max_size=20),
+)
+def test_eve_info_on_length_arrays_matches_formulas(attack, alpha, mu, lengths):
+    fn = eve_info_pns if attack == "pns" else eve_info_irud
+    got = fn(FiberLink(alpha, np.array(lengths)), WcpSource(mu))
+    assert got.shape == (len(lengths),)
+    for l, value in zip(lengths, got.tolist()):
+        assert value == pytest.approx(_reference_info(attack, alpha, mu, l), rel=1e-12)
+
+
+def test_scalar_calls_return_floats():
+    link, source = FiberLink(0.25, 10.0), WcpSource(0.1)
+    for value in (transmittance(link), poisson_tail(1, 0.1), eve_info_pns(link, source),
+                  eve_info_irud(link, source), unambiguous_info(3, DEFAULT_IRUD_OVERLAP),
+                  eve_info_pns(FiberLink(0.25, 20_000.0), source)):
+        assert type(value) is float
 
 
 def test_eve_info_pns_at_zero_distance():
@@ -152,6 +190,12 @@ def test_eve_info_irud_monotone_and_small_below_200km():
     assert all(a < b for a, b in zip(grid, grid[1:]))
     for l in np.linspace(0.0, 200.0, 41):
         assert eve_info_irud(FiberLink(0.25, float(l)), source) < 0.01
+
+
+def test_poisson_tail_takes_arrays():
+    mu = np.array([0.0, 1e-12, 0.1, 2.0])
+    assert poisson_tail(1, mu).tolist() == pytest.approx(
+        [-math.expm1(-m) for m in mu.tolist()], rel=1e-15)
 
 
 def test_critical_distance_synthetic():

@@ -97,6 +97,16 @@ def test_both_sifted_rates_negative_above_15_percent():
         assert key_rate_sifted(float(e), True) < 0
 
 
+@pytest.mark.parametrize("announce", [False, True])
+@pytest.mark.parametrize("fn", [key_rate_sb1, key_rate_sifted])
+def test_key_rates_take_arrays(fn, announce):
+    e = np.linspace(0.0, 0.5, 101)
+    assert fn(e, announce).tolist() == [fn(x, announce) for x in e.tolist()]
+    assert type(fn(0.1, announce)) is float
+    with pytest.raises(ValueError, match=r"QBER must lie in \[0, 0.5\], got 0.6"):
+        fn(np.array([0.1, 0.6]), announce)
+
+
 def test_find_threshold_linear():
     assert find_threshold(lambda e: 0.1 - e, 0.0, 0.4, 1e-9) == \
         pytest.approx(0.1, abs=1e-8)
@@ -268,6 +278,10 @@ def test_efficiency_inputs_validation():
         EfficiencyInputs(b_s=0.5, q_t=0.0, b_t=1.0)
     with pytest.raises(ValueError):
         EfficiencyInputs(b_s=-0.5, q_t=1.0, b_t=1.0)
+    for bad in ({"b_s": float("nan")}, {"q_t": float("nan")}, {"b_t": float("nan")},
+                {"b_s": float("inf")}, {"q_t": float("inf")}, {"b_t": float("inf")}):
+        with pytest.raises(ValueError):
+            EfficiencyInputs(**{"b_s": 1.0, "q_t": 1.0, "b_t": 1.0, **bad})
 
 
 def _reference_mixture(e, mu4):
