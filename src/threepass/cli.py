@@ -7,7 +7,8 @@ parameters reproduces the data rows byte for byte; set SOURCE_DATE_EPOCH to
 pin the timestamp line as well.  THREEPASS_SEED provides the default seed.
 
 Exit codes: 0 on success, 1 when --check finds a reference-value mismatch,
-2 on usage or numerical errors.
+2 on usage, numerical or file errors (an output path that cannot be
+written, a sweep of more than MAX_GRID_POINTS rows).
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ from . import secrate
 CHECK_FAILED_EXIT = 1
 ERROR_EXIT = 2
 
-#: Distances per eve_info call in a pns scan: bounded memory for any grid.
-_PNS_BLOCK = 2048
+#: Grid points per rate or eve_info call in a sweep: bounded memory for any grid.
+_BLOCK = 2048
+
+#: Most CSV rows one sweep may write; a larger grid is refused before it is built.
+MAX_GRID_POINTS = 10**7
 
 #: (key, rate callable, bracket) for the four closed-form thresholds.
 _THRESHOLD_SPECS = [
@@ -98,7 +102,11 @@ def _csv_out(path: str | None) -> Iterator[IO[str]]:
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as out:
+        out = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the target, not the temp file
+        raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with out:
             yield out
         os.replace(tmp, path)
     finally:
@@ -140,15 +148,30 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(start: float, stop: float, step: float) -> list[float]:
+def _grid_points(last: float) -> int:
+    """The number of grid indices 0, 1, ..., floor(last), counted without
+    building the grid and refused above :data:`MAX_GRID_POINTS`."""
+    if not last < MAX_GRID_POINTS:  # NaN fails too
+        raise ValueError(f"grid too large: {last + 1:.4g} points, "
+                         f"the limit is {MAX_GRID_POINTS}")
+    return math.floor(last) + 1
+
+
+def _axis_points(start: float, stop: float, step: float) -> int:
+    """The number of points start + i*step up to stop."""
     if not (step > 0.0 and start <= stop):
         raise ValueError(f"invalid grid: start={start} stop={stop} step={step}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    return _grid_points((stop - start) / step + 1e-9)
+
+
+def _grid_blocks(start: float, step: float, n: int) -> Iterator[np.ndarray]:
+    """The points start + i*step, i < n, in arrays of at most :data:`_BLOCK`."""
+    for first in range(0, n, _BLOCK):
+        yield start + np.arange(first, min(first + _BLOCK, n)) * step
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    e_grid = _parse_grid(args.e_start, args.e_stop, args.e_step)
+    n_e = _axis_points(args.e_start, args.e_stop, args.e_step)
     params = {
         "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
         "e_step": args.e_step,
@@ -157,9 +180,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
         params["announce"] = args.announce
         fn = secrate.key_rate_sb1 if args.kind == "sb1" else secrate.key_rate_sifted
         header = "e,r"
-        q_rows = [("", fn(e_grid, args.announce))]
+        q_rows = [("", lambda e: fn(e, args.announce))]
     else:
-        q_grid = _parse_grid(args.q_start, args.q_stop, args.q_step)
+        n_q = _axis_points(args.q_start, args.q_stop, args.q_step)
+        _grid_points(n_e * n_q - 1)  # the whole surface
         params.update(q_start=args.q_start, q_stop=args.q_stop, q_step=args.q_step,
                       mu4_override="default (e^2)" if args.mu4_override is None
                       else args.mu4_override)
@@ -171,17 +195,20 @@ def cmd_curves(args: argparse.Namespace) -> int:
             fn = secrate.upper_bound_crossing
         else:
             fn = secrate.lower_bound_rate
-        # One array call per q value, evaluated as it is written; a whole
-        # (q x e) batch would hold every row's intermediates at once.
         header = "e,q,r"
-        q_rows = ((f",{_fmt(q)}", fn(e_grid, q, args.mu4_override)) for q in q_grid)
+        q_rows = ((f",{_fmt(q)}", lambda e, q=q: fn(e, q, args.mu4_override))
+                  for block in _grid_blocks(args.q_start, args.q_step, n_q)
+                  for q in block.tolist())
 
+    # Rows are evaluated one block of e values at a time as they are written,
+    # so memory stays bounded however fine the grid.
     with _csv_out(args.out) as out:
         write_manifest(out, "curves", params)
         out.write(header + "\n")
-        for q_column, rates in q_rows:
-            for e, r in zip(e_grid, rates.tolist()):
-                out.write(f"{_fmt(e)}{q_column},{_fmt(r)}\n")
+        for q_column, rate in q_rows:
+            for e_block in _grid_blocks(args.e_start, args.e_step, n_e):
+                for e, r in zip(e_block.tolist(), rate(e_block).tolist()):
+                    out.write(f"{_fmt(e)}{q_column},{_fmt(r)}\n")
     return 0
 
 
@@ -226,15 +253,14 @@ def cmd_pns(args: argparse.Namespace) -> int:
     l_c, delta_c = pns_mod.critical_distance(info, args.alpha, args.max_km)
 
     if args.out:
+        n = _grid_points(args.max_km / args.step_km)
         with _csv_out(args.out) as out:
             write_manifest(out, "pns", {
                 "attack": args.attack, "alpha": args.alpha, "mu": args.mu,
                 "chi": args.chi, "max_km": args.max_km, "step_km": args.step_km,
             })
             out.write("l_km,i_eve\n")
-            n = int(args.max_km / args.step_km) + 1
-            for start in range(0, n, _PNS_BLOCK):
-                lengths = np.arange(start, min(start + _PNS_BLOCK, n)) * args.step_km
+            for lengths in _grid_blocks(0.0, args.step_km, n):
                 for l, i_eve in zip(lengths.tolist(), info(lengths).tolist()):
                     out.write(f"{_fmt(l)},{_fmt(i_eve)}\n")
 
@@ -356,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, secrate.BracketError) as exc:
+    except (ValueError, secrate.BracketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXIT
 

@@ -64,16 +64,25 @@ def poisson_pmf(n: int, mu: float) -> float:
 
 
 def poisson_tail(k: int, mu):
-    """P(n >= k), computed as 1 - sum_{n<k} p(n, mu) for accuracy.
+    """P(n >= k) for a Poisson mean ``mu``.
 
-    For mu*k small this is dominated by the complement sum; the k = 1 case
-    uses expm1 so that tiny means (long fibers) keep full precision, and
-    takes ``mu`` as an array.
+    The k = 1 case uses expm1 so that tiny means (long fibers) keep full
+    precision, and takes ``mu`` as an array.  For k >= 2 and mu < 1 the
+    complement 1 - sum_{n<k} p(n, mu) would cancel (it is 0.0 at k = 2,
+    mu = 1e-8), so the tail is summed directly: its terms shrink by
+    mu/(n+1) <= 1/3 each, and the sum stops once a term no longer changes it.
     """
     if k <= 0:
         return 1.0
     if k == 1:
         return float_if_0d(-np.expm1(np.negative(mu)))
+    if mu < 1.0:
+        total, term, n = 0.0, poisson_pmf(k, mu), k
+        while total + term != total:
+            total += term
+            n += 1
+            term *= mu / n
+        return total
     return 1.0 - sum(poisson_pmf(n, mu) for n in range(k))
 
 

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -251,6 +252,47 @@ def test_pns_irud_reports_reference_and_deviation(capsys):
 
 def test_pns_no_crossing_exits_2(capsys):
     assert main(["pns", "--attack", "pns", "--alpha", "0", "--mu", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--kind", "sb1"],
+    ["simulate", "--protocol", "p1", "--rounds", "1000"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # The output's directory does not exist: a clean error, not a traceback
+    # with the exit code of a failed --check, and no temp file left behind.
+    target = str(tmp_path / "missing" / "out.csv")
+    flag = "--histogram" if argv[0] == "simulate" else "--out"
+    assert main([*argv, flag, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--kind", "sb1", "--e-step", "1e-300"],
+    ["curves", "--kind", "sifted", "--e-start=-1e308", "--e-stop", "1e308"],
+    ["curves", "--kind", "lower", "--e-step", "1e-5", "--q-step", "1e-5"],
+    ["pns", "--attack", "pns", "--mu", "0.1", "--step-km", "1e-300"],
+])
+def test_oversized_grid_exits_2_promptly(tmp_path, capsys, argv):
+    # Counted before a point is built: these grids once hung or would have
+    # streamed up to 1e302 rows.
+    out = tmp_path / "grid.csv"
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().err.startswith("error: grid too large: ")
+    assert not out.exists()
+
+
+def test_pns_tiny_mean_finds_crossing(capsys):
+    # P(n >= 2) at mu = 1e-8 is 5e-17, which 1 - p(0) - p(1) rounds to 0.
+    assert main(["pns", "--attack", "pns", "--mu", "1e-8", "--max-km", "20000"]) == 0
+    captured = capsys.readouterr()
+    assert "l_c = 992.25 km" in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan"])

@@ -61,6 +61,15 @@ def test_poisson_tail_precise_for_tiny_mean():
     assert poisson_tail(1, 1e-12) == pytest.approx(1e-12, rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("mu", [1e-8, 1e-3, 0.5, 0.999])
+def test_poisson_tail_sums_small_means_directly(k, mu):
+    # The complement 1 - sum_{n<k} p(n, mu) cancels: 0.0 at k = 2, mu = 1e-8.
+    direct = math.exp(-mu) * math.fsum(mu ** n / math.factorial(n) for n in range(k, k + 30))
+    assert poisson_tail(k, mu) == pytest.approx(direct, rel=1e-13)
+    assert poisson_tail(2, 1e-8) == pytest.approx(4.9999999666666667e-17, rel=1e-12)
+
+
 def test_transmittance_values():
     assert transmittance(FiberLink(0.25, 0.0)) == 1.0
     assert transmittance(FiberLink(0.25, 40.0)) == pytest.approx(0.1, abs=1e-15)
@@ -110,8 +119,9 @@ def _reference_info(attack, alpha, mu, l):
         return math.exp(-mu) * mu ** n / math.factorial(n)
 
     if attack == "pns":
-        # 1 - sum_{n<2} p(n): the complement sum, as poisson_tail evaluates it.
-        numerator = 0.625 * (1.0 - (p(0) + p(1))) ** 2
+        # sum_{n>=2} p(n) term by term; the complement 1 - p(0) - p(1) loses
+        # about 1e-12 of relative accuracy at mu = 0.01.
+        numerator = 0.625 * math.fsum(p(n) for n in range(2, 60)) ** 2
     else:
         p_conclusive = 0.5 * (1.0 + math.sqrt(1.0 - DEFAULT_IRUD_OVERLAP ** 6))
         i3 = 1.0 + p_conclusive * math.log2(p_conclusive) \

@@ -2,6 +2,7 @@ import dataclasses
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -359,14 +360,14 @@ def test_sb1_orthogonal_fraction_requires_records():
         sb1_orthogonal_fraction([])
 
 
-# The unchunked simulator's report for this configuration, frozen when chunks
-# were introduced: a stream of at most 2**20 rounds is one chunk with the
-# same draws in the same order, so nothing may move.
+# The report for this configuration, frozen from the bit-packed kernel.  A
+# fixed (seed, workers) pair reproduces it exactly on every platform; a
+# kernel that draws or uses its random words differently moves it.
 FROZEN_CONFIG = SimulationConfig(protocol=ProtocolId.P2, n_rounds=30_000, channel_qber=0.05,
                                  eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=2212)
 FROZEN_BRANCH_COUNTS = (
-    1409, 429, 463, 672, 445, 472, 696, 1439, 461, 464, 675, 484, 475, 651,
-    1446, 483, 438, 711, 462, 487, 664, 1452, 450, 478, 727, 440, 462, 698,
+    1428, 433, 454, 676, 493, 447, 702, 1445, 454, 457, 681, 463, 487, 635,
+    1427, 464, 439, 677, 448, 478, 702, 1458, 449, 471, 666, 490, 461, 671,
 )
 
 
@@ -394,12 +395,116 @@ def test_sift_tables_reproduce_oracle_exactly(e, eve):
         assert expect(err[pid]) / expect(kept[pid]) == qber
 
 
+def _chi_square_bound(dof: int, z: float = 3.72) -> float:
+    """The chi-square quantile at normal score z (3.72: upper tail 1e-4),
+    by the Wilson-Hilferty approximation."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * a ** 0.5) ** 3
+
+
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("e", [Fraction(0), Fraction(3, 100), Fraction(1, 5)])
+def test_kernel_histogram_fits_oracle(e, eve):
+    n = 2**20 - 37  # the last word holds 27 rounds
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=float(e),
+                              eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
+    counts = protocol._simulate_chunk(config, n, np.random.default_rng(61))
+    expected = np.zeros(256)
+    for key, p in oracle_stats(e=e, eve=eve).histogram.items():
+        expected[_code(key)] = float(p * n)
+    assert counts.sum() == n
+    assert counts[expected == 0].sum() == 0  # no round off the oracle's support
+    # Pearson's statistic, the codes expected fewer than 5 times pooled.
+    common, rare = expected >= 5, (expected > 0) & (expected < 5)
+    observed, mean = list(counts[common]), list(expected[common])
+    if rare.any():
+        observed.append(counts[rare].sum())
+        mean.append(expected[rare].sum())
+    observed, mean = np.array(observed), np.array(mean)
+    chi_square = float(((observed - mean) ** 2 / mean).sum())
+    assert chi_square <= _chi_square_bound(len(mean) - 1)
+
+
+class _StubBits:
+    """A bit generator whose random_raw hands out the given words in order."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.used = 0
+
+    def random_raw(self, size):
+        if self.used + size > self.words.size:
+            raise IndexError("stub bit generator ran out of words")
+        self.used += size
+        return self.words[self.used - size:self.used].copy()
+
+
+def _digit_words(k):
+    """k words in which lane j holds the k binary digits of j mod 2**k,
+    most significant first: every k-digit string of U, 64 / 2**k times."""
+    return [sum((((j % (1 << k)) >> (k - i)) & 1) << j for j in range(64))
+            for i in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8),
+                               Fraction(5, 16), Fraction(21, 64), Fraction(1, 64)])
+def test_flip_mask_compares_digits_exactly(e):
+    # A lane flips exactly when its digits, read as U, fall below e: with
+    # every k-digit string present, exactly 64 * e lanes flip, and one word
+    # is drawn per digit of e.
+    k = e.denominator.bit_length() - 1
+    digits = protocol._qber_digits(float(e))
+    assert len(digits) == k
+    stub = _StubBits(_digit_words(k))
+    mask = int(protocol._flip_mask(digits, 1, stub.random_raw)[0])
+    assert stub.used == k
+    assert mask == sum(1 << j for j in range(64) if j % (1 << k) < e * (1 << k))
+    assert mask.bit_count() == 64 * e
+
+
+def test_flip_mask_stops_when_no_round_is_equal():
+    ones = 2**64 - 1
+    # e = 1/4 = 0.01: a first digit of 1 puts U above e in every lane.
+    stub = _StubBits([ones, 0])
+    assert protocol._flip_mask("01", 1, stub.random_raw).tolist() == [0]
+    assert stub.used == 1
+    # Seven of eight words go above e at the first digit, so only the last
+    # word draws the remaining five digits of e = 21/64 = 0.010101.
+    stub = _StubBits([ones] * 7 + _digit_words(6))
+    mask = protocol._flip_mask("010101", 8, stub.random_raw)
+    assert stub.used == 8 + 5
+    assert mask.tolist()[:7] == [0] * 7
+    assert int(mask[7]) == sum(1 << j for j in range(21))
+
+
+@pytest.mark.parametrize("e,words_per_64_rounds", [(0.0, 6), (0.5, 9), (0.25, 12)])
+def test_kernel_draws_one_word_per_digit_of_e(e, words_per_64_rounds):
+    # Three choice words and three measurements, plus one word per binary
+    # digit of e in each of the three transmissions: none at e = 0.
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=1, channel_qber=e)
+    stub = _StubBits(np.random.default_rng(3).bit_generator.random_raw(4 * 12))
+    counts = protocol._simulate_chunk(config, 250, SimpleNamespace(bit_generator=stub))
+    assert counts.sum() == 250
+    assert stub.used == 4 * words_per_64_rounds
+
+
+def test_count_patterns_matches_per_round_loop():
+    rng = np.random.default_rng(7)
+    n = 1000  # the last of 16 words holds 40 rounds
+    planes = tuple(rng.bit_generator.random_raw(16) for _ in range(6))
+    bits = [np.unpackbits(p.view(np.uint8), bitorder="little")[:n].tolist() for p in planes]
+    expected = [0] * 64
+    for round_bits in zip(*bits):
+        expected[int("".join(map(str, round_bits)), 2)] += 1
+    assert protocol._count_patterns(n, planes).tolist() == expected
+
+
 def test_simulation_frozen_outputs():
     report = run_simulation(FROZEN_CONFIG, workers=2)
     assert report.branch_counts == FROZEN_BRANCH_COUNTS
-    assert report.other_count == 11_367
-    assert report.sifted_count == 27_512
-    assert report.error_count == 9_696
+    assert report.other_count == 11_444
+    assert report.sifted_count == 27_352
+    assert report.error_count == 9_616
 
 
 def test_simulation_chunk_layout(monkeypatch):
