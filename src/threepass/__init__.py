@@ -18,15 +18,10 @@ from .protocol import (
     Eavesdropper,
     ProtocolId,
     PureState,
-    RoundRecord,
     SimulationConfig,
     SimulationReport,
-    channel_transmit,
-    measure,
     prepare,
-    run_round,
     run_simulation,
-    sb1_check,
     sift_p1,
     sift_p2,
 )
@@ -39,7 +34,6 @@ from .secrate import (
     key_rate_sifted,
     lower_bound_rate,
     lower_bound_threshold,
-    optimize_preprocessing,
     upper_bound_crossing,
     upper_bound_rate,
     upper_bound_threshold,

@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from typing import IO, Iterator, Sequence
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .protocol import (
+    DEFAULT_SB1_TOLERANCE,
     TABLE1_BRANCHES,
     Eavesdropper,
     ProtocolId,
@@ -159,7 +160,7 @@ def _grid_points(last: float) -> int:
 
 def _axis_points(start: float, stop: float, step: float) -> int:
     """The number of points start + i*step up to stop."""
-    if not (step > 0.0 and start <= stop):
+    if not (0.0 < step < math.inf and start <= stop):
         raise ValueError(f"invalid grid: start={start} stop={stop} step={step}")
     return _grid_points((stop - start) / step + 1e-9)
 
@@ -221,10 +222,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
         sb1_tolerance=args.sb1_tolerance,
     )
-    report = run_simulation(config, workers=args.workers)
-    print(report.to_text())
-    if args.histogram:
-        with _csv_out(args.histogram) as out:
+    # The histogram target is opened first, so a bad path fails before any
+    # round is drawn.
+    with _csv_out(args.histogram) if args.histogram else nullcontext() as out:
+        report = run_simulation(config, workers=args.workers)
+        print(report.to_text())
+        if out is not None:
             write_manifest(out, "simulate", {
                 "protocol": args.protocol, "rounds": args.rounds, "qber": args.qber,
                 "eve": args.eve, "workers": args.workers,
@@ -241,8 +244,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pns(args: argparse.Namespace) -> int:
-    if not args.step_km > 0.0:
-        raise ValueError(f"--step-km must be positive, got {args.step_km}")
+    if not 0.0 < args.step_km < math.inf:
+        raise ValueError(f"--step-km must be positive and finite, got {args.step_km}")
     source = pns_mod.WcpSource(args.mu)
     if args.attack == "pns":
         info = lambda l: pns_mod.eve_info_pns(pns_mod.FiberLink(args.alpha, l), source)
@@ -349,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="number of RNG streams the rounds are split over; the "
                         "report depends on it, the thread count does not")
-    p.add_argument("--sb1-tolerance", type=float, default=0.0617)
+    p.add_argument("--sb1-tolerance", type=float, default=DEFAULT_SB1_TOLERANCE)
     p.add_argument("--histogram", default=None,
                    help="write the noiseless-branch histogram CSV here")
     p.set_defaults(func=cmd_simulate)

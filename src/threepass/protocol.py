@@ -8,7 +8,7 @@ One round exchanges three qubits over a bidirectional channel:
 3. Alice measures the return qubit in her preparation basis.  Across many
    rounds the outcome orthogonal to her prepared state appears with
    probability 1/4 on a noiseless channel; a deviation beyond a tolerance
-   aborts (:func:`sb1_check`).
+   aborts (the sb1 check of :func:`run_simulation`).
 4. Bob sends a second qubit carrying the same bit value in the other basis.
 5. Alice measures it in the other basis if step 3 returned her own state,
    else in the same basis.
@@ -33,15 +33,16 @@ however many rounds are asked for.  A chunk only histograms each round's
 from per-code tables built by the scalar :func:`sift_p1`/:func:`sift_p2`, so
 the sifting rules live in one place.
 
-:func:`run_round` is the scalar reference path.  The bulk simulator is
-bit-sliced after Biham, "A fast new DES implementation in software" (FSE
-1997): every per-round quantity is a uint64 array carrying 64 rounds a word,
-its random bits taken straight from the bit generator, and a measurement is
-one word-wide select.  The channel flips a round with probability e exactly
-by comparing a uniform with the binary digits of e, and drawing nothing at
-e = 0.  A chunk counts the 64 reachable round patterns with an AND tree and
-popcounts, so a thread holds about 2.5 MB at 2^20 rounds a chunk.  The
-kernel has its own (equally deterministic) use of the streams.
+The simulator is bit-sliced after Biham, "A fast new DES implementation in
+software" (FSE 1997): every per-round quantity is a uint64 array carrying 64
+rounds a word, its random bits taken straight from the bit generator, and a
+measurement is one word-wide select.  The channel flips a round with
+probability e exactly by comparing a uniform with the binary digits of e,
+and drawing nothing at e = 0.  A chunk counts the 64 reachable round
+patterns with an AND tree and popcounts, so a thread holds about 2.5 MB at
+2^20 rounds a chunk.  The exact branch enumeration in ``tests/enum_oracle.py``
+is the independent reference that the kernel and the tables are tested
+against.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .qmath import validate_qber
+from .qmath import in_range
 
 
 class Basis(enum.IntEnum):
@@ -64,10 +65,6 @@ class Basis(enum.IntEnum):
 
     Z = 0
     X = 1
-
-    @property
-    def j(self) -> int:
-        return int(self)
 
     @property
     def other(self) -> "Basis":
@@ -125,26 +122,6 @@ def prepare(bit: int, basis: Basis) -> PureState:
     return PureState(2 * int(basis) + bit)
 
 
-def measure(state: PureState, basis: Basis, rng: np.random.Generator) -> PureState:
-    """Projective measurement; cross-basis outcomes are uniform."""
-    if state.basis == basis:
-        return state
-    return PureState(2 * int(basis) + int(rng.integers(0, 2)))
-
-
-def channel_transmit(state: PureState, e: float, rng: np.random.Generator) -> PureState:
-    """Bit-flip channel: with probability ``e`` the orthogonal state emerges."""
-    validate_qber(e)
-    if rng.random() < e:
-        return state.orthogonal
-    return state
-
-
-def _eve_forward(state: PureState, rng: np.random.Generator) -> PureState:
-    basis = Basis(int(rng.integers(0, 2)))
-    return measure(state, basis, rng)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     protocol: ProtocolId
@@ -157,130 +134,54 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
-        validate_qber(self.channel_qber)
+        in_range("QBER must lie", self.channel_qber, 0.0, 0.5)
         if not self.sb1_tolerance >= 0.0:
             raise ValueError(f"sb1 tolerance must be >= 0, got {self.sb1_tolerance}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Transcript of one protocol round at a single sequence position."""
+def sift_p1(s_a: PureState, y: PureState, r1: PureState,
+            r2: PureState) -> Optional[tuple[int, PureState]]:
+    """Protocol 1 sifting of a round in which Alice prepared ``s_a``, Bob
+    measured ``y``, and Alice measured ``r1`` and ``r2``: (key_bit,
+    determined state) or None to discard.
 
-    alice_bit: int
-    alice_basis: Basis
-    bob_basis: Basis
-    bob_result: PureState        # Bob's measurement of the outbound qubit
-    sb1_result: PureState        # Alice's measurement of the return qubit
-    sb2_basis: Basis             # basis Alice used on the second return qubit
-    sb2_result: PureState
-    bob_j: int                   # announced basis index (protocol 1)
-    m_value: int                 # announced partition label (protocol 2)
-
-    @property
-    def alice_state(self) -> PureState:
-        return prepare(self.alice_bit, self.alice_basis)
-
-    @property
-    def alice_j(self) -> int:
-        return self.alice_basis.j
-
-
-def run_round(config: SimulationConfig, rng: np.random.Generator) -> RoundRecord:
-    """Execute one round: three noisy transmissions plus both announcements."""
-    e, eve = config.channel_qber, config.eve is Eavesdropper.INTERCEPT_RESEND
-
-    def transit(state: PureState) -> PureState:
-        state = channel_transmit(state, e, rng)
-        if eve:
-            state = _eve_forward(state, rng)
-        return state
-
-    alice_bit = int(rng.integers(0, 2))
-    alice_basis = Basis(int(rng.integers(0, 2)))
-    bob_basis = Basis(int(rng.integers(0, 2)))
-    s_a = prepare(alice_bit, alice_basis)
-
-    bob_result = measure(transit(s_a), bob_basis, rng)
-    # Return pass: Bob re-prepares his result, Alice measures in her basis.
-    sb1_result = measure(transit(bob_result), alice_basis, rng)
-    # Second return qubit: same bit value, other basis.
-    s_b2 = prepare(bob_result.bit, bob_basis.other)
-    sb2_basis = alice_basis.other if sb1_result == s_a else alice_basis
-    sb2_result = measure(transit(s_b2), sb2_basis, rng)
-
-    return RoundRecord(
-        alice_bit=alice_bit,
-        alice_basis=alice_basis,
-        bob_basis=bob_basis,
-        bob_result=bob_result,
-        sb1_result=sb1_result,
-        sb2_basis=sb2_basis,
-        sb2_result=sb2_result,
-        bob_j=bob_basis.j,
-        m_value=bob_result.m_value,
-    )
-
-
-def sift_p1(record: RoundRecord) -> Optional[tuple[int, PureState]]:
-    """Protocol 1 sifting: (key_bit, determined state) or None to discard.
-
-    Conclusive without the J announcement when the return-pass result is
-    orthogonal to Alice's state; conclusive with matching J values when it
-    equals her state and the second result carries the same bit in the other
-    basis.  Every other pattern is discarded.
+    Conclusive without Bob's announced basis index J = ``y.basis`` when the
+    return-pass result is orthogonal to Alice's state; conclusive with
+    matching J values when it equals her state and the second result carries
+    the same bit in the other basis.  Every other pattern is discarded.
     """
-    s_a = record.alice_state
-    r1, r2 = record.sb1_result, record.sb2_result
     if r1 == s_a.orthogonal:
         # r2 was measured in Alice's own basis.
-        bit = record.alice_bit if r2 == s_a else 1 - record.alice_bit
-        determined = prepare(bit, record.alice_basis.other)
+        bit = s_a.bit if r2 == s_a else 1 - s_a.bit
+        determined = prepare(bit, s_a.basis.other)
         return determined.bit, determined
-    if r1 == s_a:
-        same_bit_other_basis = prepare(record.alice_bit, record.alice_basis.other)
-        if r2 == same_bit_other_basis and record.bob_j == record.alice_j:
-            return s_a.bit, s_a
+    if r1 == s_a and r2 == prepare(s_a.bit, s_a.basis.other) and y.basis == s_a.basis:
+        return s_a.bit, s_a
     return None
 
 
-def sift_p2(record: RoundRecord, m: Optional[int] = None) -> Optional[tuple[int, PureState]]:
-    """Protocol 2 sifting on the announced partition label ``m``.
+def sift_p2(s_a: PureState, y: PureState, r1: PureState,
+            r2: PureState) -> Optional[tuple[int, PureState]]:
+    """Protocol 2 sifting on Bob's announced partition label m = ``y.m_value``,
+    with the arguments of :func:`sift_p1`.
 
-    ``m`` defaults to the label announced in the record.  When m differs
-    from Alice's bit the determination is immediate; otherwise one of three
-    measurement patterns determines the result and the rest are discarded.
+    When m differs from Alice's bit the determination is immediate; otherwise
+    one of three measurement patterns determines the result and the rest are
+    discarded.
     """
-    if m is None:
-        m = record.m_value
-    if m not in (0, 1):
-        raise ValueError(f"m must be 0 or 1, got {m}")
-    a, basis = record.alice_bit, record.alice_basis
-    s_a = record.alice_state
-    r1, r2 = record.sb1_result, record.sb2_result
-    if m != a:
-        determined = prepare(m, basis.other)
+    a, other = s_a.bit, s_a.basis.other
+    if y.m_value != a:
+        determined = prepare(y.m_value, other)
         return determined.bit, determined
-    if r1 == s_a and r2 == prepare(1 - a, basis.other):
-        determined = prepare(a, basis.other)
+    if r1 == s_a and r2 == prepare(1 - a, other):
+        determined = prepare(a, other)
     elif r1 == s_a.orthogonal and r2 == s_a:
-        determined = prepare(a, basis.other)
-    elif r1 == s_a and r2 == prepare(a, basis.other):
+        determined = prepare(a, other)
+    elif r1 == s_a and r2 == prepare(a, other):
         determined = s_a
     else:
         return None
     return determined.bit, determined
-
-
-def sb1_orthogonal_fraction(records: list[RoundRecord]) -> float:
-    if not records:
-        raise ValueError("need at least one record")
-    n_orth = sum(1 for r in records if r.sb1_result == r.alice_state.orthogonal)
-    return n_orth / len(records)
-
-
-def sb1_check(records: list[RoundRecord], tolerance: float = DEFAULT_SB1_TOLERANCE) -> bool:
-    """Step-3 abort test: |orthogonal fraction - 1/4| <= tolerance."""
-    return abs(sb1_orthogonal_fraction(records) - 0.25) <= tolerance
 
 
 def _table1_branches() -> list[tuple[PureState, PureState, PureState, PureState, Fraction]]:
@@ -307,17 +208,6 @@ def _table1_branches() -> list[tuple[PureState, PureState, PureState, PureState,
 
 
 TABLE1_BRANCHES = _table1_branches()
-
-_BRANCH_INDEX = {
-    (int(s), int(y), int(r1), int(r2)): i
-    for i, (s, y, r1, r2, _) in enumerate(TABLE1_BRANCHES)
-}
-
-
-def branch_key(s_a: PureState, y: PureState, r1: PureState, r2: PureState) -> Optional[int]:
-    """Index of a (state, result, result, result) tuple in the noiseless
-    branch table, or None if the combination only occurs under noise."""
-    return _BRANCH_INDEX.get((int(s_a), int(y), int(r1), int(r2)))
 
 
 @dataclass(frozen=True)
@@ -366,23 +256,6 @@ class SimulationReport:
 CHUNK = 2**20
 
 
-def _code_record(code: int) -> RoundRecord:
-    """The round whose (s_a, y, r1, r2) states, as 2*basis + bit, pack into
-    ``code`` = ((s_a * 4 + y) * 4 + r1) * 4 + r2."""
-    s_a, y, r1, r2 = (PureState((code >> shift) & 3) for shift in (6, 4, 2, 0))
-    return RoundRecord(
-        alice_bit=s_a.bit,
-        alice_basis=s_a.basis,
-        bob_basis=y.basis,
-        bob_result=y,
-        sb1_result=r1,
-        sb2_basis=r2.basis,
-        sb2_result=r2,
-        bob_j=y.basis.j,
-        m_value=y.m_value,
-    )
-
-
 @cache
 def _sift_tables() -> tuple[dict[ProtocolId, np.ndarray], dict[ProtocolId, np.ndarray],
                             np.ndarray]:
@@ -393,13 +266,15 @@ def _sift_tables() -> tuple[dict[ProtocolId, np.ndarray], dict[ProtocolId, np.nd
     err = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
     orth = np.zeros(256, dtype=np.int64)
     for code in range(256):
-        record = _code_record(code)
-        orth[code] = record.sb1_result == record.alice_state.orthogonal
+        # The (s_a, y, r1, r2) states, as 2*basis + bit, pack into
+        # code = ((s_a * 4 + y) * 4 + r1) * 4 + r2.
+        s_a, y, r1, r2 = (PureState((code >> shift) & 3) for shift in (6, 4, 2, 0))
+        orth[code] = r1 == s_a.orthogonal
         for pid, sift in ((ProtocolId.P1, sift_p1), (ProtocolId.P2, sift_p2)):
-            determined = sift(record)
+            determined = sift(s_a, y, r1, r2)
             if determined is not None:
                 kept[pid][code] = 1
-                err[pid][code] = determined[1] != record.bob_result
+                err[pid][code] = determined[1] != y
     for table in (*kept.values(), *err.values(), orth):
         table.setflags(write=False)
     return kept, err, orth

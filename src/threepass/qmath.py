@@ -81,16 +81,6 @@ def binary_entropy(p) -> float | np.ndarray:
     return spectral_entropy(dist)
 
 
-def validate_qber(e: float) -> float:
-    """Check that a scalar ``e`` is a valid symmetric QBER, i.e. lies in [0, 1/2].
-
-    :func:`bell_weights` checks arrays elementwise against the same range.
-    """
-    if not 0.0 <= e <= 0.5:
-        raise ValueError(f"QBER must lie in [0, 0.5], got {e}")
-    return float(e)
-
-
 def bell_weights(e, mu4) -> np.ndarray:
     """Bell weights (1-2e+mu4, e-mu4, e-mu4, mu4) as an (..., 4) array.
 

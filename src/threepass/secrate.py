@@ -115,8 +115,8 @@ def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
     <= tol, or the float spacing when tol is smaller.  A scalar call returns
     a float.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     f_lo, f_hi = rate_fn(lo), rate_fn(hi)
     bracketed = np.greater(f_lo, 0.0) & np.less(f_hi, 0.0)
@@ -236,16 +236,6 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
             d = a + _INV_PHI * (b - a)
             fd = fn(d)
     return (c, fc) if fc > fd else (d, fd)
-
-
-def optimize_preprocessing(bound_fn: Callable[[float, float], float],
-                           e: float, tol: float = 1e-6) -> tuple[float, float]:
-    """Maximize a bound rate over the bit-flip probability q on [0, 1/2].
-
-    The q <-> 1-q symmetry of both bound rates makes the upper half of the
-    unit interval redundant.  Returns (q*, rate at q*).
-    """
-    return golden_section_max(lambda q: bound_fn(e, q), 0.0, 0.5, tol)
 
 
 # q = 1/2 zeroes both bound rates identically, so the threshold supremum is

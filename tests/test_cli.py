@@ -45,7 +45,7 @@ def test_thresholds_loose_tolerance_runs(tmp_path):
     assert "sb1," in _read(out)
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-6", "inf"])
 def test_thresholds_invalid_tol_exits_2(tmp_path, capsys, tol):
     out = tmp_path / "t.csv"
     assert main(["thresholds", f"--tol={tol}", "--out", str(out)]) == 2
@@ -120,6 +120,21 @@ def test_curves_invalid_grid_exits_2():
                  "--e-stop", "0.1", "--e-step", "0.01"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "sb1", "--e-step", "inf"],
+    ["--kind", "lower", "--q-step", "inf"],
+])
+def test_curves_infinite_step_exits_2_without_csv(tmp_path, capsys, argv):
+    # inf * 0 at the first grid point once leaked a RuntimeWarning and then
+    # a NaN-QBER error.
+    out = tmp_path / "curves.csv"
+    assert main(["curves", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid grid: ") and "step=inf" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--kind", "lower", "--mu4-override", "0.05"], "error: mu4 must lie in [0, e=0.0], got 0.05"),
     (["--kind", "sb1", "--e-stop", "0.6"], "error: QBER must lie in [0, 0.5], got 0.505"),
@@ -189,6 +204,13 @@ def test_simulate_byte_identical_reports(capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_simulate_zero_sb1_tolerance_reports_fail(capsys):
+    # 1001 rounds cannot hold exactly a quarter orthogonal outcomes.
+    assert main(["simulate", "--protocol", "p1", "--rounds", "1001",
+                 "--sb1-tolerance", "0"]) == 0
+    assert "sb1 check (tol 0): FAIL" in capsys.readouterr().out
 
 
 def test_simulate_seed_env_default(monkeypatch, capsys):
@@ -264,9 +286,10 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     target = str(tmp_path / "missing" / "out.csv")
     flag = "--histogram" if argv[0] == "simulate" else "--out"
     assert main([*argv, flag, target]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "No such file or directory" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # refused before any work, simulate's report included
     assert list(tmp_path.iterdir()) == []
 
 
@@ -295,12 +318,14 @@ def test_pns_tiny_mean_finds_crossing(capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("step", ["0", "-1", "nan"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
 def test_pns_invalid_step_exits_2_without_csv(tmp_path, capsys, step):
     out = tmp_path / "pns.csv"
     assert main(["pns", "--attack", "pns", "--mu", "0.1", "--step-km", step,
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: --step-km must be positive")
+    err = capsys.readouterr().err
+    assert err.startswith("error: --step-km must be positive")
+    assert "Warning" not in err
     assert not out.exists()
 
 

@@ -21,7 +21,6 @@ from threepass.secrate import (
     key_rate_sifted,
     lower_bound_rate,
     lower_bound_threshold,
-    optimize_preprocessing,
     upper_bound_crossing,
     upper_bound_rate,
     upper_bound_threshold,
@@ -218,26 +217,29 @@ def test_bound_threshold_mu4_override_changes_result():
     assert e_zero != pytest.approx(e_default, abs=1e-3)
 
 
+# The pre-processing flip probability q is optimized over [0, 1/2] by golden
+# section: the q <-> 1-q symmetry of both bound rates makes the upper half
+# redundant.
 def test_optimize_preprocessing_positive_below_threshold():
-    q_star, r_star = optimize_preprocessing(lower_bound_rate, 0.05)
+    q_star, r_star = golden_section_max(lambda q: lower_bound_rate(0.05, q), 0.0, 0.5)
     assert r_star > 0
     # golden-section result beats or matches a dense grid
     grid_best = max(lower_bound_rate(0.05, float(q)) for q in np.linspace(0, 0.5, 501))
     assert r_star >= grid_best - 1e-6
     # still positive anywhere below the published upper figure
     for e in (0.1, 0.11, 0.113):
-        assert optimize_preprocessing(lower_bound_rate, e)[1] > 0
+        assert golden_section_max(lambda q: lower_bound_rate(e, q), 0.0, 0.5)[1] > 0
 
 
 def test_optimize_preprocessing_negative_above_threshold():
-    _, r_star = optimize_preprocessing(lower_bound_rate, 0.2)
+    _, r_star = golden_section_max(lambda q: lower_bound_rate(0.2, q), 0.0, 0.5)
     assert r_star < 0
     grid = [lower_bound_rate(0.2, float(q)) for q in np.linspace(0, 0.4999, 501)]
     assert max(grid) < 0
 
 
 def test_optimize_preprocessing_constant_function():
-    q_star, r_star = optimize_preprocessing(lambda e, q: 0.375, 0.1)
+    q_star, r_star = golden_section_max(lambda q: 0.375, 0.0, 0.5)
     assert r_star == 0.375
     assert 0.0 <= q_star <= 0.5
 
