@@ -160,7 +160,7 @@ def _grid_points(last: float) -> int:
 
 def _axis_points(start: float, stop: float, step: float) -> int:
     """The number of points start + i*step up to stop."""
-    if not (0.0 < step < math.inf and start <= stop):
+    if not (0.0 < step < math.inf and -math.inf < start <= stop < math.inf):
         raise ValueError(f"invalid grid: start={start} stop={stop} step={step}")
     return _grid_points((stop - start) / step + 1e-9)
 
@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("thresholds", help="tolerable-error thresholds and bounds")
-    p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="bisection tolerance of the four closed-form thresholds; "
+                        "the two bounds always use 1e-7")
     p.add_argument("--mu4-override", type=float, default=None,
                    help="fix mu4 instead of the default e^2 in the bound rates")
     p.add_argument("--check", action="store_true",

@@ -16,9 +16,10 @@ subtracting 2h(e), or h(e) once the bit parity X = a xor b is announced::
 Collective-attack bounds evaluate spectral entropies of the eavesdropper's
 conditional states (see :func:`threepass.qmath.eve_state`) under a bit-flip
 pre-processing channel of probability q applied by Alice.  Both bound rates
-satisfy rate(e, q) == rate(e, 1-q) and vanish identically at q = 1/2, so
-thresholds are reported as the supremum over q in [0, 1/2) of the zero
-crossing in e.
+satisfy rate(e, q) == rate(e, 1-q) and vanish identically at q = 1/2.  Their
+zero crossing in e increases strictly with q on [0, 1/2), as Kraus, Gisin
+and Renner found for BB84 (PRL 95, 080502, 2005), so the threshold is the
+q -> 1/2 limit of that crossing, evaluated at q = 0.4999.
 
 The two closed-form rates take an array of e, the bound functions
 broadcastable arrays of (e, q) and a scalar mu4; a scalar call is the same
@@ -26,8 +27,7 @@ code on 0-d arrays returning a float.  The lower bound is closed form: Eve's
 states have rank-one 2x2 blocks, so every q-mixture has the 2x2 spectrum of
 :func:`threepass.qmath.eve_mixture_spectrum`.  The Holevo term of the upper
 bound is a genuine 4x4 and costs one batched ``eigvalsh`` per call.
-:func:`bound_threshold` bisects the whole q-grid at once with the elementwise
-:func:`find_threshold`.
+:func:`bound_threshold` is one :func:`find_threshold` root at that q.
 
 A note on the upper bound: the published closed form chi(E) - [H(b|c) - H(b)]
 is the sum of a Holevo quantity and the mutual information 1 - h(...), both
@@ -52,8 +52,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# eve_state is unused here but stays importable: perfbench/tracing.py patches
-# it in this namespace.
+# eve_state (imported) and golden_section_max (below) have no caller in the
+# package; both stay in this namespace because perfbench/tracing.py patches
+# them there and fails on a missing name.
 from .qmath import (  # noqa: F401
     bell_weights,
     binary_entropy,
@@ -113,7 +114,8 @@ def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
     and :class:`BracketError` is raised when no element does (so a scalar
     call either brackets or raises).  Each returned point has bracket width
     <= tol, or the float spacing when tol is smaller.  A scalar call returns
-    a float.
+    a float.  A tol that is not below the width of a bracketed element
+    raises ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -124,7 +126,11 @@ def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
         raise BracketError(
             f"rate must straddle zero on the bracket: f({lo})={f_lo}, f({hi})={f_hi}"
         )
-    active = bracketed & (hi - lo > tol)
+    # Such a tol would return the bracket midpoint unbisected.
+    if np.any(bracketed & (hi - lo <= tol)):
+        raise ValueError(f"tol must be below the bracket width, got tol={tol} "
+                         f"on [{lo}, {hi}]")
+    active = bracketed.copy()  # narrowed in place below
     while active.any():
         mid = 0.5 * (lo + hi)
         # Below the float spacing the midpoint no longer splits the bracket.
@@ -238,39 +244,23 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
     return (c, fc) if fc > fd else (d, fd)
 
 
-# q = 1/2 zeroes both bound rates identically, so the threshold supremum is
-# taken on a grid up to just below it, then refined by golden section.
+# Both bound rates vanish identically at q = 1/2, so the supremum of their
+# roots over q in [0, 1/2) is evaluated just below it.
 _Q_MAX = 0.4999
+_BOUND_TOL = 1e-7
 
 
-def bound_threshold(rate_fn: Callable[[float, float], float],
-                    q_grid: int = 26, tol: float = 1e-7) -> tuple[float, float]:
+def bound_threshold(rate_fn: Callable[[float, float], float]) -> tuple[float, float]:
     """Supremum over q in [0, 1/2) of the zero crossing of rate_fn(., q).
 
-    Returns (threshold e, maximizing q).  ``rate_fn(e, q)`` must take
-    arrays, be decreasing in e and change sign on (0, 0.45) for the relevant
-    q.  The roots on the whole q-grid come from one elementwise bisection;
-    q values without a sign change count as -1.
+    Returns (threshold e, q*).  ``rate_fn(e, q)`` must be decreasing in e
+    and change sign on (1e-4, 0.45) near q = 1/2.  For both bound rates the
+    root in e increases strictly with q, so the supremum is the q -> 1/2
+    limit; q = 1/2 itself zeroes the rates, so the root is taken at
+    q* = 0.4999 with a 1e-7 tolerance.  Raises :class:`BracketError` when
+    there is no crossing there.
     """
-
-    def root_at(q):
-        try:
-            roots = find_threshold(lambda e: rate_fn(e, q), 1e-4, 0.45, tol)
-        except BracketError:
-            return np.full(np.shape(q), -1.0)
-        return np.where(np.isnan(roots), -1.0, roots)
-
-    grid = np.linspace(0.0, _Q_MAX, q_grid)
-    roots = root_at(grid)
-    i = int(np.argmax(roots))
-    if roots[i] < 0.0:
-        raise BracketError("no zero crossing in e for any q in [0, 1/2)")
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    q_star, best = golden_section_max(root_at, lo, hi, tol=1e-4)
-    if roots[i] > best:
-        q_star, best = grid[i], roots[i]
-    return float(best), float(q_star)
+    return find_threshold(lambda e: rate_fn(e, _Q_MAX), 1e-4, 0.45, _BOUND_TOL), _Q_MAX
 
 
 def lower_bound_threshold(mu4: Optional[float] = None) -> tuple[float, float]:

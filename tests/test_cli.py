@@ -45,11 +45,16 @@ def test_thresholds_loose_tolerance_runs(tmp_path):
     assert "sb1," in _read(out)
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1e-6", "inf"])
-def test_thresholds_invalid_tol_exits_2(tmp_path, capsys, tol):
+@pytest.mark.parametrize("tol,message", [
+    ("nan", "positive"), ("0", "positive"), ("-1e-6", "positive"), ("inf", "positive"),
+    # At or above the bracket width the bisection would stop at once and
+    # print the bracket midpoint.
+    ("1", "below the bracket width"),
+], ids=["nan", "0", "-1e-6", "inf", "1"])
+def test_thresholds_invalid_tol_exits_2(tmp_path, capsys, tol, message):
     out = tmp_path / "t.csv"
     assert main(["thresholds", f"--tol={tol}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: tol must be positive")
+    assert capsys.readouterr().err.startswith(f"error: tol must be {message}")
     assert not out.exists()
 
 
@@ -120,17 +125,21 @@ def test_curves_invalid_grid_exits_2():
                  "--e-stop", "0.1", "--e-step", "0.01"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["--kind", "sb1", "--e-step", "inf"],
-    ["--kind", "lower", "--q-step", "inf"],
-])
-def test_curves_infinite_step_exits_2_without_csv(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv,bad", [
+    (["--kind", "sb1", "--e-step", "inf"], "step=inf"),
+    (["--kind", "lower", "--q-step", "inf"], "step=inf"),
+    (["--kind", "sb1", "--e-start", "inf", "--e-stop", "inf"], "start=inf"),
+    (["--kind", "sb1", "--e-stop", "inf"], "stop=inf"),
+    (["--kind", "lower", "--q-start=-inf"], "start=-inf"),
+    (["--kind", "upper", "--q-start", "inf", "--q-stop", "inf"], "start=inf"),
+], ids=["argv0", "argv1", "e-start-stop", "e-stop", "q-start", "q-start-stop"])
+def test_curves_infinite_step_exits_2_without_csv(tmp_path, capsys, argv, bad):
     # inf * 0 at the first grid point once leaked a RuntimeWarning and then
-    # a NaN-QBER error.
+    # a NaN-QBER error; inf - inf once gave "grid too large: nan points".
     out = tmp_path / "curves.csv"
     assert main(["curves", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: invalid grid: ") and "step=inf" in err
+    assert err.startswith("error: invalid grid: ") and bad in err
     assert "Warning" not in err
     assert not out.exists()
 

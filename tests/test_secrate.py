@@ -13,6 +13,8 @@ from threepass.secrate import (
     EFFICIENCY_PRESETS,
     BracketError,
     EfficiencyInputs,
+    _Q_MAX,
+    bound_threshold,
     cabello_efficiency,
     find_threshold,
     golden_section_max,
@@ -37,12 +39,13 @@ LOWER_AT_0P1_Q0P1 = 0.06269436857898337
 CHI_AT_0P1_Q0P1 = 0.26934859765218252
 UPPER_AT_0P1_Q0P1 = 0.58927155192390268
 CROSSING_AT_0P1_Q0P1 = 0.050574356619537638
-# Bound thresholds (e, q*) as computed by the per-point 4x4 implementation;
-# the closed-form and batched rates must reproduce them bit for bit.
-LOWER_THRESHOLD = (0.12412022876143455, 0.49987627991917233)
-UPPER_THRESHOLD = (0.1201374971807003, 0.49987627991917233)
-LOWER_THRESHOLD_MU4_0 = (0.12981747640967373, 0.49987627991917233)
-UPPER_THRESHOLD_MU4_0 = (0.115529306191206, 0.49987627991917233)
+# Bound thresholds (e, q*): the e values as computed by the per-point 4x4
+# implementation, which the closed-form and batched rates must reproduce bit
+# for bit, at q* = _Q_MAX.
+LOWER_THRESHOLD = (0.12412022876143455, 0.4999)
+UPPER_THRESHOLD = (0.1201374971807003, 0.4999)
+LOWER_THRESHOLD_MU4_0 = (0.12981747640967373, 0.4999)
+UPPER_THRESHOLD_MU4_0 = (0.115529306191206, 0.4999)
 
 
 def test_key_rate_sb1_limit_at_zero():
@@ -380,3 +383,14 @@ def test_bound_thresholds_frozen_bit_for_bit():
     assert upper_bound_threshold() == UPPER_THRESHOLD
     assert lower_bound_threshold(mu4=0.0) == LOWER_THRESHOLD_MU4_0
     assert upper_bound_threshold(mu4=0.0) == UPPER_THRESHOLD_MU4_0
+
+
+@pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
+@pytest.mark.parametrize("mu4", [None, 0.0])
+def test_bound_root_increases_toward_half(rate, mu4):
+    # Why bound_threshold needs no search over q: the root in e increases
+    # strictly with q, so its supremum over [0, 1/2) is the root at _Q_MAX.
+    q = np.linspace(0.0, _Q_MAX, 101)
+    roots = find_threshold(lambda e: rate(e, q, mu4), 1e-4, 0.45, 1e-7)
+    assert np.all(np.diff(roots) > 0)
+    assert bound_threshold(lambda e, q: rate(e, q, mu4)) == (roots[-1], _Q_MAX)
