@@ -247,7 +247,8 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
 # Both bound rates vanish identically at q = 1/2, so the supremum of their
 # roots over q in [0, 1/2) is evaluated just below it.
 _Q_MAX = 0.4999
-_BOUND_TOL = 1e-7
+#: Bisection tolerance of both bound thresholds, whatever the caller's --tol.
+BOUND_TOL = 1e-7
 
 
 def bound_threshold(rate_fn: Callable[[float, float], float]) -> tuple[float, float]:
@@ -260,7 +261,7 @@ def bound_threshold(rate_fn: Callable[[float, float], float]) -> tuple[float, fl
     q* = 0.4999 with a 1e-7 tolerance.  Raises :class:`BracketError` when
     there is no crossing there.
     """
-    return find_threshold(lambda e: rate_fn(e, _Q_MAX), 1e-4, 0.45, _BOUND_TOL), _Q_MAX
+    return find_threshold(lambda e: rate_fn(e, _Q_MAX), 1e-4, 0.45, BOUND_TOL), _Q_MAX
 
 
 def lower_bound_threshold(mu4: Optional[float] = None) -> tuple[float, float]:

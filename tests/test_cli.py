@@ -1,9 +1,13 @@
+import io
 import os
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from threepass.cli import main
+from threepass import secrate
+from threepass.cli import _SUB_BLOCK, _fmt, _write_rows, main
 
 pytestmark = pytest.mark.usefixtures("pinned_timestamp")
 
@@ -43,6 +47,16 @@ def test_thresholds_loose_tolerance_runs(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["thresholds", "--tol", "1e-4", "--out", str(out)]) == 0
     assert "sb1," in _read(out)
+
+
+def test_thresholds_manifest_records_bound_tolerance(tmp_path):
+    # --tol governs the four closed-form rows; the two bound rows use their
+    # own fixed tolerance, which gets its own manifest line.
+    out = tmp_path / "t.csv"
+    assert main(["thresholds", "--tol", "1e-3", "--out", str(out)]) == 0
+    manifest = [l for l in _read(out).splitlines() if l.startswith("#")]
+    assert "# tol: 0.001" in manifest
+    assert "# bound_tol: 1e-07" in manifest
 
 
 @pytest.mark.parametrize("tol,message", [
@@ -120,6 +134,22 @@ def test_curves_upper_has_sign_boundary(tmp_path):
     assert vals[0] > 0 and vals[-1] < 0  # a threshold exists on this column
 
 
+@pytest.mark.parametrize("kind,rate", [("lower", secrate.lower_bound_rate),
+                                       ("upper", secrate.upper_bound_crossing)])
+def test_curves_rows_are_q_major_with_their_own_q(tmp_path, kind, rate):
+    # Rows built point by point, q-major and e-minor, on the default
+    # e in [0, 0.3] and q in [0, 0.5].
+    out = tmp_path / "surface.csv"
+    assert main(["curves", "--kind", kind, "--e-step", "0.01", "--q-step", "0.1",
+                 "--out", str(out)]) == 0
+    e = np.arange(31) * 0.01
+    expected = [f"{x:.6g},{q:.6g},{r:.6g}"
+                for q in (np.arange(6) * 0.1).tolist()
+                for x, r in zip(e.tolist(), rate(e, q).tolist())]
+    data = [l for l in _read(out).splitlines() if not l.startswith("#")]
+    assert data == ["e,q,r", *expected]
+
+
 def test_curves_invalid_grid_exits_2():
     assert main(["curves", "--kind", "sb1", "--e-start", "0.3",
                  "--e-stop", "0.1", "--e-step", "0.01"]) == 2
@@ -186,6 +216,29 @@ def test_curves_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert _read(a) == _read(b)
+
+
+# Pools of at most 8 floats, repeated to the row count, keep the examples
+# small; nan, infinities, signed zeros and subnormals are all drawn.
+_FLOAT_POOLS = st.lists(st.floats(), min_size=1, max_size=8)
+
+
+@given(n=st.sampled_from([0, 1, _SUB_BLOCK, 2 * _SUB_BLOCK + 37]),
+       a=_FLOAT_POOLS, b=_FLOAT_POOLS, q=st.none() | st.floats())
+def test_write_rows_matches_per_row_format(n, a, b, q):
+    # The row writer against the per-row f-string loop it replaced, with q
+    # (when drawn) as a scalar column repeated on every row.
+    a, b = np.resize(a, n).tolist(), np.resize(b, n).tolist()
+    out = io.StringIO()
+    if q is None:
+        _write_rows(out, "%.6g,%.6g\n", np.array(a), np.array(b))
+        expected = "".join(f"{x:.6g},{r:.6g}\n" for x, r in zip(a, b))
+    else:
+        _write_rows(out, "%.6g,%.6g,%.6g\n", np.array(a), q, np.array(b))
+        expected = "".join(f"{x:.6g},{q:.6g},{r:.6g}\n" for x, r in zip(a, b))
+        assert _fmt(q) == f"{q:.6g}"
+    # Compared by row: a failing example then shrinks in seconds.
+    assert out.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def test_simulate_report_and_histogram(tmp_path, capsys):
