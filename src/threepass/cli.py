@@ -16,6 +16,7 @@ written, a sweep of more than MAX_GRID_POINTS rows).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -78,7 +79,12 @@ def _timestamp() -> str:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("THREEPASS_SEED", "0"))
+    """THREEPASS_SEED, or 0 when it is unset; a non-integer is a ValueError."""
+    value = os.environ.get("THREEPASS_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"THREEPASS_SEED must be an integer, got {value!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -240,12 +246,13 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    seed = _default_seed() if args.seed is None else args.seed
     config = SimulationConfig(
         protocol=ProtocolId(args.protocol),
         n_rounds=args.rounds,
         channel_qber=args.qber,
         eve=Eavesdropper(args.eve),
-        rng_seed=args.seed,
+        rng_seed=seed,
         sb1_tolerance=args.sb1_tolerance,
     )
     # The histogram target is opened first, so a bad path fails before any
@@ -258,7 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "protocol": args.protocol, "rounds": args.rounds, "qber": args.qber,
                 "eve": args.eve, "workers": args.workers,
                 "sb1_tolerance": args.sb1_tolerance,
-            }, seed=args.seed)
+            }, seed=seed)
             out.write("alice_state,bob_result,sb1_result,sb2_result,"
                       "expected_probability,expected_count,observed_count\n")
             for (s, y, r1, r2, prob), count in zip(TABLE1_BRANCHES, report.branch_counts):
@@ -337,6 +344,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on the first main call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threepass",
@@ -347,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thresholds", help="tolerable-error thresholds and bounds")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="bisection tolerance of the four closed-form thresholds; "
+                   help="root-finder tolerance of the four closed-form thresholds; "
                         f"the two bounds always use {secrate.BOUND_TOL:g}")
     p.add_argument("--mu4-override", type=float, default=None,
                    help="fix mu4 instead of the default e^2 in the bound rates")
@@ -375,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--qber", type=float, default=0.0, help="channel QBER per pass")
     p.add_argument("--eve", choices=["none", "intercept-resend"], default="none")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (default: THREEPASS_SEED, else 0)")
     p.add_argument("--workers", type=int, default=1,
                    help="number of RNG streams the rounds are split over; the "
                         "report depends on it, the thread count does not")
@@ -408,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, secrate.BracketError, OSError) as exc:

@@ -165,12 +165,12 @@ def eve_info_irud(link: FiberLink, source: WcpSource,
 
 def critical_distance(info_fn: Callable[[float], float], alpha: float,
                       hi_km: float, tol_km: float = 0.01) -> tuple[float, float]:
-    """Solve info_fn(l) = 1 by bisection; returns (l_c in km, delta_c in dB).
+    """Solve info_fn(l) = 1 to ``tol_km``; returns (l_c in km, delta_c in dB).
 
     Requires info_fn(0) < 1 < info_fn(hi_km); the information functions here
     increase monotonically with distance because only the expected-detection
-    denominator depends on it.  The bisection is
-    :func:`threepass.secrate.find_threshold` on the margin 1 - info_fn(l).
+    denominator depends on it.  The root is Chandrupatla's method,
+    :func:`threepass.secrate.find_threshold`, on the margin 1 - info_fn(l).
     """
     try:
         l_c = find_threshold(lambda l: 1.0 - info_fn(l), 0.0, hi_km, tol_km)

@@ -368,7 +368,8 @@ def _count_patterns(n: int, planes: tuple[np.ndarray, ...]) -> np.ndarray:
                 np.bitwise_and(parent, planes[depth], out=levels[depth])
             else:
                 np.bitwise_xor(parent, levels[depth], out=levels[depth])
-        counts[pattern] = np.bitwise_count(levels[5], out=popcounts).sum()
+        # A leaf counts at most CHUNK rounds, so uint32 sums it exactly.
+        counts[pattern] = np.bitwise_count(levels[5], out=popcounts).sum(dtype=np.uint32)
     return counts
 
 

@@ -28,6 +28,8 @@ states have rank-one 2x2 blocks, so every q-mixture has the 2x2 spectrum of
 :func:`threepass.qmath.eve_mixture_spectrum`.  The Holevo term of the upper
 bound is a genuine 4x4 and costs one batched ``eigvalsh`` per call.
 :func:`bound_threshold` is one :func:`find_threshold` root at that q.
+Every threshold is a root found by Chandrupatla's bracketing method, which
+interpolates where it can and bisects where it must.
 
 A note on the upper bound: the published closed form chi(E) - [H(b|c) - H(b)]
 is the sum of a Holevo quantity and the mutual information 1 - h(...), both
@@ -105,17 +107,23 @@ def key_rate_sifted(e, announce_x: bool = False):
 
 
 def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
-    """Bisection root of a decreasing rate function on [lo, hi], elementwise.
+    """Root of a decreasing rate function on [lo, hi] by Chandrupatla's
+    method (Adv. Eng. Software 28(3):145-149, 1997), elementwise.
+
+    Each step is inverse quadratic interpolation through the three latest
+    points where Chandrupatla's test trusts it, and bisection otherwise; it
+    lands at least tol/2 inside the bracket, so the bracket always holds the
+    root.  Once the bracket is at most tol wide (or two float spacings, when
+    tol is smaller), the secant point of its ends is returned, or the end
+    with the smaller |rate| should that point leave the bracket.
 
     ``rate_fn`` may return an array of rates, with ``lo`` and ``hi``
-    broadcasting against it: every element is then bisected on its own
-    bracket, in one loop, exactly as a scalar call would bisect it.  An
-    element needs rate_fn(lo) > 0 > rate_fn(hi); one that does not gives NaN,
-    and :class:`BracketError` is raised when no element does (so a scalar
-    call either brackets or raises).  Each returned point has bracket width
-    <= tol, or the float spacing when tol is smaller.  A scalar call returns
-    a float.  A tol that is not below the width of a bracketed element
-    raises ValueError.
+    broadcasting against it: every element then follows its own bracket,
+    in one loop, exactly as a scalar call would.  An element needs
+    rate_fn(lo) > 0 > rate_fn(hi); one that does not gives NaN, and
+    :class:`BracketError` is raised when no element does (so a scalar call
+    either brackets or raises).  A scalar call returns a float.  A tol that
+    is not below the width of a bracketed element raises ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -126,20 +134,42 @@ def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
         raise BracketError(
             f"rate must straddle zero on the bracket: f({lo})={f_lo}, f({hi})={f_hi}"
         )
-    # Such a tol would return the bracket midpoint unbisected.
+    # Such a tol would return the secant point of the unsearched bracket.
     if np.any(bracketed & (hi - lo <= tol)):
         raise ValueError(f"tol must be below the bracket width, got tol={tol} "
                          f"on [{lo}, {hi}]")
-    active = bracketed.copy()  # narrowed in place below
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        # Below the float spacing the midpoint no longer splits the bracket.
-        active &= (lo < mid) & (mid < hi)
-        positive = np.greater(rate_fn(mid), 0.0)
-        lo = np.where(active & positive, mid, lo)
-        hi = np.where(active & ~positive, mid, hi)
-        active &= hi - lo > tol
-    return float_if_0d(np.where(bracketed, 0.5 * (lo + hi), np.nan))
+    # a is the newest point, b the other end of the bracket, c the end that
+    # the newest point replaced; t places the next point at a + t (b - a).
+    a, b, fa, fb = np.broadcast_arrays(lo, hi, f_lo, f_hi)
+    t, active = 0.5, bracketed
+    while True:
+        width = np.abs(b - a)
+        tol_x = np.maximum(tol, 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+        active = active & (width > tol_x) & (fa != 0.0)
+        if not active.any():
+            break
+        t_min = 0.5 * tol_x / np.where(active, width, 1.0)
+        x = np.where(active, a + np.clip(t, t_min, 1.0 - t_min) * (b - a), a)
+        fx = rate_fn(x)
+        # Keep b on the far side of the root from the new point.
+        flip = active & (np.greater(fx, 0.0) != np.greater(fa, 0.0))
+        c, fc = np.where(flip, b, a), np.where(flip, fb, fa)
+        b, fb = np.where(flip, a, b), np.where(flip, fa, fb)
+        a, fa = np.where(active, x, a), np.where(active, fx, fa)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            t_iqi = (fa / (fb - fa) * fc / (fb - fc)
+                     + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+            # NaN anywhere fails the test, so bisection takes over.
+            trusted = ((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+                       & np.isfinite(t_iqi))
+        t = np.where(trusted, t_iqi, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = a - fa * (b - a) / (fb - fa)
+    inside = (np.minimum(a, b) <= root) & (root <= np.maximum(a, b))
+    root = np.where(inside, root, np.where(np.abs(fa) <= np.abs(fb), a, b))
+    return float_if_0d(np.where(bracketed, root, np.nan))
 
 
 def _bound_inputs(e, q, mu4: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,7 +277,7 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
 # Both bound rates vanish identically at q = 1/2, so the supremum of their
 # roots over q in [0, 1/2) is evaluated just below it.
 _Q_MAX = 0.4999
-#: Bisection tolerance of both bound thresholds, whatever the caller's --tol.
+#: Root-finder tolerance of both bound thresholds, whatever the caller's --tol.
 BOUND_TOL = 1e-7
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from threepass import secrate
+from threepass import cli, secrate
 from threepass.cli import _SUB_BLOCK, _fmt, _write_rows, main
 
 pytestmark = pytest.mark.usefixtures("pinned_timestamp")
@@ -38,6 +38,18 @@ def test_thresholds_table(tmp_path, capsys):
     assert text.count(",NO") == 3
 
 
+def test_thresholds_prints_correctly_rounded_roots(capsys):
+    # The roots at --tol 1e-6, correct to every printed digit.
+    assert main(["thresholds"]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")]
+    computed = {row[0]: row[2] for row in rows[1:]}
+    assert computed["sb1"] == "0.0311245"
+    assert computed["sb1_announced"] == "0.0614905"
+    assert computed["sifted"] == "0.0229698"
+    assert computed["sifted_announced"] == "0.0485152"
+
+
 def test_thresholds_check_exit_code(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["thresholds", "--check", "--out", str(out)]) == 1
@@ -61,8 +73,8 @@ def test_thresholds_manifest_records_bound_tolerance(tmp_path):
 
 @pytest.mark.parametrize("tol,message", [
     ("nan", "positive"), ("0", "positive"), ("-1e-6", "positive"), ("inf", "positive"),
-    # At or above the bracket width the bisection would stop at once and
-    # print the bracket midpoint.
+    # At or above the bracket width the search would stop at once and
+    # print a point of the unsearched bracket.
     ("1", "below the bracket width"),
 ], ids=["nan", "0", "-1e-6", "inf", "1"])
 def test_thresholds_invalid_tol_exits_2(tmp_path, capsys, tol, message):
@@ -280,6 +292,22 @@ def test_simulate_seed_env_default(monkeypatch, capsys):
     monkeypatch.setenv("THREEPASS_SEED", "123")
     assert main(["simulate", "--protocol", "p1", "--rounds", "1000"]) == 0
     assert "seed/workers:            123/1" in capsys.readouterr().out
+
+
+def test_bad_seed_env_fails_only_simulate_without_seed(monkeypatch, capsys):
+    monkeypatch.setenv("THREEPASS_SEED", "abc")
+    assert main(["efficiency"]) == 0
+    assert main(["simulate", "--protocol", "p1", "--rounds", "1000", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--protocol", "p1", "--rounds", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: THREEPASS_SEED must be an integer, got 'abc'\n"
+
+
+def test_parser_is_built_once():
+    cli.build_parser.cache_clear()
+    assert main(["efficiency"]) == 0 and main(["efficiency", "--preset", "p1"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan"])

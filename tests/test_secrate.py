@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from threepass.qmath import (
     von_neumann_entropy,
 )
 from threepass.secrate import (
+    BOUND_TOL,
     EFFICIENCY_PRESETS,
     BracketError,
     EfficiencyInputs,
@@ -39,13 +42,13 @@ LOWER_AT_0P1_Q0P1 = 0.06269436857898337
 CHI_AT_0P1_Q0P1 = 0.26934859765218252
 UPPER_AT_0P1_Q0P1 = 0.58927155192390268
 CROSSING_AT_0P1_Q0P1 = 0.050574356619537638
-# Bound thresholds (e, q*): the e values as computed by the per-point 4x4
-# implementation, which the closed-form and batched rates must reproduce bit
-# for bit, at q* = _Q_MAX.
-LOWER_THRESHOLD = (0.12412022876143455, 0.4999)
-UPPER_THRESHOLD = (0.1201374971807003, 0.4999)
-LOWER_THRESHOLD_MU4_0 = (0.12981747640967373, 0.4999)
-UPPER_THRESHOLD_MU4_0 = (0.115529306191206, 0.4999)
+# Bound thresholds (e, q*) at q* = _Q_MAX: the e values find_threshold
+# returns at BOUND_TOL, frozen bit for bit.  Each lies within 2e-9 of the
+# root of its rate.
+LOWER_THRESHOLD = (0.12412024926202601, 0.4999)
+UPPER_THRESHOLD = (0.1201374790193074, 0.4999)
+LOWER_THRESHOLD_MU4_0 = (0.1298174783786918, 0.4999)
+UPPER_THRESHOLD_MU4_0 = (0.11552932115082117, 0.4999)
 
 
 def test_key_rate_sb1_limit_at_zero():
@@ -376,6 +379,47 @@ def test_find_threshold_bisects_arrays_elementwise():
     assert partial[0] == pytest.approx(0.1, abs=1e-9) and np.isnan(partial[1])
     with pytest.raises(BracketError):
         find_threshold(lambda e: np.array([0.5, 0.6]) - e, 0.0, 0.4)
+
+
+def _counted(rate_fn):
+    """rate_fn and a one-element list that counts its calls."""
+    calls = [0]
+
+    def counted(e):
+        calls[0] += 1
+        return rate_fn(e)
+    return counted, calls
+
+
+@pytest.mark.parametrize("rate_fn,root", [
+    (lambda e: key_rate_sb1(e, False), ROOT_SB1),
+    (lambda e: key_rate_sb1(e, True), ROOT_SB1_ANNOUNCED),
+    (lambda e: key_rate_sifted(e, False), ROOT_SIFTED),
+    (lambda e: key_rate_sifted(e, True), ROOT_SIFTED_ANNOUNCED),
+], ids=["sb1", "sb1_announced", "sifted", "sifted_announced"])
+def test_find_threshold_closed_form_budget(rate_fn, root):
+    # The count includes the two bracket ends.
+    counted, calls = _counted(rate_fn)
+    assert find_threshold(counted, 1e-4, 0.45, 1e-6) == pytest.approx(root, abs=1e-8)
+    assert calls[0] <= 10
+
+
+@pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
+@pytest.mark.parametrize("mu4", [None, 0.0])
+def test_find_threshold_bound_budget(rate, mu4):
+    counted, calls = _counted(lambda e: rate(e, _Q_MAX, mu4))
+    find_threshold(counted, 1e-4, 0.45, BOUND_TOL)
+    assert calls[0] <= 10
+
+
+@pytest.mark.parametrize("level", [1.0, np.inf])
+def test_find_threshold_sign_step_bisects(level):
+    # Interpolation through a jump is NaN, inf or untrusted: every step must
+    # fall back to bisection, still converge within tol, and warn nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = find_threshold(lambda e: np.where(e < 0.1, level, -level), 0.0, 0.4, 1e-6)
+    assert abs(root - 0.1) <= 1e-6
 
 
 def test_bound_thresholds_frozen_bit_for_bit():
