@@ -7,6 +7,8 @@ parameters reproduces the data rows byte for byte; set SOURCE_DATE_EPOCH to
 pin the timestamp line as well.  THREEPASS_SEED provides the default seed.
 Sweep rows (``curves``, ``pns --out``) are formatted and written one
 sub-block at a time, byte-identical to formatting each number with ``.6g``.
+A ``curves`` grid is checked at its corners before anything is written, so
+an invalid one leaves stdout empty.
 
 Exit codes: 0 on success, 1 when --check finds a reference-value mismatch,
 2 on usage, numerical or file errors (an output path that cannot be
@@ -41,7 +43,9 @@ from . import secrate
 CHECK_FAILED_EXIT = 1
 ERROR_EXIT = 2
 
-#: Grid points per rate or eve_info call in a sweep: bounded memory for any grid.
+#: Grid points per rate or eve_info call in a sweep: ``curves`` evaluates its
+#: q-major flattened (q, e) grid, and ``pns`` its lengths, this many at a time,
+#: so memory stays bounded for any grid.
 _BLOCK = 2048
 
 #: Rows per formatted string in a sweep: one string per whole block raised
@@ -208,12 +212,19 @@ def cmd_curves(args: argparse.Namespace) -> int:
         "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
         "e_step": args.e_step,
     }
+    # The grid is flattened q-major: index i is the point e = e_start +
+    # (i % n_e) e_step, q = q_start + (i // n_e) q_step.
+    e_at = lambda i: args.e_start + (i % n_e) * args.e_step
     if args.kind in ("sb1", "sifted"):
         params["announce"] = args.announce
         fn = secrate.key_rate_sb1 if args.kind == "sb1" else secrate.key_rate_sifted
+        n_q = 1
         header = "e,r"
         row_format = f"{_NUMBER},{_NUMBER}\n"
-        q_columns = [lambda e: (fn(e, args.announce),)]
+
+        def columns(i: np.ndarray) -> tuple:
+            e = e_at(i)
+            return e, fn(e, args.announce)
     else:
         n_q = _axis_points(args.q_start, args.q_stop, args.q_step)
         _grid_points(n_e * n_q - 1)  # the whole surface
@@ -230,18 +241,30 @@ def cmd_curves(args: argparse.Namespace) -> int:
             fn = secrate.lower_bound_rate
         header = "e,q,r"
         row_format = f"{_NUMBER},{_NUMBER},{_NUMBER}\n"
-        q_columns = (lambda e, q=q: (q, fn(e, q, args.mu4_override))
-                     for block in _grid_blocks(args.q_start, args.q_step, n_q)
-                     for q in block.tolist())
 
-    # Rows are evaluated one block of e values at a time as they are written,
-    # so memory stays bounded however fine the grid.
+        def columns(i: np.ndarray) -> tuple:
+            e, q = e_at(i), args.q_start + (i // n_e) * args.q_step
+            return e, q, fn(e, q, args.mu4_override)
+
+    n = n_e * n_q
+    blocks = lambda: (np.arange(first, min(first + _BLOCK, n)) for first in range(0, n, _BLOCK))
+    # The grid is arithmetic, so its corners bound every point: a rate that
+    # accepts them accepts the whole grid, and an invalid grid fails here,
+    # before any output.
+    try:
+        columns(np.array([0, n_e - 1, n - n_e, n - 1]))
+    except ValueError:
+        # Name the first invalid point in row order, as the sweep would.
+        for i in blocks():
+            columns(i)
+        raise
+    # Rows are evaluated one block at a time as they are written, so memory
+    # stays bounded however fine the grid.
     with _csv_out(args.out) as out:
         write_manifest(out, "curves", params)
         out.write(header + "\n")
-        for columns in q_columns:
-            for e_block in _grid_blocks(args.e_start, args.e_step, n_e):
-                _write_rows(out, row_format, e_block, *columns(e_block))
+        for i in blocks():
+            _write_rows(out, row_format, *columns(i))
     return 0
 
 

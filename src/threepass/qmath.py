@@ -12,7 +12,8 @@ conditional states sigma_E^k derived from a purification of that mixture are
 spectra of their mixtures are closed form (:func:`eve_mixture_spectrum`);
 :func:`eve_state` builds the explicit matrices as the reference.  Their
 spectral entropies drive the collective-attack bounds in
-:mod:`threepass.secrate`.
+:mod:`threepass.secrate`.  Every closed-form 2x2 block spectrum, here and in
+the average state of the Holevo term, is :func:`symmetric_2x2_eigenvalues`.
 
 :func:`bell_weights`, :func:`binary_entropy`, :func:`spectral_entropy`,
 :func:`von_neumann_entropy` and :func:`eve_mixture_spectrum` work elementwise
@@ -179,6 +180,17 @@ def von_neumann_entropy(rho: DensityMatrix4 | np.ndarray) -> float | np.ndarray:
     return spectral_entropy(np.linalg.eigvalsh(m))
 
 
+def symmetric_2x2_eigenvalues(a, b, coupling_sq) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (larger, smaller) of the real symmetric [[a, c], [c, b]].
+
+    Elementwise on broadcast arrays, with ``coupling_sq`` = c**2: they are
+    (a+b)/2 +- sqrt(((a-b)/2)**2 + c**2).
+    """
+    mean = 0.5 * (a + b)
+    half_gap = np.sqrt((0.5 * (a - b)) ** 2 + coupling_sq)
+    return mean + half_gap, mean - half_gap
+
+
 def eve_mixture_spectrum(weights, q) -> np.ndarray:
     """Eigenvalues of (1-q) eve_state(mix, 0) + q eve_state(mix, 1), as (..., 4).
 
@@ -190,9 +202,7 @@ def eve_mixture_spectrum(weights, q) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     a, b = w[..., 0::2], w[..., 1::2]  # blocks (mu1, mu2) and (mu3, mu4)
     s2 = ((1.0 - 2.0 * np.asarray(q, dtype=float)) ** 2)[..., None]
-    mean = 0.5 * (a + b)
-    half_gap = np.sqrt((0.5 * (a - b)) ** 2 + s2 * a * b)
-    return np.concatenate([mean + half_gap, mean - half_gap], axis=-1)
+    return np.concatenate(symmetric_2x2_eigenvalues(a, b, s2 * a * b), axis=-1)
 
 
 def eve_state(mix: BellMixture, k: int) -> DensityMatrix4:

@@ -25,8 +25,10 @@ The two closed-form rates take an array of e, the bound functions
 broadcastable arrays of (e, q) and a scalar mu4; a scalar call is the same
 code on 0-d arrays returning a float.  The lower bound is closed form: Eve's
 states have rank-one 2x2 blocks, so every q-mixture has the 2x2 spectrum of
-:func:`threepass.qmath.eve_mixture_spectrum`.  The Holevo term of the upper
-bound is a genuine 4x4 and costs one batched ``eigvalsh`` per call.
+:func:`threepass.qmath.eve_mixture_spectrum`.  In the Holevo term of the
+upper bound, the average state is block diagonal with a closed-form 2x2
+spectrum too; only rho_q is a genuine 4x4, one per point in one batched
+``eigvalsh`` per call.
 :func:`bound_threshold` is one :func:`find_threshold` root at that q.
 Every threshold is a root found by Chandrupatla's bracketing method, which
 interpolates where it can and bisects where it must.
@@ -66,6 +68,7 @@ from .qmath import (  # noqa: F401
     in_range,
     maximizing_mu4,
     spectral_entropy,
+    symmetric_2x2_eigenvalues,
     von_neumann_entropy,
 )
 
@@ -200,35 +203,45 @@ def lower_bound_rate(e, q, mu4: Optional[float] = None):
     return (cond - unc) + _mutual_information(e, q)
 
 
-# Ancilla vectors for the outcome pairs (0,0), (1,1), (0,+), (1,-): the sign
-# pattern (0 drops a component) applied to sqrt(mu).
-_OUTCOME_SIGNS = np.array([[1.0, 1.0, 0.0, 0.0],
-                           [1.0, -1.0, 0.0, 0.0],
-                           [1.0, 1.0, 1.0, 1.0],
-                           [-1.0, 1.0, 1.0, -1.0]])
-
-
 def holevo_chi(e, q, mu4: Optional[float] = None):
     """Holevo quantity of Eve's measured four-state ensemble under bit flip q.
 
     chi = S(avg) - [S(rho_q) + S(rho_(1-q))]/2 with rho_q the q-mixture of
     Eve's states given b = 0 and b = 1.  diag(1, -1, 1, -1) maps rho_q to
-    rho_(1-q), so the two are isospectral and both entropies come from one
-    batched ``eigvalsh`` over the stacked (avg, rho_q) pairs.  ``e`` and
-    ``q`` broadcast; a scalar call returns a float.
+    rho_(1-q), so the two are isospectral.  Both matrices are closed form in
+    the Bell weights w = (w0, w1, w1, w3), with k = (2/(1-e) + 1)/3 and
+    d = 1 - 2q.  The average state is block diagonal on the index pairs
+    {0, 3} and {1, 2}, so its spectrum is two 2x2s; rho_q adds d times the
+    entries that couple the blocks, and its entropy is one batched
+    ``eigvalsh`` of one 4x4 per point.  Where those entries vanish (at
+    q = 1/2, for one), rho_q is the average state and chi is exactly 0.
+    ``e`` and ``q`` broadcast; a scalar call returns a float.
     """
-    _, q, weights = _bound_inputs(e, q, mu4)
-    vectors = _OUTCOME_SIGNS * np.sqrt(weights)[..., None, :]
-    # Squared norms are 1 - e >= 1/2 or 1, so the division is always defined.
-    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
-    # Outcome weights of the average state and of rho_q: (2 p00 + p0p)/3
-    # given b = 0 and (2 p11 + p1m)/3 given b = 1.
-    p = 1.0 - q
-    mix = np.stack([np.broadcast_to([1 / 3, 1 / 3, 1 / 6, 1 / 6], weights.shape),
-                    np.stack([2.0 * p, 2.0 * q, p, q], axis=-1) / 3.0], axis=-2)
-    states = np.einsum("...sk,...ki,...kj->...sij", mix, vectors, vectors)
-    entropies = von_neumann_entropy(states)
-    return float_if_0d(entropies[..., 0] - entropies[..., 1])
+    e, q, w = _bound_inputs(e, q, mu4)
+    # 1 - e >= 1/2, so k is always defined.
+    k = (2.0 / (1.0 - e) + 1.0) / 3.0
+    d = 1.0 - 2.0 * q
+    w0, w1, w3 = w[..., 0], w[..., 1], w[..., 3]
+    rho = np.zeros(e.shape + (4, 4))
+    # The average state, blocks {0, 3} and {1, 2}.
+    rho[..., 0, 0], rho[..., 3, 3] = k * w0, w3 / 3.0
+    rho[..., 1, 1], rho[..., 2, 2] = k * w1, w1 / 3.0
+    rho[..., 0, 3] = rho[..., 3, 0] = np.sqrt(w0 * w3) / 3.0
+    rho[..., 1, 2] = rho[..., 2, 1] = w1 / 3.0
+    # Block {i, j} for (i, j) = (0, 3), (1, 2): diagonal (rho_ii, rho_jj),
+    # coupling rho_ij.
+    s_avg = spectral_entropy(np.concatenate(symmetric_2x2_eigenvalues(
+        rho[..., [0, 1], [0, 1]], rho[..., [3, 2], [3, 2]],
+        rho[..., [0, 1], [3, 2]] ** 2), axis=-1))
+    # rho_q adds d times the entries that couple the two blocks.
+    r01 = np.sqrt(w0 * w1) * d
+    r13 = np.sqrt(w1 * w3) * d / 3.0
+    rho[..., 0, 1] = rho[..., 1, 0] = k * r01
+    rho[..., 0, 2] = rho[..., 2, 0] = r01 / 3.0
+    rho[..., 1, 3] = rho[..., 3, 1] = rho[..., 2, 3] = rho[..., 3, 2] = r13
+    chi = s_avg - von_neumann_entropy(rho)
+    # Without those entries rho_q is the average state, so chi is exactly 0.
+    return float_if_0d(np.where((r01 == 0.0) & (r13 == 0.0), 0.0, chi))
 
 
 def upper_bound_rate(e, q, mu4: Optional[float] = None):

@@ -200,8 +200,8 @@ def test_curves_invalid_point_exits_2_without_csv(tmp_path, capsys, argv, messag
 
 
 def test_failing_curves_leaves_existing_target_unchanged(tmp_path, capsys):
-    # The q = 1.025 row fails after earlier rows were written: the temp file
-    # holding them is removed and the old CSV stays as it was.
+    # The q = 1.025 row is invalid: the old CSV stays as it was and no temp
+    # file is left behind.
     out = tmp_path / "curves.csv"
     out.write_text("old\n", encoding="utf-8")
     assert main(["curves", "--kind", "upper", "--q-stop", "1.5", "--e-step", "0.1",
@@ -209,6 +209,58 @@ def test_failing_curves_leaves_existing_target_unchanged(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: q must lie in [0, 1]")
     assert _read(out) == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
+
+
+def test_csv_out_failure_removes_partial_temp_file(tmp_path):
+    out = tmp_path / "data.csv"
+    out.write_text("old\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        with cli._csv_out(str(out)) as stream:
+            stream.write("partial\n")
+            raise ValueError("failed mid-write")
+    assert _read(out) == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "lower", "--q-stop", "1.5", "--q-step", "0.5", "--e-step", "0.1"],
+    ["--kind", "upper", "--q-stop", "1.5", "--e-step", "0.1"],
+    ["--kind", "sb1", "--e-stop", "0.6"],
+    ["--kind", "lower", "--e-stop", "0.6"],
+    ["--kind", "upper", "--e-start=-0.1"],
+    ["--kind", "sifted", "--e-start=-0.1"],
+    ["--kind", "lower", "--mu4-override=-1"],
+    ["--kind", "upper", "--mu4-override", "nan", "--e-step", "0.1"],
+], ids=["lower-q-stop", "upper-q-stop", "sb1-e-stop", "lower-e-stop", "upper-e-start",
+        "sifted-e-start", "lower-mu4-negative", "upper-mu4-nan"])
+def test_curves_invalid_grid_to_stdout_writes_nothing(capsys, argv):
+    # The grid's corners are checked before the manifest, so stdout gets no
+    # manifest, header or rows ahead of the error.
+    assert main(["curves", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,fn", [("lower", secrate.lower_bound_rate),
+                                     ("upper", secrate.upper_bound_crossing)])
+@pytest.mark.parametrize("mu4", [None, 0.0])
+def test_curves_flat_blocks_straddle_rows_byte_identical(monkeypatch, capsys, kind, fn, mu4):
+    # 11 points per q-row, so 7-point blocks start mid-row and span rows.
+    argv = ["curves", "--kind", kind, "--e-start", "0.02", "--e-stop", "0.12",
+            "--e-step", "0.01", "--q-start", "0.1", "--q-step", "0.1"]
+    if mu4 is not None:
+        argv += ["--mu4-override", str(mu4)]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    expected = ["%.6g,%.6g,%.6g" % (e, q, float(fn(e, q, mu4)))
+                for q in (0.1 + np.arange(5) * 0.1).tolist()
+                for e in (0.02 + np.arange(11) * 0.01).tolist()]
+    data = [l for l in whole.splitlines() if not l.startswith("#")]
+    assert data == ["e,q,r", *expected]
 
 
 def test_csv_replaces_target_and_writes_non_regular_files_directly(tmp_path):

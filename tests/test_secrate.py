@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threepass.qmath import (
+    bell_weights,
     binary_entropy,
     eve_state,
     maximizing_mu4,
@@ -44,11 +45,12 @@ UPPER_AT_0P1_Q0P1 = 0.58927155192390268
 CROSSING_AT_0P1_Q0P1 = 0.050574356619537638
 # Bound thresholds (e, q*) at q* = _Q_MAX: the e values find_threshold
 # returns at BOUND_TOL, frozen bit for bit.  Each lies within 2e-9 of the
-# root of its rate.
+# root of its rate; near q = 1/2 the rate is O((1 - 2q)**2), so the last
+# digits of a root are rounding noise of the rate's arithmetic.
 LOWER_THRESHOLD = (0.12412024926202601, 0.4999)
-UPPER_THRESHOLD = (0.1201374790193074, 0.4999)
+UPPER_THRESHOLD = (0.12013747888227343, 0.4999)
 LOWER_THRESHOLD_MU4_0 = (0.1298174783786918, 0.4999)
-UPPER_THRESHOLD_MU4_0 = (0.11552932115082117, 0.4999)
+UPPER_THRESHOLD_MU4_0 = (0.11552932223839439, 0.4999)
 
 
 def test_key_rate_sb1_limit_at_zero():
@@ -166,8 +168,20 @@ def test_holevo_chi_vanishes_at_zero_error():
 
 
 def test_holevo_chi_vanishes_at_balanced_flip():
-    for e in (0.05, 0.15, 0.3):
-        assert holevo_chi(e, 0.5) == pytest.approx(0.0, abs=1e-12)
+    # rho_(1/2) is the average state: exactly 0, no rounding noise in the
+    # q = 1/2 rows of a curve.
+    for mu4 in (None, 0.0):
+        for e in (0.0, 1e-4, 0.03, 0.05, 0.1, 0.15, 0.3, 0.5):
+            assert holevo_chi(e, 0.5, mu4) == 0.0
+            assert upper_bound_crossing(e, 0.5, mu4) == 0.0
+
+
+def test_holevo_chi_exactly_zero_without_block_coupling():
+    # mu4 = e leaves w1 = 0, and e = 1/2 with mu4 = 0 leaves w0 = w3 = 0:
+    # either way rho_q has no entries coupling the blocks and is the average.
+    for q in (0.0, 0.1, 0.325, 0.4, 0.9):
+        assert holevo_chi(0.5, q, 0.0) == 0.0
+        assert holevo_chi(0.2, q, 0.2) == 0.0
 
 
 def test_holevo_chi_nonnegative():
@@ -340,6 +354,38 @@ def test_bound_rates_match_4x4_reference(e, q, mu4_frac):
     assert holevo_chi(e, q, mu4) == pytest.approx(_reference_chi(e, q, mu4), abs=1e-12)
 
 
+# Ancilla vectors for the outcome pairs (0,0), (1,1), (0,+), (1,-): the sign
+# pattern (0 drops a component) applied to sqrt(mu).
+_OUTCOME_SIGNS = np.array([[1.0, 1.0, 0.0, 0.0],
+                           [1.0, -1.0, 0.0, 0.0],
+                           [1.0, 1.0, 1.0, 1.0],
+                           [-1.0, 1.0, 1.0, -1.0]])
+
+
+def _batched_reference_chi(e, q, mu4):
+    """Holevo quantity from normalised ancilla vectors: the average state and
+    rho_q built by einsum and solved by one stacked eigvalsh."""
+    e, q = np.broadcast_arrays(np.asarray(e, dtype=float), np.asarray(q, dtype=float))
+    weights = bell_weights(e, maximizing_mu4(e) if mu4 is None else mu4)
+    vectors = _OUTCOME_SIGNS * np.sqrt(weights)[..., None, :]
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    p = 1.0 - q
+    mix = np.stack([np.broadcast_to([1 / 3, 1 / 3, 1 / 6, 1 / 6], weights.shape),
+                    np.stack([2.0 * p, 2.0 * q, p, q], axis=-1) / 3.0], axis=-2)
+    states = np.einsum("...sk,...ki,...kj->...sij", mix, vectors, vectors)
+    entropies = von_neumann_entropy(states)
+    return entropies[..., 0] - entropies[..., 1]
+
+
+@pytest.mark.parametrize("mu4_of_e", [lambda e: 0.0, lambda e: e * e, lambda e: e],
+                         ids=["mu4=0", "mu4=e^2", "mu4=e"])
+def test_holevo_chi_matches_batched_reference(mu4_of_e):
+    e = np.array([0.0, 1e-4, 0.03, 0.1, 0.3, 0.5])[:, None]
+    q = np.array([0.0, 0.1, 0.4999, 0.5, 0.9, 1.0])[None, :]
+    mu4 = mu4_of_e(e)
+    assert np.max(np.abs(holevo_chi(e, q, mu4) - _batched_reference_chi(e, q, mu4))) <= 1e-13
+
+
 @pytest.mark.parametrize("fn", [lower_bound_rate, holevo_chi, upper_bound_rate,
                                 upper_bound_crossing])
 @pytest.mark.parametrize("mu4", [None, 0.0])
@@ -427,6 +473,18 @@ def test_bound_thresholds_frozen_bit_for_bit():
     assert upper_bound_threshold() == UPPER_THRESHOLD
     assert lower_bound_threshold(mu4=0.0) == LOWER_THRESHOLD_MU4_0
     assert upper_bound_threshold(mu4=0.0) == UPPER_THRESHOLD_MU4_0
+
+
+@pytest.mark.parametrize("rate,mu4,frozen", [
+    (lower_bound_rate, None, LOWER_THRESHOLD),
+    (upper_bound_crossing, None, UPPER_THRESHOLD),
+    (lower_bound_rate, 0.0, LOWER_THRESHOLD_MU4_0),
+    (upper_bound_crossing, 0.0, UPPER_THRESHOLD_MU4_0),
+], ids=["lower", "upper", "lower_mu4_0", "upper_mu4_0"])
+def test_frozen_bound_roots_lie_within_bound_tol(rate, mu4, frozen):
+    e, q = frozen
+    root = find_threshold(lambda x: rate(x, q, mu4), 1e-4, 0.45, 1e-12)
+    assert abs(e - root) <= BOUND_TOL
 
 
 @pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
