@@ -60,6 +60,9 @@ _NUMBER = "%.6g"
 #: Most CSV rows one sweep may write; a larger grid is refused before it is built.
 MAX_GRID_POINTS = 10**7
 
+#: The q axis of a ``curves --kind lower|upper`` surface when not given.
+_Q_AXIS_DEFAULTS = {"q_start": 0.0, "q_stop": 0.5, "q_step": 0.025}
+
 #: (key, rate callable, bracket) for the four closed-form thresholds.
 _THRESHOLD_SPECS = [
     ("sb1", "return pass (no announcement)",
@@ -200,13 +203,21 @@ def _axis_points(start: float, stop: float, step: float) -> int:
     return _grid_points((stop - start) / step + 1e-9)
 
 
-def _grid_blocks(start: float, step: float, n: int) -> Iterator[np.ndarray]:
-    """The points start + i*step, i < n, in arrays of at most :data:`_BLOCK`."""
+def _blocks(n: int) -> Iterator[np.ndarray]:
+    """The indices 0, 1, ..., n - 1 in arrays of at most :data:`_BLOCK`."""
     for first in range(0, n, _BLOCK):
-        yield start + np.arange(first, min(first + _BLOCK, n)) * step
+        yield np.arange(first, min(first + _BLOCK, n))
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
+    if args.kind in ("sb1", "sifted"):
+        unused = [key for key in (*_Q_AXIS_DEFAULTS, "mu4_override")
+                  if getattr(args, key) is not None]
+    else:
+        unused = ["announce"] if args.announce else []
+    if unused:
+        option = "--" + unused[0].replace("_", "-")
+        raise ValueError(f"{option} does not apply to --kind {args.kind}")
     n_e = _axis_points(args.e_start, args.e_stop, args.e_step)
     params = {
         "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
@@ -226,9 +237,12 @@ def cmd_curves(args: argparse.Namespace) -> int:
             e = e_at(i)
             return e, fn(e, args.announce)
     else:
-        n_q = _axis_points(args.q_start, args.q_stop, args.q_step)
+        q_start, q_stop, q_step = (default if getattr(args, key) is None
+                                   else getattr(args, key)
+                                   for key, default in _Q_AXIS_DEFAULTS.items())
+        n_q = _axis_points(q_start, q_stop, q_step)
         _grid_points(n_e * n_q - 1)  # the whole surface
-        params.update(q_start=args.q_start, q_stop=args.q_stop, q_step=args.q_step,
+        params.update(q_start=q_start, q_stop=q_stop, q_step=q_step,
                       mu4_override="default (e^2)" if args.mu4_override is None
                       else args.mu4_override)
         if args.kind == "upper":
@@ -243,11 +257,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
         row_format = f"{_NUMBER},{_NUMBER},{_NUMBER}\n"
 
         def columns(i: np.ndarray) -> tuple:
-            e, q = e_at(i), args.q_start + (i // n_e) * args.q_step
+            e, q = e_at(i), q_start + (i // n_e) * q_step
             return e, q, fn(e, q, args.mu4_override)
 
     n = n_e * n_q
-    blocks = lambda: (np.arange(first, min(first + _BLOCK, n)) for first in range(0, n, _BLOCK))
     # The grid is arithmetic, so its corners bound every point: a rate that
     # accepts them accepts the whole grid, and an invalid grid fails here,
     # before any output.
@@ -255,7 +268,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         columns(np.array([0, n_e - 1, n - n_e, n - 1]))
     except ValueError:
         # Name the first invalid point in row order, as the sweep would.
-        for i in blocks():
+        for i in _blocks(n):
             columns(i)
         raise
     # Rows are evaluated one block at a time as they are written, so memory
@@ -263,7 +276,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     with _csv_out(args.out) as out:
         write_manifest(out, "curves", params)
         out.write(header + "\n")
-        for i in blocks():
+        for i in _blocks(n):
             _write_rows(out, row_format, *columns(i))
     return 0
 
@@ -319,7 +332,8 @@ def cmd_pns(args: argparse.Namespace) -> int:
                 "chi": args.chi, "max_km": args.max_km, "step_km": args.step_km,
             })
             out.write("l_km,i_eve\n")
-            for lengths in _grid_blocks(0.0, args.step_km, n):
+            for i in _blocks(n):
+                lengths = i * args.step_km
                 _write_rows(out, f"{_NUMBER},{_NUMBER}\n", lengths, info(lengths))
 
     print(f"attack:            {args.attack}")
@@ -390,14 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="key-rate curves as CSV")
     p.add_argument("--kind", required=True, choices=["sb1", "sifted", "lower", "upper"])
     p.add_argument("--announce", action="store_true",
-                   help="announce Y (sb1) or X (sifted)")
+                   help="announce Y (sb1) or X (sifted); sb1 and sifted only")
     p.add_argument("--e-start", type=float, default=0.0)
     p.add_argument("--e-stop", type=float, default=0.3)
     p.add_argument("--e-step", type=float, default=0.005)
-    p.add_argument("--q-start", type=float, default=0.0)
-    p.add_argument("--q-stop", type=float, default=0.5)
-    p.add_argument("--q-step", type=float, default=0.025)
-    p.add_argument("--mu4-override", type=float, default=None)
+    for key, default in _Q_AXIS_DEFAULTS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=float, default=None,
+                       help=f"lower and upper only (default: {default})")
+    p.add_argument("--mu4-override", type=float, default=None,
+                   help="fix mu4 instead of the default e^2; lower and upper only")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_curves)
 
@@ -409,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: THREEPASS_SEED, else 0)")
     p.add_argument("--workers", type=int, default=1,
-                   help="number of RNG streams the rounds are split over; the "
-                        "report depends on it, the thread count does not")
+                   help="number of RNG streams (not threads) the rounds are "
+                        "split over; the report depends on it")
     p.add_argument("--sb1-tolerance", type=float, default=DEFAULT_SB1_TOLERANCE)
     p.add_argument("--histogram", default=None,
                    help="write the noiseless-branch histogram CSV here")

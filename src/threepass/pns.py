@@ -134,6 +134,8 @@ def _per_detection(numerator: float, link: FiberLink, source: WcpSource) -> floa
     underflows to 0) leaves the attacker knowing everything: IEEE division
     then gives inf.
     """
+    if numerator == 0.0:  # a tiny mu: 0 at every length, where mu*eta may underflow too
+        return float_if_0d(np.zeros(np.shape(link.length)))
     with np.errstate(over="ignore", divide="ignore"):
         detected = poisson_tail(1, source.mu * transmittance(link))
         return float_if_0d(np.divide(numerator, detected))

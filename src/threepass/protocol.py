@@ -26,12 +26,12 @@ Monte-Carlo rounds are independent.  :func:`run_simulation` partitions
 rounds over ``workers`` deterministic RNG streams (spawned from the seed) and
 cuts each stream into chunks of :data:`CHUNK` rounds with their own spawned
 streams, so reports are bit-for-bit reproducible for a fixed (seed, workers)
-pair.  ``workers`` counts RNG streams, not threads: the chunks run on one
-thread per CPU the process may use, and memory stays O(threads x CHUNK)
-however many rounds are asked for.  A chunk only histograms each round's
-(s_a, y, r1, r2) code; sift fraction, QBER and the orthogonal fraction follow
-from per-code tables built by the scalar :func:`sift_p1`/:func:`sift_p2`, so
-the sifting rules live in one place.
+pair.  ``workers`` counts RNG streams, not threads: the chunks run in turn on
+the calling thread, and memory stays O(CHUNK) however many rounds are asked
+for.  A chunk only histograms each round's (s_a, y, r1, r2) code; sift
+fraction, QBER and the orthogonal fraction follow from per-code tables built
+by the scalar :func:`sift_p1`/:func:`sift_p2`, so the sifting rules live in
+one place.
 
 The simulator is bit-sliced after Biham, "A fast new DES implementation in
 software" (FSE 1997): every per-round quantity is a uint64 array carrying 64
@@ -39,8 +39,8 @@ rounds a word, its random bits taken straight from the bit generator, and a
 measurement is one word-wide select.  The channel flips a round with
 probability e exactly by comparing a uniform with the binary digits of e,
 and drawing nothing at e = 0.  A chunk counts the 64 reachable round
-patterns with an AND tree and popcounts, so a thread holds about 2.5 MB at
-2^20 rounds a chunk.  The exact branch enumeration in ``tests/enum_oracle.py``
+patterns with an AND tree and popcounts, so a chunk holds about 2.5 MB at
+2^20 rounds.  The exact branch enumeration in ``tests/enum_oracle.py``
 is the independent reference that the kernel and the tables are tested
 against.
 """
@@ -48,8 +48,6 @@ against.
 from __future__ import annotations
 
 import enum
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -252,7 +250,7 @@ class SimulationReport:
 
 
 #: Rounds per chunk: each chunk draws its own RNG stream and holds bit arrays
-#: of CHUNK / 64 words only, so peak memory is O(threads x CHUNK).
+#: of CHUNK / 64 words only, so peak memory is O(CHUNK), about 2.5 MB.
 CHUNK = 2**20
 
 
@@ -419,35 +417,15 @@ def _chunks(n_rounds: int, workers: int, seed: int
     ``SeedSequence(seed).spawn(workers)[i]``; only the first
     ``min(workers, n_rounds)`` streams hold rounds, and only those are built.
     Chunk 0 of a stream draws from the stream itself; chunk j >= 1 draws from
-    the stream's (j-1)-th child, equal to ``stream.spawn(j)[j - 1]`` but built
-    one at a time so that no list of all chunks is held.
+    the stream's (j-1)-th child, spawned one at a time so that no list of all
+    chunks is held.
     """
     base, extra = divmod(n_rounds, workers)
     for i in range(min(workers, n_rounds)):
         size = base + (i < extra)
         stream = np.random.SeedSequence(seed, spawn_key=(i,))
-        for j, start in enumerate(range(0, size, CHUNK)):
-            if j > 0:
-                stream_j = np.random.SeedSequence(
-                    stream.entropy, spawn_key=stream.spawn_key + (j - 1,),
-                    pool_size=stream.pool_size)
-            else:
-                stream_j = stream
-            yield min(CHUNK, size - start), stream_j
-
-
-def _chunk_count(n_rounds: int, workers: int) -> int:
-    """How many chunks :func:`_chunks` yields, without building a stream."""
-    base, extra = divmod(n_rounds, workers)
-    return extra * -(-(base + 1) // CHUNK) + (workers - extra) * -(-base // CHUNK)
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+        for start in range(0, size, CHUNK):
+            yield min(CHUNK, size - start), stream.spawn(1)[0] if start else stream
 
 
 def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationReport:
@@ -455,45 +433,20 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationRepo
 
     Rounds are partitioned across ``workers`` independent RNG streams spawned
     deterministically from the seed, and each stream is cut into chunks of
-    :data:`CHUNK` rounds.  The chunks run on one thread per CPU the process
-    may use (at most one per chunk) through the bit-sliced kernel, 64 rounds
-    a machine word, and each thread holds O(CHUNK) bits: about 2.5 MB at
-    2^20 rounds.  The aggregate is order-independent, so the report depends
-    only on (config, workers).
+    :data:`CHUNK` rounds.  The chunks run in turn on the calling thread
+    through the bit-sliced kernel, 64 rounds a machine word, so memory stays
+    O(CHUNK): about 2.5 MB at 2^20 rounds.  The report depends only on
+    (config, workers).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     kept_table, err_table, orth_table = _sift_tables()
     code_counts = np.zeros(256, dtype=np.int64)
-    chunks = _chunks(config.n_rounds, workers, config.rng_seed)
-    lock = threading.Lock()
+    for n, stream in _chunks(config.n_rounds, workers, config.rng_seed):
+        code_counts += _simulate_chunk(config, n, np.random.default_rng(stream))
 
-    def drain() -> None:
-        while True:
-            with lock:
-                task = next(chunks, None)
-            if task is None:
-                return
-            counts = _simulate_chunk(config, task[0], np.random.default_rng(task[1]))
-            with lock:
-                np.add(code_counts, counts, out=code_counts)
-
-    threads = min(_cpu_count(), _chunk_count(config.n_rounds, workers))
-    if threads == 1:
-        drain()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads) as pool:
-            for future in [pool.submit(drain) for _ in range(threads)]:
-                future.result()
-
-    branch_counts = []
-    for s, y, r1, r2, _ in TABLE1_BRANCHES:
-        code = ((int(s) * 4 + int(y)) * 4 + int(r1)) * 4 + int(r2)
-        branch_counts.append(int(code_counts[code]))
-    other = config.n_rounds - sum(branch_counts)
-
+    branch_counts = tuple(int(code_counts[((s * 4 + y) * 4 + r1) * 4 + r2])
+                          for s, y, r1, r2, _ in TABLE1_BRANCHES)
     kept = int(kept_table[config.protocol] @ code_counts)
     errors = int(err_table[config.protocol] @ code_counts)
     orth_fraction = int(orth_table @ code_counts) / config.n_rounds
@@ -509,8 +462,8 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationRepo
         sifted_qber=errors / kept if kept else 0.0,
         sb1_orthogonal_fraction=orth_fraction,
         sb1_check_passed=abs(orth_fraction - 0.25) <= config.sb1_tolerance,
-        branch_counts=tuple(branch_counts),
-        other_count=other,
+        branch_counts=branch_counts,
+        other_count=config.n_rounds - sum(branch_counts),
         sifted_count=kept,
         error_count=errors,
     )

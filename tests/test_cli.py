@@ -242,6 +242,23 @@ def test_curves_invalid_grid_to_stdout_writes_nothing(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["--kind", "sb1", "--q-stop", "1.5", "--mu4-override", "nan", "--e-step", "0.1"],
+     "--q-stop"),
+    (["--kind", "sifted", "--q-step", "0"], "--q-step"),
+    (["--kind", "sifted", "--announce", "--q-start", "0.1"], "--q-start"),
+    (["--kind", "sb1", "--mu4-override", "0"], "--mu4-override"),
+    (["--kind", "lower", "--announce"], "--announce"),
+    (["--kind", "upper", "--announce", "--q-step", "0.1"], "--announce"),
+])
+def test_curves_option_of_another_kind_exits_2(capsys, argv, option):
+    # An option the kind does not read is refused, not silently ignored.
+    assert main(["curves", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} does not apply to --kind {argv[1]}\n"
+
+
 @pytest.mark.parametrize("kind,fn", [("lower", secrate.lower_bound_rate),
                                      ("upper", secrate.upper_bound_crossing)])
 @pytest.mark.parametrize("mu4", [None, 0.0])
@@ -415,7 +432,15 @@ def test_pns_irud_reports_reference_and_deviation(capsys):
 
 
 def test_pns_no_crossing_exits_2(capsys):
-    assert main(["pns", "--attack", "pns", "--alpha", "0", "--mu", "0.1"]) == 2
+    for argv in (
+        ["pns", "--attack", "pns", "--alpha", "0", "--mu", "0.1"],
+        # The numerator and mu*eta both underflow: information 0, not 0/0.
+        ["pns", "--attack", "pns", "--mu", "1e-320"],
+        ["pns", "--attack", "irud", "--mu", "1e-300", "--max-km", "2000"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: no crossing ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv", [
