@@ -63,6 +63,9 @@ MAX_GRID_POINTS = 10**7
 #: The q axis of a ``curves --kind lower|upper`` surface when not given.
 _Q_AXIS_DEFAULTS = {"q_start": 0.0, "q_stop": 0.5, "q_step": 0.025}
 
+#: How the bound rates read --mu4-override (:func:`secrate._bound_inputs`).
+_MU4_RULE = "min(mu4_override, e) at each point"
+
 #: (key, rate callable, bracket) for the four closed-form thresholds.
 _THRESHOLD_SPECS = [
     ("sb1", "return pass (no announcement)",
@@ -92,6 +95,12 @@ def _default_seed() -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"THREEPASS_SEED must be an integer, got {value!r}") from None
+
+
+def _mu4_params(mu4: float | None) -> dict:
+    """Manifest entries of --mu4-override: its value and, when given, its rule."""
+    return ({"mu4_override": "default (e^2)"} if mu4 is None
+            else {"mu4_override": mu4, "mu4_rule": _MU4_RULE})
 
 
 def _fmt(x: float) -> str:
@@ -128,13 +137,13 @@ def _csv_out(path: str | None) -> Iterator[IO[str]]:
     A path is written as ``<path>.<pid>.tmp`` in the same directory and
     renamed over ``path`` only when the block finishes, so a failing command
     leaves an existing file unchanged and no partial CSV; the temp file is
-    removed on any exception.  A target that exists and is not a regular
-    file (e.g. /dev/null) cannot be renamed over and is written directly.
+    removed on any exception.  A symlink, which the rename would replace,
+    and a target that is not a regular file (e.g. /dev/null) are written directly.
     """
     if path is None or path == "-":
         yield sys.stdout
         return
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8", newline="\n") as out:
             yield out
         return
@@ -167,8 +176,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
                  upper_e, secrate.REFERENCE_THRESHOLDS["upper_bound"], 2e-3))
 
     with _csv_out(args.out) as out:
-        params = {"tol": tol, "bound_tol": secrate.BOUND_TOL,
-                  "mu4_override": "default (e^2)" if mu4 is None else mu4}
+        params = {"tol": tol, "bound_tol": secrate.BOUND_TOL, **_mu4_params(mu4)}
         write_manifest(out, "thresholds", params)
         out.write("key,description,computed,reference,deviation,within_tolerance\n")
         failures = []
@@ -243,8 +251,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         n_q = _axis_points(q_start, q_stop, q_step)
         _grid_points(n_e * n_q - 1)  # the whole surface
         params.update(q_start=q_start, q_stop=q_stop, q_step=q_step,
-                      mu4_override="default (e^2)" if args.mu4_override is None
-                      else args.mu4_override)
+                      **_mu4_params(args.mu4_override))
         if args.kind == "upper":
             # The r column is the information margin (mutual information
             # minus Holevo ceiling); its sign boundary locates the
@@ -294,13 +301,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # The histogram target is opened first, so a bad path fails before any
     # round is drawn.
     with _csv_out(args.histogram) if args.histogram else nullcontext() as out:
-        report = run_simulation(config, workers=args.workers)
+        report = run_simulation(config)
         print(report.to_text())
         if out is not None:
             write_manifest(out, "simulate", {
                 "protocol": args.protocol, "rounds": args.rounds, "qber": args.qber,
-                "eve": args.eve, "workers": args.workers,
-                "sb1_tolerance": args.sb1_tolerance,
+                "eve": args.eve, "sb1_tolerance": args.sb1_tolerance,
             }, seed=seed)
             out.write("alice_state,bob_result,sb1_result,sb2_result,"
                       "expected_probability,expected_count,observed_count\n")
@@ -395,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="root-finder tolerance of the four closed-form thresholds; "
                         f"the two bounds always use {secrate.BOUND_TOL:g}")
     p.add_argument("--mu4-override", type=float, default=None,
-                   help="fix mu4 instead of the default e^2 in the bound rates")
+                   help=f"fix mu4 instead of the default e^2, as {_MU4_RULE}"),
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless every value matches its reference")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
@@ -412,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + key.replace("_", "-"), type=float, default=None,
                        help=f"lower and upper only (default: {default})")
     p.add_argument("--mu4-override", type=float, default=None,
-                   help="fix mu4 instead of the default e^2; lower and upper only")
+                   help=f"fix mu4 instead of the default e^2, as {_MU4_RULE}; "
+                        "lower and upper only")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_curves)
 
@@ -423,9 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eve", choices=["none", "intercept-resend"], default="none")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: THREEPASS_SEED, else 0)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="number of RNG streams (not threads) the rounds are "
-                        "split over; the report depends on it")
     p.add_argument("--sb1-tolerance", type=float, default=DEFAULT_SB1_TOLERANCE)
     p.add_argument("--histogram", default=None,
                    help="write the noiseless-branch histogram CSV here")

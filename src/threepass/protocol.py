@@ -22,16 +22,14 @@ probability ``e`` per transmission, the simplest operational model with a
 symmetric QBER in both bases.  The intercept-resend eavesdropper measures
 every transit qubit in a uniformly random basis and forwards her outcome.
 
-Monte-Carlo rounds are independent.  :func:`run_simulation` partitions
-rounds over ``workers`` deterministic RNG streams (spawned from the seed) and
-cuts each stream into chunks of :data:`CHUNK` rounds with their own spawned
-streams, so reports are bit-for-bit reproducible for a fixed (seed, workers)
-pair.  ``workers`` counts RNG streams, not threads: the chunks run in turn on
-the calling thread, and memory stays O(CHUNK) however many rounds are asked
-for.  A chunk only histograms each round's (s_a, y, r1, r2) code; sift
-fraction, QBER and the orthogonal fraction follow from per-code tables built
-by the scalar :func:`sift_p1`/:func:`sift_p2`, so the sifting rules live in
-one place.
+Monte-Carlo rounds are independent.  :func:`run_simulation` draws them from
+one RNG stream spawned from the seed, cut into chunks of :data:`CHUNK` rounds
+with their own spawned streams, so a report is bit-for-bit reproducible from
+its seed.  The chunks run in turn on the calling thread, and memory stays
+O(CHUNK) however many rounds are asked for.  A chunk only histograms each
+round's (s_a, y, r1, r2) code; sift fraction, QBER and the orthogonal
+fraction follow from per-code tables built by the scalar
+:func:`sift_p1`/:func:`sift_p2`, so the sifting rules live in one place.
 
 The simulator is bit-sliced after Biham, "A fast new DES implementation in
 software" (FSE 1997): every per-round quantity is a uint64 array carrying 64
@@ -132,6 +130,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
         in_range("QBER must lie", self.channel_qber, 0.0, 0.5)
         if not self.sb1_tolerance >= 0.0:
             raise ValueError(f"sb1 tolerance must be >= 0, got {self.sb1_tolerance}")
@@ -215,7 +215,6 @@ class SimulationReport:
     channel_qber: float
     eve: Eavesdropper
     rng_seed: int
-    workers: int
     sb1_tolerance: float
     sift_fraction: float
     sifted_qber: float
@@ -238,7 +237,7 @@ class SimulationReport:
             f"rounds:                  {self.n_rounds}",
             f"channel qber:            {self.channel_qber:.6g}",
             f"eavesdropper:            {self.eve.value}",
-            f"seed/workers:            {self.rng_seed}/{self.workers}",
+            f"seed:                    {self.rng_seed}",
             f"sift fraction:           {self.sift_fraction:.6g}",
             f"sifted qber:             {self.sifted_qber:.6g}",
             f"sb1 orthogonal fraction: {self.sb1_orthogonal_fraction:.6g}",
@@ -249,8 +248,8 @@ class SimulationReport:
         return "\n".join(lines)
 
 
-#: Rounds per chunk: each chunk draws its own RNG stream and holds bit arrays
-#: of CHUNK / 64 words only, so peak memory is O(CHUNK), about 2.5 MB.
+#: Rounds per chunk: each chunk draws from its own spawned stream and holds
+#: bit arrays of CHUNK / 64 words only, so peak memory is O(CHUNK), about 2.5 MB.
 CHUNK = 2**20
 
 
@@ -408,41 +407,26 @@ def _simulate_chunk(config: SimulationConfig, n: int, rng: np.random.Generator) 
     return code_counts
 
 
-def _chunks(n_rounds: int, workers: int, seed: int
-            ) -> Iterator[tuple[int, np.random.SeedSequence]]:
-    """Yield (rounds, seed sequence) for every chunk of ``n_rounds`` split
-    over ``workers`` streams, the first ``n_rounds % workers`` one round longer.
-
-    Stream i is ``SeedSequence(seed, spawn_key=(i,))``, equal to
-    ``SeedSequence(seed).spawn(workers)[i]``; only the first
-    ``min(workers, n_rounds)`` streams hold rounds, and only those are built.
-    Chunk 0 of a stream draws from the stream itself; chunk j >= 1 draws from
-    the stream's (j-1)-th child, spawned one at a time so that no list of all
-    chunks is held.
-    """
-    base, extra = divmod(n_rounds, workers)
-    for i in range(min(workers, n_rounds)):
-        size = base + (i < extra)
-        stream = np.random.SeedSequence(seed, spawn_key=(i,))
-        for start in range(0, size, CHUNK):
-            yield min(CHUNK, size - start), stream.spawn(1)[0] if start else stream
+def _chunks(n_rounds: int, seed: int) -> Iterator[tuple[int, np.random.SeedSequence]]:
+    """Yield (rounds, seed sequence) per chunk of ``n_rounds``: chunk 0 draws
+    from the stream ``SeedSequence(seed, spawn_key=(0,))``, chunk j >= 1 from
+    its (j-1)-th child, spawned one at a time so that no list of them is held."""
+    # spawn_key=(0,), not the bare seed: the stream each seed's reports have used.
+    stream = np.random.SeedSequence(seed, spawn_key=(0,))
+    for start in range(0, n_rounds, CHUNK):
+        yield min(CHUNK, n_rounds - start), stream.spawn(1)[0] if start else stream
 
 
-def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationReport:
+def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run ``config.n_rounds`` rounds and aggregate sift/QBER statistics.
 
-    Rounds are partitioned across ``workers`` independent RNG streams spawned
-    deterministically from the seed, and each stream is cut into chunks of
-    :data:`CHUNK` rounds.  The chunks run in turn on the calling thread
-    through the bit-sliced kernel, 64 rounds a machine word, so memory stays
-    O(CHUNK): about 2.5 MB at 2^20 rounds.  The report depends only on
-    (config, workers).
+    The chunks of :func:`_chunks` run in turn through the bit-sliced kernel,
+    64 rounds a machine word, so memory stays O(CHUNK): about 2.5 MB at 2^20
+    rounds.  The report depends only on ``config``.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     kept_table, err_table, orth_table = _sift_tables()
     code_counts = np.zeros(256, dtype=np.int64)
-    for n, stream in _chunks(config.n_rounds, workers, config.rng_seed):
+    for n, stream in _chunks(config.n_rounds, config.rng_seed):
         code_counts += _simulate_chunk(config, n, np.random.default_rng(stream))
 
     branch_counts = tuple(int(code_counts[((s * 4 + y) * 4 + r1) * 4 + r2])
@@ -456,7 +440,6 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationRepo
         channel_qber=config.channel_qber,
         eve=config.eve,
         rng_seed=config.rng_seed,
-        workers=workers,
         sb1_tolerance=config.sb1_tolerance,
         sift_fraction=kept / config.n_rounds,
         sifted_qber=errors / kept if kept else 0.0,

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -177,9 +178,10 @@ def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
 
 def _bound_inputs(e, q, mu4: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (e, q) broadcast to one shape, and the Bell weights (..., 4)
-    of (e, mu4) with mu4 defaulting to the maximizer e**2."""
+    of (e, mu4) with mu4 defaulting to the maximizer e**2; a given mu4 is read
+    as min(mu4, e) at each point, and a negative or NaN one is refused."""
     e, q = np.broadcast_arrays(np.asarray(e, dtype=float), in_range("q must lie", q, 0.0, 1.0))
-    return e, q, bell_weights(e, maximizing_mu4(e) if mu4 is None else mu4)
+    return e, q, bell_weights(e, maximizing_mu4(e) if mu4 is None else np.minimum(mu4, e))
 
 
 def _mutual_information(e, q):
@@ -342,5 +344,9 @@ EFFICIENCY_PRESETS = {
 
 
 def cabello_efficiency(inputs: EfficiencyInputs) -> float:
-    """Secret bits per transmitted qubit plus classical bit: b_s/(q_t + b_t)."""
-    return inputs.b_s / (inputs.q_t + inputs.b_t)
+    """Secret bits per transmitted qubit plus classical bit: b_s/(q_t + b_t),
+    rounded once from the exact ratio; ValueError if it overflows a float."""
+    eta = Fraction(inputs.b_s) / (Fraction(inputs.q_t) + Fraction(inputs.b_t))
+    if eta > np.finfo(float).max:
+        raise ValueError(f"efficiency b_s/(q_t + b_t) overflows a float: {inputs}")
+    return float(eta)

@@ -276,21 +276,21 @@ def test_c10_determinism(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     config = tp.SimulationConfig(protocol=tp.ProtocolId.P1, n_rounds=100_000,
                                  channel_qber=0.02, rng_seed=SEED)
-    rep_a = tp.run_simulation(config, workers=4)
-    rep_b = tp.run_simulation(config, workers=4)
+    rep_a = tp.run_simulation(config)
+    rep_b = tp.run_simulation(config)
     ok = rep_a == rep_b and rep_a.to_text() == rep_b.to_text()
 
     files = []
     for name in ("a.csv", "b.csv"):
         hist = tmp_path / name
         code = cli_main(["simulate", "--protocol", "p2", "--rounds", "50000",
-                         "--qber", "0.01", "--seed", str(SEED), "--workers", "2",
+                         "--qber", "0.01", "--seed", str(SEED),
                          "--histogram", str(hist)])
         files.append(capsys.readouterr().out + hist.read_text(encoding="utf-8"))
         ok = ok and code == 0
     ok = ok and files[0] == files[1]
     with capsys.disabled():
-        _check("10", "same seed and workers give byte-identical outputs", ok)
+        _check("10", "same seed gives byte-identical outputs", ok)
 
 
 if __name__ == "__main__":

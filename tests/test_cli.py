@@ -1,6 +1,7 @@
 import io
 import os
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -89,7 +90,22 @@ def test_thresholds_mu4_override_flagged(tmp_path):
     assert main(["thresholds", "--mu4-override", "0.0", "--out", str(out)]) == 0
     text = _read(out)
     assert "# mu4_override: 0.0" in text
+    assert "# mu4_rule: min(mu4_override, e) at each point" in text
     assert "non-default mu4" in text
+
+
+def test_mu4_override_above_e_is_read_as_e(capsys):
+    # The bound roots are searched from e = 1e-4 and the surface starts at
+    # e = 0: a positive mu4 exceeds e there.
+    assert main(["thresholds", "--mu4-override", "0.01"]) == 0
+    rows = {line.split(",")[0]: line.split(",")[2]
+            for line in capsys.readouterr().out.splitlines() if not line.startswith("#")}
+    assert (rows["lower_bound"], rows["upper_bound"]) == ("0.124503", "0.118457")
+    assert main(["curves", "--kind", "lower", "--mu4-override", "0.001", "--e-step", "0.1"]) == 0
+    out = capsys.readouterr().out
+    assert "# mu4_rule: min(mu4_override, e) at each point\n" in out
+    expected = "%.6g" % secrate.lower_bound_rate(0.1, 0.0, 0.001)
+    assert f"\n0.1,0,{expected}\n" in out
 
 
 def test_curves_sifted_crosses_near_published_threshold(tmp_path):
@@ -187,7 +203,7 @@ def test_curves_infinite_step_exits_2_without_csv(tmp_path, capsys, argv, bad):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--kind", "lower", "--mu4-override", "0.05"], "error: mu4 must lie in [0, e=0.0], got 0.05"),
+    (["--kind", "lower", "--mu4-override=-0.05"], "error: mu4 must lie in [0, e=0.0], got -0.05"),
     (["--kind", "sb1", "--e-stop", "0.6"], "error: QBER must lie in [0, 0.5], got 0.505"),
     (["--kind", "upper", "--q-stop", "1.5", "--e-step", "0.1"],
      "error: q must lie in [0, 1], got 1.0250000000000001"),
@@ -290,6 +306,16 @@ def test_csv_replaces_target_and_writes_non_regular_files_directly(tmp_path):
     assert main(args + ["--out", os.devnull]) == 0
 
 
+def test_csv_writes_through_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n", encoding="utf-8")
+    link.symlink_to(target)
+    assert main(["thresholds", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert _read(target).startswith("# command: thresholds\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
 def test_curves_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["curves", "--kind", "sifted", "--e-start", "0", "--e-stop", "0.1",
@@ -341,7 +367,7 @@ def test_simulate_report_and_histogram(tmp_path, capsys):
 def test_simulate_byte_identical_reports(capsys):
     args = ["simulate", "--protocol", "p2", "--rounds", "20000",
             "--qber", "0.03", "--eve", "intercept-resend",
-            "--seed", "11", "--workers", "3"]
+            "--seed", "11"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
@@ -360,7 +386,7 @@ def test_simulate_seed_env_default(monkeypatch, capsys):
     # the default seed comes from the environment when not given
     monkeypatch.setenv("THREEPASS_SEED", "123")
     assert main(["simulate", "--protocol", "p1", "--rounds", "1000"]) == 0
-    assert "seed/workers:            123/1" in capsys.readouterr().out
+    assert "seed:                    123\n" in capsys.readouterr().out
 
 
 def test_bad_seed_env_fails_only_simulate_without_seed(monkeypatch, capsys):
@@ -538,6 +564,14 @@ def test_efficiency_custom(capsys):
     assert main(["efficiency", "--bs", "1", "--qt", "1", "--bt", "1"]) == 0
     assert "eta = 0.5" in capsys.readouterr().out
     assert main(["efficiency", "--bs", "1", "--qt", "1"]) == 2
+    # q_t + b_t overflows a float, the ratio does not.
+    assert main(["efficiency", "--bs", "1e308", "--qt", "1e308", "--bt", "1e308"]) == 0
+    assert "eta = 0.5" in capsys.readouterr().out
+    # The ratio overflows a float: refused, not printed as inf.
+    assert main(["efficiency", "--bs", "1e308", "--qt", "1e-10", "--bt", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: efficiency b_s/(q_t + b_t) overflows a float")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,3 +584,84 @@ def test_efficiency_non_finite_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: efficiency inputs need 0 < q_t < inf")
     assert captured.out == ""
+
+
+# --- argv fuzzing ---------------------------------------------------------
+
+#: Values drawn for every numeric option besides its valid ones.
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e-320", "1e308"]
+
+# Caps on the options that set a run's time; every other value is drawn
+# freely.  With them, an accepted curves grid holds at most 31 x 31 points,
+# and a pns --out scan at most 11 rows (edge values give at most 2, or are
+# refused before a point is built).
+_MAX_ROUNDS = 2000      # simulate --rounds
+_MIN_GRID_STEP = 0.05   # curves --e-step and --q-step
+_MIN_STEP_KM = 50.0     # pns --step-km
+_MAX_KM = 500.0         # pns --max-km
+
+
+def _number(lo, hi):
+    """A valid value in [lo, hi] three times in four, else an edge value."""
+    return st.integers(0, 3).flatmap(
+        lambda k: st.sampled_from(_EDGE_VALUES) if k == 0 else st.floats(lo, hi).map(repr))
+
+
+_FLAG = st.just(None)  # a flag takes no value
+#: Options that argparse requires; the fuzz test always passes them.
+_REQUIRED = {"--kind", "--protocol", "--rounds", "--attack", "--mu"}
+_SUBCOMMANDS = {
+    "thresholds": {"--tol": _number(1e-9, 1e-2), "--mu4-override": _number(0.0, 0.1),
+                   "--check": _FLAG, "--out": st.just("-")},
+    "curves": {"--kind": st.sampled_from(["sb1", "sifted", "lower", "upper"]),
+               "--announce": _FLAG, "--e-start": _number(0.0, 0.5),
+               "--e-stop": _number(0.0, 0.5), "--e-step": _number(_MIN_GRID_STEP, 0.5),
+               "--q-start": _number(0.0, 1.0), "--q-stop": _number(0.0, 1.0),
+               "--q-step": _number(_MIN_GRID_STEP, 1.0),
+               "--mu4-override": _number(0.0, 0.1), "--out": st.just("-")},
+    "simulate": {"--protocol": st.sampled_from(["p1", "p2"]),
+                 "--rounds": st.integers(0, 3).flatmap(
+                     lambda k: st.sampled_from(_EDGE_VALUES) if k == 0
+                     else st.integers(1, _MAX_ROUNDS).map(str)),
+                 "--qber": _number(0.0, 0.5),
+                 "--eve": st.sampled_from(["none", "intercept-resend"]),
+                 "--seed": st.one_of(st.integers(0, 2**64).map(str),
+                                     st.sampled_from(_EDGE_VALUES)),
+                 "--sb1-tolerance": _number(0.0, 0.25), "--histogram": st.just("-")},
+    "pns": {"--attack": st.sampled_from(["pns", "irud"]), "--alpha": _number(0.0, 1.0),
+            "--mu": _number(1e-3, 2.0), "--chi": _number(0.0, 1.0),
+            "--max-km": _number(1.0, _MAX_KM), "--step-km": _number(_MIN_STEP_KM, _MAX_KM),
+            "--out": st.just("-"), "--check": _FLAG},
+    "efficiency": {"--preset": st.sampled_from(["p1", "p2", "sarg04"]),
+                   "--bs": _number(0.0, 2.0), "--qt": _number(0.1, 5.0),
+                   "--bt": _number(0.0, 2.0), "--check": _FLAG},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    # The required options and any subset of the others, in a drawn order.
+    for option, values in draw(st.permutations(sorted(_SUBCOMMANDS[command].items()))):
+        if option in _REQUIRED or draw(st.booleans()):
+            value = draw(values)
+            # --opt=value, so that argparse reads "-inf" as a value.
+            argv.append(option if value is None else f"{option}={value}")
+    return argv
+
+
+@given(argv=_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        data = [line for line in out.getvalue().splitlines()
+                if line and not line.startswith("#")]
+        assert data == [], (argv, err.getvalue())

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -158,7 +157,7 @@ def test_sb1_check_fails_at_zero_tolerance():
 
 def test_simulation_noiseless_p1():
     config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=200_000, rng_seed=42)
-    report = run_simulation(config, workers=4)
+    report = run_simulation(config)
     sigma = (0.75 * 0.25 / config.n_rounds) ** 0.5
     assert abs(report.sift_fraction - 0.75) <= 3 * sigma
     assert report.sifted_qber == 0.0
@@ -168,7 +167,7 @@ def test_simulation_noiseless_p1():
 
 def test_simulation_noiseless_p2():
     config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=200_000, rng_seed=42)
-    report = run_simulation(config, workers=4)
+    report = run_simulation(config)
     assert report.sift_fraction == 1.0
     sigma = ((1 / 16) * (15 / 16) / config.n_rounds) ** 0.5
     assert abs(report.sifted_qber - 1 / 16) <= 3 * sigma
@@ -183,7 +182,7 @@ def test_simulation_matches_oracle_under_eavesdropping():
     ):
         config = SimulationConfig(protocol=pid, n_rounds=n, rng_seed=21,
                                   eve=Eavesdropper.INTERCEPT_RESEND)
-        report = run_simulation(config, workers=2)
+        report = run_simulation(config)
         s = float(sift_exp)
         assert abs(report.sift_fraction - s) <= 3 * (s * (1 - s) / n) ** 0.5
         q = float(qber_exp)
@@ -196,15 +195,17 @@ def test_simulation_matches_oracle_under_eavesdropping():
 def test_simulation_determinism():
     config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=50_000,
                               channel_qber=0.05, rng_seed=99)
-    a = run_simulation(config, workers=3)
-    b = run_simulation(config, workers=3)
+    a = run_simulation(config)
+    b = run_simulation(config)
     assert a == b
     assert a.to_text() == b.to_text()
 
 
-def test_simulation_worker_split_covers_all_rounds():
+def test_simulation_worker_split_covers_all_rounds(monkeypatch):
+    # 10 whole chunks and one of a single round, which ends in a part word.
+    monkeypatch.setattr(protocol, "CHUNK", 1000)
     config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=10_001, rng_seed=5)
-    report = run_simulation(config, workers=7)
+    report = run_simulation(config)
     assert sum(report.branch_counts) + report.other_count == 10_001
 
 
@@ -213,19 +214,18 @@ def test_config_validation():
         SimulationConfig(protocol=ProtocolId.P1, n_rounds=0)
     with pytest.raises(ValueError, match=r"^QBER must lie in \[0, 0\.5\], got 0\.6$"):
         SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, channel_qber=0.6)
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=10)
-    with pytest.raises(ValueError):
-        run_simulation(config, workers=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, rng_seed=-1)
 
 
 # The report for this configuration, frozen from the bit-packed kernel.  A
-# fixed (seed, workers) pair reproduces it exactly on every platform; a
-# kernel that draws or uses its random words differently moves it.
+# fixed seed reproduces it exactly on every platform; a kernel that draws or
+# uses its random words differently moves it.
 FROZEN_CONFIG = SimulationConfig(protocol=ProtocolId.P2, n_rounds=30_000, channel_qber=0.05,
                                  eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=2212)
 FROZEN_BRANCH_COUNTS = (
-    1428, 433, 454, 676, 493, 447, 702, 1445, 454, 457, 681, 463, 487, 635,
-    1427, 464, 439, 677, 448, 478, 702, 1458, 449, 471, 666, 490, 461, 671,
+    1371, 472, 458, 686, 478, 447, 662, 1398, 480, 481, 700, 492, 459, 672,
+    1429, 489, 489, 649, 465, 466, 705, 1436, 458, 431, 664, 452, 451, 678,
 )
 
 
@@ -358,27 +358,27 @@ def test_count_patterns_matches_per_round_loop():
 
 
 def test_simulation_frozen_outputs():
-    report = run_simulation(FROZEN_CONFIG, workers=2)
+    report = run_simulation(FROZEN_CONFIG)
     assert report.branch_counts == FROZEN_BRANCH_COUNTS
-    assert report.other_count == 11_444
-    assert report.sifted_count == 27_352
-    assert report.error_count == 9_616
+    assert report.other_count == 11_482
+    assert report.sifted_count == 27_456
+    assert report.error_count == 9_754
 
 
 def test_simulation_chunk_layout(monkeypatch):
-    # Chunk 0 of a stream draws from the stream; chunk j >= 1 from the
-    # stream's (j-1)-th spawned child.
+    # Chunk 0 draws from the seed's first spawned child; chunk j >= 1 from
+    # that stream's (j-1)-th spawned child.
     monkeypatch.setattr(protocol, "CHUNK", 1000)
     config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=5_500,
                               channel_qber=0.1, rng_seed=17)
-    streams = np.random.SeedSequence(17).spawn(2)
+    stream = np.random.SeedSequence(17).spawn(1)[0]
     counts = np.zeros(256, dtype=np.int64)
-    for stream in streams:
-        seeds = [stream] + stream.spawn(2)
-        for n, seed in zip((1000, 1000, 750), seeds):
-            counts += protocol._simulate_chunk(config, n, np.random.default_rng(seed))
-    report = run_simulation(config, workers=2)
+    for n, seed in zip((1000,) * 5 + (500,), [stream] + stream.spawn(5)):
+        counts += protocol._simulate_chunk(config, n, np.random.default_rng(seed))
+    report = run_simulation(config)
     kept, err, _ = protocol._sift_tables()
+    assert report.branch_counts == tuple(
+        int(counts[((s * 4 + y) * 4 + r1) * 4 + r2]) for s, y, r1, r2, _ in TABLE1_BRANCHES)
     assert report.sifted_count == int(kept[ProtocolId.P1] @ counts)
     assert report.error_count == int(err[ProtocolId.P1] @ counts)
     assert sum(report.branch_counts) + report.other_count == 5_500
@@ -403,34 +403,26 @@ def test_simulation_memory_bounded_by_chunk(monkeypatch, n_rounds):
     assert peak <= 64 * chunk
 
 
-def test_streams_equal_spawned_children():
-    # Stream i is built alone, as the i-th child that spawn(workers) returns.
-    children = np.random.SeedSequence(5).spawn(4)
-    for i, child in enumerate(children):
-        alone = np.random.SeedSequence(5, spawn_key=(i,))
-        assert (alone.generate_state(4) == child.generate_state(4)).all()
+def test_streams_equal_spawned_children(monkeypatch):
+    # The stream is built alone, as the one child that spawn(1) returns, and
+    # chunk j >= 1 draws from its (j-1)-th child.
+    monkeypatch.setattr(protocol, "CHUNK", 10)
+    stream = np.random.SeedSequence(5).spawn(1)[0]
+    expected = [stream] + stream.spawn(3)
+    chunks = [seed for _, seed in protocol._chunks(35, 5)]
+    assert len(chunks) == len(expected)
+    for seed, child in zip(chunks, expected):
+        assert (seed.generate_state(4) == child.generate_state(4)).all()
 
 
-@pytest.mark.parametrize("n_rounds,workers", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
-def test_chunks_cover_every_round(monkeypatch, n_rounds, workers):
-    monkeypatch.setattr(protocol, "CHUNK", 1000)
-    sizes = [n for n, _ in protocol._chunks(n_rounds, workers, 1)]
+@pytest.mark.parametrize("n_rounds,chunk", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
+def test_chunks_cover_every_round(monkeypatch, n_rounds, chunk):
+    # Every chunk but the last is full; none is empty.
+    monkeypatch.setattr(protocol, "CHUNK", chunk)
+    sizes = [n for n, _ in protocol._chunks(n_rounds, 1)]
     assert sum(sizes) == n_rounds
-    assert all(size <= protocol.CHUNK for size in sizes)
-
-
-def test_huge_worker_count_builds_only_used_streams():
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, channel_qber=0.1,
-                              rng_seed=4)
-    few = run_simulation(config, workers=10)  # also builds the lazy tables
-    tracemalloc.start()
-    try:
-        many = run_simulation(config, workers=10**5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert dataclasses.replace(many, workers=10) == few
-    assert peak < 1 << 20
+    assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+    assert all(0 < size <= chunk for size in sizes)
 
 
 def test_config_rejects_bad_sb1_tolerance():

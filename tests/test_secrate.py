@@ -410,8 +410,16 @@ def test_bound_rates_validate_elementwise():
         lower_bound_rate(e, np.array([0.5, 1.5]))
     with pytest.raises(ValueError, match=r"QBER must lie in \[0, 0.5\], got 0.6"):
         holevo_chi(np.array([0.1, 0.6]), 0.3)
-    with pytest.raises(ValueError, match=r"mu4 must lie in \[0, e=0.01\], got 0.05"):
-        upper_bound_crossing(np.array([0.1, 0.01]), 0.3, 0.05)
+    with pytest.raises(ValueError, match=r"mu4 must lie in \[0, e=0.1\], got -0.05"):
+        upper_bound_crossing(np.array([0.1, 0.01]), 0.3, -0.05)
+    with pytest.raises(ValueError, match=r"mu4 must lie in \[0, e=0.1\], got nan"):
+        lower_bound_rate(np.array([0.1, 0.01]), 0.3, float("nan"))
+
+
+@pytest.mark.parametrize("fn", [lower_bound_rate, holevo_chi, upper_bound_crossing])
+def test_bound_rates_read_mu4_above_e_as_e(fn):
+    e = np.array([0.0, 0.01, 0.05, 0.2])
+    assert fn(e, 0.3, 0.05).tolist() == fn(e, 0.3, np.array([0.0, 0.01, 0.05, 0.05])).tolist()
 
 
 def test_find_threshold_bisects_arrays_elementwise():
