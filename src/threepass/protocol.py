@@ -34,13 +34,18 @@ fraction follow from per-code tables built by the scalar
 The simulator is bit-sliced after Biham, "A fast new DES implementation in
 software" (FSE 1997): every per-round quantity is a uint64 array carrying 64
 rounds a word, its random bits taken straight from the bit generator, and a
-measurement is one word-wide select.  The channel flips a round with
-probability e exactly by comparing a uniform with the binary digits of e,
-and drawing nothing at e = 0.  A chunk counts the 64 reachable round
-patterns with an AND tree and popcounts, so a chunk holds about 2.5 MB at
-2^20 rounds.  The exact branch enumeration in ``tests/enum_oracle.py``
-is the independent reference that the kernel and the tables are tested
-against.
+measurement is one word-wide select.  A chunk is stratified by Alice's and
+Bob's three choice bits: exact Binomial(m, 1/2) halvings split its rounds
+into the 8 (basis_a, bits_a, basis_b) classes, laid out one after another
+and each padded to whole words, so the choice planes are constant words.
+The rounds are independent, so this leaves the law of the histogram as it
+was; it changed every per-seed output once, when it was introduced.  The
+channel flips a round with probability e exactly by comparing a uniform with
+the binary digits of e, and drawing nothing at e = 0.  Each class counts its
+8 (y, r1, r2) patterns from 7 popcounts of ANDed planes, so a chunk holds
+about 2.5 MB at 2^20 rounds.  The exact branch enumeration in
+``tests/enum_oracle.py`` is the independent reference that the kernel and the
+tables are tested against.
 """
 
 from __future__ import annotations
@@ -249,7 +254,8 @@ class SimulationReport:
 
 
 #: Rounds per chunk: each chunk draws from its own spawned stream and holds
-#: bit arrays of CHUNK / 64 words only, so peak memory is O(CHUNK), about 2.5 MB.
+#: bit arrays of at most CHUNK / 64 + 7 words (its 8 classes, each padded to
+#: whole words) only, so peak memory is O(CHUNK), about 2.5 MB.
 CHUNK = 2**20
 
 
@@ -297,6 +303,38 @@ def _pattern_codes() -> np.ndarray:
 
 _PATTERN_CODES = _pattern_codes()
 
+# The (basis_a, bits_a, basis_b) words of class c = basis_a << 2 | bits_a << 1
+# | basis_b: row k is all ones in the classes whose bit 2 - k is set.
+_CLASS_WORDS = np.array([[_ONES if c >> (2 - k) & 1 else 0 for c in range(8)]
+                         for k in range(3)], dtype=np.uint64)
+
+
+def _tail_mask(m: int) -> np.uint64:
+    """The lanes of the last of ceil(m / 64) words that hold one of m rounds."""
+    return _ONES >> np.uint64(-m % 64)
+
+
+def _class_sizes(n: int, raw) -> list[int]:
+    """The rounds of each (basis_a, bits_a, basis_b) class among ``n``.
+
+    Three levels of exact Binomial(m, 1/2) halvings, basis_a, then bits_a,
+    then basis_b, each child of a level split in turn, 0-child first: a
+    halving draws ceil(m / 64) words and its 1-child takes the popcount of
+    their first m bits.  Nothing is drawn at m = 0.
+    """
+    sizes = [n]
+    for _ in range(3):
+        halves = []
+        for m in sizes:
+            ones = 0
+            if m:
+                u = raw(-(-m // 64))
+                u[-1] &= _tail_mask(m)
+                ones = int(np.bitwise_count(u).sum())
+            halves += [m - ones, ones]
+        sizes = halves
+    return sizes
+
 
 def _qber_digits(e: float) -> str:
     """The binary digits d1 d2 ... of e = 0.d1d2..., through its last 1-digit
@@ -341,44 +379,61 @@ def _flip_mask(digits: str, words: int, raw) -> np.ndarray:
     return lt
 
 
-def _count_patterns(n: int, planes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """int64[64] count of each (basis_a, bits_a, basis_b, y, r1, r2) pattern
-    over the first ``n`` bits of the six bit-planes.
+def _count_patterns(sizes: list[int], planes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """int64[64] count of each (basis_a, bits_a, basis_b, y, r1, r2) pattern,
+    where the (y, r1, r2) planes hold the rounds of class c, ``sizes[c]`` of
+    them, in the next ceil(sizes[c] / 64) words.
 
-    A depth-first AND tree, one word array per level: the node at depth d+1
-    is node & plane_d for a 1-bit and node & ~plane_d = node ^ (node & plane_d)
-    for a 0-bit.  Walking the patterns from 63 down to 0 visits each 1-child
-    before its 0-sibling, so each pattern rebuilds only the levels below the
-    highest bit that changed, and each leaf is popcounted.
+    Class c counts its 8 patterns 8c..8c+7 from its size and the popcounts
+    of the ANDs of the 7 nonempty subsets of the planes over its words (the
+    lanes past its last round are first zeroed in place), then a Moebius
+    difference on each axis: a pattern with plane p at 0 is the count with p
+    left free less the count with p at 1.
     """
-    words = planes[0].shape[0]
-    root = np.full(words, _ONES)
-    root[-1] >>= np.uint64(64 * words - n)   # rounds past n in the last word
-    levels = [np.empty(words, dtype=np.uint64) for _ in planes]
-    popcounts = np.empty(words, dtype=np.uint8)
-    counts = np.zeros(64, dtype=np.int64)
-    for pattern in range(63, -1, -1):
-        first = 6 - (pattern ^ (pattern + 1)).bit_length() if pattern < 63 else 0
-        for depth in range(first, 6):
-            parent = levels[depth - 1] if depth else root
-            if pattern >> (5 - depth) & 1:
-                np.bitwise_and(parent, planes[depth], out=levels[depth])
-            else:
-                np.bitwise_xor(parent, levels[depth], out=levels[depth])
-        # A leaf counts at most CHUNK rounds, so uint32 sums it exactly.
-        counts[pattern] = np.bitwise_count(levels[5], out=popcounts).sum(dtype=np.uint32)
-    return counts
+    y, r1, r2 = planes
+    lengths = np.array([-(-m // 64) for m in sizes])
+    ends = np.cumsum(lengths)
+    full = np.flatnonzero(lengths)
+    last, tails = ends[full] - 1, np.array([_tail_mask(sizes[c]) for c in full])
+    for plane in planes:
+        plane[last] &= tails
+    # Row t - 1: the popcounts of the AND of the planes of subset
+    # t = y << 2 | r1 << 1 | r2, built one at a time in one array; subset 7
+    # ANDs r2 into the y & r1 that subset 6 left there.
+    popcounts = np.empty((7, ends[-1]), dtype=np.uint8)
+    product = np.empty_like(y)
+    for t, plane in ((1, r2), (2, r1), (4, y)):
+        np.bitwise_count(plane, out=popcounts[t - 1])
+    for t, a, b in ((3, r1, r2), (5, y, r2), (6, y, r1), (7, product, r2)):
+        np.bitwise_count(np.bitwise_and(a, b, out=product), out=popcounts[t - 1])
+    # counts[c, t]: the rounds of class c with every plane of subset t at 1,
+    # and after the differences, those with (y, r1, r2) = t.
+    counts = np.empty((8, 8), dtype=np.int64)
+    counts[:, 0] = sizes
+    for c, (start, end) in enumerate(zip(ends - lengths, ends)):
+        # A class holds at most CHUNK rounds, so uint32 sums it exactly; a
+        # buffered sum, where reduceat would cast all the popcounts first.
+        counts[c, 1:] = popcounts[:, start:end].sum(axis=1, dtype=np.uint32)
+    for axis in (1, 2, 3):
+        free, one = np.moveaxis(counts.reshape(8, 2, 2, 2), axis, 0)
+        free -= one
+    return counts.ravel()
 
 
 def _simulate_chunk(config: SimulationConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """Simulate ``n`` rounds; return the int64[256] count of each round code.
 
-    Bit-sliced: every per-round quantity is a uint64 array holding one bit
-    of 64 rounds a word, drawn straight from the bit generator, and every
+    The rounds are first split into the 8 (basis_a, bits_a, basis_b) classes
+    of :func:`_class_sizes` and laid out class-major, each class padded to
+    whole words, so the three choice planes are constant words.  Bit-sliced
+    from there: every other per-round quantity is a uint64 array holding one
+    bit of 64 rounds a word, drawn straight from the bit generator, and every
     step is a bitwise operation on whole words.
     """
-    words = -(-n // 64)
     raw = rng.bit_generator.random_raw
+    sizes = _class_sizes(n, raw)
+    lengths = [-(-m // 64) for m in sizes]
+    words = sum(lengths)
     digits = _qber_digits(config.channel_qber)
     eve = config.eve is Eavesdropper.INTERCEPT_RESEND
 
@@ -397,13 +452,13 @@ def _simulate_chunk(config: SimulationConfig, n: int, rng: np.random.Generator) 
             return eve_basis, measure(basis, bits, eve_basis)
         return basis, bits
 
-    bits_a, basis_a, basis_b = raw(words), raw(words), raw(words)
+    basis_a, bits_a, basis_b = (np.repeat(row, lengths) for row in _CLASS_WORDS)
     y = measure(*transmit(basis_a, bits_a), basis_b)
     r1 = measure(*transmit(basis_b, y), basis_a)
     r2 = measure(*transmit(~basis_b, y), basis_a ^ ~(r1 ^ bits_a))
 
     code_counts = np.zeros(256, dtype=np.int64)
-    code_counts[_PATTERN_CODES] = _count_patterns(n, (basis_a, bits_a, basis_b, y, r1, r2))
+    code_counts[_PATTERN_CODES] = _count_patterns(sizes, (y, r1, r2))
     return code_counts
 
 

@@ -309,14 +309,25 @@ def bound_threshold(rate_fn: Callable[[float, float], float]) -> tuple[float, fl
     return find_threshold(lambda e: rate_fn(e, _Q_MAX), 1e-4, 0.45, BOUND_TOL), _Q_MAX
 
 
+def _named_bound_threshold(name: str, rate_fn: Callable[..., float],
+                           mu4: Optional[float]) -> tuple[float, float]:
+    """:func:`bound_threshold` of ``rate_fn(e, q, mu4)``, its
+    :class:`BracketError` naming the bound, q* and a given mu4."""
+    try:
+        return bound_threshold(lambda e, q: rate_fn(e, q, mu4))
+    except BracketError as exc:
+        given = "" if mu4 is None else f" with mu4_override={mu4:g}"
+        raise BracketError(f"no {name} bound threshold at q*={_Q_MAX:g}{given}: {exc}") from None
+
+
 def lower_bound_threshold(mu4: Optional[float] = None) -> tuple[float, float]:
     """Largest e with a positive lower bound for some q; returns (e, q*)."""
-    return bound_threshold(lambda e, q: lower_bound_rate(e, q, mu4))
+    return _named_bound_threshold("lower", lower_bound_rate, mu4)
 
 
 def upper_bound_threshold(mu4: Optional[float] = None) -> tuple[float, float]:
     """Largest e with positive information margin for some q; returns (e, q*)."""
-    return bound_threshold(lambda e, q: upper_bound_crossing(e, q, mu4))
+    return _named_bound_threshold("upper", upper_bound_crossing, mu4)
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,18 @@ def test_mu4_override_above_e_is_read_as_e(capsys):
     assert f"\n0.1,0,{expected}\n" in out
 
 
+@pytest.mark.parametrize("mu4,bound", [("1", "lower"), ("0.44964", "upper")])
+def test_bound_threshold_without_crossing_names_bound_and_mu4(capsys, mu4, bound):
+    # mu4 near 1/2 keeps a bound rate positive up to the bracket end e = 0.45;
+    # at 0.44964 the lower root still lies inside the bracket, the upper not.
+    assert main(["thresholds", "--mu4-override", mu4]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: no {bound} bound threshold at q*=0.4999 with mu4_override={mu4}: "
+        "rate must straddle zero on the bracket")
+
+
 def test_curves_sifted_crosses_near_published_threshold(tmp_path):
     out = tmp_path / "sifted.csv"
     assert main(["curves", "--kind", "sifted", "--announce",

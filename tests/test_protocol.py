@@ -218,14 +218,14 @@ def test_config_validation():
         SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, rng_seed=-1)
 
 
-# The report for this configuration, frozen from the bit-packed kernel.  A
-# fixed seed reproduces it exactly on every platform; a kernel that draws or
-# uses its random words differently moves it.
+# The report for this configuration, frozen from the class-stratified
+# bit-packed kernel.  A fixed seed reproduces it exactly on every platform; a
+# kernel that draws or uses its random words differently moves it.
 FROZEN_CONFIG = SimulationConfig(protocol=ProtocolId.P2, n_rounds=30_000, channel_qber=0.05,
                                  eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=2212)
 FROZEN_BRANCH_COUNTS = (
-    1371, 472, 458, 686, 478, 447, 662, 1398, 480, 481, 700, 492, 459, 672,
-    1429, 489, 489, 649, 465, 466, 705, 1436, 458, 431, 664, 452, 451, 678,
+    1463, 486, 453, 671, 460, 481, 662, 1417, 433, 492, 681, 463, 468, 711,
+    1469, 465, 452, 668, 434, 458, 687, 1443, 445, 463, 707, 480, 466, 660,
 )
 
 
@@ -335,34 +335,98 @@ def test_flip_mask_stops_when_no_round_is_equal():
     assert int(mask[7]) == sum(1 << j for j in range(21))
 
 
+def _split_words(words, n):
+    """The class sizes and the words used by three levels of halvings of
+    ``n`` rounds over ``words``, one popcount per halving, in Python ints."""
+    sizes, used = [n], 0
+    for _ in range(3):
+        halves = []
+        for m in sizes:
+            k = -(-m // 64)
+            block = sum(int(w) << 64 * i for i, w in enumerate(words[used:used + k]))
+            ones = (block & ((1 << m) - 1)).bit_count()
+            used += k
+            halves += [m - ones, ones]
+        sizes = halves
+    return sizes, used
+
+
 @pytest.mark.parametrize("e,words_per_64_rounds", [(0.0, 6), (0.5, 9), (0.25, 12)])
 def test_kernel_draws_one_word_per_digit_of_e(e, words_per_64_rounds):
-    # Three choice words and three measurements, plus one word per binary
-    # digit of e in each of the three transmissions: none at e = 0.
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=1, channel_qber=e)
-    stub = _StubBits(np.random.default_rng(3).bit_generator.random_raw(4 * 12))
-    counts = protocol._simulate_chunk(config, 250, SimpleNamespace(bit_generator=stub))
-    assert counts.sum() == 250
-    assert stub.used == 4 * words_per_64_rounds
+    # The class split draws the three choice bits, ceil(m / 64) words per
+    # halving.  Each class word then draws the rest: three measurements plus
+    # one word per binary digit of e in each of the three transmissions (none
+    # at e = 0), and with Eve a basis and a measurement word per transmission.
+    n = 250
+    words = np.random.default_rng(3).bit_generator.random_raw(4 * 64)
+    sizes, split_words = _split_words(words, n)
+    class_words = sum(-(-m // 64) for m in sizes)
+    for eve, eve_words in ((Eavesdropper.NONE, 0), (Eavesdropper.INTERCEPT_RESEND, 6)):
+        config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=1, channel_qber=e, eve=eve)
+        stub = _StubBits(words)
+        counts = protocol._simulate_chunk(config, n, SimpleNamespace(bit_generator=stub))
+        assert counts.sum() == n
+        assert stub.used == split_words + (words_per_64_rounds - 3 + eve_words) * class_words
+
+
+def test_class_sizes_halve_on_the_first_m_bits():
+    ones = 2**64 - 1
+    # All-ones words put every round in class 7, all-zero words in class 0;
+    # each level splits one nonempty class of n = 70 rounds, 2 words apiece.
+    for word, full in ((ones, 7), (0, 0)):
+        stub = _StubBits([word] * 6)
+        sizes = protocol._class_sizes(70, stub.random_raw)
+        assert sizes == [70 if c == full else 0 for c in range(8)]
+        assert stub.used == 6
+    # Bits past m do not count: only the 6 low lanes of each second word hold
+    # a round, and they are 0.
+    stub = _StubBits([0, ones << 6 & ones] * 3)
+    assert protocol._class_sizes(70, stub.random_raw) == [70] + [0] * 7
+    assert stub.used == 6
+    # 130 rounds: 64 + 2 ones of 130, then 10 of 64 and 2 of 66, then
+    # 54 of 54, 0 of 10, 1 of 64 and 2 of 2; empty classes draw nothing.
+    stub = _StubBits([ones, 0, 0b11, (1 << 10) - 1, 0, ones, ones, 0, 1, ones])
+    assert protocol._class_sizes(130, stub.random_raw) == [0, 54, 10, 0, 63, 1, 0, 2]
+    assert stub.used == 10
+
+
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 1000])
+def test_simulate_chunk_covers_empty_classes_and_tails(n, eve):
+    e = Fraction(1, 5)
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=float(e),
+                              eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
+    support = np.zeros(256, dtype=bool)
+    for key in oracle_stats(e=e, eve=eve).histogram:
+        support[_code(key)] = True
+    for seed in range(4):
+        counts = protocol._simulate_chunk(config, n, np.random.default_rng(seed))
+        assert counts.sum() == n
+        assert counts[~support].sum() == 0
 
 
 def test_count_patterns_matches_per_round_loop():
     rng = np.random.default_rng(7)
-    n = 1000  # the last of 16 words holds 40 rounds
-    planes = tuple(rng.bit_generator.random_raw(16) for _ in range(6))
-    bits = [np.unpackbits(p.view(np.uint8), bitorder="little")[:n].tolist() for p in planes]
+    # Empty classes, whole words and tails of 40, 1 and 63 rounds.
+    sizes = [1000, 0, 65, 64, 63, 0, 1, 128]
+    lengths = [-(-m // 64) for m in sizes]
+    planes = tuple(rng.bit_generator.random_raw(sum(lengths)) for _ in range(3))
+    bits = [np.unpackbits(p.view(np.uint8), bitorder="little").tolist() for p in planes]
     expected = [0] * 64
-    for round_bits in zip(*bits):
-        expected[int("".join(map(str, round_bits)), 2)] += 1
-    assert protocol._count_patterns(n, planes).tolist() == expected
+    start = 0
+    for c, (m, length) in enumerate(zip(sizes, lengths)):
+        for j in range(64 * start, 64 * start + m):
+            expected[8 * c + 4 * bits[0][j] + 2 * bits[1][j] + bits[2][j]] += 1
+        start += length
+    assert protocol._count_patterns(sizes, planes).tolist() == expected
 
 
 def test_simulation_frozen_outputs():
     report = run_simulation(FROZEN_CONFIG)
     assert report.branch_counts == FROZEN_BRANCH_COUNTS
-    assert report.other_count == 11_482
-    assert report.sifted_count == 27_456
-    assert report.error_count == 9_754
+    assert report.other_count == 11_362
+    assert report.sifted_count == 27_392
+    assert report.error_count == 9_660
 
 
 def test_simulation_chunk_layout(monkeypatch):
