@@ -22,30 +22,27 @@ probability ``e`` per transmission, the simplest operational model with a
 symmetric QBER in both bases.  The intercept-resend eavesdropper measures
 every transit qubit in a uniformly random basis and forwards her outcome.
 
-Monte-Carlo rounds are independent.  :func:`run_simulation` draws them from
-one RNG stream spawned from the seed, cut into chunks of :data:`CHUNK` rounds
-with their own spawned streams, so a report is bit-for-bit reproducible from
-its seed.  The chunks run in turn on the calling thread, and memory stays
-O(CHUNK) however many rounds are asked for.  A chunk only histograms each
-round's (s_a, y, r1, r2) code; sift fraction, QBER and the orthogonal
-fraction follow from per-code tables built by the scalar
-:func:`sift_p1`/:func:`sift_p2`, so the sifting rules live in one place.
+Monte-Carlo rounds are independent and exchangeable, and a run reports only
+the histogram of their (s_a, y, r1, r2) codes, so :func:`run_simulation`
+samples that histogram at the level of counts, never round by round: the
+conditional-binomial method for multinomials (Davis, CSDA 16, 1993).  Its
+state is the number of rounds at each node of the protocol tree, and each
+random step of a round splits a node's count by an exact binomial built from
+popcounts of fresh random bits.  Alice's and Bob's choices are halvings,
+Binomial(m, 1/2); the channel flips Binomial(m, e) rounds, each comparing a
+uniform with the binary digits of e (Knuth and Yao, 1976), so P(flip) = e
+exactly; Eve's basis, her result and every measurement outside the qubit's
+basis are halvings.  No float probability is used, and a zero count draws
+nothing.  About 0.16-0.23 random words are drawn per round.
 
-The simulator is bit-sliced after Biham, "A fast new DES implementation in
-software" (FSE 1997): every per-round quantity is a uint64 array carrying 64
-rounds a word, its random bits taken straight from the bit generator, and a
-measurement is one word-wide select.  A chunk is stratified by Alice's and
-Bob's three choice bits: exact Binomial(m, 1/2) halvings split its rounds
-into the 8 (basis_a, bits_a, basis_b) classes, laid out one after another
-and each padded to whole words, so the choice planes are constant words.
-The rounds are independent, so this leaves the law of the histogram as it
-was; it changed every per-seed output once, when it was introduced.  The
-channel flips a round with probability e exactly by comparing a uniform with
-the binary digits of e, and drawing nothing at e = 0.  Each class counts its
-8 (y, r1, r2) patterns from 7 popcounts of ANDed planes, so a chunk holds
-about 2.5 MB at 2^20 rounds.  The exact branch enumeration in
-``tests/enum_oracle.py`` is the independent reference that the kernel and the
-tables are tested against.
+All words come from one PCG64 stream, ``SeedSequence(seed, spawn_key=(0,))``,
+so a report is bit-for-bit reproducible from its seed.  A count's words are
+drawn at most :data:`_PIECE` at a time, so memory stays O(_PIECE), about
+128 kB, however many rounds are asked for.  Sift fraction, QBER and the
+orthogonal fraction follow from per-code tables built by the scalar
+:func:`sift_p1`/:func:`sift_p2`, so the sifting rules live in one place.  The
+exact branch enumeration in ``tests/enum_oracle.py`` is the independent
+reference that the sampler and the tables are tested against.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -253,37 +250,9 @@ class SimulationReport:
         return "\n".join(lines)
 
 
-#: Rounds per chunk: each chunk draws from its own spawned stream and holds
-#: bit arrays of at most CHUNK / 64 + 7 words (its 8 classes, each padded to
-#: whole words) only, so peak memory is O(CHUNK), about 2.5 MB.
-CHUNK = 2**20
-
-
-@cache
-def _sift_tables() -> tuple[dict[ProtocolId, np.ndarray], dict[ProtocolId, np.ndarray],
-                            np.ndarray]:
-    """Per-code 0/1 tables (KEPT[protocol], ERR[protocol], ORTH) from the
-    scalar sifting rules: a round is kept, kept with a wrong determination,
-    or has its return-pass result orthogonal to Alice's state."""
-    kept = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
-    err = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
-    orth = np.zeros(256, dtype=np.int64)
-    for code in range(256):
-        # The (s_a, y, r1, r2) states, as 2*basis + bit, pack into
-        # code = ((s_a * 4 + y) * 4 + r1) * 4 + r2.
-        s_a, y, r1, r2 = (PureState((code >> shift) & 3) for shift in (6, 4, 2, 0))
-        orth[code] = r1 == s_a.orthogonal
-        for pid, sift in ((ProtocolId.P1, sift_p1), (ProtocolId.P2, sift_p2)):
-            determined = sift(s_a, y, r1, r2)
-            if determined is not None:
-                kept[pid][code] = 1
-                err[pid][code] = determined[1] != y
-    for table in (*kept.values(), *err.values(), orth):
-        table.setflags(write=False)
-    return kept, err, orth
-
-
-_ONES = np.uint64(2**64 - 1)
+#: Words a ``random_raw`` call draws at most: a larger count is drawn in
+#: pieces, so a run holds O(_PIECE) words, 128 kB, however many rounds it has.
+_PIECE = 2**14
 
 
 def _pattern_codes() -> np.ndarray:
@@ -303,37 +272,62 @@ def _pattern_codes() -> np.ndarray:
 
 _PATTERN_CODES = _pattern_codes()
 
-# The (basis_a, bits_a, basis_b) words of class c = basis_a << 2 | bits_a << 1
-# | basis_b: row k is all ones in the classes whose bit 2 - k is set.
-_CLASS_WORDS = np.array([[_ONES if c >> (2 - k) & 1 else 0 for c in range(8)]
-                         for k in range(3)], dtype=np.uint64)
+
+@cache
+def _sift_tables() -> tuple[dict[ProtocolId, np.ndarray], dict[ProtocolId, np.ndarray],
+                            np.ndarray]:
+    """Per-code 0/1 tables (KEPT[protocol], ERR[protocol], ORTH) from the
+    scalar sifting rules: a round is kept, kept with a wrong determination,
+    or has its return-pass result orthogonal to Alice's state.  Only the 64
+    reachable codes of :data:`_PATTERN_CODES` are filled; the rest stay 0."""
+    kept = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
+    err = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
+    orth = np.zeros(256, dtype=np.int64)
+    for code in _PATTERN_CODES:
+        # The (s_a, y, r1, r2) states, as 2*basis + bit, pack into
+        # code = ((s_a * 4 + y) * 4 + r1) * 4 + r2.
+        s_a, y, r1, r2 = (PureState((code >> shift) & 3) for shift in (6, 4, 2, 0))
+        orth[code] = r1 == s_a.orthogonal
+        for pid, sift in ((ProtocolId.P1, sift_p1), (ProtocolId.P2, sift_p2)):
+            determined = sift(s_a, y, r1, r2)
+            if determined is not None:
+                kept[pid][code] = 1
+                err[pid][code] = determined[1] != y
+    for table in (*kept.values(), *err.values(), orth):
+        table.setflags(write=False)
+    return kept, err, orth
 
 
-def _tail_mask(m: int) -> np.uint64:
-    """The lanes of the last of ceil(m / 64) words that hold one of m rounds."""
-    return _ONES >> np.uint64(-m % 64)
+_ONES = np.uint64(2**64 - 1)
 
 
-def _class_sizes(n: int, raw) -> list[int]:
-    """The rounds of each (basis_a, bits_a, basis_b) class among ``n``.
+def _halves(m: np.ndarray, raw) -> np.ndarray:
+    """Elementwise Binomial(m, 1/2): the ones among m fresh random bits.
 
-    Three levels of exact Binomial(m, 1/2) halvings, basis_a, then bits_a,
-    then basis_b, each child of a level split in turn, 0-child first: a
-    halving draws ceil(m / 64) words and its 1-child takes the popcount of
-    their first m bits.  Nothing is drawn at m = 0.
+    The nonzero counts, in order, take consecutive runs of ceil(m / 64) words
+    of the stream, the lanes of each run's last word past m masked off; a
+    zero count draws nothing.  The words come at most :data:`_PIECE` at a
+    time, and a run may span pieces.
     """
-    sizes = [n]
-    for _ in range(3):
-        halves = []
-        for m in sizes:
-            ones = 0
-            if m:
-                u = raw(-(-m // 64))
-                u[-1] &= _tail_mask(m)
-                ones = int(np.bitwise_count(u).sum())
-            halves += [m - ones, ones]
-        sizes = halves
-    return sizes
+    ones = np.zeros(m.size, dtype=np.int64)
+    live = np.flatnonzero(m)
+    sizes = m.ravel()[live]
+    words = -(-sizes // 64)
+    ends = np.cumsum(words)
+    starts = ends - words
+    tails = _ONES >> (-sizes % 64).astype(np.uint64)
+    total = int(ends[-1]) if live.size else 0
+    for lo in range(0, total, _PIECE):
+        u = raw(min(_PIECE, total - lo))
+        hi = lo + u.size
+        # The runs that end in this piece, and all the runs that touch it.
+        a, b = np.searchsorted(ends, (lo, hi), side="right")
+        u[ends[a:b] - 1 - lo] &= tails[a:b]
+        c = np.searchsorted(starts, hi)
+        cuts = np.maximum(starts[a:c] - lo, 0)
+        # A piece holds at most 64 * _PIECE ones, so uint32 sums it exactly.
+        ones[live[a:c]] += np.add.reduceat(np.bitwise_count(u), cuts, dtype=np.uint32)
+    return ones.reshape(m.shape)
 
 
 def _qber_digits(e: float) -> str:
@@ -343,146 +337,115 @@ def _qber_digits(e: float) -> str:
     return format(num, f"0{den.bit_length() - 1}b") if num else ""
 
 
-def _flip_mask(digits: str, words: int, raw) -> np.ndarray:
-    """Word mask of the rounds whose channel flips, each with probability e.
+def _binomial(m: np.ndarray, digits: str, raw) -> np.ndarray:
+    """Elementwise Binomial(m, e) for e = 0.d1d2... with the given digits.
 
-    Every round compares a uniform U = 0.u1u2... with e = 0.d1d2... digit by
-    digit, 64 rounds a word: ``lt`` marks the rounds already below e, and
-    ``eq`` those whose digits still equal e's in the ``live`` words.  Only
-    live words draw the next digit; they are gathered whenever at most a
-    quarter of them still hold an equal round.  A round flips when U < e, which has
-    probability e exactly.  The comparison stops after e's last 1-digit (U = e
-    then has probability 0), or earlier once no round is still equal.
+    Each of the m rounds compares a uniform U = 0.u1u2... with e digit by
+    digit, and counts only are kept: at each digit the rounds still equal to
+    e draw their next bit by :func:`_halves`.  Under a 1-digit the 0-bits fall
+    below e; under a 0-digit the 1-bits rise above it.  The rounds below e,
+    which have probability e exactly, are returned.  The comparison stops
+    after e's last 1-digit (U = e then has probability 0), or earlier once no
+    round is still equal; e = 0 draws nothing.
     """
-    lt = np.zeros(words, dtype=np.uint64)
-    live = np.arange(words)
-    eq = np.full(words, _ONES)
+    below = np.zeros_like(m)
+    equal = m
     for d in digits:
-        u = raw(eq.size)
+        ones = _halves(equal, raw)
         if d == "1":
-            np.bitwise_and(u, eq, out=u)    # u_i = 1: still equal
-            np.bitwise_xor(eq, u, out=eq)   # u_i = 0: below e
-            if eq.size == words:  # not gathered yet: skip the indexing
-                lt |= eq
-            else:
-                lt[live] |= eq
-            eq = u
+            below += equal - ones
+            equal = ones
         else:
-            np.invert(u, out=u)
-            eq &= u                         # u_i = 1: above e
-        n_eq = np.count_nonzero(eq)
-        if not n_eq:
+            equal = equal - ones
+        if not equal.any():
             break
-        if 4 * n_eq <= eq.size:
-            keep = np.flatnonzero(eq)
-            live, eq = live[keep], eq[keep]
-    return lt
+    return below
 
 
-def _count_patterns(sizes: list[int], planes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """int64[64] count of each (basis_a, bits_a, basis_b, y, r1, r2) pattern,
-    where the (y, r1, r2) planes hold the rounds of class c, ``sizes[c]`` of
-    them, in the next ceil(sizes[c] / 64) words.
+def _split(counts: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """The counts with a new last axis: (counts - ones, ones)."""
+    return np.stack([counts - ones, ones], axis=-1)
 
-    Class c counts its 8 patterns 8c..8c+7 from its size and the popcounts
-    of the ANDs of the 7 nonempty subsets of the planes over its words (the
-    lanes past its last round are first zeroed in place), then a Moebius
-    difference on each axis: a pattern with plane p at 0 is the count with p
-    left free less the count with p at 1.
+
+def _measure(flight: np.ndarray, basis: np.ndarray, raw) -> np.ndarray:
+    """int64[N, 2]: node i's rounds by the bit measured in ``basis[i]``, from
+    ``flight[i, b, bit]``, its rounds whose qubit is in that basis and bit.
+
+    A qubit in the measured basis gives its bit; one in the other basis a
+    uniform bit, split by :func:`_halves`."""
+    rows = np.arange(len(flight))
+    mixed = flight[rows, 1 - basis].sum(axis=1)
+    return flight[rows, basis] + _split(mixed, _halves(mixed, raw))
+
+
+def _node_bits(width: int) -> list[np.ndarray]:
+    """The bits of the nodes 0 .. 2**width - 1, most significant first."""
+    nodes = np.arange(1 << width)
+    return [nodes >> shift & 1 for shift in range(width - 1, -1, -1)]
+
+
+def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
+    """Simulate ``config.n_rounds`` rounds from the words of ``raw``; return
+    the int64[256] count of each round code.
+
+    The rounds are exchangeable and only their histogram is kept, so they are
+    never drawn one at a time: the state is the count of rounds at each node
+    of the protocol tree, and every random step splits counts by an exact
+    binomial.  Three halvings split the rounds into the 8 (basis_a, bits_a,
+    basis_b) classes, and each pass appends its measured bit to the node, so
+    the nodes after the third pass are the 64 patterns of
+    :data:`_PATTERN_CODES`.
     """
-    y, r1, r2 = planes
-    lengths = np.array([-(-m // 64) for m in sizes])
-    ends = np.cumsum(lengths)
-    full = np.flatnonzero(lengths)
-    last, tails = ends[full] - 1, np.array([_tail_mask(sizes[c]) for c in full])
-    for plane in planes:
-        plane[last] &= tails
-    # Row t - 1: the popcounts of the AND of the planes of subset
-    # t = y << 2 | r1 << 1 | r2, built one at a time in one array; subset 7
-    # ANDs r2 into the y & r1 that subset 6 left there.
-    popcounts = np.empty((7, ends[-1]), dtype=np.uint8)
-    product = np.empty_like(y)
-    for t, plane in ((1, r2), (2, r1), (4, y)):
-        np.bitwise_count(plane, out=popcounts[t - 1])
-    for t, a, b in ((3, r1, r2), (5, y, r2), (6, y, r1), (7, product, r2)):
-        np.bitwise_count(np.bitwise_and(a, b, out=product), out=popcounts[t - 1])
-    # counts[c, t]: the rounds of class c with every plane of subset t at 1,
-    # and after the differences, those with (y, r1, r2) = t.
-    counts = np.empty((8, 8), dtype=np.int64)
-    counts[:, 0] = sizes
-    for c, (start, end) in enumerate(zip(ends - lengths, ends)):
-        # A class holds at most CHUNK rounds, so uint32 sums it exactly; a
-        # buffered sum, where reduceat would cast all the popcounts first.
-        counts[c, 1:] = popcounts[:, start:end].sum(axis=1, dtype=np.uint32)
-    for axis in (1, 2, 3):
-        free, one = np.moveaxis(counts.reshape(8, 2, 2, 2), axis, 0)
-        free -= one
-    return counts.ravel()
-
-
-def _simulate_chunk(config: SimulationConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Simulate ``n`` rounds; return the int64[256] count of each round code.
-
-    The rounds are first split into the 8 (basis_a, bits_a, basis_b) classes
-    of :func:`_class_sizes` and laid out class-major, each class padded to
-    whole words, so the three choice planes are constant words.  Bit-sliced
-    from there: every other per-round quantity is a uint64 array holding one
-    bit of 64 rounds a word, drawn straight from the bit generator, and every
-    step is a bitwise operation on whole words.
-    """
-    raw = rng.bit_generator.random_raw
-    sizes = _class_sizes(n, raw)
-    lengths = [-(-m // 64) for m in sizes]
-    words = sum(lengths)
     digits = _qber_digits(config.channel_qber)
     eve = config.eve is Eavesdropper.INTERCEPT_RESEND
 
-    def measure(state_basis: np.ndarray, state_bits: np.ndarray,
-                meas_basis: np.ndarray) -> np.ndarray:
-        rand = raw(words)
-        # The state's bit where the bases agree, a uniform bit elsewhere.
-        same_basis = ~(state_basis ^ meas_basis)
-        return rand ^ ((state_bits ^ rand) & same_basis)
-
-    def transmit(basis: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if digits:
-            bits = bits ^ _flip_mask(digits, words, raw)
+    def send(counts, basis, bit, meas_basis):
+        """Send node i's rounds as the qubit (basis[i], bit[i]), measure them
+        in meas_basis[i], and return the nodes extended by the result."""
+        # flight[i, b, bit]: node i's rounds whose qubit is in basis b and bit.
+        flight = np.zeros((counts.size, 2, 2), dtype=np.int64)
+        flight[np.arange(counts.size), basis, bit] = counts
+        # The channel moves Binomial(count, e) rounds to the orthogonal bit.
+        flips = _binomial(flight, digits, raw)
+        flight += flips[..., ::-1] - flips
         if eve:
-            eve_basis = raw(words)
-            return eve_basis, measure(basis, bits, eve_basis)
-        return basis, bits
+            # Eve measures in a uniform basis, X for the halving's ones, and
+            # resends her result in her basis.
+            by_basis = np.moveaxis(_split(flight, _halves(flight, raw)), -1, 0)
+            results = _measure(by_basis.reshape(-1, 2, 2), np.repeat([0, 1], counts.size), raw)
+            flight = results.reshape(2, -1, 2).swapaxes(0, 1)
+        return _measure(flight, meas_basis, raw).ravel()
 
-    basis_a, bits_a, basis_b = (np.repeat(row, lengths) for row in _CLASS_WORDS)
-    y = measure(*transmit(basis_a, bits_a), basis_b)
-    r1 = measure(*transmit(basis_b, y), basis_a)
-    r2 = measure(*transmit(~basis_b, y), basis_a ^ ~(r1 ^ bits_a))
-
+    # Node c = basis_a << 2 | bits_a << 1 | basis_b, each bit a halving.
+    counts = np.array([config.n_rounds], dtype=np.int64)
+    for _ in range(3):
+        counts = _split(counts, _halves(counts, raw)).ravel()
+    # Alice's qubit, which Bob measures in his basis: y.
+    basis_a, bits_a, basis_b = _node_bits(3)
+    counts = send(counts, basis_a, bits_a, basis_b)
+    # Bob's re-prepared result, which Alice measures in her basis: r1.
+    basis_a, bits_a, basis_b, y = _node_bits(4)
+    counts = send(counts, basis_b, y, basis_a)
+    # Bob's bit in his other basis, which Alice measures in the other basis
+    # if r1 returned her own state, else in hers: r2.
+    basis_a, bits_a, basis_b, y, r1 = _node_bits(5)
+    counts = send(counts, 1 - basis_b, y, basis_a ^ (r1 == bits_a))
     code_counts = np.zeros(256, dtype=np.int64)
-    code_counts[_PATTERN_CODES] = _count_patterns(sizes, (y, r1, r2))
+    code_counts[_PATTERN_CODES] = counts
     return code_counts
-
-
-def _chunks(n_rounds: int, seed: int) -> Iterator[tuple[int, np.random.SeedSequence]]:
-    """Yield (rounds, seed sequence) per chunk of ``n_rounds``: chunk 0 draws
-    from the stream ``SeedSequence(seed, spawn_key=(0,))``, chunk j >= 1 from
-    its (j-1)-th child, spawned one at a time so that no list of them is held."""
-    # spawn_key=(0,), not the bare seed: the stream each seed's reports have used.
-    stream = np.random.SeedSequence(seed, spawn_key=(0,))
-    for start in range(0, n_rounds, CHUNK):
-        yield min(CHUNK, n_rounds - start), stream.spawn(1)[0] if start else stream
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run ``config.n_rounds`` rounds and aggregate sift/QBER statistics.
 
-    The chunks of :func:`_chunks` run in turn through the bit-sliced kernel,
-    64 rounds a machine word, so memory stays O(CHUNK): about 2.5 MB at 2^20
-    rounds.  The report depends only on ``config``.
+    The count-level sampler :func:`_code_counts` draws from the one stream
+    ``SeedSequence(seed, spawn_key=(0,))``, so the report depends only on
+    ``config``, and memory stays O(_PIECE) however many rounds are asked for.
     """
     kept_table, err_table, orth_table = _sift_tables()
-    code_counts = np.zeros(256, dtype=np.int64)
-    for n, stream in _chunks(config.n_rounds, config.rng_seed):
-        code_counts += _simulate_chunk(config, n, np.random.default_rng(stream))
+    # The seed's first spawned child, the stream that earlier versions drew from.
+    stream = np.random.SeedSequence(config.rng_seed, spawn_key=(0,))
+    code_counts = _code_counts(config, np.random.PCG64(stream).random_raw)
 
     branch_counts = tuple(int(code_counts[((s * 4 + y) * 4 + r1) * 4 + r2])
                           for s, y, r1, r2, _ in TABLE1_BRANCHES)

@@ -1,6 +1,5 @@
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,11 +201,15 @@ def test_simulation_determinism():
 
 
 def test_simulation_worker_split_covers_all_rounds(monkeypatch):
-    # 10 whole chunks and one of a single round, which ends in a part word.
-    monkeypatch.setattr(protocol, "CHUNK", 1000)
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=10_001, rng_seed=5)
-    report = run_simulation(config)
-    assert sum(report.branch_counts) + report.other_count == 10_001
+    # Pieces of 3 words draw the stream's words in the same order as whole
+    # draws, so a run cut into many pieces, some across a count's words and
+    # one ending in a part word, reports exactly what it reports uncut.
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=10_001, channel_qber=0.1,
+                              rng_seed=5)
+    whole = run_simulation(config)
+    monkeypatch.setattr(protocol, "_PIECE", 3)
+    assert run_simulation(config) == whole
+    assert sum(whole.branch_counts) + whole.other_count == 10_001
 
 
 def test_config_validation():
@@ -218,14 +221,14 @@ def test_config_validation():
         SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, rng_seed=-1)
 
 
-# The report for this configuration, frozen from the class-stratified
-# bit-packed kernel.  A fixed seed reproduces it exactly on every platform; a
-# kernel that draws or uses its random words differently moves it.
+# The report for this configuration, frozen from the count-level kernel.  A
+# fixed seed reproduces it exactly on every platform; a kernel that draws or
+# uses its random words differently moves it.
 FROZEN_CONFIG = SimulationConfig(protocol=ProtocolId.P2, n_rounds=30_000, channel_qber=0.05,
                                  eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=2212)
 FROZEN_BRANCH_COUNTS = (
-    1463, 486, 453, 671, 460, 481, 662, 1417, 433, 492, 681, 463, 468, 711,
-    1469, 465, 452, 668, 434, 458, 687, 1443, 445, 463, 707, 480, 466, 660,
+    1420, 454, 467, 719, 463, 408, 712, 1374, 458, 489, 701, 512, 479, 647,
+    1443, 443, 435, 688, 465, 437, 670, 1418, 468, 489, 653, 472, 505, 695,
 )
 
 
@@ -260,17 +263,13 @@ def _chi_square_bound(dof: int, z: float = 3.72) -> float:
     return dof * (1.0 - a + z * a ** 0.5) ** 3
 
 
-@pytest.mark.parametrize("eve", [False, True])
-@pytest.mark.parametrize("e", [Fraction(0), Fraction(3, 100), Fraction(1, 5)])
-def test_kernel_histogram_fits_oracle(e, eve):
-    n = 2**20 - 37  # the last word holds 27 rounds
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=float(e),
-                              eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
-    counts = protocol._simulate_chunk(config, n, np.random.default_rng(61))
+def _fits_oracle(counts: np.ndarray, e: Fraction, eve: bool) -> None:
+    """Assert that a kernel histogram of counts.sum() rounds stays on the
+    oracle's support and passes Pearson's chi-square test against it."""
+    n = int(counts.sum())
     expected = np.zeros(256)
     for key, p in oracle_stats(e=e, eve=eve).histogram.items():
         expected[_code(key)] = float(p * n)
-    assert counts.sum() == n
     assert counts[expected == 0].sum() == 0  # no round off the oracle's support
     # Pearson's statistic, the codes expected fewer than 5 times pooled.
     common, rare = expected >= 5, (expected > 0) & (expected < 5)
@@ -283,175 +282,209 @@ def test_kernel_histogram_fits_oracle(e, eve):
     assert chi_square <= _chi_square_bound(len(mean) - 1)
 
 
+def _kernel(config: SimulationConfig, seed) -> np.ndarray:
+    return protocol._code_counts(config, np.random.default_rng(seed).bit_generator.random_raw)
+
+
+def _config(n: int, e: Fraction, eve: bool) -> SimulationConfig:
+    return SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=float(e),
+                            eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
+
+
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("e", [Fraction(0), Fraction(3, 100), Fraction(1, 5)])
+def test_kernel_histogram_fits_oracle(e, eve):
+    n = 2**20 - 37  # the last word of a full count holds 27 rounds
+    counts = _kernel(_config(n, e, eve), 61)
+    assert counts.sum() == n
+    _fits_oracle(counts, e, eve)
+
+
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("e", [Fraction(0), Fraction(3, 100), Fraction(1, 5)])
+def test_kernel_histogram_fits_oracle_at_ten_million_rounds(e, eve):
+    # Ten times the rounds resolve a bias about 3x smaller in each code's
+    # probability than the test at 2^20 rounds.
+    n = 10**7
+    counts = _kernel(_config(n, e, eve), 67)
+    assert counts.sum() == n
+    _fits_oracle(counts, e, eve)
+
+
 class _StubBits:
-    """A bit generator whose random_raw hands out the given words in order."""
+    """A bit generator whose random_raw hands out the given words in order
+    and records the size of each draw."""
 
     def __init__(self, words):
         self.words = np.array(words, dtype=np.uint64)
         self.used = 0
+        self.draws = []
 
     def random_raw(self, size):
         if self.used + size > self.words.size:
             raise IndexError("stub bit generator ran out of words")
         self.used += size
+        self.draws.append(size)
         return self.words[self.used - size:self.used].copy()
 
 
-def _digit_words(k):
-    """k words in which lane j holds the k binary digits of j mod 2**k,
-    most significant first: every k-digit string of U, 64 / 2**k times."""
-    return [sum((((j % (1 << k)) >> (k - i)) & 1) << j for j in range(64))
-            for i in range(1, k + 1)]
+_ONES = 2**64 - 1
+_ALTERNATE = 0xAAAA_AAAA_AAAA_AAAA  # odd lanes set: m / 2 ones in the first m, m even
+
+
+def test_halves_count_elementwise():
+    # In order, over any shape: zero counts draw nothing, and each nonzero
+    # count takes the popcount of the first m lanes of its next ceil(m / 64)
+    # words (lane 3 of the first word is past m = 3), all in one draw.
+    stub = _StubBits([0b1011, _ONES, 0b111, 1 << 63])
+    got = protocol._halves(np.array([[3, 0], [0, 70], [64, 0]]), stub.random_raw)
+    assert got.tolist() == [[2, 0], [0, 67], [1, 0]]
+    assert stub.draws == [4]
+    stub = _StubBits([])
+    got = protocol._halves(np.zeros((2, 2), dtype=np.int64), stub.random_raw)
+    assert got.tolist() == [[0, 0], [0, 0]]
+    assert stub.draws == []
+
+
+def test_class_sizes_halve_on_the_first_m_bits():
+    # The kernel's first three halvings split the rounds into the 8
+    # (basis_a, bits_a, basis_b) classes, level by level, 0-child first.
+    # At e = 0 without Eve the words after them only measure, so each class
+    # is the sum of its 8 patterns.
+    def class_sizes(n, words):
+        stub = _StubBits(words + [0] * 16)
+        config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n)
+        counts = protocol._code_counts(config, stub.random_raw)
+        return counts[protocol._PATTERN_CODES].reshape(8, 8).sum(axis=1).tolist(), stub.used
+
+    # All-ones words put every round in class 7, all-zero words in class 0;
+    # each level splits one nonempty class of n = 70 rounds, 2 words apiece,
+    # and every measurement then meets a qubit in its own basis.
+    for word, full in ((_ONES, 7), (0, 0)):
+        assert class_sizes(70, [word] * 6) == ([70 if c == full else 0 for c in range(8)], 6)
+    # Bits past m do not count: only the 6 low lanes of each second word hold
+    # a round, and they are 0.
+    assert class_sizes(70, [0, _ONES << 6 & _ONES] * 3) == ([70] + [0] * 7, 6)
+    # 130 rounds: 64 + 2 ones of 130, then 10 of 64 and 2 of 66, then
+    # 54 of 54, 0 of 10, 1 of 64 and 2 of 2; empty classes draw nothing.
+    words = [_ONES, 0, 0b11, (1 << 10) - 1, 0, _ONES, _ONES, 0, 1, _ONES]
+    assert class_sizes(130, words)[0] == [0, 54, 10, 0, 63, 1, 0, 2]
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 64])
+def test_halves_count_exactly_across_pieces(monkeypatch, piece):
+    # The counts take runs of 1, 3, 2, 1 and 40 words, some cut by piece
+    # boundaries.  Every draw holds at most `piece` words, and each count is
+    # the popcount of the first m bits of its run, as without pieces.
+    monkeypatch.setattr(protocol, "_PIECE", piece)
+    m = [5, 0, 130, 65, 0, 64, 2_500, 0]
+    words = np.random.default_rng(9).bit_generator.random_raw(47)
+    stub = _StubBits(words)
+    got = protocol._halves(np.array(m), stub.random_raw)
+    expected, used = [], 0
+    for size in m:
+        k = -(-size // 64)
+        run = sum(int(w) << 64 * i for i, w in enumerate(words[used:used + k]))
+        expected.append((run & ((1 << size) - 1)).bit_count())
+        used += k
+    assert got.tolist() == expected
+    assert stub.used == used == 47
+    assert max(stub.draws) <= piece and len(stub.draws) == -(-47 // piece)
 
 
 @pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8),
                                Fraction(5, 16), Fraction(21, 64), Fraction(1, 64)])
-def test_flip_mask_compares_digits_exactly(e):
-    # A lane flips exactly when its digits, read as U, fall below e: with
-    # every k-digit string present, exactly 64 * e lanes flip, and one word
-    # is drawn per digit of e.
+def test_binomial_compares_digits_exactly(e):
+    # Words that split the rounds still equal to e in half at each digit:
+    # exactly 64 * e of 64 rounds then fall below e, and one word is drawn
+    # per digit of e.
     k = e.denominator.bit_length() - 1
     digits = protocol._qber_digits(float(e))
     assert len(digits) == k
-    stub = _StubBits(_digit_words(k))
-    mask = int(protocol._flip_mask(digits, 1, stub.random_raw)[0])
+    stub = _StubBits([_ALTERNATE] * k)
+    assert protocol._binomial(np.array([64]), digits, stub.random_raw).tolist() == [64 * e]
     assert stub.used == k
-    assert mask == sum(1 << j for j in range(64) if j % (1 << k) < e * (1 << k))
-    assert mask.bit_count() == 64 * e
 
 
-def test_flip_mask_stops_when_no_round_is_equal():
-    ones = 2**64 - 1
-    # e = 1/4 = 0.01: a first digit of 1 puts U above e in every lane.
-    stub = _StubBits([ones, 0])
-    assert protocol._flip_mask("01", 1, stub.random_raw).tolist() == [0]
+def test_binomial_hand_worked_digits():
+    # e = 5/8 = 0.101 over counts (3, 0, 70); the zero count draws nothing.
+    # Digit 1: ones 2 of 3 and 64 + 2 of 70, so (1, 0, 4) fall below e and
+    #   (2, 0, 66) stay equal.
+    # Digit 0: ones 1 of 2 and 0 + 2 of 66 rise above; (1, 0, 64) stay equal.
+    # Digit 1: ones 0 of 1 (the set lane 1 is past m) and 64 of 64, so
+    #   (1, 0, 0) more fall below e.
+    words = [0b101, _ONES, 0b110000, 0b10, 0, 0b11, 0b10, _ONES]
+    stub = _StubBits(words)
+    assert protocol._binomial(np.array([3, 0, 70]), "101", stub.random_raw).tolist() == [2, 0, 4]
+    assert stub.used == len(words)
+    # e = 0 draws nothing; e = 1/2 is one halving, below e on the 0-bits.
+    stub = _StubBits([])
+    assert protocol._binomial(np.array([70, 5]), "", stub.random_raw).tolist() == [0, 0]
+    stub = _StubBits([_ONES, 0b1, 0b10110])
+    assert protocol._binomial(np.array([70, 5]), "1", stub.random_raw).tolist() == [5, 2]
+    assert stub.draws == [3]
+
+
+def test_binomial_stops_when_no_count_is_equal():
+    # e = 1/4 = 0.01: a first digit of 1 puts U above e for every round.
+    stub = _StubBits([_ONES, 0])
+    assert protocol._binomial(np.array([64]), "01", stub.random_raw).tolist() == [0]
     assert stub.used == 1
-    # Seven of eight words go above e at the first digit, so only the last
-    # word draws the remaining five digits of e = 21/64 = 0.010101.
-    stub = _StubBits([ones] * 7 + _digit_words(6))
-    mask = protocol._flip_mask("010101", 8, stub.random_raw)
-    assert stub.used == 8 + 5
-    assert mask.tolist()[:7] == [0] * 7
-    assert int(mask[7]) == sum(1 << j for j in range(21))
+    # e = 21/64 = 0.010101: the first count goes above e at the first digit,
+    # so only the second, all still equal, draws the other five digits, and
+    # 64 * 0.10101 (binary) = 42 of its rounds fall below e.
+    stub = _StubBits([_ONES, 0] + [_ALTERNATE] * 5)
+    got = protocol._binomial(np.array([64, 64]), "010101", stub.random_raw)
+    assert got.tolist() == [0, 42]
+    assert stub.used == 2 + 5
 
 
-def _split_words(words, n):
-    """The class sizes and the words used by three levels of halvings of
-    ``n`` rounds over ``words``, one popcount per halving, in Python ints."""
-    sizes, used = [n], 0
-    for _ in range(3):
-        halves = []
-        for m in sizes:
-            k = -(-m // 64)
-            block = sum(int(w) << 64 * i for i, w in enumerate(words[used:used + k]))
-            ones = (block & ((1 << m) - 1)).bit_count()
-            used += k
-            halves += [m - ones, ones]
-        sizes = halves
-    return sizes, used
-
-
-@pytest.mark.parametrize("e,words_per_64_rounds", [(0.0, 6), (0.5, 9), (0.25, 12)])
-def test_kernel_draws_one_word_per_digit_of_e(e, words_per_64_rounds):
-    # The class split draws the three choice bits, ceil(m / 64) words per
-    # halving.  Each class word then draws the rest: three measurements plus
-    # one word per binary digit of e in each of the three transmissions (none
-    # at e = 0), and with Eve a basis and a measurement word per transmission.
+@pytest.mark.parametrize("e,halvings", [(0.0, 3), (0.5, 6), (0.25, 9)])
+def test_kernel_draws_one_word_per_digit_of_e(e, halvings):
+    # With all-zero words no halving finds a one: the 250 rounds all land in
+    # class (Z, 0, Z), and each transmission flips all of them at e's first
+    # 1-digit, one halving per digit up to it (none at e = 0).  No measurement
+    # then meets a qubit in the other basis, so the three class halvings and
+    # the flips are all that is drawn, 4 words each.  Eve adds her basis
+    # halving on each pass and, on the third pass, where the qubit is in X,
+    # her result and Alice's measurement in X.
     n = 250
-    words = np.random.default_rng(3).bit_generator.random_raw(4 * 64)
-    sizes, split_words = _split_words(words, n)
-    class_words = sum(-(-m // 64) for m in sizes)
-    for eve, eve_words in ((Eavesdropper.NONE, 0), (Eavesdropper.INTERCEPT_RESEND, 6)):
-        config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=1, channel_qber=e, eve=eve)
-        stub = _StubBits(words)
-        counts = protocol._simulate_chunk(config, n, SimpleNamespace(bit_generator=stub))
-        assert counts.sum() == n
-        assert stub.used == split_words + (words_per_64_rounds - 3 + eve_words) * class_words
-
-
-def test_class_sizes_halve_on_the_first_m_bits():
-    ones = 2**64 - 1
-    # All-ones words put every round in class 7, all-zero words in class 0;
-    # each level splits one nonempty class of n = 70 rounds, 2 words apiece.
-    for word, full in ((ones, 7), (0, 0)):
-        stub = _StubBits([word] * 6)
-        sizes = protocol._class_sizes(70, stub.random_raw)
-        assert sizes == [70 if c == full else 0 for c in range(8)]
-        assert stub.used == 6
-    # Bits past m do not count: only the 6 low lanes of each second word hold
-    # a round, and they are 0.
-    stub = _StubBits([0, ones << 6 & ones] * 3)
-    assert protocol._class_sizes(70, stub.random_raw) == [70] + [0] * 7
-    assert stub.used == 6
-    # 130 rounds: 64 + 2 ones of 130, then 10 of 64 and 2 of 66, then
-    # 54 of 54, 0 of 10, 1 of 64 and 2 of 2; empty classes draw nothing.
-    stub = _StubBits([ones, 0, 0b11, (1 << 10) - 1, 0, ones, ones, 0, 1, ones])
-    assert protocol._class_sizes(130, stub.random_raw) == [0, 54, 10, 0, 63, 1, 0, 2]
-    assert stub.used == 10
+    pattern = 0b000100 if e else 0  # y = 1 after a flip, r1 = r2 = 0
+    for eve, eve_halvings in ((Eavesdropper.NONE, 0), (Eavesdropper.INTERCEPT_RESEND, 5)):
+        config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=e, eve=eve)
+        stub = _StubBits([0] * 64)
+        counts = protocol._code_counts(config, stub.random_raw)
+        assert counts[protocol._PATTERN_CODES[pattern]] == counts.sum() == n
+        assert stub.used == (halvings + eve_halvings) * 4
 
 
 @pytest.mark.parametrize("eve", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 1000])
 def test_simulate_chunk_covers_empty_classes_and_tails(n, eve):
     e = Fraction(1, 5)
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=float(e),
-                              eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
+    config = _config(n, e, eve)
     support = np.zeros(256, dtype=bool)
     for key in oracle_stats(e=e, eve=eve).histogram:
         support[_code(key)] = True
     for seed in range(4):
-        counts = protocol._simulate_chunk(config, n, np.random.default_rng(seed))
+        counts = _kernel(config, seed)
         assert counts.sum() == n
         assert counts[~support].sum() == 0
-
-
-def test_count_patterns_matches_per_round_loop():
-    rng = np.random.default_rng(7)
-    # Empty classes, whole words and tails of 40, 1 and 63 rounds.
-    sizes = [1000, 0, 65, 64, 63, 0, 1, 128]
-    lengths = [-(-m // 64) for m in sizes]
-    planes = tuple(rng.bit_generator.random_raw(sum(lengths)) for _ in range(3))
-    bits = [np.unpackbits(p.view(np.uint8), bitorder="little").tolist() for p in planes]
-    expected = [0] * 64
-    start = 0
-    for c, (m, length) in enumerate(zip(sizes, lengths)):
-        for j in range(64 * start, 64 * start + m):
-            expected[8 * c + 4 * bits[0][j] + 2 * bits[1][j] + bits[2][j]] += 1
-        start += length
-    assert protocol._count_patterns(sizes, planes).tolist() == expected
 
 
 def test_simulation_frozen_outputs():
     report = run_simulation(FROZEN_CONFIG)
     assert report.branch_counts == FROZEN_BRANCH_COUNTS
-    assert report.other_count == 11_362
-    assert report.sifted_count == 27_392
-    assert report.error_count == 9_660
+    assert report.other_count == 11_416
+    assert report.sifted_count == 27_456
+    assert report.error_count == 9_815
 
 
-def test_simulation_chunk_layout(monkeypatch):
-    # Chunk 0 draws from the seed's first spawned child; chunk j >= 1 from
-    # that stream's (j-1)-th spawned child.
-    monkeypatch.setattr(protocol, "CHUNK", 1000)
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=5_500,
-                              channel_qber=0.1, rng_seed=17)
-    stream = np.random.SeedSequence(17).spawn(1)[0]
-    counts = np.zeros(256, dtype=np.int64)
-    for n, seed in zip((1000,) * 5 + (500,), [stream] + stream.spawn(5)):
-        counts += protocol._simulate_chunk(config, n, np.random.default_rng(seed))
-    report = run_simulation(config)
-    kept, err, _ = protocol._sift_tables()
-    assert report.branch_counts == tuple(
-        int(counts[((s * 4 + y) * 4 + r1) * 4 + r2]) for s, y, r1, r2, _ in TABLE1_BRANCHES)
-    assert report.sifted_count == int(kept[ProtocolId.P1] @ counts)
-    assert report.error_count == int(err[ProtocolId.P1] @ counts)
-    assert sum(report.branch_counts) + report.other_count == 5_500
-
-
-@pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18])
+@pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18, 1 << 22])
 def test_simulation_memory_bounded_by_chunk(monkeypatch, n_rounds):
-    chunk = 1 << 12
-    monkeypatch.setattr(protocol, "CHUNK", chunk)
+    # Pieces of 64 words: 4096 rounds of a halving.
+    piece = 1 << 6
+    monkeypatch.setattr(protocol, "_PIECE", piece)
     config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=n_rounds, channel_qber=0.03,
                               eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=3)
     run_simulation(config)  # build the lazy tables outside the measurement
@@ -461,30 +494,34 @@ def test_simulation_memory_bounded_by_chunk(monkeypatch, n_rounds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One chunk is in flight at a time: the bit-packed kernel peaked at
-    # 16.8 kB here, 4.1 B per round of a chunk (tracemalloc, numpy 2.4.6);
-    # the bound is 64 B per round of a chunk.
-    assert peak <= 64 * chunk
+    # One piece is in flight at a time, beside arrays of at most 256 counts;
+    # the bound is 64 B per round of a piece, whatever n_rounds is.
+    assert peak <= 64 * 64 * piece
 
 
-def test_streams_equal_spawned_children(monkeypatch):
-    # The stream is built alone, as the one child that spawn(1) returns, and
-    # chunk j >= 1 draws from its (j-1)-th child.
-    monkeypatch.setattr(protocol, "CHUNK", 10)
-    stream = np.random.SeedSequence(5).spawn(1)[0]
-    expected = [stream] + stream.spawn(3)
-    chunks = [seed for _, seed in protocol._chunks(35, 5)]
-    assert len(chunks) == len(expected)
-    for seed, child in zip(chunks, expected):
-        assert (seed.generate_state(4) == child.generate_state(4)).all()
+def test_streams_equal_spawned_children():
+    # A run draws every word from one stream: the one child that spawn(1)
+    # returns for its seed.
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=5_500, channel_qber=0.1,
+                              rng_seed=17)
+    counts = _kernel(config, np.random.SeedSequence(17).spawn(1)[0])
+    report = run_simulation(config)
+    kept, err, _ = protocol._sift_tables()
+    assert report.branch_counts == tuple(
+        int(counts[((s * 4 + y) * 4 + r1) * 4 + r2]) for s, y, r1, r2, _ in TABLE1_BRANCHES)
+    assert report.sifted_count == int(kept[ProtocolId.P1] @ counts)
+    assert report.error_count == int(err[ProtocolId.P1] @ counts)
 
 
 @pytest.mark.parametrize("n_rounds,chunk", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
 def test_chunks_cover_every_round(monkeypatch, n_rounds, chunk):
-    # Every chunk but the last is full; none is empty.
-    monkeypatch.setattr(protocol, "CHUNK", chunk)
-    sizes = [n for n, _ in protocol._chunks(n_rounds, 1)]
-    assert sum(sizes) == n_rounds
+    # A halving of n_rounds draws its ceil(n_rounds / 64) words in pieces of
+    # `chunk` words: every piece but the last is full; none is empty.
+    monkeypatch.setattr(protocol, "_PIECE", chunk)
+    stub = _StubBits([0] * 64)
+    protocol._halves(np.array([n_rounds]), stub.random_raw)
+    sizes = stub.draws
+    assert sum(sizes) == -(-n_rounds // 64)
     assert sizes[:-1] == [chunk] * (len(sizes) - 1)
     assert all(0 < size <= chunk for size in sizes)
 
