@@ -439,20 +439,22 @@ def test_binomial_stops_when_no_count_is_equal():
     assert stub.used == 2 + 5
 
 
-@pytest.mark.parametrize("e,halvings", [(0.0, 3), (0.5, 6), (0.25, 9)])
+@pytest.mark.parametrize("e,halvings", [(0.0, 6), (0.5, 9), (0.25, 12)])
 def test_kernel_draws_one_word_per_digit_of_e(e, halvings):
-    # With all-zero words no halving finds a one: the 250 rounds all land in
-    # class (Z, 0, Z), and each transmission flips all of them at e's first
-    # 1-digit, one halving per digit up to it (none at e = 0).  No measurement
-    # then meets a qubit in the other basis, so the three class halvings and
-    # the flips are all that is drawn, 4 words each.  Eve adds her basis
-    # halving on each pass and, on the third pass, where the qubit is in X,
-    # her result and Alice's measurement in X.
+    # All words are 0 but the third class halving's, which are all ones: the
+    # 250 rounds all land in class (Z, 0, X).  Each transmission flips all of
+    # them at e's last digit, one halving per digit of e (none at e = 0), and
+    # every measurement meets a qubit in the other basis: Bob's y in X,
+    # Alice's r1 in Z and, as r1 = 0 returns her own bit, her r2 in X.  So the
+    # three class halvings, the three measurements and the flips are all
+    # that is drawn, 4 words each.  Eve adds her basis halving on each pass
+    # and, on the second, where the qubit is in X, her result; Alice then
+    # measures Eve's Z qubit in Z and draws nothing for r1.
     n = 250
-    pattern = 0b000100 if e else 0  # y = 1 after a flip, r1 = r2 = 0
-    for eve, eve_halvings in ((Eavesdropper.NONE, 0), (Eavesdropper.INTERCEPT_RESEND, 5)):
+    pattern = 0b001000  # basis_b = X, y = r1 = r2 = 0
+    for eve, eve_halvings in ((Eavesdropper.NONE, 0), (Eavesdropper.INTERCEPT_RESEND, 3)):
         config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=e, eve=eve)
-        stub = _StubBits([0] * 64)
+        stub = _StubBits([0] * 8 + [_ONES] * 4 + [0] * 64)
         counts = protocol._code_counts(config, stub.random_raw)
         assert counts[protocol._PATTERN_CODES[pattern]] == counts.sum() == n
         assert stub.used == (halvings + eve_halvings) * 4
