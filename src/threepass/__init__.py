@@ -14,16 +14,11 @@ from .qmath import (
     von_neumann_entropy,
 )
 from .protocol import (
-    Basis,
     Eavesdropper,
     ProtocolId,
-    PureState,
     SimulationConfig,
     SimulationReport,
-    prepare,
     run_simulation,
-    sift_p1,
-    sift_p2,
 )
 from .secrate import (
     EfficiencyInputs,

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .protocol import (
     DEFAULT_SB1_TOLERANCE,
+    STATE_NAMES,
     TABLE1_BRANCHES,
     Eavesdropper,
     ProtocolId,
@@ -310,10 +311,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             }, seed=seed)
             out.write("alice_state,bob_result,sb1_result,sb2_result,"
                       "expected_probability,expected_count,observed_count\n")
-            for (s, y, r1, r2, prob), count in zip(TABLE1_BRANCHES, report.branch_counts):
-                expected = float(prob) * report.n_rounds
-                out.write(f"{s},{y},{r1},{r2},{_fmt(float(prob))},"
-                          f"{_fmt(expected)},{count}\n")
+            for (*states, prob), count in zip(TABLE1_BRANCHES, report.branch_counts):
+                names = ",".join(STATE_NAMES[s] for s in states)
+                out.write(f"{names},{_fmt(prob)},{_fmt(prob * report.n_rounds)},{count}\n")
             out.write(f"(off-table),,,,0,0,{report.other_count}\n")
     return 0
 
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="root-finder tolerance of the four closed-form thresholds; "
                         f"the two bounds always use {secrate.BOUND_TOL:g}")
     p.add_argument("--mu4-override", type=float, default=None,
-                   help=f"fix mu4 instead of the default e^2, as {_MU4_RULE}"),
+                   help=f"fix mu4 instead of the default e^2, as {_MU4_RULE}")
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless every value matches its reference")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")

@@ -39,63 +39,22 @@ All words come from one PCG64 stream, ``SeedSequence(seed, spawn_key=(0,))``,
 so a report is bit-for-bit reproducible from its seed.  A count's words are
 drawn at most :data:`_PIECE` at a time, so memory stays O(_PIECE), about
 128 kB, however many rounds are asked for.  Sift fraction, QBER and the
-orthogonal fraction follow from per-code tables built by the scalar
-:func:`sift_p1`/:func:`sift_p2`, so the sifting rules live in one place.  The
-exact branch enumeration in ``tests/enum_oracle.py`` is the independent
-reference that the sampler and the tables are tested against.
+orthogonal fraction follow from per-pattern tables: each protocol's sifting
+rule is written once, as array expressions over the bits of the 64 reachable
+round patterns, and the published table's noiseless branches come from the
+same arrays (:func:`_pattern_tables`).  The exact branch enumeration in
+``tests/enum_oracle.py`` is the independent reference that the sampler and
+the tables are tested against.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
-from typing import Optional
 
 import numpy as np
 
 from .qmath import in_range
-
-
-class Basis(enum.IntEnum):
-    """The two mutually unbiased bases; J = 0 for Z, J = 1 for X."""
-
-    Z = 0
-    X = 1
-
-    @property
-    def other(self) -> "Basis":
-        return Basis(1 - int(self))
-
-
-class PureState(enum.IntEnum):
-    """The four signal states, indexed as 2*basis + bit."""
-
-    ZERO = 0   # |0> = |+z>
-    ONE = 1    # |1> = |-z>
-    PLUS = 2   # |+> = |+x>
-    MINUS = 3  # |-> = |-x>
-
-    @property
-    def basis(self) -> Basis:
-        return Basis(int(self) >> 1)
-
-    @property
-    def bit(self) -> int:
-        return int(self) & 1
-
-    @property
-    def orthogonal(self) -> "PureState":
-        return PureState(int(self) ^ 1)
-
-    @property
-    def m_value(self) -> int:
-        """Partition label: 0 for {|0>, |+>}, 1 for {|1>, |->}."""
-        return int(self) & 1
-
-    def __str__(self) -> str:
-        return ("|0>", "|1>", "|+>", "|->")[int(self)]
 
 
 class Eavesdropper(enum.Enum):
@@ -112,12 +71,11 @@ class ProtocolId(enum.Enum):
 # the basis-announced tolerable error limit of the return-pass key rate.
 DEFAULT_SB1_TOLERANCE = 0.0617
 
+#: The names of the four signal states, indexed as 2*basis + bit (Z = 0, X = 1).
+STATE_NAMES = ("|0>", "|1>", "|+>", "|->")
 
-def prepare(bit: int, basis: Basis) -> PureState:
-    """Encode a classical bit in the given basis."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return PureState(2 * int(basis) + bit)
+#: Largest round count: counts are int64.
+_MAX_ROUNDS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -132,6 +90,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
+        if self.n_rounds > _MAX_ROUNDS:
+            raise ValueError(f"n_rounds must be <= 2**63 - 1, got {self.n_rounds}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
         in_range("QBER must lie", self.channel_qber, 0.0, 0.5)
@@ -139,75 +99,72 @@ class SimulationConfig:
             raise ValueError(f"sb1 tolerance must be >= 0, got {self.sb1_tolerance}")
 
 
-def sift_p1(s_a: PureState, y: PureState, r1: PureState,
-            r2: PureState) -> Optional[tuple[int, PureState]]:
-    """Protocol 1 sifting of a round in which Alice prepared ``s_a``, Bob
-    measured ``y``, and Alice measured ``r1`` and ``r2``: (key_bit,
-    determined state) or None to discard.
+def _node_bits(width: int) -> list[np.ndarray]:
+    """The bits of the nodes 0 .. 2**width - 1, most significant first."""
+    nodes = np.arange(1 << width)
+    return [nodes >> shift & 1 for shift in range(width - 1, -1, -1)]
 
-    Conclusive without Bob's announced basis index J = ``y.basis`` when the
-    return-pass result is orthogonal to Alice's state; conclusive with
-    matching J values when it equals her state and the second result carries
-    the same bit in the other basis.  Every other pattern is discarded.
+
+def _pattern_tables() -> tuple:
+    """The tables of the 64 reachable (basis_a, bits_a, basis_b, y, r1, r2)
+    round patterns, each indexed by the pattern read as a 6-bit number:
+
+    - the round code ``((s_a*4 + y)*4 + r1)*4 + r2`` of the states, as
+      2*basis + bit;
+    - each protocol's determined state, or -1 to discard the round;
+    - whether r1 is orthogonal to Alice's state (the sb1 test);
+    - the published table's noiseless branches, as (s_a, y, r1, r2,
+      probability) rows, and their codes.
+
+    Alice measures r2 in basis mb = basis_a ^ (r1 == bits_a), so the other
+    192 codes never occur.
     """
-    if r1 == s_a.orthogonal:
-        # r2 was measured in Alice's own basis.
-        bit = s_a.bit if r2 == s_a else 1 - s_a.bit
-        determined = prepare(bit, s_a.basis.other)
-        return determined.bit, determined
-    if r1 == s_a and r2 == prepare(s_a.bit, s_a.basis.other) and y.basis == s_a.basis:
-        return s_a.bit, s_a
-    return None
+    basis_a, bits_a, basis_b, y, r1, r2 = _node_bits(6)
+    echo = r1 == bits_a  # Alice's return measurement gave her own state
+    mb = basis_a ^ echo
+    s_a = 2 * basis_a + bits_a
+    states = (s_a, 2 * basis_b + y, 2 * basis_a + r1, 2 * mb + r2)
+    codes = ((states[0] * 4 + states[1]) * 4 + states[2]) * 4 + states[3]
+    other = 2 - 2 * basis_a  # a bit in Alice's other basis is the state other + bit
+    determined = {
+        # P1, on Bob's announced basis J: an orthogonal r1 means r2 was
+        # measured in Alice's basis and gave Bob's bit, determined in her
+        # other basis; an echo is kept only when J matched and r2 gave her bit.
+        ProtocolId.P1: np.where(echo, np.where((basis_b == basis_a) & (r2 == bits_a), s_a, -1),
+                                other + r2),
+        # P2, on Bob's partition label m = y: Bob's bit in Alice's other
+        # basis, unless m is her bit and r1 and r2 agree: both gave her bit
+        # (her own state is determined) or neither did (discarded).
+        ProtocolId.P2: np.where((y == bits_a) & (echo == (r2 == bits_a)),
+                                np.where(echo, s_a, -1), other + y),
+    }
+    # Each pass sends a qubit (basis, bit) that is measured in a basis.  A
+    # branch is noiseless when each pass measured in the qubit's own basis
+    # gave its bit; each pass measured in the other basis halves its
+    # probability, from the 1/8 of Alice's and Bob's choices.
+    passes = ((basis_a, bits_a, basis_b, y), (basis_b, y, basis_a, r1),
+              (1 - basis_b, y, mb, r2))
+    first, second, third = ((b != m) | (bit == got) for b, bit, m, got in passes)
+    noiseless = first & second & third
+    probability = 2.0 ** -(3 + sum(b != m for b, _, m, _ in passes))
+    # The published order sorts the patterns by (s_a, basis_b ^ basis_a, y,
+    # r1 ^ bits_a, r2): Bob's result in Alice's basis first, her echo before
+    # the orthogonal r1.  That relabelling of a pattern's bits is its own
+    # inverse, so at index k it gives the pattern in place k.  (A sort would
+    # do as well, but its first call maps about 0.25 MB more of numpy into
+    # every CLI run.)
+    order = (s_a * 2 + (basis_b ^ basis_a)) * 8 + y * 4 + (r1 ^ bits_a) * 2 + r2
+    rows = order[noiseless[order]]
+    branches = list(zip(*(column[rows].tolist() for column in (*states, probability))))
+    return codes, determined, ~echo, branches, codes[rows]
 
 
-def sift_p2(s_a: PureState, y: PureState, r1: PureState,
-            r2: PureState) -> Optional[tuple[int, PureState]]:
-    """Protocol 2 sifting on Bob's announced partition label m = ``y.m_value``,
-    with the arguments of :func:`sift_p1`.
-
-    When m differs from Alice's bit the determination is immediate; otherwise
-    one of three measurement patterns determines the result and the rest are
-    discarded.
-    """
-    a, other = s_a.bit, s_a.basis.other
-    if y.m_value != a:
-        determined = prepare(y.m_value, other)
-        return determined.bit, determined
-    if r1 == s_a and r2 == prepare(1 - a, other):
-        determined = prepare(a, other)
-    elif r1 == s_a.orthogonal and r2 == s_a:
-        determined = prepare(a, other)
-    elif r1 == s_a and r2 == prepare(a, other):
-        determined = s_a
-    else:
-        return None
-    return determined.bit, determined
-
-
-def _table1_branches() -> list[tuple[PureState, PureState, PureState, PureState, Fraction]]:
-    """The 28 noiseless branches: (alice state, bob result, first and second
-    measurement results, probability).  Row order follows the published
-    encoding/decoding table.
-    """
-    rows = []
-    for s_a in (PureState.ZERO, PureState.ONE, PureState.PLUS, PureState.MINUS):
-        a, basis = s_a.bit, s_a.basis
-        ob = basis.other
-        # Bob measured in Alice's basis: certain echo, second qubit certain.
-        rows.append((s_a, s_a, s_a, prepare(a, ob), Fraction(1, 8)))
-        for y_bit in (0, 1):
-            y = prepare(y_bit, ob)
-            # Alice's return measurement echoes her own state (prob 1/2),
-            # then the second measurement in the other basis is uniform.
-            rows.append((s_a, y, s_a, prepare(0, ob), Fraction(1, 64)))
-            rows.append((s_a, y, s_a, prepare(1, ob), Fraction(1, 64)))
-            # Or it lands on the orthogonal state; the second qubit is then
-            # measured in Alice's own basis and echoes Bob's bit exactly.
-            rows.append((s_a, y, s_a.orthogonal, prepare(y_bit, basis), Fraction(1, 32)))
-    return rows
-
-
-TABLE1_BRANCHES = _table1_branches()
+_PATTERN_CODES, _DETERMINED, _ORTH, TABLE1_BRANCHES, _BRANCH_CODES = _pattern_tables()
+#: Per-pattern sift tables: the round is kept, or kept with a determined
+#: state other than Bob's result y (bits 4-5 of the code).
+_KEPT = {pid: determined >= 0 for pid, determined in _DETERMINED.items()}
+_ERR = {pid: _KEPT[pid] & (determined != _PATTERN_CODES >> 4 & 3)
+        for pid, determined in _DETERMINED.items()}
 
 
 @dataclass(frozen=True)
@@ -253,49 +210,6 @@ class SimulationReport:
 #: Words a ``random_raw`` call draws at most: a larger count is drawn in
 #: pieces, so a run holds O(_PIECE) words, 128 kB, however many rounds it has.
 _PIECE = 2**14
-
-
-def _pattern_codes() -> np.ndarray:
-    """The round code of each of the 64 reachable (basis_a, bits_a, basis_b,
-    y, r1, r2) patterns, indexed by the pattern read as a 6-bit number.
-
-    basis_a fills both its code bits, and Alice measures r2 in basis
-    mb = basis_a ^ (r1 == bits_a), so the other 192 codes never occur."""
-    codes = np.empty(64, dtype=np.intp)
-    for pattern in range(64):
-        basis_a, bits_a, basis_b, y, r1, r2 = ((pattern >> s) & 1 for s in range(5, -1, -1))
-        mb = basis_a ^ (r1 == bits_a)
-        codes[pattern] = (basis_a << 7 | bits_a << 6 | basis_b << 5 | y << 4
-                          | basis_a << 3 | r1 << 2 | mb << 1 | r2)
-    return codes
-
-
-_PATTERN_CODES = _pattern_codes()
-
-
-@cache
-def _sift_tables() -> tuple[dict[ProtocolId, np.ndarray], dict[ProtocolId, np.ndarray],
-                            np.ndarray]:
-    """Per-code 0/1 tables (KEPT[protocol], ERR[protocol], ORTH) from the
-    scalar sifting rules: a round is kept, kept with a wrong determination,
-    or has its return-pass result orthogonal to Alice's state.  Only the 64
-    reachable codes of :data:`_PATTERN_CODES` are filled; the rest stay 0."""
-    kept = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
-    err = {pid: np.zeros(256, dtype=np.int64) for pid in ProtocolId}
-    orth = np.zeros(256, dtype=np.int64)
-    for code in _PATTERN_CODES:
-        # The (s_a, y, r1, r2) states, as 2*basis + bit, pack into
-        # code = ((s_a * 4 + y) * 4 + r1) * 4 + r2.
-        s_a, y, r1, r2 = (PureState((code >> shift) & 3) for shift in (6, 4, 2, 0))
-        orth[code] = r1 == s_a.orthogonal
-        for pid, sift in ((ProtocolId.P1, sift_p1), (ProtocolId.P2, sift_p2)):
-            determined = sift(s_a, y, r1, r2)
-            if determined is not None:
-                kept[pid][code] = 1
-                err[pid][code] = determined[1] != y
-    for table in (*kept.values(), *err.values(), orth):
-        table.setflags(write=False)
-    return kept, err, orth
 
 
 _ONES = np.uint64(2**64 - 1)
@@ -378,12 +292,6 @@ def _measure(flight: np.ndarray, basis: np.ndarray, raw) -> np.ndarray:
     return flight[rows, basis] + _split(mixed, _halves(mixed, raw))
 
 
-def _node_bits(width: int) -> list[np.ndarray]:
-    """The bits of the nodes 0 .. 2**width - 1, most significant first."""
-    nodes = np.arange(1 << width)
-    return [nodes >> shift & 1 for shift in range(width - 1, -1, -1)]
-
-
 def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
     """Simulate ``config.n_rounds`` rounds from the words of ``raw``; return
     the int64[256] count of each round code.
@@ -442,16 +350,15 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     ``SeedSequence(seed, spawn_key=(0,))``, so the report depends only on
     ``config``, and memory stays O(_PIECE) however many rounds are asked for.
     """
-    kept_table, err_table, orth_table = _sift_tables()
     # The seed's first spawned child, the stream that earlier versions drew from.
     stream = np.random.SeedSequence(config.rng_seed, spawn_key=(0,))
     code_counts = _code_counts(config, np.random.PCG64(stream).random_raw)
 
-    branch_counts = tuple(int(code_counts[((s * 4 + y) * 4 + r1) * 4 + r2])
-                          for s, y, r1, r2, _ in TABLE1_BRANCHES)
-    kept = int(kept_table[config.protocol] @ code_counts)
-    errors = int(err_table[config.protocol] @ code_counts)
-    orth_fraction = int(orth_table @ code_counts) / config.n_rounds
+    branch_counts = tuple(code_counts[_BRANCH_CODES].tolist())
+    counts = code_counts[_PATTERN_CODES]
+    kept = int(counts @ _KEPT[config.protocol])
+    errors = int(counts @ _ERR[config.protocol])
+    orth_fraction = int(counts @ _ORTH) / config.n_rounds
     return SimulationReport(
         protocol=config.protocol,
         n_rounds=config.n_rounds,

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -357,6 +356,8 @@ EFFICIENCY_PRESETS = {
 def cabello_efficiency(inputs: EfficiencyInputs) -> float:
     """Secret bits per transmitted qubit plus classical bit: b_s/(q_t + b_t),
     rounded once from the exact ratio; ValueError if it overflows a float."""
+    from fractions import Fraction  # only here: fractions and decimal cost import time
+
     eta = Fraction(inputs.b_s) / (Fraction(inputs.q_t) + Fraction(inputs.b_t))
     if eta > np.finfo(float).max:
         raise ValueError(f"efficiency b_s/(q_t + b_t) overflows a float: {inputs}")

@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -424,6 +426,47 @@ def test_simulate_invalid_sb1_tolerance_exits_2(capsys, tol):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: sb1 tolerance must be >= 0")
     assert captured.out == ""
+
+
+def test_simulate_rounds_beyond_int64_exits_2(capsys):
+    # Round counts are int64; a larger --rounds is a clean usage error.
+    assert main(["simulate", "--protocol", "p1", "--rounds", "10000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: n_rounds must be <= 2**63 - 1, "
+                            "got 10000000000000000000\n")
+    assert captured.out == ""
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("p1_noiseless", ["--protocol", "p1", "--rounds", "20000", "--seed", "7"]),
+    ("p2_qber0.03_eve", ["--protocol", "p2", "--rounds", "20000", "--qber", "0.03",
+                         "--eve", "intercept-resend", "--seed", "11"]),
+    ("p1_qber0.1_eve", ["--protocol", "p1", "--rounds", "30000", "--qber", "0.1",
+                        "--eve", "intercept-resend", "--seed", "5"]),
+    ("p2_qber0.2", ["--protocol", "p2", "--rounds", "30000", "--qber", "0.2", "--seed", "3"]),
+])
+def test_simulate_outputs_match_golden_files(tmp_path, capsys, name, argv):
+    # The report and the histogram CSV, byte for byte: state names, row
+    # order, number formatting and the manifest (its timestamp pinned by
+    # SOURCE_DATE_EPOCH) are all frozen in tests/golden.
+    hist = tmp_path / "hist.csv"
+    assert main(["simulate", *argv, "--histogram", str(hist)]) == 0
+    with open(os.path.join(_GOLDEN, name + ".txt"), "rb") as expected:
+        assert capsys.readouterr().out.encode() == expected.read()
+    with open(os.path.join(_GOLDEN, name + ".csv"), "rb") as expected:
+        assert hist.read_bytes() == expected.read()
+
+
+def test_cli_import_leaves_out_fractions():
+    # fractions (and decimal, which it imports) load only for `efficiency`.
+    package_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, threepass.cli; print('fractions' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": package_dir}, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_pns_summary_and_csv(tmp_path, capsys):

@@ -7,20 +7,17 @@ import pytest
 from threepass import protocol
 from threepass.protocol import (
     TABLE1_BRANCHES,
-    Basis,
     Eavesdropper,
     ProtocolId,
-    PureState,
     SimulationConfig,
-    prepare,
     run_simulation,
-    sift_p1,
-    sift_p2,
 )
 from enum_oracle import oracle_stats
 
-S0, S1, SP, SM = PureState.ZERO, PureState.ONE, PureState.PLUS, PureState.MINUS
-_BY_NAME = {"0": S0, "1": S1, "+": SP, "-": SM}
+# States are indexed as 2*basis + bit: |0>, |1>, |+>, |->.
+_BY_NAME = {"0": 0, "1": 1, "+": 2, "-": 3}
+# The pattern of each reachable round code ((s_a*4 + y)*4 + r1)*4 + r2.
+_PATTERN_OF = {code: pattern for pattern, code in enumerate(protocol._PATTERN_CODES.tolist())}
 
 # The 28 published rounds at zero noise: measurement pattern, probability,
 # announced J for the basis-sifted variant with its determination (None =
@@ -58,43 +55,23 @@ PUBLISHED_ROUNDS = [
 ]
 
 
-def test_prepare_encoding():
-    assert prepare(0, Basis.Z) is S0
-    assert prepare(1, Basis.Z) is S1
-    assert prepare(0, Basis.X) is SP
-    assert prepare(1, Basis.X) is SM
-    with pytest.raises(ValueError):
-        prepare(2, Basis.Z)
-
-
-def test_state_properties():
-    assert S0.orthogonal is S1 and SP.orthogonal is SM
-    assert S0.m_value == 0 and SP.m_value == 0
-    assert S1.m_value == 1 and SM.m_value == 1
-    assert Basis.Z.other is Basis.X
-
-
 @pytest.mark.parametrize("s_a,bob,r1,r2,prob,p1,p2", PUBLISHED_ROUNDS)
 def test_sift_rules_match_published_tables(s_a, bob, r1, r2, prob, p1, p2):
-    states = (_BY_NAME[s_a], _BY_NAME[bob], _BY_NAME[r1], _BY_NAME[r2])
-    got1 = sift_p1(*states)
-    if p1 is None:
-        assert got1 is None
-    else:
-        assert got1 is not None and got1[1] is _BY_NAME[p1]
-        assert got1[0] == _BY_NAME[p1].bit
-    got2 = sift_p2(*states)
-    assert got2 is not None and got2[1] is _BY_NAME[p2]
-    assert got2[0] == _BY_NAME[p2].bit
+    s, y, m1, m2 = (_BY_NAME[name] for name in (s_a, bob, r1, r2))
+    pattern = _PATTERN_OF[((s * 4 + y) * 4 + m1) * 4 + m2]
+    for pid, published in ((ProtocolId.P1, p1), (ProtocolId.P2, p2)):
+        determined = -1 if published is None else _BY_NAME[published]
+        assert protocol._DETERMINED[pid][pattern] == determined
+        assert protocol._KEPT[pid][pattern] == (published is not None)
+        assert protocol._ERR[pid][pattern] == (published is not None and determined != y)
+    assert protocol._ORTH[pattern] == (m1 != s)
 
 
 def test_branch_table_matches_enumeration_oracle():
     hist = oracle_stats().histogram
     assert len(hist) == len(TABLE1_BRANCHES) == 28
-    for s, y, r1, r2, prob in TABLE1_BRANCHES:
-        key = ((int(s.basis), s.bit), (int(y.basis), y.bit),
-               (int(r1.basis), r1.bit), (int(r2.basis), r2.bit))
-        assert hist[key] == prob
+    for *states, prob in TABLE1_BRANCHES:
+        assert hist[tuple((state >> 1, state & 1) for state in states)] == prob
 
 
 def test_branch_table_matches_published_rows():
@@ -103,31 +80,16 @@ def test_branch_table_matches_published_rows():
             TABLE1_BRANCHES, PUBLISHED_ROUNDS):
         assert (s, y, r1, r2) == (_BY_NAME[ps], _BY_NAME[py],
                                   _BY_NAME[pr1], _BY_NAME[pr2])
-        assert prob == pprob
+        assert all(type(state) is int for state in (s, y, r1, r2))
+        assert type(prob) is float and prob == pprob
 
 
 def test_sift_p2_discards_unlisted_pattern_under_noise():
     # Orthogonal first result plus orthogonal second result with a matching
     # label appears only on a noisy channel and has no table entry.
-    assert sift_p2(S0, S0, S1, S1) is None
-
-
-def test_sift_functions_total_over_reachable_records():
-    # r1 always lies in Alice's basis; r2 lies in the basis the step-5 rule
-    # selects.  Over all 64 reachable combinations the sifters must either
-    # discard or return a consistent (bit, state) pair, never raise.
-    for s_a in PureState:
-        for bob in PureState:
-            for r1_bit in (0, 1):
-                r1 = prepare(r1_bit, s_a.basis)
-                r2_basis = s_a.basis.other if r1 == s_a else s_a.basis
-                for r2_bit in (0, 1):
-                    r2 = prepare(r2_bit, r2_basis)
-                    for sifter in (sift_p1, sift_p2):
-                        out = sifter(s_a, bob, r1, r2)
-                        if out is not None:
-                            bit, state = out
-                            assert state.bit == bit
+    pattern = _PATTERN_OF[((0 * 4 + 0) * 4 + 1) * 4 + 1]  # |0>, |0>, |1>, |1>
+    assert protocol._DETERMINED[ProtocolId.P2][pattern] == -1
+    assert not protocol._KEPT[ProtocolId.P2][pattern]
 
 
 def test_sb1_check_noisy_channel_against_oracle():
@@ -219,6 +181,10 @@ def test_config_validation():
         SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, channel_qber=0.6)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, rng_seed=-1)
+    # Counts are int64: the largest round count is accepted, one more is not.
+    SimulationConfig(protocol=ProtocolId.P1, n_rounds=2**63 - 1)
+    with pytest.raises(ValueError, match=r"^n_rounds must be <= 2\*\*63 - 1, got 9223372036854775808$"):
+        SimulationConfig(protocol=ProtocolId.P1, n_rounds=2**63)
 
 
 # The report for this configuration, frozen from the count-level kernel.  A
@@ -244,16 +210,15 @@ def _code(key) -> int:
 @pytest.mark.parametrize("e", [Fraction(0), Fraction(3, 100), Fraction(1, 5)])
 def test_sift_tables_reproduce_oracle_exactly(e, eve):
     oracle = oracle_stats(e=e, eve=eve)
-    kept, err, orth = protocol._sift_tables()
 
     def expect(table):
-        return sum(p * int(table[_code(key)]) for key, p in oracle.histogram.items())
+        return sum(p * int(table[_PATTERN_OF[_code(key)]]) for key, p in oracle.histogram.items())
 
-    assert expect(orth) == oracle.orth_fraction
+    assert expect(protocol._ORTH) == oracle.orth_fraction
     for pid, sift, qber in ((ProtocolId.P1, oracle.p1_sift, oracle.p1_qber),
                             (ProtocolId.P2, oracle.p2_sift, oracle.p2_qber)):
-        assert expect(kept[pid]) == sift
-        assert expect(err[pid]) / expect(kept[pid]) == qber
+        assert expect(protocol._KEPT[pid]) == sift
+        assert expect(protocol._ERR[pid]) / expect(protocol._KEPT[pid]) == qber
 
 
 def _chi_square_bound(dof: int, z: float = 3.72) -> float:
@@ -489,7 +454,7 @@ def test_simulation_memory_bounded_by_chunk(monkeypatch, n_rounds):
     monkeypatch.setattr(protocol, "_PIECE", piece)
     config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=n_rounds, channel_qber=0.03,
                               eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=3)
-    run_simulation(config)  # build the lazy tables outside the measurement
+    run_simulation(config)  # warm up outside the measurement
     tracemalloc.start()
     try:
         run_simulation(config)
@@ -508,11 +473,11 @@ def test_streams_equal_spawned_children():
                               rng_seed=17)
     counts = _kernel(config, np.random.SeedSequence(17).spawn(1)[0])
     report = run_simulation(config)
-    kept, err, _ = protocol._sift_tables()
     assert report.branch_counts == tuple(
         int(counts[((s * 4 + y) * 4 + r1) * 4 + r2]) for s, y, r1, r2, _ in TABLE1_BRANCHES)
-    assert report.sifted_count == int(kept[ProtocolId.P1] @ counts)
-    assert report.error_count == int(err[ProtocolId.P1] @ counts)
+    pattern_counts = counts[protocol._PATTERN_CODES]
+    assert report.sifted_count == int(pattern_counts @ protocol._KEPT[ProtocolId.P1])
+    assert report.error_count == int(pattern_counts @ protocol._ERR[ProtocolId.P1])
 
 
 @pytest.mark.parametrize("n_rounds,chunk", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
