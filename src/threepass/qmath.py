@@ -69,8 +69,10 @@ def spectral_entropy(eigenvalues) -> float | np.ndarray:
     if lam.size and lam.min() < -PSD_DRIFT:
         raise ValueError(f"matrix is not PSD: min eigenvalue {lam.min()}")
     kept = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)
+    terms = np.log2(kept)
+    terms *= kept
     # 0.0 - sum keeps an all-zero sum at +0.0 rather than -0.0.
-    return float_if_0d(0.0 - (kept * np.log2(kept)).sum(axis=-1))
+    return float_if_0d(0.0 - terms.sum(axis=-1))
 
 
 def binary_entropy(p) -> float | np.ndarray:

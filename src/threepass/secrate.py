@@ -25,9 +25,11 @@ The two closed-form rates take an array of e, the bound functions
 broadcastable arrays of (e, q) and a scalar mu4; a scalar call is the same
 code on 0-d arrays returning a float.  The lower bound is closed form: Eve's
 states have rank-one 2x2 blocks, so every q-mixture has the 2x2 spectrum of
-:func:`threepass.qmath.eve_mixture_spectrum`.  In the Holevo term of the
-upper bound, the average state is block diagonal with a closed-form 2x2
-spectrum too; only rho_q is a genuine 4x4, one per point in one batched
+:func:`threepass.qmath.eve_mixture_spectrum`.  The Holevo term of the
+upper bound is closed form at the default mu4 = e**2, where rho_q has a
+product spectrum and S(rho_q) = h(p+) + h(p-) (see :func:`holevo_chi`).
+Under a given mu4 the average state still has a closed-form 2x2 block
+spectrum, and rho_q is a genuine 4x4, one per point in one batched
 ``eigvalsh`` per call.
 :func:`bound_threshold` is one :func:`find_threshold` root at that q.
 Every threshold is a root found by Chandrupatla's bracketing method, which
@@ -209,9 +211,27 @@ def holevo_chi(e, q, mu4: Optional[float] = None):
 
     chi = S(avg) - [S(rho_q) + S(rho_(1-q))]/2 with rho_q the q-mixture of
     Eve's states given b = 0 and b = 1.  diag(1, -1, 1, -1) maps rho_q to
-    rho_(1-q), so the two are isospectral.  Both matrices are closed form in
-    the Bell weights w = (w0, w1, w1, w3), with k = (2/(1-e) + 1)/3 and
-    d = 1 - 2q.  The average state is block diagonal on the index pairs
+    rho_(1-q), so the two are isospectral, and the average state is rho_q at
+    q = 1/2, so chi = S(rho_(1/2)) - S(rho_q).
+
+    At the default mu4 = e**2 the Bell weights factor as (1-e, e) x (1-e, e)
+    and rho_q has the product spectrum {ab, a(1-b), (1-a)b, (1-a)(1-b)}, so
+    S(rho_q) = h(a) + h(b).  With P = a(1-a) and Q = b(1-b) the invariants of
+    rho_q are e2 = P + Q - 2PQ, e3 = PQ and e4 = (PQ)**2, and in terms of
+    u = 4q(1-q) they are
+
+        PQ    = (2/9) e**2 (1-e) u
+        P + Q = (2e/9) [1 + u (5 - 7e + 4e**2 - 2e**3)]
+
+    P+ is the larger root of z**2 - (P+Q) z + PQ and P- = PQ / P+ (no
+    cancellation); p = 2P / (1 + sqrt(1 - 4P)) is the smaller root of
+    p(1-p) = P, and S(rho_q) = h(p+) + h(p-).  Both u = 1 (the average
+    state) and u = 4q(1-q) go through one entropy call, so chi is exactly 0
+    at q = 1/2 and at e = 0.  No 4x4 matrix is built on this path.
+
+    A given mu4 breaks the factorisation.  Then both states are closed form
+    in the Bell weights w = (w0, w1, w1, w3), with k = (2/(1-e) + 1)/3 and
+    d = 1 - 2q: the average state is block diagonal on the index pairs
     {0, 3} and {1, 2}, so its spectrum is two 2x2s; rho_q adds d times the
     entries that couple the blocks, and its entropy is one batched
     ``eigvalsh`` of one 4x4 per point.  Where those entries vanish (at
@@ -219,6 +239,19 @@ def holevo_chi(e, q, mu4: Optional[float] = None):
     ``e`` and ``q`` broadcast; a scalar call returns a float.
     """
     e, q, w = _bound_inputs(e, q, mu4)
+    if mu4 is None:
+        # u = 1 (the average state) and u = 4q(1-q) (rho_q) on a last axis.
+        u = np.stack(np.broadcast_arrays(1.0, 4.0 * q * (1.0 - q)), axis=-1)
+        e = e[..., None]
+        pq = (2.0 / 9.0) * e * e * (1.0 - e) * u
+        p_sum = (2.0 / 9.0) * e * (1.0 + u * (5.0 + e * (-7.0 + e * (4.0 - 2.0 * e))))
+        p_plus = 0.5 * (p_sum + np.sqrt(np.maximum(p_sum * p_sum - 4.0 * pq, 0.0)))
+        # (P+, P-), then (p+, p-); P+ = 0 only at e = 0, where PQ = 0 too.
+        p = np.stack([p_plus, np.divide(pq, p_plus, out=np.zeros_like(pq),
+                                        where=p_plus > 0.0)], axis=-1)
+        p = 2.0 * p / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * p, 0.0)))
+        s = spectral_entropy(np.concatenate([p, 1.0 - p], axis=-1))
+        return float_if_0d(s[..., 0] - s[..., 1])
     # 1 - e >= 1/2, so k is always defined.
     k = (2.0 / (1.0 - e) + 1.0) / 3.0
     d = 1.0 - 2.0 * q

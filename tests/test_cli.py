@@ -460,6 +460,22 @@ def test_simulate_outputs_match_golden_files(tmp_path, capsys, name, argv):
         assert hist.read_bytes() == expected.read()
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("curves_upper.csv", ["curves", "--kind", "upper"]),
+    ("curves_lower.csv", ["curves", "--kind", "lower"]),
+    ("curves_upper_mu4_0.csv", ["curves", "--kind", "upper", "--mu4-override", "0"]),
+    ("thresholds.txt", ["thresholds"]),
+    ("thresholds_mu4_0.txt", ["thresholds", "--mu4-override", "0.0"]),
+])
+def test_bound_outputs_match_golden_files(capsys, name, argv):
+    # The bound surfaces on the default grid and the thresholds table, byte
+    # for byte, manifest included: the default mu4 (closed-form Holevo term)
+    # and mu4 = 0 (batched 4x4 eigvalsh) alike.
+    assert main(argv) == 0
+    with open(os.path.join(_GOLDEN, name), "rb") as expected:
+        assert capsys.readouterr().out.encode() == expected.read()
+
+
 def test_cli_import_leaves_out_fractions():
     # fractions (and decimal, which it imports) load only for `efficiency`.
     package_dir = os.path.dirname(os.path.dirname(cli.__file__))

@@ -31,6 +31,7 @@ from threepass.secrate import (
     upper_bound_rate,
     upper_bound_threshold,
 )
+from threepass.cli import main
 
 # 40-digit evaluations of the defining expressions, frozen.
 ROOT_SB1 = 0.0311244603047894
@@ -48,9 +49,19 @@ CROSSING_AT_0P1_Q0P1 = 0.050574356619537638
 # root of its rate; near q = 1/2 the rate is O((1 - 2q)**2), so the last
 # digits of a root are rounding noise of the rate's arithmetic.
 LOWER_THRESHOLD = (0.12412024926202601, 0.4999)
-UPPER_THRESHOLD = (0.12013747888227343, 0.4999)
+UPPER_THRESHOLD = (0.1201374780908984, 0.4999)
 LOWER_THRESHOLD_MU4_0 = (0.1298174783786918, 0.4999)
 UPPER_THRESHOLD_MU4_0 = (0.11552932223839439, 0.4999)
+# The upper threshold of the batched 4x4 eigvalsh path at mu4 = e**2.
+UPPER_THRESHOLD_4X4 = (0.12013747888227343, 0.4999)
+# The same roots to 40 digits: the defining matrices (the 4x4 rho_q, the 2x2
+# blocks of Eve's states) in 60-digit arithmetic, solved to 1e-60.
+ROOTS_40 = {
+    "lower": 0.1241202479891166711595988976685597544124,
+    "upper": 0.1201374780498586161961997395933908602534,
+    "lower_mu4_0": 0.1298174785419772992548484479677304475314,
+    "upper_mu4_0": 0.1155293227357352898487183783334683235970,
+}
 
 
 def test_key_rate_sb1_limit_at_zero():
@@ -188,6 +199,50 @@ def test_holevo_chi_nonnegative():
     for e in np.linspace(0.0, 0.45, 10):
         for q in np.linspace(0.0, 1.0, 9):
             assert holevo_chi(float(e), float(q)) >= -1e-12
+
+
+def test_holevo_chi_closed_form_matches_4x4_path():
+    # The default mu4 takes the closed form; mu4 = e**2 given explicitly
+    # takes the batched 4x4 eigvalsh path.  Their eigenvalue floors differ,
+    # which moves chi by at most a few 1e-13.
+    rng = np.random.default_rng(20051)
+    e = rng.uniform(0.0, 0.5, 10**4)
+    q = rng.uniform(0.0, 1.0, 10**4)
+    assert np.max(np.abs(holevo_chi(e, q) - holevo_chi(e, q, e * e))) <= 1e-12
+    # Edges, q = 1/6 at e = 1/2, and the degenerate point P+ = P- at e = 1/2
+    # (u = 4/9, where rho_q has a double eigenvalue 1/9).
+    e = np.array([0.0, 1e-12, 0.5])[:, None]
+    q = np.array([0.0, 0.5, 1.0, 1.0 / 6.0, (1.0 - np.sqrt(5.0) / 3.0) / 2.0])[None, :]
+    assert np.max(np.abs(holevo_chi(e, q) - holevo_chi(e, q, e * e))) <= 1e-12
+
+
+def test_holevo_chi_closed_form_exact_zeros_and_float():
+    e = np.linspace(0.0, 0.5, 101)
+    q = np.linspace(0.0, 1.0, 101)
+    assert holevo_chi(e, 0.5).tolist() == [0.0] * 101
+    assert holevo_chi(0.0, q).tolist() == [0.0] * 101
+    assert type(holevo_chi(0.1, 0.3)) is float
+    assert type(holevo_chi(np.array(0.1), np.array(0.3))) is float
+
+
+class _Eigensolve(Exception):
+    """Raised by a patched np.linalg.eigvalsh."""
+
+
+def test_default_mu4_upper_bound_makes_no_eigensolve(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise _Eigensolve
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    e = np.linspace(0.0, 0.5, 51)[:, None]
+    q = np.linspace(0.0, 1.0, 21)[None, :]
+    assert holevo_chi(e, q).shape == (51, 21)
+    assert upper_bound_threshold() == UPPER_THRESHOLD
+    assert main(["curves", "--kind", "upper"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1294
+    # A given mu4 still takes the 4x4 path.
+    with pytest.raises(_Eigensolve):
+        holevo_chi(e, q, mu4=0.0)
 
 
 def test_holevo_chi_frozen_value():
@@ -481,6 +536,19 @@ def test_bound_thresholds_frozen_bit_for_bit():
     assert upper_bound_threshold() == UPPER_THRESHOLD
     assert lower_bound_threshold(mu4=0.0) == LOWER_THRESHOLD_MU4_0
     assert upper_bound_threshold(mu4=0.0) == UPPER_THRESHOLD_MU4_0
+    # mu4 = e**2 given explicitly takes the batched 4x4 eigvalsh path.
+    assert bound_threshold(lambda e, q: upper_bound_crossing(e, q, e * e)) == UPPER_THRESHOLD_4X4
+
+
+@pytest.mark.parametrize("name,frozen", [
+    ("lower", LOWER_THRESHOLD),
+    ("upper", UPPER_THRESHOLD),
+    ("upper", UPPER_THRESHOLD_4X4),
+    ("lower_mu4_0", LOWER_THRESHOLD_MU4_0),
+    ("upper_mu4_0", UPPER_THRESHOLD_MU4_0),
+], ids=["lower", "upper", "upper_4x4", "lower_mu4_0", "upper_mu4_0"])
+def test_frozen_bound_thresholds_lie_within_2e_9_of_40_digit_roots(name, frozen):
+    assert abs(frozen[0] - ROOTS_40[name]) <= 2e-9
 
 
 @pytest.mark.parametrize("rate,mu4,frozen", [
