@@ -245,6 +245,8 @@ def holevo_chi(e, q, mu4: Optional[float] = None):
         e = e[..., None]
         pq = (2.0 / 9.0) * e * e * (1.0 - e) * u
         p_sum = (2.0 / 9.0) * e * (1.0 + u * (5.0 + e * (-7.0 + e * (4.0 - 2.0 * e))))
+        # (P+ - P-)**2 and, below, 1 - 4P = (1 - 2p)**2 are squares that
+        # rounding can take just below 0 (P+ = P- at e = 1/2, u = 4/9).
         p_plus = 0.5 * (p_sum + np.sqrt(np.maximum(p_sum * p_sum - 4.0 * pq, 0.0)))
         # (P+, P-), then (p+, p-); P+ = 0 only at e = 0, where PQ = 0 too.
         p = np.stack([p_plus, np.divide(pq, p_plus, out=np.zeros_like(pq),

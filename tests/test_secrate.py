@@ -175,7 +175,9 @@ def test_bound_rates_q_symmetry(e, q):
 
 def test_holevo_chi_vanishes_at_zero_error():
     for q in (0.0, 0.2, 0.5):
-        assert holevo_chi(0.0, q) == pytest.approx(0.0, abs=1e-12)
+        assert holevo_chi(0.0, q, 0.0) == pytest.approx(0.0, abs=1e-12)
+    # The closed form at the default mu4 gives exactly 0.
+    assert holevo_chi(0.0, np.linspace(0.0, 1.0, 101)).tolist() == [0.0] * 101
 
 
 def test_holevo_chi_vanishes_at_balanced_flip():
@@ -185,6 +187,7 @@ def test_holevo_chi_vanishes_at_balanced_flip():
         for e in (0.0, 1e-4, 0.03, 0.05, 0.1, 0.15, 0.3, 0.5):
             assert holevo_chi(e, 0.5, mu4) == 0.0
             assert upper_bound_crossing(e, 0.5, mu4) == 0.0
+    assert holevo_chi(np.linspace(0.0, 0.5, 101), 0.5).tolist() == [0.0] * 101
 
 
 def test_holevo_chi_exactly_zero_without_block_coupling():
@@ -214,14 +217,6 @@ def test_holevo_chi_closed_form_matches_4x4_path():
     e = np.array([0.0, 1e-12, 0.5])[:, None]
     q = np.array([0.0, 0.5, 1.0, 1.0 / 6.0, (1.0 - np.sqrt(5.0) / 3.0) / 2.0])[None, :]
     assert np.max(np.abs(holevo_chi(e, q) - holevo_chi(e, q, e * e))) <= 1e-12
-
-
-def test_holevo_chi_closed_form_exact_zeros_and_float():
-    e = np.linspace(0.0, 0.5, 101)
-    q = np.linspace(0.0, 1.0, 101)
-    assert holevo_chi(e, 0.5).tolist() == [0.0] * 101
-    assert holevo_chi(0.0, q).tolist() == [0.0] * 101
-    assert type(holevo_chi(0.1, 0.3)) is float
     assert type(holevo_chi(np.array(0.1), np.array(0.3))) is float
 
 
