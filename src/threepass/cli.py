@@ -30,12 +30,14 @@ import numpy as np
 
 from . import __version__
 from .protocol import (
+    BRANCH_CODES,
     DEFAULT_SB1_TOLERANCE,
     STATE_NAMES,
     TABLE1_BRANCHES,
     Eavesdropper,
     ProtocolId,
     SimulationConfig,
+    code_distribution,
     run_simulation,
 )
 from . import pns as pns_mod
@@ -311,10 +313,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             }, seed=seed)
             out.write("alice_state,bob_result,sb1_result,sb2_result,"
                       "expected_probability,expected_count,observed_count\n")
-            for (*states, prob), count in zip(TABLE1_BRANCHES, report.branch_counts):
+            # The exact probabilities at this QBER and attack; the off-table
+            # rounds have the rest.
+            eve = config.eve is Eavesdropper.INTERCEPT_RESEND
+            expected = code_distribution(config.channel_qber, eve)[BRANCH_CODES].tolist()
+            for (*states, _), prob, count in zip(TABLE1_BRANCHES, expected, report.branch_counts):
                 names = ",".join(STATE_NAMES[s] for s in states)
                 out.write(f"{names},{_fmt(prob)},{_fmt(prob * report.n_rounds)},{count}\n")
-            out.write(f"(off-table),,,,0,0,{report.other_count}\n")
+            rest = 1.0 - math.fsum(expected)
+            out.write(f"(off-table),,,,{_fmt(rest)},{_fmt(rest * report.n_rounds)},"
+                      f"{report.other_count}\n")
     return 0
 
 

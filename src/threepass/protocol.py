@@ -27,29 +27,37 @@ the histogram of their (s_a, y, r1, r2) codes, so :func:`run_simulation`
 samples that histogram at the level of counts, never round by round: the
 conditional-binomial method for multinomials (Davis, CSDA 16, 1993).  Its
 state is the number of rounds at each node of the protocol tree, and each
-random step of a round splits a node's count by an exact binomial built from
-popcounts of fresh random bits.  Alice's and Bob's choices are halvings,
-Binomial(m, 1/2); the channel flips Binomial(m, e) rounds, each comparing a
-uniform with the binary digits of e (Knuth and Yao, 1976), so P(flip) = e
-exactly; Eve's basis, her result and every measurement outside the qubit's
-basis are halvings.  No float probability is used, and a zero count draws
-nothing.  About 0.16-0.23 random words are drawn per round.
+random step of a round splits a node's count by an exact binomial.  Alice's
+and Bob's choices are halvings, Binomial(m, 1/2); the channel flips
+Binomial(m, e) rounds, each comparing a uniform with the binary digits of e
+(Knuth and Yao, 1976), one halving per digit, so P(flip) = e exactly; Eve's
+basis, her result and every measurement outside the qubit's basis are
+halvings.  A halving of at most :data:`_POPCOUNT_MAX` (T) rounds is the
+popcount of m fresh random bits.  A larger one is drawn by rejection from a
+geometric envelope around m/2 (:func:`_halves_by_rejection`), in O(1)
+expected words: a float log-ratio built from log1p terms decides each
+proposal unless it lies within a proven error margin of the uniform, and
+there exact integers or decimal intervals decide (:func:`_accept_certified`).
+No float probability decides an outcome, and a zero count draws nothing.  So
+a run draws a few thousand words, and its cost and memory do not grow with
+the round count, up to 2**63 - 1.
 
-All words come from one PCG64 stream, ``SeedSequence(seed, spawn_key=(0,))``,
-so a report is bit-for-bit reproducible from its seed.  A count's words are
-drawn at most :data:`_PIECE` at a time, so memory stays O(_PIECE), about
-128 kB, however many rounds are asked for.  Sift fraction, QBER and the
-orthogonal fraction follow from per-pattern tables: each protocol's sifting
-rule is written once, as array expressions over the bits of the 64 reachable
-round patterns, and the published table's noiseless branches come from the
-same arrays (:func:`_pattern_tables`).  The exact branch enumeration in
-``tests/enum_oracle.py`` is the independent reference that the sampler and
-the tables are tested against.
+All words come from one stream, ``random.Random(seed)`` (:func:`_word_source`),
+so a report is bit-for-bit reproducible from its seed.  Sift fraction, QBER
+and the orthogonal fraction follow from per-pattern tables: each protocol's
+sifting rule is written once, as array expressions over the bits of the 64
+reachable round patterns, and the published table's noiseless branches come
+from the same arrays (:func:`_pattern_tables`).  :func:`code_distribution`
+walks the same tree on probabilities, for the exact law of the round codes.
+The exact branch enumeration in ``tests/enum_oracle.py`` is the independent
+reference that the sampler and the tables are tested against.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,7 +167,8 @@ def _pattern_tables() -> tuple:
     return codes, determined, ~echo, branches, codes[rows]
 
 
-_PATTERN_CODES, _DETERMINED, _ORTH, TABLE1_BRANCHES, _BRANCH_CODES = _pattern_tables()
+_PATTERN_CODES, _DETERMINED, _ORTH, TABLE1_BRANCHES, BRANCH_CODES = _pattern_tables()
+#: BRANCH_CODES[i] is the round code of TABLE1_BRANCHES[i].
 #: Per-pattern sift tables: the round is kept, or kept with a determined
 #: state other than Bob's result y (bits 4-5 of the code).
 _KEPT = {pid: determined >= 0 for pid, determined in _DETERMINED.items()}
@@ -207,41 +216,256 @@ class SimulationReport:
         return "\n".join(lines)
 
 
-#: Words a ``random_raw`` call draws at most: a larger count is drawn in
-#: pieces, so a run holds O(_PIECE) words, 128 kB, however many rounds it has.
-_PIECE = 2**14
+#: Counts of at most this many rounds are halved by popcount, ceil(m / 64)
+#: words each; larger ones by rejection (:func:`_halves_by_rejection`).  So a
+#: halving draws at most _POPCOUNT_MAX / 64 words per count.
+_POPCOUNT_MAX = 2**12
 
+#: Proposals drawn for each count in the first batch of the rejection
+#: sampler; each is accepted with probability about 1/4.
+_PROPOSALS = 16
+
+#: Error margin of the float log-ratio in :func:`_rejection_status`, relative
+#: to a bound on its terms' magnitudes.  Each term is off by a few units in
+#: the last place (numpy's log and log1p err by at most 4 ulp, each rounding
+#: by 1/2), so the float value errs by less than 2**-48 of that bound; this
+#: margin is 256 times more.  Within it, :func:`_accept_certified` decides.
+_MARGIN = 2.0**-40
+
+#: The certified fallback compares exact integers when the ratio's falling
+#: factorials hold at most about this many bits, and decimal intervals above.
+_EXACT_BITS = 2**16
 
 _ONES = np.uint64(2**64 - 1)
+_LOW31 = np.uint64(2**31 - 1)
+_LN2 = math.log(2.0)
 
 
 def _halves(m: np.ndarray, raw) -> np.ndarray:
-    """Elementwise Binomial(m, 1/2): the ones among m fresh random bits.
+    """Elementwise Binomial(m, 1/2).
 
-    The nonzero counts, in order, take consecutive runs of ceil(m / 64) words
-    of the stream, the lanes of each run's last word past m masked off; a
-    zero count draws nothing.  The words come at most :data:`_PIECE` at a
-    time, and a run may span pieces.
+    A count of at most :data:`_POPCOUNT_MAX` rounds is the ones among its
+    first m of ceil(m / 64) fresh words, the lanes of the last word past m
+    masked off: such counts, in order, take consecutive runs of one draw.  A
+    larger count is sampled by :func:`_halves_by_rejection` after that.  A
+    zero count draws nothing.
     """
-    ones = np.zeros(m.size, dtype=np.int64)
-    live = np.flatnonzero(m)
-    sizes = m.ravel()[live]
-    words = -(-sizes // 64)
-    ends = np.cumsum(words)
-    starts = ends - words
-    tails = _ONES >> (-sizes % 64).astype(np.uint64)
-    total = int(ends[-1]) if live.size else 0
-    for lo in range(0, total, _PIECE):
-        u = raw(min(_PIECE, total - lo))
-        hi = lo + u.size
-        # The runs that end in this piece, and all the runs that touch it.
-        a, b = np.searchsorted(ends, (lo, hi), side="right")
-        u[ends[a:b] - 1 - lo] &= tails[a:b]
-        c = np.searchsorted(starts, hi)
-        cuts = np.maximum(starts[a:c] - lo, 0)
-        # A piece holds at most 64 * _PIECE ones, so uint32 sums it exactly.
-        ones[live[a:c]] += np.add.reduceat(np.bitwise_count(u), cuts, dtype=np.uint32)
+    flat = m.ravel()
+    ones = np.zeros(flat.size, dtype=np.int64)
+    large = flat > _POPCOUNT_MAX
+    small = np.flatnonzero((flat > 0) ^ large)
+    if small.size:
+        sizes = flat[small]
+        words = -(-sizes // 64)
+        ends = np.cumsum(words)
+        mask = np.full(ends[-1], _ONES)
+        mask[ends - 1] = _ONES >> (-sizes % 64).astype(np.uint64)
+        bits = np.bitwise_count(raw(int(ends[-1])) & mask)
+        ones[small] = np.add.reduceat(bits, ends - words, dtype=np.int64)
+    if large.any():
+        ones[large] = _halves_by_rejection(flat[large], raw)
     return ones.reshape(m.shape)
+
+
+def _leading_zeros(words: np.ndarray) -> np.ndarray:
+    """The leading zeros of bits 62..32 of each uint64 word, 31 when all are 0."""
+    return 31 - np.frexp((words >> np.uint64(32) & _LOW31).astype(float))[1]
+
+
+def _halves_by_rejection(m: np.ndarray, raw) -> np.ndarray:
+    """Binomial(m, 1/2) for each count m > :data:`_POPCOUNT_MAX`, exactly, by
+    rejection from a geometric envelope around the mode (Bringmann, Kuhn,
+    Panagiotou, Peter and Thomas, ICALP 2014, section 3).
+
+    With h = m // 2, g = m - h and w a power of two with w*w > 0.6932 m > m ln 2,
+    a proposal k lies at distance j = K*w + offset from the nearer mode.  One
+    word gives all three: the block index K ~ Geometric(1/2) is the leading
+    zeros of its bits 62..32 (read on into further words' bits 62..32 while
+    they are all 0), bit 63 its side (0: k = g + j, 1: k = g - 1 - j, so each
+    k in [0, m] has one (side, j)), and its bits below w the offset.  Such a
+    k is proposed with probability 2**-(K+2) / w, and C(m, k)/C(m, h) <=
+    exp(-j*j/m) <= 2**-K.  A uniform U, the next word and as many more as a
+    decision needs, accepts k when U < 2**K C(m, k)/C(m, h), so k is kept
+    with probability C(m, k)/(4 w C(m, h)): exactly the law of Binomial(m, 1/2).
+    Between 1/5 and 3/8 of the proposals are accepted, as w/sqrt(m) varies.
+
+    A batch draws the proposals of every count still unsampled, as two
+    (counts, proposals) blocks of words: the proposals, then their uniforms.
+    A count takes its first accepted proposal; the float test
+    :func:`_rejection_status` decides nearly all, and :func:`_accept_certified`
+    the rest, in order.  The first batch holds :data:`_PROPOSALS` per count,
+    and each later one, for the few counts left, four times as many.
+    """
+    h = m // 2
+    # 0.6932 m > 2**(e - 1) for e its frexp exponent, and exceeds m ln 2 by far
+    # more than float rounding, so w = 2**ceil(e / 2) has w*w > m ln 2.
+    w = np.int64(1) << (np.frexp(0.6932 * m)[1] + 1) // 2
+    out = np.empty_like(m)
+    live = np.arange(m.size)
+    proposals = _PROPOSALS
+    while live.size:
+        n = live.size
+        words = raw(2 * n * proposals).reshape(2, n, proposals)
+        block = _leading_zeros(words[0])
+        unended = block == 31
+        while unended.any():
+            more = _leading_zeros(raw(int(unended.sum())))
+            block[unended] += more
+            unended[unended] = more == 31
+        ml, hl, wl = m[live, None], h[live, None], w[live, None]
+        j = block * wl + (words[0] & (wl - 1).astype(np.uint64)).astype(np.int64)
+        # y = k - h: g - h + j, or g - h - 1 - j = g - h + ~j on side 1.
+        y = (ml & 1) + (j ^ words[0].view(np.int64) >> 63)
+        status = _rejection_status(hl, ml - hl, y, block, words[1])
+        rows = np.arange(n)
+        first = (status != 0).argmax(axis=1)
+        while (status[rows, first] < 0).any():
+            for r in np.flatnonzero(status[rows, first] < 0).tolist():
+                f = first[r]
+                status[r, f] = _accept_certified(int(ml[r, 0]), int(hl[r, 0] + y[r, f]),
+                                                 int(block[r, f]), int(words[1, r, f]), raw)
+            first = (status != 0).argmax(axis=1)
+        done = status[rows, first] == 1
+        out[live[done]] = hl[done, 0] + y[done, first[done]]
+        live = live[~done]
+        proposals *= 4
+    return out
+
+
+def _rejection_status(h, g, y, block, uniform) -> np.ndarray:
+    """int8 per proposal k = h + y of :func:`_halves_by_rejection`: 1 to
+    accept, 0 to reject, -1 when the float test cannot tell.
+
+    The test takes U in [u, u + 1) / 2**53 for u the top 53 bits of
+    ``uniform``, and decides proposals within h/2 of h by ln A, A = 2**K
+    C(m, k)/C(m, h).  With a = k, b = m - k and Stirling's ln n! = (n + 1/2)
+    ln n - n + ln(2 pi)/2 + r_n, 0 < r_n < 1/(12n) (Robbins, 1955),
+
+        ln A = K ln 2 + y log1p((g - h)/h) - (a + 1/2) log1p(y/h)
+               - (b + 1/2) log1p(-y/g) + r_h + r_g - r_a - r_b,
+
+    whose terms are O(|y|) where ln C(m, k) is O(m ln m), and add up to at
+    most K ln 2 + 3|y| + 2 in magnitude.  The float value leaves out the
+    r_n, which sum to less than 1/(3h) in magnitude as a, b >= h/2.  A
+    decision needs ln A to clear ln U by that, plus :data:`_MARGIN` times
+    K ln 2 + 3|y| + 4, which bounds the float error.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hf, gf, yf = h.astype(float), g.astype(float), y.astype(float)
+        lift = block * _LN2
+        # ln(2**53 A), to compare with ln u.
+        ln_a = (lift + yf * np.log1p((g - h) / hf) - (hf + 0.5 + yf) * np.log1p(yf / hf)
+                - (gf + 0.5 - yf) * np.log1p(yf / -gf) + 53 * _LN2)
+        size = np.abs(yf)
+        error = (lift + 3 * size) * _MARGIN + (_MARGIN * 4 + 1 / (3 * hf))
+        u = (uniform >> np.uint64(11)).astype(float)
+        near = size <= h // 2
+        accept = near & (ln_a - error > np.log(u + 1))
+        reject = near & (ln_a + error < np.log(u))
+    return np.where(accept, 1, np.where(reject, 0, -1)).astype(np.int8)
+
+
+class _Uniform:
+    """A uniform U in [0, 1), known by its first ``bits`` bits u, so that U lies
+    in [u, u + 1) / 2**bits; :meth:`extend` reads 64 more from ``raw``."""
+
+    def __init__(self, word: int, raw) -> None:
+        self.u, self.bits, self.raw = word, 64, raw
+
+    def extend(self) -> None:
+        self.u = self.u << 64 | int(self.raw(1)[0])
+        self.bits += 64
+
+
+def _accept_certified(m: int, k: int, block: int, word: int, raw) -> int:
+    """1 when U < 2**block C(m, k)/C(m, m // 2), else 0, for the uniform U
+    whose first 64 bits are ``word``, read on from ``raw`` as far as needed.
+    No float is used: a ratio of small falling factorials is compared as
+    integers, a larger one by :func:`_accept_by_interval` first."""
+    if not 0 <= k <= m:
+        return 0
+    uniform = _Uniform(word, raw)
+    if abs(k - m // 2) * m.bit_length() > _EXACT_BITS:
+        decided = _accept_by_interval(m, k, block, uniform)
+        if decided is not None:
+            return decided
+    return _accept_exactly(m, k, block, uniform)
+
+
+def _accept_exactly(m: int, k: int, block: int, uniform: _Uniform) -> int:
+    """:func:`_accept_certified` in integers: the ratio C(m, k)/C(m, h) is
+    num/den, one falling factorial of |k - h| factors over another."""
+    h = m // 2
+    d = abs(k - h)
+    num, den = ((math.perm(m - h, d), math.perm(k, d)) if k >= h
+                else (math.perm(h, d), math.perm(m - k, d)))
+    num <<= block
+    while True:
+        top = num << uniform.bits
+        if (uniform.u + 1) * den <= top:
+            return 1
+        if uniform.u * den >= top:
+            return 0
+        uniform.extend()
+
+
+#: Stirling's series ln n! = (n + 1/2) ln n - n + ln(2 pi)/2 + sum of
+#: c_i n**-(2i - 1): the coefficients c_i = B_2i / (2i (2i - 1)), i = 1..7, as
+#: (numerator, denominator); the remainder has the sign of, and lies below,
+#: the first term left out, -3617/122400 n**-15 (for every n > 0).
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360), (1, 156))
+_STIRLING_REST = (3617, 122400)
+#: Below this, ln n! is ln(_STIRLING_MIN)! less the log of an exact integer.
+_STIRLING_MIN = 1024
+
+
+def _ln_factorial(n: int):
+    """(x, r): ln n! - ln(2 pi)/2 lies within r of x, besides the roundings
+    of the current decimal context."""
+    from decimal import Decimal
+
+    z = max(n, _STIRLING_MIN)
+    dz = Decimal(z)
+    x = (dz + Decimal("0.5")) * dz.ln() - dz
+    for i, (num, den) in enumerate(_STIRLING):
+        x += Decimal(num) / Decimal(den * z ** (2 * i + 1))
+    if n < z:
+        x -= Decimal(math.perm(z, z - n)).ln()  # z! / n!
+    return x, Decimal(_STIRLING_REST[0]) / Decimal(_STIRLING_REST[1] * z**15)
+
+
+def _accept_by_interval(m: int, k: int, block: int, uniform: _Uniform):
+    """:func:`_accept_certified` by decimal intervals: 1 or 0, or None when
+    ln A = ln(2**block C(m, k)/C(m, h)) is still too close to ln U at 80
+    digits.  U is read on while its interval is the wider one, and the
+    digits are doubled otherwise."""
+    from decimal import Decimal, localcontext
+
+    h = m // 2
+    for digits in (40, 80):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            ln2 = Decimal(2).ln()
+            (x_h, r_h), (x_g, r_g), (x_k, r_k), (x_b, r_b) = (
+                _ln_factorial(n) for n in (h, m - h, k, m - k))
+            ln_a = block * ln2 + x_h + x_g - x_k - x_b
+            while True:
+                # Every operation rounds by at most one unit in the digits'
+                # last place of a magnitude below 256 m + bits, and there are
+                # fewer than 200 of them.
+                slack = 200 * (256 * m + uniform.bits) * Decimal(10) ** (1 - digits)
+                radius = r_h + r_g + r_k + r_b + slack
+                ln_hi = Decimal(uniform.u + 1).ln() - uniform.bits * ln2
+                if ln_hi + slack <= ln_a - radius:
+                    return 1
+                if uniform.u:
+                    ln_lo = Decimal(uniform.u).ln() - uniform.bits * ln2
+                    if ln_lo - slack >= ln_a + radius:
+                        return 0
+                    if ln_hi - ln_lo <= 2 * radius:
+                        break
+                uniform.extend()
+    return None
 
 
 def _qber_digits(e: float) -> str:
@@ -281,53 +505,50 @@ def _split(counts: np.ndarray, ones: np.ndarray) -> np.ndarray:
     return np.stack([counts - ones, ones], axis=-1)
 
 
-def _measure(flight: np.ndarray, basis: np.ndarray, raw) -> np.ndarray:
-    """int64[N, 2]: node i's rounds by the bit measured in ``basis[i]``, from
+def _measure(flight: np.ndarray, basis: np.ndarray, halves) -> np.ndarray:
+    """[N, 2]: node i's rounds by the bit measured in ``basis[i]``, from
     ``flight[i, b, bit]``, its rounds whose qubit is in that basis and bit.
 
     A qubit in the measured basis gives its bit; one in the other basis a
-    uniform bit, split by :func:`_halves`."""
+    uniform bit, split by ``halves``."""
     rows = np.arange(len(flight))
     mixed = flight[rows, 1 - basis].sum(axis=1)
-    return flight[rows, basis] + _split(mixed, _halves(mixed, raw))
+    return flight[rows, basis] + _split(mixed, halves(mixed))
 
 
-def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
-    """Simulate ``config.n_rounds`` rounds from the words of ``raw``; return
-    the int64[256] count of each round code.
+def _walk(total: np.ndarray, halves, flips, eve: bool) -> np.ndarray:
+    """Split ``total``, a one-element array, down the protocol tree; return
+    the [256] part of it at each round code.
 
-    The rounds are exchangeable and only their histogram is kept, so they are
-    never drawn one at a time: the state is the count of rounds at each node
-    of the protocol tree, and every random step splits counts by an exact
-    binomial.  Three halvings split the rounds into the 8 (basis_a, bits_a,
-    basis_b) classes, and each pass appends its measured bit to the node, so
-    the nodes after the third pass are the 64 patterns of
+    ``halves(x)`` gives the part of each x whose uniform bit is 1, and
+    ``flips(x)`` the part the channel flips.  The state is the part of
+    ``total`` at each node: three halvings split it into the 8 (basis_a,
+    bits_a, basis_b) classes, and each pass appends its measured bit to the
+    node, so the nodes after the third pass are the 64 patterns of
     :data:`_PATTERN_CODES`.
     """
-    digits = _qber_digits(config.channel_qber)
-    eve = config.eve is Eavesdropper.INTERCEPT_RESEND
 
     def send(counts, basis, bit, meas_basis):
         """Send node i's rounds as the qubit (basis[i], bit[i]), measure them
         in meas_basis[i], and return the nodes extended by the result."""
         # flight[i, b, bit]: node i's rounds whose qubit is in basis b and bit.
-        flight = np.zeros((counts.size, 2, 2), dtype=np.int64)
+        flight = np.zeros((counts.size, 2, 2), dtype=counts.dtype)
         flight[np.arange(counts.size), basis, bit] = counts
-        # The channel moves Binomial(count, e) rounds to the orthogonal bit.
-        flips = _binomial(flight, digits, raw)
-        flight += flips[..., ::-1] - flips
+        # The channel moves the flipped rounds to the orthogonal bit.
+        flipped = flips(flight)
+        flight += flipped[..., ::-1] - flipped
         if eve:
             # Eve measures in a uniform basis, X for the halving's ones, and
             # resends her result in her basis.
-            by_basis = np.moveaxis(_split(flight, _halves(flight, raw)), -1, 0)
-            results = _measure(by_basis.reshape(-1, 2, 2), np.repeat([0, 1], counts.size), raw)
+            by_basis = np.moveaxis(_split(flight, halves(flight)), -1, 0)
+            results = _measure(by_basis.reshape(-1, 2, 2), np.repeat([0, 1], counts.size), halves)
             flight = results.reshape(2, -1, 2).swapaxes(0, 1)
-        return _measure(flight, meas_basis, raw).ravel()
+        return _measure(flight, meas_basis, halves).ravel()
 
     # Node c = basis_a << 2 | bits_a << 1 | basis_b, each bit a halving.
-    counts = np.array([config.n_rounds], dtype=np.int64)
+    counts = total
     for _ in range(3):
-        counts = _split(counts, _halves(counts, raw)).ravel()
+        counts = _split(counts, halves(counts)).ravel()
     # Alice's qubit, which Bob measures in his basis: y.
     basis_a, bits_a, basis_b = _node_bits(3)
     counts = send(counts, basis_a, bits_a, basis_b)
@@ -338,23 +559,52 @@ def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
     # if r1 returned her own state, else in hers: r2.
     basis_a, bits_a, basis_b, y, r1 = _node_bits(5)
     counts = send(counts, 1 - basis_b, y, basis_a ^ (r1 == bits_a))
-    code_counts = np.zeros(256, dtype=np.int64)
-    code_counts[_PATTERN_CODES] = counts
-    return code_counts
+    by_code = np.zeros(256, dtype=counts.dtype)
+    by_code[_PATTERN_CODES] = counts
+    return by_code
+
+
+def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
+    """Simulate ``config.n_rounds`` rounds from the words of ``raw``; return
+    the int64[256] count of each round code.
+
+    The rounds are exchangeable and only their histogram is kept, so they are
+    never drawn one at a time: :func:`_walk` splits the count at each node by
+    exact binomials, :func:`_halves` and :func:`_binomial`.
+    """
+    digits = _qber_digits(config.channel_qber)
+    return _walk(np.array([config.n_rounds], dtype=np.int64), lambda m: _halves(m, raw),
+                 lambda m: _binomial(m, digits, raw), config.eve is Eavesdropper.INTERCEPT_RESEND)
+
+
+def code_distribution(e: float, eve: bool) -> np.ndarray:
+    """float64[256]: the probability of each round code at channel QBER e,
+    with or without the intercept-resend eavesdropper.  It is the kernel's
+    walk down the protocol tree on probability 1: a halving takes half of a
+    node and the channel flips e of it."""
+    return _walk(np.ones(1), lambda p: p / 2, lambda p: p * e, eve)
+
+
+def _word_source(seed: int):
+    """``raw(n)``: the next n 64-bit words of ``random.Random(seed)``.
+
+    Word i of a draw is bits 64i .. 64i + 63 of one ``getrandbits(64 n)``
+    call, two outputs of the Mersenne Twister, low first, so the words come in
+    the same order whatever the sizes of the draws."""
+    bits = random.Random(seed).getrandbits
+    return lambda n: np.frombuffer(bits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run ``config.n_rounds`` rounds and aggregate sift/QBER statistics.
 
     The count-level sampler :func:`_code_counts` draws from the one stream
-    ``SeedSequence(seed, spawn_key=(0,))``, so the report depends only on
-    ``config``, and memory stays O(_PIECE) however many rounds are asked for.
+    ``random.Random(seed)`` (:func:`_word_source`), so the report depends
+    only on ``config``; its cost and memory do not grow with the round count.
     """
-    # The seed's first spawned child, the stream that earlier versions drew from.
-    stream = np.random.SeedSequence(config.rng_seed, spawn_key=(0,))
-    code_counts = _code_counts(config, np.random.PCG64(stream).random_raw)
+    code_counts = _code_counts(config, _word_source(config.rng_seed))
 
-    branch_counts = tuple(code_counts[_BRANCH_CODES].tolist())
+    branch_counts = tuple(code_counts[BRANCH_CODES].tolist())
     counts = code_counts[_PATTERN_CODES]
     kept = int(counts @ _KEPT[config.protocol])
     errors = int(counts @ _ERR[config.protocol])

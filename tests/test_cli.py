@@ -437,6 +437,36 @@ def test_simulate_rounds_beyond_int64_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("qber", ["0.03", "5e-324"])
+@pytest.mark.parametrize("eve", ["none", "intercept-resend"])
+@pytest.mark.parametrize("rounds", [10**12, 2**63 - 1])
+def test_simulate_huge_round_counts(tmp_path, capsys, rounds, eve, qber):
+    # A run's cost does not grow with --rounds, up to the int64 limit, and
+    # at the smallest QBER, whose 1074 binary digits the flips compare.
+    hist = tmp_path / "hist.csv"
+    start = time.perf_counter()
+    assert main(["simulate", "--protocol", "p2", "--rounds", str(rounds), "--qber", qber,
+                 "--eve", eve, "--seed", "3", "--histogram", str(hist)]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert f"rounds:                  {rounds}\n" in capsys.readouterr().out
+    rows = [l.split(",") for l in _read(hist).splitlines() if l and not l.startswith("#")]
+    assert len(rows) == 1 + 28 + 1
+    assert sum(int(row[-1]) for row in rows[1:]) == rounds
+
+
+def test_simulate_leaves_out_numpy_random(tmp_path):
+    # The runs draw from random.Random, so numpy.random is never imported.
+    package_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, threepass.cli as cli; "
+            "cli.main(['simulate', '--protocol', 'p2', '--rounds', '10000000', '--eve', "
+            "'intercept-resend', '--qber', '0.03', '--histogram', sys.argv[1]]); "
+            "print('numpy.random' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "hist.csv")],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": package_dir}, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 _GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 

@@ -1,3 +1,5 @@
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -162,16 +164,23 @@ def test_simulation_determinism():
     assert a.to_text() == b.to_text()
 
 
+def _one_word_at_a_time(seed):
+    """A word source like ``protocol._word_source`` that draws its words from
+    ``random.Random(seed)`` one ``getrandbits(64)`` at a time."""
+    bits = random.Random(seed).getrandbits
+    return lambda n: np.array([bits(64) for _ in range(n)], dtype=np.uint64)
+
+
 def test_simulation_worker_split_covers_all_rounds(monkeypatch):
-    # Pieces of 3 words draw the stream's words in the same order as whole
-    # draws, so a run cut into many pieces, some across a count's words and
-    # one ending in a part word, reports exactly what it reports uncut.
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=10_001, channel_qber=0.1,
+    # A run's words come in the same order whatever the sizes of its draws:
+    # drawn one word at a time, a run reports exactly what it reports with
+    # whole draws, at a size whose counts take both halving paths.
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=100_001, channel_qber=0.1,
                               rng_seed=5)
     whole = run_simulation(config)
-    monkeypatch.setattr(protocol, "_PIECE", 3)
+    monkeypatch.setattr(protocol, "_word_source", _one_word_at_a_time)
     assert run_simulation(config) == whole
-    assert sum(whole.branch_counts) + whole.other_count == 10_001
+    assert sum(whole.branch_counts) + whole.other_count == 100_001
 
 
 def test_config_validation():
@@ -187,14 +196,14 @@ def test_config_validation():
         SimulationConfig(protocol=ProtocolId.P1, n_rounds=2**63)
 
 
-# The report for this configuration, frozen from the count-level kernel.  A
-# fixed seed reproduces it exactly on every platform; a kernel that draws or
-# uses its random words differently moves it.
+# The report for this configuration, frozen from the count-level kernel on
+# the random.Random stream.  A fixed seed reproduces it exactly on every
+# platform; a kernel that draws or uses its random words differently moves it.
 FROZEN_CONFIG = SimulationConfig(protocol=ProtocolId.P2, n_rounds=30_000, channel_qber=0.05,
                                  eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=2212)
 FROZEN_BRANCH_COUNTS = (
-    1420, 454, 467, 719, 463, 408, 712, 1374, 458, 489, 701, 512, 479, 647,
-    1443, 443, 435, 688, 465, 437, 670, 1418, 468, 489, 653, 472, 505, 695,
+    1472, 493, 467, 668, 460, 476, 644, 1420, 475, 469, 708, 452, 467, 684,
+    1478, 462, 439, 675, 442, 473, 666, 1500, 472, 481, 693, 454, 479, 674,
 )
 
 
@@ -337,13 +346,14 @@ def test_class_sizes_halve_on_the_first_m_bits():
 
 
 @pytest.mark.parametrize("piece", [1, 2, 3, 64])
-def test_halves_count_exactly_across_pieces(monkeypatch, piece):
-    # The counts take runs of 1, 3, 2, 1 and 40 words, some cut by piece
-    # boundaries.  Every draw holds at most `piece` words, and each count is
-    # the popcount of the first m bits of its run, as without pieces.
-    monkeypatch.setattr(protocol, "_PIECE", piece)
-    m = [5, 0, 130, 65, 0, 64, 2_500, 0]
-    words = np.random.default_rng(9).bit_generator.random_raw(47)
+def test_halves_count_exactly_across_pieces(piece):
+    # Counts up to _POPCOUNT_MAX whose last word holds `piece` rounds, among
+    # zero counts: each takes the popcount of the first m bits of its run of
+    # ceil(m / 64) words, all in one draw, the largest 64 words.
+    top = protocol._POPCOUNT_MAX
+    m = [64 + piece, 0, piece, top - 64 + piece, 0, 2 * 64 + piece]
+    assert max(m) <= top
+    words = np.random.default_rng(piece).bit_generator.random_raw(sum(-(-s // 64) for s in m))
     stub = _StubBits(words)
     got = protocol._halves(np.array(m), stub.random_raw)
     expected, used = [], 0
@@ -353,8 +363,7 @@ def test_halves_count_exactly_across_pieces(monkeypatch, piece):
         expected.append((run & ((1 << size) - 1)).bit_count())
         used += k
     assert got.tolist() == expected
-    assert stub.used == used == 47
-    assert max(stub.draws) <= piece and len(stub.draws) == -(-47 // piece)
+    assert stub.draws == [used] == [words.size]
 
 
 @pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8),
@@ -442,16 +451,13 @@ def test_simulate_chunk_covers_empty_classes_and_tails(n, eve):
 def test_simulation_frozen_outputs():
     report = run_simulation(FROZEN_CONFIG)
     assert report.branch_counts == FROZEN_BRANCH_COUNTS
-    assert report.other_count == 11_416
-    assert report.sifted_count == 27_456
-    assert report.error_count == 9_815
+    assert report.other_count == 11_257
+    assert report.sifted_count == 27_552
+    assert report.error_count == 9_637
 
 
-@pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18, 1 << 22])
-def test_simulation_memory_bounded_by_chunk(monkeypatch, n_rounds):
-    # Pieces of 64 words: 4096 rounds of a halving.
-    piece = 1 << 6
-    monkeypatch.setattr(protocol, "_PIECE", piece)
+@pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18, 1 << 22, 1 << 62])
+def test_simulation_memory_bounded_by_chunk(n_rounds):
     config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=n_rounds, channel_qber=0.03,
                               eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=3)
     run_simulation(config)  # warm up outside the measurement
@@ -461,17 +467,24 @@ def test_simulation_memory_bounded_by_chunk(monkeypatch, n_rounds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One piece is in flight at a time, beside arrays of at most 256 counts;
-    # the bound is 64 B per round of a piece, whatever n_rounds is.
-    assert peak <= 64 * 64 * piece
+    # A halving holds at most _POPCOUNT_MAX / 64 words per count, or 2 *
+    # _PROPOSALS words per count in a first rejection batch, for at most 256
+    # counts: one bound, 256 kB, whatever n_rounds is (about 130 kB is used).
+    assert peak <= 1 << 18
 
 
 def test_streams_equal_spawned_children():
-    # A run draws every word from one stream: the one child that spawn(1)
-    # returns for its seed.
+    # A run draws every word from random.Random(seed): word i of a draw of n
+    # words is bits 64i .. 64i + 63 of getrandbits(64 n).
     config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=5_500, channel_qber=0.1,
                               rng_seed=17)
-    counts = _kernel(config, np.random.SeedSequence(17).spawn(1)[0])
+    bits = random.Random(17).getrandbits
+
+    def raw(n):
+        draw = bits(64 * n)
+        return np.array([draw >> 64 * i & _ONES for i in range(n)], dtype=np.uint64)
+
+    counts = protocol._code_counts(config, raw)
     report = run_simulation(config)
     assert report.branch_counts == tuple(
         int(counts[((s * 4 + y) * 4 + r1) * 4 + r2]) for s, y, r1, r2, _ in TABLE1_BRANCHES)
@@ -480,20 +493,164 @@ def test_streams_equal_spawned_children():
     assert report.error_count == int(pattern_counts @ protocol._ERR[ProtocolId.P1])
 
 
-@pytest.mark.parametrize("n_rounds,chunk", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
-def test_chunks_cover_every_round(monkeypatch, n_rounds, chunk):
-    # A halving of n_rounds draws its ceil(n_rounds / 64) words in pieces of
-    # `chunk` words: every piece but the last is full; none is empty.
-    monkeypatch.setattr(protocol, "_PIECE", chunk)
-    stub = _StubBits([0] * 64)
-    protocol._halves(np.array([n_rounds]), stub.random_raw)
-    sizes = stub.draws
-    assert sum(sizes) == -(-n_rounds // 64)
-    assert sizes[:-1] == [chunk] * (len(sizes) - 1)
-    assert all(0 < size <= chunk for size in sizes)
+@pytest.mark.parametrize("n_words,chunk", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
+def test_chunks_cover_every_round(n_words, chunk):
+    # The word source serves the same words however a run's draws are cut:
+    # draws of at most `chunk` words give, in order, the words of one draw.
+    whole = protocol._word_source(11)(n_words)
+    raw = protocol._word_source(11)
+    pieces = [raw(min(chunk, n_words - lo)) for lo in range(0, n_words, chunk)]
+    assert all(piece.dtype == np.uint64 for piece in pieces) and whole.size == n_words
+    assert np.concatenate([whole[:0], *pieces]).tolist() == whole.tolist()
 
 
 def test_config_rejects_bad_sb1_tolerance():
     for tol in (-0.01, float("nan")):
         with pytest.raises(ValueError):
             SimulationConfig(protocol=ProtocolId.P1, n_rounds=10, sb1_tolerance=tol)
+
+
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("e", [Fraction(0), Fraction(3, 100), Fraction(1, 5)])
+def test_code_distribution_matches_oracle(e, eve):
+    got = protocol.code_distribution(float(e), eve)
+    expected = np.zeros(256)
+    for key, p in oracle_stats(e=e, eve=eve).histogram.items():
+        expected[_code(key)] = float(p)
+    assert got.shape == (256,) and got.dtype == np.float64
+    assert np.abs(got - expected).max() <= 1e-15
+    assert abs(got.sum() - 1.0) <= 1e-15
+
+
+def _binomial_fit(draws: np.ndarray, m: int, bins: int) -> None:
+    """Assert that draws of Binomial(m, 1/2) pass Pearson's chi-square test
+    against C(m, k)/2**m over ``bins`` cells of about equal probability, and
+    a test of their mean.
+
+    The pmf is taken over 12 standard deviations each side of the mode, by
+    the exact ratio C(m, k + 1)/C(m, k) = (m - k)/(k + 1) in floats and
+    normalised there; the mass left out is below 1e-30."""
+    assert draws.min() >= 0 and draws.max() <= m
+    h, reach = m // 2, int(6 * math.sqrt(m)) + 10
+    lo, hi = max(h - reach, 0), min(h + reach, m)
+    up = np.cumprod((m - np.arange(h, hi)) / np.arange(h + 1, hi + 1))
+    down = np.cumprod(np.arange(h, lo, -1) / (m - np.arange(h, lo, -1) + 1))
+    pmf = np.concatenate([down[::-1], [1.0], up])
+    pmf /= pmf.sum()
+    # Cells cut at quantiles of the pmf; the first and last take the tails.
+    edges = np.searchsorted(np.cumsum(pmf), np.arange(1, bins) / bins) + lo + 1
+    edges = np.unique(edges)
+    expected = np.diff(np.concatenate([[0.0], np.cumsum(pmf)[edges - lo - 1], [1.0]]))
+    observed = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=edges.size + 1)
+    n = draws.size
+    chi_square = float(((observed - n * expected) ** 2 / (n * expected)).sum())
+    assert chi_square <= _chi_square_bound(edges.size)
+    # The mean, m/2, within 4.5 standard errors: a shift of the law by a
+    # small fraction of its width shows here before it shows in the cells.
+    assert abs(draws.mean() - m / 2) <= 4.5 * math.sqrt(m / 4 / n)
+
+
+@pytest.mark.parametrize("m", [protocol._POPCOUNT_MAX + 1, protocol._POPCOUNT_MAX + 2,
+                               10**9 + 7, 10**9 + 8])
+def test_rejection_sampler_fits_binomial(m):
+    # Just above the popcount path and at about 1e9 rounds, odd and even.
+    draws = protocol._halves(np.full(40_000, m, dtype=np.int64), protocol._word_source(m))
+    _binomial_fit(draws, m, 40)
+
+
+@pytest.mark.parametrize("m", [20_001, 20_002])
+def test_rejection_sampler_fits_binomial_without_floats(monkeypatch, m):
+    # With an infinite margin the float test decides nothing: every proposal
+    # before a count's first acceptance goes to the exact comparison.
+    monkeypatch.setattr(protocol, "_MARGIN", math.inf)
+    calls = []
+    certified = protocol._accept_certified
+    monkeypatch.setattr(protocol, "_accept_certified", lambda *a: calls.append(1) or certified(*a))
+    draws = protocol._halves(np.full(3_000, m, dtype=np.int64), protocol._word_source(m))
+    assert len(calls) >= 3_000
+    _binomial_fit(draws, m, 20)
+
+
+def test_rejection_sampler_fits_binomial_by_intervals(monkeypatch):
+    # With no exact-integer budget either, the decimal intervals decide.
+    m = 20_001
+    monkeypatch.setattr(protocol, "_MARGIN", math.inf)
+    monkeypatch.setattr(protocol, "_EXACT_BITS", -1)
+    exact = []
+    monkeypatch.setattr(protocol, "_accept_exactly", lambda *a: exact.append(1))
+    draws = protocol._halves(np.full(500, m, dtype=np.int64), protocol._word_source(m))
+    assert not exact
+    _binomial_fit(draws, m, 10)
+
+
+def test_certified_decisions_match_exact_binomials():
+    # Both certified paths decide U < A = 2**K C(m, k)/C(m, m // 2) as the
+    # reference does with math.comb, reading the uniform's words in turn.
+    # Half the uniforms begin with A's own first 64 bits, so that only
+    # further words decide, and an error in A above 2**-64 shows.
+    rng = random.Random(4)
+    modes = {m: math.comb(m, m // 2) for m in (5_000, 5_001, 20_001, 20_002)}
+    cases = [(5_001, 0, 0), (5_001, 5_001, 3), (5_000, 7, 1), (20_001, 19_000, 0)]
+    for _ in range(80):
+        m = rng.choice(list(modes))
+        cases.append((m, m // 2 + rng.randint(-3, 3) * int(math.sqrt(m)), rng.randint(0, 3)))
+    for m, k, block in cases:
+        num, den = math.comb(m, k) << block, modes[m]
+        u = rng.getrandbits(64) if rng.random() < 0.5 else min(num * 2**64 // den, _ONES)
+        more = [rng.getrandbits(64) for _ in range(4)]
+        # The reference: U in [u, u + 1) / 2**bits, read on until it decides.
+        bits, v, words = 64, u, iter(more)
+        while den * (v + 1) > num << bits and den * v < num << bits:
+            v, bits = v << 64 | next(words), bits + 64
+        expected = int(den * (v + 1) <= num << bits)
+        for decide in (protocol._accept_exactly, protocol._accept_by_interval):
+            uniform = protocol._Uniform(u, _StubBits(more).random_raw)
+            assert decide(m, k, block, uniform) == expected, (decide.__name__, m, k, block)
+
+
+def _proposal(side: int, block: int, offset: int) -> int:
+    """The proposal word of a block index below 31, a side and an offset."""
+    field = 1 << 30 - block if block < 31 else 0
+    return side << 63 | field << 32 | offset
+
+
+@pytest.mark.parametrize("m", [10_000, 10_001])
+def test_rejection_proposal_mapping(m):
+    # One count: the first batch holds _PROPOSALS proposal words, then as
+    # many uniforms.  A uniform of 0 accepts a proposal near the mode.
+    # w is 128 here: 64*64 < 0.6932 m < 128*128.
+    h, g, w, p = m // 2, m - m // 2, 128, protocol._PROPOSALS
+
+    def sample(first, extra=()):
+        proposals = first + [_proposal(0, 0, 0)] * (p - len(first))
+        uniforms = [_ONES, 0] if len(first) == 2 else [0]
+        stub = _StubBits(proposals + uniforms + [_ONES] * (p - len(uniforms)) + list(extra))
+        got = protocol._halves(np.array([m]), stub.random_raw).tolist()
+        return got, stub.draws
+
+    for (side, block, offset), k in [
+            ((0, 0, 5), g + 5), ((1, 0, 0), g - 1), ((0, 2, 3), g + 2 * w + 3),
+            ((1, 1, w - 1), g - 1 - (2 * w - 1)),
+            ((0, 0, w + 7), g + 7),  # offset bits from w up are not used
+    ]:
+        assert sample([_proposal(side, block, offset)]) == ([k], [2 * p])
+    # Both modes are reached for odd m, and the one mode once for even m.
+    assert sample([_proposal(1, 0, 0)])[0] == [h if m % 2 else h - 1]
+    assert sample([_proposal(0, 0, 0)])[0] == [g]
+    # 31 zero bits leave the block open: one more word is read, whose bits
+    # 62..32 add 0 zeros here, so K = 31 and j = 31 w; a uniform of all ones
+    # rejects that proposal, and the next is taken.
+    got, draws = sample([_proposal(0, 31, 0), _proposal(0, 0, 9)], extra=[1 << 62])
+    assert (got, draws) == ([g + 9], [2 * p, 1])
+
+
+def test_halves_at_the_largest_count():
+    m = 2**63 - 1
+    draws = protocol._halves(np.full(2_000, m, dtype=np.int64), protocol._word_source(1))
+    z = (draws.astype(float) - m / 2) / (math.sqrt(m) / 2)
+    assert draws.min() >= 0 and draws.max() <= m
+    assert abs(z.mean()) < 0.15 and abs(z.std() - 1) < 0.1 and abs(z).max() < 6
+    config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=m, channel_qber=0.03,
+                              eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=1)
+    counts = protocol._code_counts(config, protocol._word_source(2))
+    assert counts.min() >= 0 and sum(counts.tolist()) == m
