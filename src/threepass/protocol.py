@@ -227,9 +227,10 @@ _PROPOSALS = 16
 
 #: Error margin of the float log-ratio in :func:`_rejection_status`, relative
 #: to a bound on its terms' magnitudes.  Each term is off by a few units in
-#: the last place (numpy's log and log1p err by at most 4 ulp, each rounding
-#: by 1/2), so the float value errs by less than 2**-48 of that bound; this
-#: margin is 256 times more.  Within it, :func:`_accept_certified` decides.
+#: the last place (numpy tests its float64 log and log1p to 1 ulp; 4 are
+#: allowed here, and 1/2 per rounding), so the float value errs by less than
+#: 2**-48 of that bound; this margin is 256 times more.  Within it,
+#: :func:`_accept_certified` decides.
 _MARGIN = 2.0**-40
 
 #: The certified fallback compares exact integers when the ratio's falling
