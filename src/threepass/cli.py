@@ -319,9 +319,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             expected = code_distribution(config.channel_qber, eve)[BRANCH_CODES].tolist()
             for (*states, _), prob, count in zip(TABLE1_BRANCHES, expected, report.branch_counts):
                 names = ",".join(STATE_NAMES[s] for s in states)
-                out.write(f"{names},{_fmt(prob)},{_fmt(prob * report.n_rounds)},{count}\n")
+                out.write(f"{names},{_fmt(prob)},{_fmt(prob * config.n_rounds)},{count}\n")
             rest = 1.0 - math.fsum(expected)
-            out.write(f"(off-table),,,,{_fmt(rest)},{_fmt(rest * report.n_rounds)},"
+            out.write(f"(off-table),,,,{_fmt(rest)},{_fmt(rest * config.n_rounds)},"
                       f"{report.other_count}\n")
     return 0
 

@@ -51,6 +51,9 @@ REFERENCE_CRITICAL = {
     "irud": {"l_km": 302.8, "delta_db": 75.7},
 }
 
+#: Largest error in dB of a critical loss: 0.01 km at 0.25 dB/km.
+CRITICAL_LOSS_TOL_DB = 0.0025
+
 
 def poisson_pmf(n: int, mu: float) -> float:
     """p(n, mu) = exp(-mu) mu^n / n!, evaluated in log space for stability."""
@@ -96,12 +99,6 @@ class WcpSource:
         if not 0.0 < self.mu < math.inf:
             raise ValueError(f"mean photon number must be positive and finite, got {self.mu}")
 
-    def pmf(self, n: int) -> float:
-        return poisson_pmf(n, self.mu)
-
-    def tail(self, k: int) -> float:
-        return poisson_tail(k, self.mu)
-
 
 @dataclass(frozen=True)
 class FiberLink:
@@ -143,7 +140,7 @@ def _per_detection(numerator: float, link: FiberLink, source: WcpSource) -> floa
 
 def eve_info_pns(link: FiberLink, source: WcpSource) -> float | np.ndarray:
     """Attacker's key fraction under the storage attack; raw (unclamped) value."""
-    return _per_detection(0.625 * source.tail(2) ** 2, link, source)
+    return _per_detection(0.625 * poisson_tail(2, source.mu) ** 2, link, source)
 
 
 def unambiguous_info(n: int, chi: float) -> float:
@@ -162,18 +159,25 @@ def eve_info_irud(link: FiberLink, source: WcpSource,
     The cube applies to the product I(3, chi) * p(3, mu): a conclusive
     result is needed on each of the three passes.
     """
-    return _per_detection((unambiguous_info(3, chi) * source.pmf(3)) ** 3, link, source)
+    return _per_detection((unambiguous_info(3, chi) * poisson_pmf(3, source.mu)) ** 3,
+                          link, source)
 
 
 def critical_distance(info_fn: Callable[[float], float], alpha: float,
                       hi_km: float, tol_km: float = 0.01) -> tuple[float, float]:
-    """Solve info_fn(l) = 1 to ``tol_km``; returns (l_c in km, delta_c in dB).
+    """Solve info_fn(l) = 1; returns (l_c in km, delta_c in dB).
 
     Requires info_fn(0) < 1 < info_fn(hi_km); the information functions here
     increase monotonically with distance because only the expected-detection
     denominator depends on it.  The root is Chandrupatla's method,
     :func:`threepass.secrate.find_threshold`, on the margin 1 - info_fn(l).
+    It is solved to min(tol_km, CRITICAL_LOSS_TOL_DB / alpha) km, so l_c is
+    within tol_km and delta_c = alpha l_c within 0.0025 dB whatever alpha
+    (at 0.25 dB/km the two bounds agree).  A lossless link (alpha = 0), or
+    an alpha the link refuses, keeps tol_km.
     """
+    if 0.0 < alpha < math.inf:
+        tol_km = min(tol_km, CRITICAL_LOSS_TOL_DB / alpha)
     try:
         l_c = find_threshold(lambda l: 1.0 - info_fn(l), 0.0, hi_km, tol_km)
     except BracketError:

@@ -178,12 +178,7 @@ _ERR = {pid: _KEPT[pid] & (determined != _PATTERN_CODES >> 4 & 3)
 
 @dataclass(frozen=True)
 class SimulationReport:
-    protocol: ProtocolId
-    n_rounds: int
-    channel_qber: float
-    eve: Eavesdropper
-    rng_seed: int
-    sb1_tolerance: float
+    config: SimulationConfig
     sift_fraction: float
     sifted_qber: float
     sb1_orthogonal_fraction: float
@@ -196,20 +191,21 @@ class SimulationReport:
     def __post_init__(self) -> None:
         if len(self.branch_counts) != len(TABLE1_BRANCHES):
             raise ValueError("branch_counts must cover all table branches")
-        if sum(self.branch_counts) + self.other_count != self.n_rounds:
+        if sum(self.branch_counts) + self.other_count != self.config.n_rounds:
             raise ValueError("branch counts must sum to n_rounds")
 
     def to_text(self) -> str:
+        config = self.config
         lines = [
-            f"protocol:                {self.protocol.value}",
-            f"rounds:                  {self.n_rounds}",
-            f"channel qber:            {self.channel_qber:.6g}",
-            f"eavesdropper:            {self.eve.value}",
-            f"seed:                    {self.rng_seed}",
+            f"protocol:                {config.protocol.value}",
+            f"rounds:                  {config.n_rounds}",
+            f"channel qber:            {config.channel_qber:.6g}",
+            f"eavesdropper:            {config.eve.value}",
+            f"seed:                    {config.rng_seed}",
             f"sift fraction:           {self.sift_fraction:.6g}",
             f"sifted qber:             {self.sifted_qber:.6g}",
             f"sb1 orthogonal fraction: {self.sb1_orthogonal_fraction:.6g}",
-            f"sb1 check (tol {self.sb1_tolerance:.6g}): "
+            f"sb1 check (tol {config.sb1_tolerance:.6g}): "
             + ("pass" if self.sb1_check_passed else "FAIL"),
             f"off-table rounds:        {self.other_count}",
         ]
@@ -611,12 +607,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     errors = int(counts @ _ERR[config.protocol])
     orth_fraction = int(counts @ _ORTH) / config.n_rounds
     return SimulationReport(
-        protocol=config.protocol,
-        n_rounds=config.n_rounds,
-        channel_qber=config.channel_qber,
-        eve=config.eve,
-        rng_seed=config.rng_seed,
-        sb1_tolerance=config.sb1_tolerance,
+        config=config,
         sift_fraction=kept / config.n_rounds,
         sifted_qber=errors / kept if kept else 0.0,
         sb1_orthogonal_fraction=orth_fraction,

@@ -32,8 +32,8 @@ Under a given mu4 the average state still has a closed-form 2x2 block
 spectrum, and rho_q is a genuine 4x4, one per point in one batched
 ``eigvalsh`` per call.
 :func:`bound_threshold` is one :func:`find_threshold` root at that q.
-Every threshold is a root found by Chandrupatla's bracketing method, which
-interpolates where it can and bisects where it must.
+Every threshold is a scalar root in e, found by Chandrupatla's bracketing
+method, which interpolates where it can and bisects where it must.
 
 A note on the upper bound: the published closed form chi(E) - [H(b|c) - H(b)]
 is the sum of a Holevo quantity and the mutual information 1 - h(...), both
@@ -111,9 +111,10 @@ def key_rate_sifted(e, announce_x: bool = False):
                        - c_x * binary_entropy(e))
 
 
-def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
+def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
+                   tol: float = 1e-6) -> float:
     """Root of a decreasing rate function on [lo, hi] by Chandrupatla's
-    method (Adv. Eng. Software 28(3):145-149, 1997), elementwise.
+    method (Adv. Eng. Software 28(3):145-149, 1997).
 
     Each step is inverse quadratic interpolation through the three latest
     points where Chandrupatla's test trusts it, and bisection otherwise; it
@@ -122,59 +123,56 @@ def find_threshold(rate_fn: Callable, lo, hi, tol: float = 1e-6):
     tol is smaller), the secant point of its ends is returned, or the end
     with the smaller |rate| should that point leave the bracket.
 
-    ``rate_fn`` may return an array of rates, with ``lo`` and ``hi``
-    broadcasting against it: every element then follows its own bracket,
-    in one loop, exactly as a scalar call would.  An element needs
-    rate_fn(lo) > 0 > rate_fn(hi); one that does not gives NaN, and
-    :class:`BracketError` is raised when no element does (so a scalar call
-    either brackets or raises).  A scalar call returns a float.  A tol that
-    is not below the width of a bracketed element raises ValueError.
+    ``rate_fn`` takes a float and returns a scalar rate; the root is a
+    float.  It needs rate_fn(lo) > 0 > rate_fn(hi), else
+    :class:`BracketError` is raised; a tol that is not below hi - lo
+    raises ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo, hi = float(lo), float(hi)
     f_lo, f_hi = rate_fn(lo), rate_fn(hi)
-    bracketed = np.greater(f_lo, 0.0) & np.less(f_hi, 0.0)
-    if not bracketed.any():
+    if not (f_lo > 0.0 and f_hi < 0.0):
         raise BracketError(
             f"rate must straddle zero on the bracket: f({lo})={f_lo}, f({hi})={f_hi}"
         )
     # Such a tol would return the secant point of the unsearched bracket.
-    if np.any(bracketed & (hi - lo <= tol)):
+    if hi - lo <= tol:
         raise ValueError(f"tol must be below the bracket width, got tol={tol} "
                          f"on [{lo}, {hi}]")
     # a is the newest point, b the other end of the bracket, c the end that
     # the newest point replaced; t places the next point at a + t (b - a).
-    a, b, fa, fb = np.broadcast_arrays(lo, hi, f_lo, f_hi)
-    t, active = 0.5, bracketed
+    # They are float64 scalars, so a zero or infinite difference in the
+    # interpolation gives inf or NaN under errstate rather than raising.
+    a, b, fa, fb = np.float64(lo), np.float64(hi), np.float64(f_lo), np.float64(f_hi)
+    t = 0.5
     while True:
-        width = np.abs(b - a)
-        tol_x = np.maximum(tol, 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
-        active = active & (width > tol_x) & (fa != 0.0)
-        if not active.any():
+        width = abs(b - a)
+        tol_x = max(tol, 2.0 * np.spacing(max(abs(a), abs(b))))
+        if not (width > tol_x and fa != 0.0):
             break
-        t_min = 0.5 * tol_x / np.where(active, width, 1.0)
-        x = np.where(active, a + np.clip(t, t_min, 1.0 - t_min) * (b - a), a)
-        fx = rate_fn(x)
+        t_min = 0.5 * tol_x / width
+        x = a + min(max(t, t_min), 1.0 - t_min) * (b - a)
+        fx = np.float64(rate_fn(float(x)))
         # Keep b on the far side of the root from the new point.
-        flip = active & (np.greater(fx, 0.0) != np.greater(fa, 0.0))
-        c, fc = np.where(flip, b, a), np.where(flip, fb, fa)
-        b, fb = np.where(flip, a, b), np.where(flip, fa, fb)
-        a, fa = np.where(active, x, a), np.where(active, fx, fa)
+        if (fx > 0.0) != (fa > 0.0):
+            c, fc, b, fb = b, fb, a, fa
+        else:
+            c, fc = a, fa
+        a, fa = x, fx
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xi = (a - b) / (c - b)
             phi = (fa - fb) / (fc - fb)
             t_iqi = (fa / (fb - fa) * fc / (fb - fc)
                      + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
             # NaN anywhere fails the test, so bisection takes over.
-            trusted = ((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-                       & np.isfinite(t_iqi))
-        t = np.where(trusted, t_iqi, 0.5)
+            trusted = 1.0 - np.sqrt(1.0 - xi) < phi < np.sqrt(xi) and np.isfinite(t_iqi)
+        t = t_iqi if trusted else 0.5
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = a - fa * (b - a) / (fb - fa)
-    inside = (np.minimum(a, b) <= root) & (root <= np.maximum(a, b))
-    root = np.where(inside, root, np.where(np.abs(fa) <= np.abs(fb), a, b))
-    return float_if_0d(np.where(bracketed, root, np.nan))
+    if not min(a, b) <= root <= max(a, b):
+        root = a if abs(fa) <= abs(fb) else b
+    return float(root)
 
 
 def _bound_inputs(e, q, mu4: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

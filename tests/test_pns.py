@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threepass.pns import (
+    CRITICAL_LOSS_TOL_DB,
     DEFAULT_IRUD_OVERLAP,
     FiberLink,
     WcpSource,
@@ -228,6 +229,20 @@ def test_critical_distance_irud():
         lambda l: eve_info_irud(FiberLink(0.25, l), source), 0.25, 600.0)
     assert l_c == pytest.approx(IRUD_CRITICAL_KM, abs=0.02)
     assert delta_c == pytest.approx(IRUD_CRITICAL_DB, abs=0.005)
+
+
+@pytest.mark.parametrize("info,mu,loss_db", [
+    (eve_info_pns, 0.1, PNS_CRITICAL_DB),
+    (eve_info_irud, 0.2, IRUD_CRITICAL_DB),
+], ids=["pns", "irud"])
+def test_critical_loss_does_not_depend_on_alpha(info, mu, loss_db):
+    # The crossing is a loss: delta_c is one figure at any attenuation, and
+    # a km tolerance alone would scale its error with alpha.
+    source = WcpSource(mu)
+    for alpha in (0.25, 10.0, 1000.0, 1e6, 1e308):
+        _, delta_c = critical_distance(
+            lambda l: info(FiberLink(alpha, l), source), alpha, 500.0)
+        assert delta_c == pytest.approx(loss_db, abs=CRITICAL_LOSS_TOL_DB), alpha
 
 
 def test_critical_distance_requires_crossing():

@@ -472,19 +472,6 @@ def test_bound_rates_read_mu4_above_e_as_e(fn):
     assert fn(e, 0.3, 0.05).tolist() == fn(e, 0.3, np.array([0.0, 0.01, 0.05, 0.05])).tolist()
 
 
-def test_find_threshold_bisects_arrays_elementwise():
-    roots = np.array([0.05, 0.1, 0.2, 0.3])
-    found = find_threshold(lambda e: roots - e, 0.0, 0.4, 1e-9)
-    assert found == pytest.approx(roots, abs=1e-9)
-    for root, value in zip(roots, found):
-        assert find_threshold(lambda e: root - e, 0.0, 0.4, 1e-9) == value
-    # A point without a sign change on its bracket gives NaN; none at all raises.
-    partial = find_threshold(lambda e: np.array([0.1, 0.5]) - e, 0.0, 0.4, 1e-9)
-    assert partial[0] == pytest.approx(0.1, abs=1e-9) and np.isnan(partial[1])
-    with pytest.raises(BracketError):
-        find_threshold(lambda e: np.array([0.5, 0.6]) - e, 0.0, 0.4)
-
-
 def _counted(rate_fn):
     """rate_fn and a one-element list that counts its calls."""
     calls = [0]
@@ -563,7 +550,7 @@ def test_frozen_bound_roots_lie_within_bound_tol(rate, mu4, frozen):
 def test_bound_root_increases_toward_half(rate, mu4):
     # Why bound_threshold needs no search over q: the root in e increases
     # strictly with q, so its supremum over [0, 1/2) is the root at _Q_MAX.
-    q = np.linspace(0.0, _Q_MAX, 101)
-    roots = find_threshold(lambda e: rate(e, q, mu4), 1e-4, 0.45, 1e-7)
+    roots = [find_threshold(lambda e: rate(e, q, mu4), 1e-4, 0.45, 1e-7)
+             for q in np.linspace(0.0, _Q_MAX, 101).tolist()]
     assert np.all(np.diff(roots) > 0)
     assert bound_threshold(lambda e, q: rate(e, q, mu4)) == (roots[-1], _Q_MAX)
