@@ -28,19 +28,21 @@ samples that histogram at the level of counts, never round by round: the
 conditional-binomial method for multinomials (Davis, CSDA 16, 1993).  Its
 state is the number of rounds at each node of the protocol tree, and each
 random step of a round splits a node's count by an exact binomial.  Alice's
-and Bob's choices are halvings, Binomial(m, 1/2); the channel flips
-Binomial(m, e) rounds, each comparing a uniform with the binary digits of e
-(Knuth and Yao, 1976), one halving per digit, so P(flip) = e exactly; Eve's
-basis, her result and every measurement outside the qubit's basis are
-halvings.  A halving of at most :data:`_POPCOUNT_MAX` (T) rounds is the
-popcount of m fresh random bits.  A larger one is drawn by rejection from a
-geometric envelope around m/2 (:func:`_halves_by_rejection`), in O(1)
-expected words: a float log-ratio built from log1p terms decides each
-proposal unless it lies within a proven error margin of the uniform, and
-there exact integers or decimal intervals decide (:func:`_accept_certified`).
-No float probability decides an outcome, and a zero count draws nothing.  So
-a run draws a few thousand words, and its cost and memory do not grow with
-the round count, up to 2**63 - 1.
+and Bob's choices, Eve's basis and result, and every measurement outside the
+qubit's basis are halvings, Binomial(m, 1/2); the channel flips
+Binomial(m, e) rounds.  A halving of at most :data:`_POPCOUNT_MAX` (T)
+rounds is the popcount of m fresh random bits.  A larger halving, and each
+transmission's flip counts above T whose mode floor((m + 1) e) is at least
+8, are drawn in one call by rejection from a geometric envelope around the
+mode (:func:`_binomial_by_rejection`), in O(1) expected words: a float
+log-ratio built from log1p terms decides each proposal unless it lies within
+a proven error margin of the uniform, and there exact integers or decimal
+intervals decide (:func:`_accept_certified`).  The other flip counts compare
+each round's uniform with the binary digits of e (Knuth and Yao, 1976), one
+halving per digit, so P(flip) = e exactly.  No float probability decides an
+outcome, and a zero count draws nothing.  So a run draws a few thousand
+words, and its cost and memory do not grow with the round count, up to
+2**63 - 1.
 
 All words come from one stream, ``random.Random(seed)`` (:func:`_word_source`),
 so a report is bit-for-bit reproducible from its seed.  Sift fraction, QBER
@@ -213,9 +215,14 @@ class SimulationReport:
 
 
 #: Counts of at most this many rounds are halved by popcount, ceil(m / 64)
-#: words each; larger ones by rejection (:func:`_halves_by_rejection`).  So a
+#: words each; larger ones by rejection (:func:`_binomial_by_rejection`).  So a
 #: halving draws at most _POPCOUNT_MAX / 64 words per count.
 _POPCOUNT_MAX = 2**12
+
+#: The least mode floor((m + 1) e) of a count above :data:`_POPCOUNT_MAX` that
+#: the channel's flips draw by rejection; below it the envelope's bound is not
+#: proven, and :func:`_binomial` compares digits.
+_MODE_MIN = 8
 
 #: Proposals drawn for each count in the first batch of the rejection
 #: sampler; each is accepted with probability about 1/4.
@@ -230,7 +237,8 @@ _PROPOSALS = 16
 _MARGIN = 2.0**-40
 
 #: The certified fallback compares exact integers when the ratio's falling
-#: factorials hold at most about this many bits, and decimal intervals above.
+#: factorials and powers hold at most about this many bits, and decimal
+#: intervals above.
 _EXACT_BITS = 2**16
 
 _ONES = np.uint64(2**64 - 1)
@@ -243,9 +251,9 @@ def _halves(m: np.ndarray, raw) -> np.ndarray:
 
     A count of at most :data:`_POPCOUNT_MAX` rounds is the ones among its
     first m of ceil(m / 64) fresh words, the lanes of the last word past m
-    masked off: such counts, in order, take consecutive runs of one draw.  A
-    larger count is sampled by :func:`_halves_by_rejection` after that.  A
-    zero count draws nothing.
+    masked off: such counts, in order, take consecutive runs of one draw.  The
+    larger counts are then sampled by :func:`_binomial_by_rejection` at
+    p = 1/2.  A zero count draws nothing.
     """
     flat = m.ravel()
     ones = np.zeros(flat.size, dtype=np.int64)
@@ -260,7 +268,7 @@ def _halves(m: np.ndarray, raw) -> np.ndarray:
         bits = np.bitwise_count(raw(int(ends[-1])) & mask)
         ones[small] = np.add.reduceat(bits, ends - words, dtype=np.int64)
     if large.any():
-        ones[large] = _halves_by_rejection(flat[large], raw)
+        ones[large] = _binomial_by_rejection(flat[large], 0.5, raw)
     return ones.reshape(m.shape)
 
 
@@ -269,22 +277,59 @@ def _leading_zeros(words: np.ndarray) -> np.ndarray:
     return 31 - np.frexp((words >> np.uint64(32) & _LOW31).astype(float))[1]
 
 
-def _halves_by_rejection(m: np.ndarray, raw) -> np.ndarray:
-    """Binomial(m, 1/2) for each count m > :data:`_POPCOUNT_MAX`, exactly, by
-    rejection from a geometric envelope around the mode (Bringmann, Kuhn,
-    Panagiotou, Peter and Thomas, ICALP 2014, section 3).
+def _dyadic(p: float) -> tuple[int, int]:
+    """(a, b) with p = a / (a + b) and a + b a power of two (every float is a
+    dyadic rational), so that q = 1 - p = b / (a + b)."""
+    a, scale = p.as_integer_ratio()
+    return a, scale - a
 
-    With h = m // 2, g = m - h and w a power of two with w*w > 0.6932 m > m ln 2,
-    a proposal k lies at distance j = K*w + offset from the nearer mode.  One
-    word gives all three: the block index K ~ Geometric(1/2) is the leading
-    zeros of its bits 62..32 (read on into further words' bits 62..32 while
-    they are all 0), bit 63 its side (0: k = g + j, 1: k = g - 1 - j, so each
-    k in [0, m] has one (side, j)), and its bits below w the offset.  Such a
-    k is proposed with probability 2**-(K+2) / w, and C(m, k)/C(m, h) <=
-    exp(-j*j/m) <= 2**-K.  A uniform U, the next word and as many more as a
-    decision needs, accepts k when U < 2**K C(m, k)/C(m, h), so k is kept
-    with probability C(m, k)/(4 w C(m, h)): exactly the law of Binomial(m, 1/2).
-    Between 1/5 and 3/8 of the proposals are accepted, as w/sqrt(m) varies.
+
+def _width(m: np.ndarray, p: float) -> np.ndarray:
+    """The envelope's block width for Binomial(m, p): the smallest power of
+    two w with w*w > 0.6932 * 4mpq, which exceeds 4mpq ln 2 by far more than
+    float rounding.  0.6932 * 4mpq < 2**e for e its frexp exponent, and
+    2**(e - 1) <= it, so w = 2**ceil(e / 2)."""
+    return np.int64(1) << (np.frexp(0.6932 * 4 * p * (1 - p) * m)[1] + 1) // 2
+
+
+def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
+    """Binomial(m, p) for each count m > :data:`_POPCOUNT_MAX`, exactly, for a
+    float p <= 1/2 at which every count's mode M = floor((m + 1) p) is at
+    least :data:`_MODE_MIN`: by rejection from a geometric envelope around the
+    mode (Bringmann, Kuhn, Panagiotou, Peter and Thomas, ICALP 2014, section
+    3, there at p = 1/2; Kachitvichyanukul and Schmeiser, CACM 31(2), 1988,
+    for rejection around the mode at a general p).
+
+    Let q = 1 - p and f(k) = C(m, k) p**k q**(m - k).  M is computed in
+    integers from p = a / 2**L, since m a overflows int64, and w is the
+    smallest power of two with w*w > 0.6932 * 4mpq (:func:`_width`).  A
+    proposal k lies at distance j = K*w + offset from the mode.  One word
+    gives all three: the block index K ~ Geometric(1/2) is the leading zeros
+    of its bits 62..32 (read on into further words' bits 62..32 while they
+    are all 0), bit 63 its side (0: k = M + j, 1: k = M - 1 - j, so each k
+    has one (side, j)), and its bits below w the offset.  Such a k is proposed with probability
+    2**-(K+2) / w.  A uniform U, the next word and as many more as a decision
+    needs, accepts k when U < 2**K f(k)/f(M), so k is kept with probability
+    f(k)/(4 w f(M)): exactly the law of Binomial(m, p).  Between 1/5 and 3/8
+    of the proposals are accepted, as w*w/(mpq) varies.  At p = 1/2, M is
+    ceil(m / 2) and w*w > 0.6932 m.
+
+    The envelope holds: 2**K f(k) <= f(M) on block K.  M is a mode, which
+    settles K = 0.  The pmf ratio f(k + 1)/f(k) = (m - k)p/((k + 1)q) falls
+    with k, so ln f is concave and ln(f(M +- i)/f(M))/i does not rise with i.
+    So it is enough that f(M + w) and f(M - w) are at most f(M)/2: on block
+    K >= 1, |k - M| >= K w.  Write n = m + 1, so that M + 1 - np lies in
+    (0, 1], and let A = w*w/(npq).  The ratio's logarithm at M + i, i < w,
+    is at most -i/(nq) - ln(1 + i/(np)), and at M - 1 - i at least
+    ln(1 + i/(nq)) - ln(1 - i/(np)); with ln(1 + x) >= x - x*x/2 both sides
+    give
+
+        ln(f(M +- w)/f(M)) <= -w(w - 1)/(2npq) + w**3/(6 (np)**2)
+                            = -(A/2)(1 - 1/w) + A**1.5 q**1.5/(6 sqrt(np)).
+
+    Here 2.772 < A < 11.1 (w is the smallest such power of two, and
+    m > 4096), w >= 4 and np >= M >= 8.  The right side is convex in A, and
+    at both ends it is at most -0.76 < ln(1/2) (-0.77 and -1.98).
 
     A batch draws the proposals of every count still unsampled, as two
     (counts, proposals) blocks of words: the proposals, then their uniforms.
@@ -293,10 +338,13 @@ def _halves_by_rejection(m: np.ndarray, raw) -> np.ndarray:
     the rest, in order.  The first batch holds :data:`_PROPOSALS` per count,
     and each later one, for the few counts left, four times as many.
     """
-    h = m // 2
-    # 0.6932 m > 2**(e - 1) for e its frexp exponent, and exceeds m ln 2 by far
-    # more than float rounding, so w = 2**ceil(e / 2) has w*w > m ln 2.
-    w = np.int64(1) << (np.frexp(0.6932 * m)[1] + 1) // 2
+    a, b = _dyadic(p)
+    sizes = m.tolist()
+    modes = [(n + 1) * a // (a + b) for n in sizes]
+    mode = np.array(modes, dtype=np.int64)
+    # (m - M)p / (Mq) = 1 + tilt, for (m - M) a - M b = m a - M (a + b) exactly.
+    tilt = np.array([(n * a - k * (a + b)) / (k * b) for n, k in zip(sizes, modes)])
+    w = _width(m, p)
     out = np.empty_like(m)
     live = np.arange(m.size)
     proposals = _PROPOSALS
@@ -309,57 +357,64 @@ def _halves_by_rejection(m: np.ndarray, raw) -> np.ndarray:
             more = _leading_zeros(raw(int(unended.sum())))
             block[unended] += more
             unended[unended] = more == 31
-        ml, hl, wl = m[live, None], h[live, None], w[live, None]
+        wl = w[live, None]
         j = block * wl + (words[0] & (wl - 1).astype(np.uint64)).astype(np.int64)
-        # y = k - h: g - h + j, or g - h - 1 - j = g - h + ~j on side 1.
-        y = (ml & 1) + (j ^ words[0].view(np.int64) >> 63)
-        status = _rejection_status(hl, ml - hl, y, block, words[1])
+        # y = k - M: j on side 0, and M - 1 - j - M = ~j on side 1.
+        y = j ^ words[0].view(np.int64) >> 63
+        status = _rejection_status(m[live, None], mode[live, None], tilt[live, None], y,
+                                   block, words[1])
         rows = np.arange(n)
         first = (status != 0).argmax(axis=1)
         while (status[rows, first] < 0).any():
             for r in np.flatnonzero(status[rows, first] < 0).tolist():
                 f = first[r]
-                status[r, f] = _accept_certified(int(ml[r, 0]), int(hl[r, 0] + y[r, f]),
+                status[r, f] = _accept_certified(sizes[live[r]], p, modes[live[r]] + int(y[r, f]),
                                                  int(block[r, f]), int(words[1, r, f]), raw)
             first = (status != 0).argmax(axis=1)
         done = status[rows, first] == 1
-        out[live[done]] = hl[done, 0] + y[done, first[done]]
+        out[live[done]] = mode[live[done]] + y[done, first[done]]
         live = live[~done]
         proposals *= 4
     return out
 
 
-def _rejection_status(h, g, y, block, uniform) -> np.ndarray:
-    """int8 per proposal k = h + y of :func:`_halves_by_rejection`: 1 to
+def _rejection_status(m, mode, tilt, y, block, uniform) -> np.ndarray:
+    """int8 per proposal k = M + y of :func:`_binomial_by_rejection`: 1 to
     accept, 0 to reject, -1 when the float test cannot tell.
 
     The test takes U in [u, u + 1) / 2**53 for u the top 53 bits of
-    ``uniform``, and decides proposals within h/2 of h by ln A, A = 2**K
-    C(m, k)/C(m, h).  With a = k, b = m - k and Stirling's ln n! = (n + 1/2)
-    ln n - n + ln(2 pi)/2 + r_n, 0 < r_n < 1/(12n) (Robbins, 1955),
+    ``uniform`` and decides by ln A, A = 2**K f(k)/f(M).  With G = m - M, b = m - k, 1 + t =
+    G p/(M q) and Stirling's ln n! = (n + 1/2) ln n - n + ln(2 pi)/2 + r_n,
+    0 < r_n < 1/(12n) (Robbins, 1955),
 
-        ln A = K ln 2 + y log1p((g - h)/h) - (a + 1/2) log1p(y/h)
-               - (b + 1/2) log1p(-y/g) + r_h + r_g - r_a - r_b,
+        ln A = K ln 2 + y log1p(t) - (k + 1/2) log1p(y/M)
+               - (b + 1/2) log1p(-y/G) + r_M + r_G - r_k - r_b.
 
-    whose terms are O(|y|) where ln C(m, k) is O(m ln m), and add up to at
-    most K ln 2 + 3|y| + 2 in magnitude.  The float value leaves out the
-    r_n, which sum to less than 1/(3h) in magnitude as a, b >= h/2.  A
-    decision needs ln A to clear ln U by that, plus :data:`_MARGIN` times
-    K ln 2 + 3|y| + 4, which bounds the float error.
+    Its terms are O(|y|) near the mode, where ln f(k) is O(m ln m): |t| <=
+    2/M, the last two products have opposite signs and together at least |y|,
+    and an error in a log1p argument is damped by the factor before it.  So
+    the float value errs by less than 2**-48 (K ln 2 + 2 S + 64), with S the
+    magnitude of the last two products' difference, and leaves out the r_n,
+    which sum to less than (1/M + 1/G + 1/k + 1/b)/12 in magnitude, infinite
+    at k = 0 or m.  A decision needs ln A to clear ln U by that plus
+    :data:`_MARGIN` (K ln 2 + 2 S + 64).  A k outside [0, m] gives a log1p
+    argument below -1 and so a NaN, or -inf, value of ln A: it is rejected,
+    as f(k) = 0, and never accepted.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        hf, gf, yf = h.astype(float), g.astype(float), y.astype(float)
+        k, b = mode + y, m - mode - y
+        kf, bf, yf = k.astype(float), b.astype(float), y.astype(float)
         lift = block * _LN2
+        up = (kf + 0.5) * np.log1p(yf / mode)
+        down = (bf + 0.5) * np.log1p(yf / (mode - m))
         # ln(2**53 A), to compare with ln u.
-        ln_a = (lift + yf * np.log1p((g - h) / hf) - (hf + 0.5 + yf) * np.log1p(yf / hf)
-                - (gf + 0.5 - yf) * np.log1p(yf / -gf) + 53 * _LN2)
-        size = np.abs(yf)
-        error = (lift + 3 * size) * _MARGIN + (_MARGIN * 4 + 1 / (3 * hf))
+        ln_a = lift + yf * np.log1p(tilt) - up - down + 53 * _LN2
+        error = ((lift + 2 * np.abs(up - down) + 64) * _MARGIN
+                 + ((m / 12) / (kf * bf) + (1 / mode + 1 / (m - mode)) / 12))
         u = (uniform >> np.uint64(11)).astype(float)
-        near = size <= h // 2
-        accept = near & (ln_a - error > np.log(u + 1))
-        reject = near & (ln_a + error < np.log(u))
-    return np.where(accept, 1, np.where(reject, 0, -1)).astype(np.int8)
+        accept = ln_a - error > np.log(u + 1)
+        kept = ln_a + error >= np.log(u)
+    return np.where(accept, 1, np.where(kept, -1, 0)).astype(np.int8)
 
 
 class _Uniform:
@@ -374,28 +429,32 @@ class _Uniform:
         self.bits += 64
 
 
-def _accept_certified(m: int, k: int, block: int, word: int, raw) -> int:
-    """1 when U < 2**block C(m, k)/C(m, m // 2), else 0, for the uniform U
-    whose first 64 bits are ``word``, read on from ``raw`` as far as needed.
-    No float is used: a ratio of small falling factorials is compared as
+def _accept_certified(m: int, p: float, k: int, block: int, word: int, raw) -> int:
+    """1 when U < 2**block f(k)/f(M), for f the Binomial(m, p) pmf and M =
+    floor((m + 1) p), else 0, for the uniform U whose first 64 bits are
+    ``word``, read on from ``raw`` as far as needed.  No float is used: a
+    ratio of small falling factorials and powers of p/q is compared as
     integers, a larger one by :func:`_accept_by_interval` first."""
     if not 0 <= k <= m:
         return 0
     uniform = _Uniform(word, raw)
-    if abs(k - m // 2) * m.bit_length() > _EXACT_BITS:
-        decided = _accept_by_interval(m, k, block, uniform)
+    a, b = _dyadic(p)
+    if abs(k - m * a // (a + b)) * (m.bit_length() + (a * b).bit_length() - 1) > _EXACT_BITS:
+        decided = _accept_by_interval(m, p, k, block, uniform)
         if decided is not None:
             return decided
-    return _accept_exactly(m, k, block, uniform)
+    return _accept_exactly(m, p, k, block, uniform)
 
 
-def _accept_exactly(m: int, k: int, block: int, uniform: _Uniform) -> int:
-    """:func:`_accept_certified` in integers: the ratio C(m, k)/C(m, h) is
-    num/den, one falling factorial of |k - h| factors over another."""
-    h = m // 2
-    d = abs(k - h)
-    num, den = ((math.perm(m - h, d), math.perm(k, d)) if k >= h
-                else (math.perm(h, d), math.perm(m - k, d)))
+def _accept_exactly(m: int, p: float, k: int, block: int, uniform: _Uniform) -> int:
+    """:func:`_accept_certified` in integers: with p = a/(a + b) and d =
+    |k - M|, the ratio f(k)/f(M) is num/den, one falling factorial of d
+    factors times a**d or b**d over another times the other power."""
+    a, b = _dyadic(p)
+    mode = (m + 1) * a // (a + b)
+    d = abs(k - mode)
+    num, den = ((math.perm(m - mode, d) * a**d, math.perm(k, d) * b**d) if k >= mode
+                else (math.perm(mode, d) * b**d, math.perm(m - k, d) * a**d))
     num <<= block
     while True:
         top = num << uniform.bits
@@ -431,27 +490,31 @@ def _ln_factorial(n: int):
     return x, Decimal(_STIRLING_REST[0]) / Decimal(_STIRLING_REST[1] * z**15)
 
 
-def _accept_by_interval(m: int, k: int, block: int, uniform: _Uniform):
+def _accept_by_interval(m: int, p: float, k: int, block: int, uniform: _Uniform):
     """:func:`_accept_certified` by decimal intervals: 1 or 0, or None when
-    ln A = ln(2**block C(m, k)/C(m, h)) is still too close to ln U at 80
-    digits.  U is read on while its interval is the wider one, and the
-    digits are doubled otherwise."""
+    ln A = ln(2**block f(k)/f(M)) is still too close to ln U at 80 digits.
+    U is read on while its interval is the wider one, and the digits are
+    doubled otherwise."""
     from decimal import Decimal, localcontext
 
-    h = m // 2
+    a, b = _dyadic(p)
+    mode = (m + 1) * a // (a + b)
     for digits in (40, 80):
         with localcontext() as ctx:
             ctx.prec = digits
             ln2 = Decimal(2).ln()
-            (x_h, r_h), (x_g, r_g), (x_k, r_k), (x_b, r_b) = (
-                _ln_factorial(n) for n in (h, m - h, k, m - k))
-            ln_a = block * ln2 + x_h + x_g - x_k - x_b
+            (x_g, r_g), (x_mode, r_mode), (x_k, r_k), (x_b, r_b) = (
+                _ln_factorial(n) for n in (m - mode, mode, k, m - k))
+            ln_a = (block * ln2 + x_g + x_mode - x_k - x_b
+                    + (k - mode) * (Decimal(a).ln() - Decimal(b).ln()))
             while True:
                 # Every operation rounds by at most one unit in the digits'
                 # last place of a magnitude below 256 m + bits, and there are
-                # fewer than 200 of them.
+                # fewer than 200 of them; ln a and ln b, times |k - M| <= m,
+                # count as such, as a < 2**53 and b < 2**117 for any p at
+                # which some m has a mode of at least 1.
                 slack = 200 * (256 * m + uniform.bits) * Decimal(10) ** (1 - digits)
-                radius = r_h + r_g + r_k + r_b + slack
+                radius = r_g + r_mode + r_k + r_b + slack
                 ln_hi = Decimal(uniform.u + 1).ln() - uniform.bits * ln2
                 if ln_hi + slack <= ln_a - radius:
                     return 1
@@ -475,25 +538,36 @@ def _qber_digits(e: float) -> str:
 def _binomial(m: np.ndarray, digits: str, raw) -> np.ndarray:
     """Elementwise Binomial(m, e) for e = 0.d1d2... with the given digits.
 
-    Each of the m rounds compares a uniform U = 0.u1u2... with e digit by
-    digit, and counts only are kept: at each digit the rounds still equal to
-    e draw their next bit by :func:`_halves`.  Under a 1-digit the 0-bits fall
-    below e; under a 0-digit the 1-bits rise above it.  The rounds below e,
-    which have probability e exactly, are returned.  The comparison stops
-    after e's last 1-digit (U = e then has probability 0), or earlier once no
-    round is still equal; e = 0 draws nothing.
+    A count above :data:`_POPCOUNT_MAX` whose mode floor((m + 1) e) is at
+    least :data:`_MODE_MIN` is drawn by :func:`_binomial_by_rejection`, all
+    in one call.  Each of the m rounds of every other count compares a
+    uniform U = 0.u1u2... with e digit by digit, and counts only are kept: at
+    each digit the rounds still equal to e draw their next bit by
+    :func:`_halves`.  Under a 1-digit the 0-bits fall below e; under a
+    0-digit the 1-bits rise above it.  The rounds below e, which have
+    probability e exactly, are counted.  The comparison stops after e's last
+    1-digit (U = e then has probability 0), or earlier once no round is
+    still equal, so it draws nothing when every count is drawn by rejection;
+    e = 0 draws nothing.
     """
     below = np.zeros_like(m)
-    equal = m
+    if not digits:
+        return below
+    a, scale = int(digits, 2), 1 << len(digits)
+    # floor((m + 1) a / scale) >= _MODE_MIN just when m + 1 >= ceil(_MODE_MIN scale / a).
+    large = m >= max(_POPCOUNT_MAX + 1, -(-_MODE_MIN * scale // a) - 1)
+    equal = np.where(large, 0, m)
     for d in digits:
+        if not equal.any():
+            break
         ones = _halves(equal, raw)
         if d == "1":
             below += equal - ones
             equal = ones
         else:
             equal = equal - ones
-        if not equal.any():
-            break
+    if large.any():
+        below[large] = _binomial_by_rejection(m[large], a / scale, raw)
     return below
 
 

@@ -171,7 +171,7 @@ def _one_word_at_a_time(seed):
     return lambda n: np.array([bits(64) for _ in range(n)], dtype=np.uint64)
 
 
-def test_simulation_worker_split_covers_all_rounds(monkeypatch):
+def test_simulation_reports_the_same_whatever_the_draw_sizes(monkeypatch):
     # A run's words come in the same order whatever the sizes of its draws:
     # drawn one word at a time, a run reports exactly what it reports with
     # whole draws, at a size whose counts take both halving paths.
@@ -448,6 +448,24 @@ def test_simulate_chunk_covers_empty_classes_and_tails(n, eve):
         assert counts[~support].sum() == 0
 
 
+@pytest.mark.parametrize("pid,eve,most", [(ProtocolId.P1, Eavesdropper.NONE, 22),
+                                          (ProtocolId.P2, Eavesdropper.INTERCEPT_RESEND, 12)])
+def test_flips_keep_the_halvings_few(monkeypatch, pid, eve, most):
+    # At 10**7 rounds and e = 0.03 each transmission draws every flip count
+    # above T by one rejection call.  The digit chain, up to 55 halvings per
+    # transmission, made 77 (p1) and 84 (p2 with intercept-resend) of these
+    # runs' _halves calls; the bounds are the calls the rejection sampler's
+    # runs make: the 6 or 12 class, measurement and Eve halvings, and for p1
+    # the chain on its third pass's nodes of at most T rounds.
+    calls = []
+    halves = protocol._halves
+    monkeypatch.setattr(protocol, "_halves", lambda m, raw: calls.append(1) or halves(m, raw))
+    config = SimulationConfig(protocol=pid, n_rounds=10**7, channel_qber=0.03, eve=eve)
+    counts = protocol._code_counts(config, protocol._word_source(0))
+    assert counts.sum() == 10**7
+    assert len(calls) <= most
+
+
 def test_simulation_frozen_outputs():
     report = run_simulation(FROZEN_CONFIG)
     assert report.branch_counts == FROZEN_BRANCH_COUNTS
@@ -457,7 +475,7 @@ def test_simulation_frozen_outputs():
 
 
 @pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18, 1 << 22, 1 << 62])
-def test_simulation_memory_bounded_by_chunk(n_rounds):
+def test_simulation_memory_does_not_grow_with_rounds(n_rounds):
     config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=n_rounds, channel_qber=0.03,
                               eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=3)
     run_simulation(config)  # warm up outside the measurement
@@ -522,19 +540,20 @@ def test_code_distribution_matches_oracle(e, eve):
     assert abs(got.sum() - 1.0) <= 1e-15
 
 
-def _binomial_fit(draws: np.ndarray, m: int, bins: int) -> None:
-    """Assert that draws of Binomial(m, 1/2) pass Pearson's chi-square test
-    against C(m, k)/2**m over ``bins`` cells of about equal probability, and
-    a test of their mean.
+def _binomial_fit(draws: np.ndarray, m: int, p: float, bins: int) -> None:
+    """Assert that draws of Binomial(m, p) pass Pearson's chi-square test
+    against C(m, k) p**k q**(m - k) over ``bins`` cells of about equal
+    probability, and a test of their mean.
 
-    The pmf is taken over 12 standard deviations each side of the mode, by
-    the exact ratio C(m, k + 1)/C(m, k) = (m - k)/(k + 1) in floats and
+    The pmf is taken over 12 standard deviations each side of floor(m p), by
+    the exact ratio f(k + 1)/f(k) = (m - k)/(k + 1) * p/q in floats and
     normalised there; the mass left out is below 1e-30."""
     assert draws.min() >= 0 and draws.max() <= m
-    h, reach = m // 2, int(6 * math.sqrt(m)) + 10
+    a, scale = p.as_integer_ratio()
+    h, reach, q = m * a // scale, int(6 * math.sqrt(4 * m * p * (1 - p))) + 10, 1 - p
     lo, hi = max(h - reach, 0), min(h + reach, m)
-    up = np.cumprod((m - np.arange(h, hi)) / np.arange(h + 1, hi + 1))
-    down = np.cumprod(np.arange(h, lo, -1) / (m - np.arange(h, lo, -1) + 1))
+    up = np.cumprod((m - np.arange(h, hi)) / np.arange(h + 1, hi + 1) * (p / q))
+    down = np.cumprod(np.arange(h, lo, -1) / (m - np.arange(h, lo, -1) + 1) * (q / p))
     pmf = np.concatenate([down[::-1], [1.0], up])
     pmf /= pmf.sum()
     # Cells cut at quantiles of the pmf; the first and last take the tails.
@@ -545,9 +564,9 @@ def _binomial_fit(draws: np.ndarray, m: int, bins: int) -> None:
     n = draws.size
     chi_square = float(((observed - n * expected) ** 2 / (n * expected)).sum())
     assert chi_square <= _chi_square_bound(edges.size)
-    # The mean, m/2, within 4.5 standard errors: a shift of the law by a
+    # The mean, m p, within 4.5 standard errors: a shift of the law by a
     # small fraction of its width shows here before it shows in the cells.
-    assert abs(draws.mean() - m / 2) <= 4.5 * math.sqrt(m / 4 / n)
+    assert abs(draws.mean() - m * p) <= 4.5 * math.sqrt(m * p * q / n)
 
 
 @pytest.mark.parametrize("m", [protocol._POPCOUNT_MAX + 1, protocol._POPCOUNT_MAX + 2,
@@ -555,7 +574,7 @@ def _binomial_fit(draws: np.ndarray, m: int, bins: int) -> None:
 def test_rejection_sampler_fits_binomial(m):
     # Just above the popcount path and at about 1e9 rounds, odd and even.
     draws = protocol._halves(np.full(40_000, m, dtype=np.int64), protocol._word_source(m))
-    _binomial_fit(draws, m, 40)
+    _binomial_fit(draws, m, 0.5, 40)
 
 
 @pytest.mark.parametrize("m", [20_001, 20_002])
@@ -568,7 +587,7 @@ def test_rejection_sampler_fits_binomial_without_floats(monkeypatch, m):
     monkeypatch.setattr(protocol, "_accept_certified", lambda *a: calls.append(1) or certified(*a))
     draws = protocol._halves(np.full(3_000, m, dtype=np.int64), protocol._word_source(m))
     assert len(calls) >= 3_000
-    _binomial_fit(draws, m, 20)
+    _binomial_fit(draws, m, 0.5, 20)
 
 
 def test_rejection_sampler_fits_binomial_by_intervals(monkeypatch):
@@ -580,32 +599,102 @@ def test_rejection_sampler_fits_binomial_by_intervals(monkeypatch):
     monkeypatch.setattr(protocol, "_accept_exactly", lambda *a: exact.append(1))
     draws = protocol._halves(np.full(500, m, dtype=np.int64), protocol._word_source(m))
     assert not exact
-    _binomial_fit(draws, m, 10)
+    _binomial_fit(draws, m, 0.5, 10)
+
+
+_T = protocol._POPCOUNT_MAX
+# The channel's QBERs 3/100 and 1/5, and 2**-10, at which counts just above T
+# have a mode of 4 and keep the digit chain, while 8191 rounds give the
+# sampler's smallest mode, 8.
+_FLIP_CASES = [(e, m) for e in (0.03, 0.2, 2.0**-10) for m in (_T + 1, _T + 2, 10**9 + 7)]
+
+
+@pytest.mark.parametrize("e,least", [(2.0**-10, 8_191), (2.0**-9, _T + 1), (0.03, _T + 1),
+                                     (0.5, _T + 1)])
+def test_binomial_samples_large_modes_by_rejection(monkeypatch, e, least):
+    # Counts above T whose mode floor((m + 1) e) is at least _MODE_MIN = 8
+    # go to the sampler at p = e, in one call; the rest keep the digit chain,
+    # whose halvings above T call it at p = 1/2.
+    calls = []
+    monkeypatch.setattr(protocol, "_binomial_by_rejection",
+                        lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
+    m = np.array([[least - 1, least], [0, 10**12]])
+    got = protocol._binomial(m, protocol._qber_digits(e), protocol._word_source(1))
+    assert [call for call in calls if call[1] == e] == [([least, 10**12], e)]
+    assert got[0, 1] == least // 2 and got[1, 1] == 10**12 // 2 and got[1, 0] == 0
+    assert 0 <= got[0, 0] <= least - 1
+
+
+@pytest.mark.parametrize("e,m", _FLIP_CASES + [(2.0**-10, 8_191)])
+def test_binomial_fits_law_at_qbers(e, m):
+    draws = protocol._binomial(np.full(20_000, m, dtype=np.int64), protocol._qber_digits(e),
+                               protocol._word_source(m))
+    _binomial_fit(draws, m, e, 20)
+
+
+@pytest.mark.parametrize("e", [0.03, 0.2, 2.0**-10])
+def test_binomial_sampler_fits_law_without_floats(monkeypatch, e):
+    # With an infinite margin the float test decides nothing in [0, m]: every
+    # such proposal before a count's first acceptance is decided exactly.
+    m = 20_001
+    monkeypatch.setattr(protocol, "_MARGIN", math.inf)
+    calls = []
+    certified = protocol._accept_certified
+    monkeypatch.setattr(protocol, "_accept_certified", lambda *a: calls.append(1) or certified(*a))
+    draws = protocol._binomial(np.full(3_000, m, dtype=np.int64), protocol._qber_digits(e),
+                               protocol._word_source(m))
+    assert len(calls) >= 3_000
+    _binomial_fit(draws, m, e, 20)
+
+
+@pytest.mark.parametrize("e", [0.03, 0.2, 2.0**-10])
+def test_binomial_sampler_fits_law_by_intervals(monkeypatch, e):
+    m = 20_001
+    monkeypatch.setattr(protocol, "_MARGIN", math.inf)
+    monkeypatch.setattr(protocol, "_EXACT_BITS", -1)
+    exact = []
+    monkeypatch.setattr(protocol, "_accept_exactly", lambda *a: exact.append(1))
+    draws = protocol._binomial(np.full(500, m, dtype=np.int64), protocol._qber_digits(e),
+                               protocol._word_source(m))
+    assert not exact
+    _binomial_fit(draws, m, e, 10)
 
 
 def test_certified_decisions_match_exact_binomials():
-    # Both certified paths decide U < A = 2**K C(m, k)/C(m, m // 2) as the
-    # reference does with math.comb, reading the uniform's words in turn.
-    # Half the uniforms begin with A's own first 64 bits, so that only
-    # further words decide, and an error in A above 2**-64 shows.
+    # Both certified paths decide U < A = 2**K f(k)/f(M), for f the
+    # Binomial(m, p) pmf and M = floor((m + 1) p), as the reference does with
+    # math.comb and, for p = a/2**L, the factor (a/(2**L - a))**(k - M),
+    # reading the uniform's words in turn.  Half the uniforms begin with A's
+    # own first 64 bits, so that only further words decide, and an error in A
+    # above 2**-64 shows.
     rng = random.Random(4)
-    modes = {m: math.comb(m, m // 2) for m in (5_000, 5_001, 20_001, 20_002)}
-    cases = [(5_001, 0, 0), (5_001, 5_001, 3), (5_000, 7, 1), (20_001, 19_000, 0)]
-    for _ in range(80):
-        m = rng.choice(list(modes))
-        cases.append((m, m // 2 + rng.randint(-3, 3) * int(math.sqrt(m)), rng.randint(0, 3)))
-    for m, k, block in cases:
-        num, den = math.comb(m, k) << block, modes[m]
-        u = rng.getrandbits(64) if rng.random() < 0.5 else min(num * 2**64 // den, _ONES)
-        more = [rng.getrandbits(64) for _ in range(4)]
-        # The reference: U in [u, u + 1) / 2**bits, read on until it decides.
-        bits, v, words = 64, u, iter(more)
-        while den * (v + 1) > num << bits and den * v < num << bits:
-            v, bits = v << 64 | next(words), bits + 64
-        expected = int(den * (v + 1) <= num << bits)
-        for decide in (protocol._accept_exactly, protocol._accept_by_interval):
-            uniform = protocol._Uniform(u, _StubBits(more).random_raw)
-            assert decide(m, k, block, uniform) == expected, (decide.__name__, m, k, block)
+    for p in (0.5, 0.03, 0.2, 2.0**-10):
+        a, scale = p.as_integer_ratio()
+        b = scale - a
+        modes = {m: (m + 1) * a // scale for m in (5_000, 5_001, 20_001, 20_002)}
+        cases = [(5_001, 0, 0), (5_001, 5_001, 3), (5_000, 7, 1), (20_001, 19_000, 0)]
+        for _ in range(80):
+            m = rng.choice(list(modes))
+            spread = int(2 * math.sqrt(m * p * (1 - p)))
+            cases.append((m, max(m * a // scale + rng.randint(-3, 3) * spread, 0),
+                          rng.randint(0, 3)))
+        for m, k, block in cases:
+            mode = modes[m]
+            num, den = math.comb(m, k) << block, math.comb(m, mode)
+            if k >= mode:
+                num, den = num * a ** (k - mode), den * b ** (k - mode)
+            else:
+                num, den = num * b ** (mode - k), den * a ** (mode - k)
+            u = rng.getrandbits(64) if rng.random() < 0.5 else min(num * 2**64 // den, _ONES)
+            more = [rng.getrandbits(64) for _ in range(4)]
+            # The reference: U in [u, u + 1) / 2**bits, read on until it decides.
+            bits, v, words = 64, u, iter(more)
+            while den * (v + 1) > num << bits and den * v < num << bits:
+                v, bits = v << 64 | next(words), bits + 64
+            expected = int(den * (v + 1) <= num << bits)
+            for decide in (protocol._accept_exactly, protocol._accept_by_interval):
+                uniform = protocol._Uniform(u, _StubBits(more).random_raw)
+                assert decide(m, p, k, block, uniform) == expected, (decide.__name__, p, m, k, block)
 
 
 def _proposal(side: int, block: int, offset: int) -> int:
@@ -642,6 +731,55 @@ def test_rejection_proposal_mapping(m):
     # rejects that proposal, and the next is taken.
     got, draws = sample([_proposal(0, 31, 0), _proposal(0, 0, 9)], extra=[1 << 62])
     assert (got, draws) == ([g + 9], [2 * p, 1])
+
+
+def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
+    # The same layout around the mode M = floor((m + 1) e) = 300 of m = 10_000
+    # rounds at e = 0.03, where w = 32: 16*16 < 0.6932 * 4mpq < 32*32.  All
+    # of the count goes to the sampler, so no digit chain draws.  A uniform
+    # of 0 accepts a proposal near the mode, and all ones reject one far off.
+    m, mode, w, p = 10_000, 300, 32, protocol._PROPOSALS
+    digits = protocol._qber_digits(0.03)
+
+    def sample(first, extra=()):
+        proposals = first + [_proposal(0, 0, 0)] * (p - len(first))
+        uniforms = [_ONES] * (len(first) - 1) + [0]
+        stub = _StubBits(proposals + uniforms + [_ONES] * (p - len(uniforms)) + list(extra))
+        return protocol._binomial(np.array([m]), digits, stub.random_raw).tolist(), stub.draws
+
+    for (side, block, offset), k in [
+            ((0, 0, 5), mode + 5), ((1, 0, 0), mode - 1), ((0, 2, 3), mode + 2 * w + 3),
+            ((1, 1, w - 1), mode - 1 - (2 * w - 1)),
+            ((0, 0, w + 7), mode + 7),  # offset bits from w up are not used
+    ]:
+        assert sample([_proposal(side, block, offset)]) == ([k], [2 * p])
+    got, draws = sample([_proposal(0, 31, 0), _proposal(0, 0, 9)], extra=[1 << 62])
+    assert (got, draws) == ([mode + 9], [2 * p, 1])
+    # k = M - 1 - 10 w < 0, and k = M + 310 w > m after nine more all-zero
+    # block words, have f(k) = 0: the float test rejects them without the
+    # certified path.
+    monkeypatch.setattr(protocol, "_accept_certified", lambda *a: pytest.fail("certified"))
+    got, draws = sample([_proposal(1, 10, 0), _proposal(0, 0, 9)])
+    assert (got, draws) == ([mode + 9], [2 * p])
+    got, draws = sample([_proposal(0, 31, 0), _proposal(0, 0, 9)], extra=[0] * 9 + [1 << 62])
+    assert (got, draws) == ([mode + 9], [2 * p] + [1] * 10)
+
+
+@pytest.mark.parametrize("m,e,mode", [(_T + 1, 2.0**-9, 8), (8_191, 2.0**-10, 8),
+                                      (_T + 1, 0.03, 122), (_T + 2, 0.2, 819), (_T + 1, 0.5, 2049)])
+def test_envelope_bounds_the_pmf_exactly(m, e, mode):
+    # 2**K f(k) <= f(M) for every k in [0, m], K the block of k, in integers:
+    # F(k) = C(m, k) a**k b**(m - k), for e = a/(a + b), is f(k) (a + b)**m.
+    # The first two cases have the smallest mode the sampler takes.
+    a, b = protocol._dyadic(e)
+    assert (m + 1) * a // (a + b) == mode >= protocol._MODE_MIN
+    w = int(protocol._width(np.array([m]), e)[0])
+    top = math.comb(m, mode) * a**mode * b ** (m - mode)
+    f = b**m
+    for k in range(m + 1):
+        block = (k - mode if k >= mode else mode - 1 - k) // w
+        assert f << block <= top, k
+        f = f * (m - k) * a // ((k + 1) * b)
 
 
 def test_halves_at_the_largest_count():
