@@ -307,22 +307,22 @@ def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
     gives all three: the block index K ~ Geometric(1/2) is the leading zeros
     of its bits 62..32 (read on into further words' bits 62..32 while they
     are all 0), bit 63 its side (0: k = M + j, 1: k = M - 1 - j, so each k
-    has one (side, j)), and its bits below w the offset.  Such a k is proposed with probability
-    2**-(K+2) / w.  A uniform U, the next word and as many more as a decision
-    needs, accepts k when U < 2**K f(k)/f(M), so k is kept with probability
-    f(k)/(4 w f(M)): exactly the law of Binomial(m, p).  Between 1/5 and 3/8
-    of the proposals are accepted, as w*w/(mpq) varies.  At p = 1/2, M is
-    ceil(m / 2) and w*w > 0.6932 m.
+    has one (side, j)), and its bits below w the offset.  Such a k is
+    proposed with probability 2**-(K+2) / w.  A uniform U, the next word and
+    as many more as a decision needs, accepts k when U < 2**K f(k)/f(M), so k
+    is kept with probability f(k)/(4 w f(M)): exactly the law of
+    Binomial(m, p).  About 1/5 to 3/8 of the proposals are accepted, as
+    w*w/(mpq) varies.  At p = 1/2, M is ceil(m / 2) and w*w > 0.6932 m.
 
     The envelope holds: 2**K f(k) <= f(M) on block K.  M is a mode, which
     settles K = 0.  The pmf ratio f(k + 1)/f(k) = (m - k)p/((k + 1)q) falls
     with k, so ln f is concave and ln(f(M +- i)/f(M))/i does not rise with i.
     So it is enough that f(M + w) and f(M - w) are at most f(M)/2: on block
     K >= 1, |k - M| >= K w.  Write n = m + 1, so that M + 1 - np lies in
-    (0, 1], and let A = w*w/(npq).  The ratio's logarithm at M + i, i < w,
-    is at most -i/(nq) - ln(1 + i/(np)), and at M - 1 - i at least
-    ln(1 + i/(nq)) - ln(1 - i/(np)); with ln(1 + x) >= x - x*x/2 both sides
-    give
+    (0, 1], and let A = w*w/(npq).  For 0 <= i < w, ln(f(k + 1)/f(k)) is at
+    most -i/(nq) - ln(1 + i/(np)) at k = M + i, and at least
+    ln(1 + i/(nq)) - ln(1 - i/(np)) at k = M - 1 - i; with ln(1 - x) <= -x
+    and ln(1 + x) >= x - x*x/2, both sides give
 
         ln(f(M +- w)/f(M)) <= -w(w - 1)/(2npq) + w**3/(6 (np)**2)
                             = -(A/2)(1 - 1/w) + A**1.5 q**1.5/(6 sqrt(np)).
@@ -383,9 +383,9 @@ def _rejection_status(m, mode, tilt, y, block, uniform) -> np.ndarray:
     accept, 0 to reject, -1 when the float test cannot tell.
 
     The test takes U in [u, u + 1) / 2**53 for u the top 53 bits of
-    ``uniform`` and decides by ln A, A = 2**K f(k)/f(M).  With G = m - M, b = m - k, 1 + t =
-    G p/(M q) and Stirling's ln n! = (n + 1/2) ln n - n + ln(2 pi)/2 + r_n,
-    0 < r_n < 1/(12n) (Robbins, 1955),
+    ``uniform`` and decides by ln A, A = 2**K f(k)/f(M).  With G = m - M,
+    b = m - k, 1 + t = G p/(M q) and Stirling's ln n! = (n + 1/2) ln n - n +
+    ln(2 pi)/2 + r_n, 0 < r_n < 1/(12n) (Robbins, 1955),
 
         ln A = K ln 2 + y log1p(t) - (k + 1/2) log1p(y/M)
                - (b + 1/2) log1p(-y/G) + r_M + r_G - r_k - r_b.

@@ -694,7 +694,8 @@ def test_certified_decisions_match_exact_binomials():
             expected = int(den * (v + 1) <= num << bits)
             for decide in (protocol._accept_exactly, protocol._accept_by_interval):
                 uniform = protocol._Uniform(u, _StubBits(more).random_raw)
-                assert decide(m, p, k, block, uniform) == expected, (decide.__name__, p, m, k, block)
+                got = decide(m, p, k, block, uniform)
+                assert got == expected, (decide.__name__, p, m, k, block)
 
 
 def _proposal(side: int, block: int, offset: int) -> int:
@@ -766,7 +767,8 @@ def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
 
 
 @pytest.mark.parametrize("m,e,mode", [(_T + 1, 2.0**-9, 8), (8_191, 2.0**-10, 8),
-                                      (_T + 1, 0.03, 122), (_T + 2, 0.2, 819), (_T + 1, 0.5, 2049)])
+                                      (_T + 1, 0.03, 122), (_T + 2, 0.2, 819),
+                                      (_T + 1, 0.5, 2049)])
 def test_envelope_bounds_the_pmf_exactly(m, e, mode):
     # 2**K f(k) <= f(M) for every k in [0, m], K the block of k, in integers:
     # F(k) = C(m, k) a**k b**(m - k), for e = a/(a + b), is f(k) (a + b)**m.
