@@ -5,10 +5,11 @@ Every CSV written by this tool starts with a reproducibility manifest as
 seed, the tool version, and a UTC timestamp.  Re-running with the manifest's
 parameters reproduces the data rows byte for byte; set SOURCE_DATE_EPOCH to
 pin the timestamp line as well.  THREEPASS_SEED provides the default seed.
-Sweep rows (``curves``, ``pns --out``) are formatted and written one
-sub-block at a time, byte-identical to formatting each number with ``.6g``.
-A ``curves`` grid is checked at its corners before anything is written, so
-an invalid one leaves stdout empty.
+Sweep rows are byte-identical to formatting each number with ``.6g``.
+``curves`` formats each grid coordinate once and writes each q row from one
+template, so only the rates are converted per row; ``pns --out`` formats its
+rows one sub-block at a time.  A ``curves`` grid is checked at its corners
+before anything is written, so an invalid one leaves stdout empty.
 
 Exit codes: 0 on success, 1 when --check finds a reference-value mismatch,
 2 on usage, numerical or file errors (an output path that cannot be
@@ -46,18 +47,19 @@ from . import secrate
 CHECK_FAILED_EXIT = 1
 ERROR_EXIT = 2
 
-#: Grid points per rate or eve_info call in a sweep: ``curves`` evaluates its
-#: q-major flattened (q, e) grid, and ``pns`` its lengths, this many at a time,
-#: so memory stays bounded for any grid.
+#: Grid points per rate or eve_info call in a sweep, so memory stays bounded
+#: for any grid: a ``curves`` block is whole q rows, or a chunk of one row's e
+#: axis when the row is longer, and ``pns`` evaluates this many lengths.
 _BLOCK = 2048
 
-#: Rows per formatted string in a sweep: one string per whole block raised
-#: the peak RSS of two 100001-row pns scans by 0.3 to 0.9 MB, with no gain
-#: in speed.
+#: Rows per formatted string in a ``pns --out`` scan: one string per whole
+#: block raised the peak RSS of two 100001-row scans by 0.3 to 0.9 MB, with
+#: no gain in speed.  ``curves`` writes one string per q row or chunk.
 _SUB_BLOCK = 256
 
-#: The conversion of every number in the CSV output: %-style, so a whole
-#: sub-block of rows is one ``%`` call; it gives the bytes of ``f"{x:.6g}"``.
+#: The conversion of every number in the CSV output: %-style, so a sub-block
+#: of rows, or a curves row template, is one ``%`` call; it gives the bytes of
+#: ``f"{x:.6g}"``.
 _NUMBER = "%.6g"
 
 #: Most CSV rows one sweep may write; a larger grid is refused before it is built.
@@ -207,11 +209,14 @@ def _grid_points(last: float) -> int:
     return math.floor(last) + 1
 
 
-def _axis_points(start: float, stop: float, step: float) -> int:
-    """The number of points start + i*step up to stop."""
+def _axis_points(start: float, stop: float, step: float) -> tuple:
+    """(n, at): the number of points start + i*step up to stop, and the map
+    from indices i to the points min(start + i*step, stop), so that a last
+    point that rounding puts past stop is stop itself."""
     if not (0.0 < step < math.inf and -math.inf < start <= stop < math.inf):
         raise ValueError(f"invalid grid: start={start} stop={stop} step={step}")
-    return _grid_points((stop - start) / step + 1e-9)
+    return (_grid_points((stop - start) / step + 1e-9),
+            lambda i: np.minimum(start + i * step, stop))
 
 
 def _blocks(n: int) -> Iterator[np.ndarray]:
@@ -229,29 +234,22 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if unused:
         option = "--" + unused[0].replace("_", "-")
         raise ValueError(f"{option} does not apply to --kind {args.kind}")
-    n_e = _axis_points(args.e_start, args.e_stop, args.e_step)
+    n_e, e_at = _axis_points(args.e_start, args.e_stop, args.e_step)
     params = {
         "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
         "e_step": args.e_step,
     }
-    # The grid is flattened q-major: index i is the point e = e_start +
-    # (i % n_e) e_step, q = q_start + (i // n_e) q_step.
-    e_at = lambda i: args.e_start + (i % n_e) * args.e_step
     if args.kind in ("sb1", "sifted"):
         params["announce"] = args.announce
         fn = secrate.key_rate_sb1 if args.kind == "sb1" else secrate.key_rate_sifted
-        n_q = 1
-        header = "e,r"
-        row_format = f"{_NUMBER},{_NUMBER}\n"
-
-        def columns(i: np.ndarray) -> tuple:
-            e = e_at(i)
-            return e, fn(e, args.announce)
+        # One q row with no q column: its "q" is the row index, never read.
+        n_q, q_at, q_text, header = 1, np.asarray, lambda q: "", "e,r"
+        rate = lambda e, q: fn(e, args.announce)
     else:
         q_start, q_stop, q_step = (default if getattr(args, key) is None
                                    else getattr(args, key)
                                    for key, default in _Q_AXIS_DEFAULTS.items())
-        n_q = _axis_points(q_start, q_stop, q_step)
+        n_q, q_at = _axis_points(q_start, q_stop, q_step)
         _grid_points(n_e * n_q - 1)  # the whole surface
         params.update(q_start=q_start, q_stop=q_stop, q_step=q_step,
                       **_mu4_params(args.mu4_override))
@@ -263,31 +261,47 @@ def cmd_curves(args: argparse.Namespace) -> int:
             fn = secrate.upper_bound_crossing
         else:
             fn = secrate.lower_bound_rate
-        header = "e,q,r"
-        row_format = f"{_NUMBER},{_NUMBER},{_NUMBER}\n"
+        q_text, header = lambda q: "," + _fmt(q), "e,q,r"
+        rate = lambda e, q: fn(e, q, args.mu4_override)
 
-        def columns(i: np.ndarray) -> tuple:
-            e, q = e_at(i), q_start + (i // n_e) * q_step
-            return e, q, fn(e, q, args.mu4_override)
+    # Rows are q-major.  A block is whole q rows, or one chunk of a q row's e
+    # axis when the row is longer than a block; each is one rate call on the
+    # outer product of its e and q values.
+    chunk, rows = min(n_e, _BLOCK), max(_BLOCK // n_e, 1)
 
-    n = n_e * n_q
+    @functools.lru_cache(maxsize=1)  # the whole e axis, when it is one chunk
+    def e_chunk(first: int) -> tuple:
+        e = e_at(np.arange(first, min(first + chunk, n_e)))
+        return e[None, :], [_fmt(x) for x in e.tolist()]
+
+    def blocks() -> Iterator[tuple]:
+        """(row tails, e strings, rates) of each block, in row order."""
+        for first_q in range(0, n_q, rows):
+            q = q_at(np.arange(first_q, min(first_q + rows, n_q)))
+            tails = [f"{q_text(x)},{_NUMBER}\n" for x in q.tolist()]
+            for first_e in range(0, n_e, chunk):
+                e, text = e_chunk(first_e)
+                yield tails, text, rate(e, q[:, None])
+
     # The grid is arithmetic, so its corners bound every point: a rate that
     # accepts them accepts the whole grid, and an invalid grid fails here,
     # before any output.
     try:
-        columns(np.array([0, n_e - 1, n - n_e, n - 1]))
+        rate(e_at(np.array([[0, n_e - 1]])), q_at(np.array([[0], [n_q - 1]])))
     except ValueError:
         # Name the first invalid point in row order, as the sweep would.
-        for i in _blocks(n):
-            columns(i)
+        for _ in blocks():
+            pass
         raise
     # Rows are evaluated one block at a time as they are written, so memory
-    # stays bounded however fine the grid.
+    # stays bounded however fine the grid; each row's template holds its
+    # coordinates' strings, so only the rates are converted per row.
     with _csv_out(args.out) as out:
         write_manifest(out, "curves", params)
         out.write(header + "\n")
-        for i in _blocks(n):
-            _write_rows(out, row_format, *columns(i))
+        for tails, text, r in blocks():
+            for tail, row in zip(tails, r.tolist()):
+                out.write((tail.join(text) + tail) % tuple(row))
     return 0
 
 
@@ -339,7 +353,7 @@ def cmd_pns(args: argparse.Namespace) -> int:
     l_c, delta_c = pns_mod.critical_distance(info, args.alpha, args.max_km)
 
     if args.out:
-        n = _grid_points(args.max_km / args.step_km)
+        n, length_at = _axis_points(0.0, args.max_km, args.step_km)
         with _csv_out(args.out) as out:
             write_manifest(out, "pns", {
                 "attack": args.attack, "alpha": args.alpha, "mu": args.mu,
@@ -347,7 +361,7 @@ def cmd_pns(args: argparse.Namespace) -> int:
             })
             out.write("l_km,i_eve\n")
             for i in _blocks(n):
-                lengths = i * args.step_km
+                lengths = length_at(i)
                 _write_rows(out, f"{_NUMBER},{_NUMBER}\n", lengths, info(lengths))
 
     print(f"attack:            {args.attack}")

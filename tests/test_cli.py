@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,8 +293,8 @@ def test_curves_option_of_another_kind_exits_2(capsys, argv, option):
 @pytest.mark.parametrize("kind,fn", [("lower", secrate.lower_bound_rate),
                                      ("upper", secrate.upper_bound_crossing)])
 @pytest.mark.parametrize("mu4", [None, 0.0])
-def test_curves_flat_blocks_straddle_rows_byte_identical(monkeypatch, capsys, kind, fn, mu4):
-    # 11 points per q-row, so 7-point blocks start mid-row and span rows.
+def test_curves_blocks_split_rows_byte_identical(monkeypatch, capsys, kind, fn, mu4):
+    # 11 points per q row, so 7-point blocks split each row into e chunks.
     argv = ["curves", "--kind", kind, "--e-start", "0.02", "--e-stop", "0.12",
             "--e-step", "0.01", "--q-start", "0.1", "--q-step", "0.1"]
     if mu4 is not None:
@@ -308,6 +309,61 @@ def test_curves_flat_blocks_straddle_rows_byte_identical(monkeypatch, capsys, ki
                 for e in (0.02 + np.arange(11) * 0.01).tolist()]
     data = [l for l in whole.splitlines() if not l.startswith("#")]
     assert data == ["e,q,r", *expected]
+
+
+_RATES = {"sb1": secrate.key_rate_sb1, "sifted": secrate.key_rate_sifted,
+          "lower": secrate.lower_bound_rate, "upper": secrate.upper_bound_crossing}
+
+
+@st.composite
+def _axes(draw, unit, top):
+    """(start, stop, step) in multiples of 1/unit with stop <= top, and the
+    axis points min(start + i*step, stop) counted in exact integers."""
+    start = draw(st.integers(0, top // 2))
+    step = draw(st.integers(1, top // 4))
+    stop = draw(st.integers(start, min(start + 6 * step, top)))
+    points = [min(start / unit + i * (step / unit), stop / unit)
+              for i in range((stop - start) // step + 1)]
+    return [str(start / unit), str(stop / unit), str(step / unit)], points
+
+
+@given(kind=st.sampled_from(sorted(_RATES)), mu4=st.sampled_from([None, 0.0]),
+       announce=st.booleans(), e_axis=_axes(1000, 500), q_axis=_axes(100, 100),
+       block=st.sampled_from(["1", "7", "n_e", "grid + 1"]))
+def test_curves_rows_match_pointwise_rates(kind, mu4, announce, e_axis, q_axis, block):
+    # Every row against the rate evaluated point by point, whatever the
+    # block size: one point, a chunk of a row, one whole row, the whole grid.
+    (e_args, e_points), (q_args, q_points) = e_axis, q_axis
+    argv = ["curves", "--kind", kind, *(f"--e-{key}={value}" for key, value
+                                        in zip(("start", "stop", "step"), e_args))]
+    if kind in ("sb1", "sifted"):
+        argv += ["--announce"] if announce else []
+        expected = ["%.6g,%.6g" % (e, _RATES[kind](e, announce)) for e in e_points]
+    else:
+        argv += [f"--q-{key}={value}" for key, value in zip(("start", "stop", "step"), q_args)]
+        argv += [] if mu4 is None else ["--mu4-override", str(mu4)]
+        expected = ["%.6g,%.6g,%.6g" % (e, q, _RATES[kind](e, q, mu4))
+                    for q in q_points for e in e_points]
+    size = {"1": 1, "7": 7, "n_e": len(e_points), "grid + 1": len(expected) + 1}[block]
+    out = io.StringIO()
+    with mock.patch.object(cli, "_BLOCK", size), redirect_stdout(out):
+        assert main(argv) == 0
+    data = [l for l in out.getvalue().splitlines() if not l.startswith("#")]
+    assert data[1:] == expected
+
+
+@pytest.mark.parametrize("argv,n_rows,last", [
+    (["--kind", "lower", "--q-start", "0.09", "--q-stop", "1.0", "--q-step", "0.07"],
+     61 * 14, "0.3,1,"),
+    (["--kind", "sb1", "--e-start", "0.045", "--e-stop", "0.5", "--e-step", "0.035"],
+     14, "0.5,"),
+], ids=["lower-q-stop", "sb1-e-stop"])
+def test_curves_axis_point_rounding_past_stop_is_stop(capsys, argv, n_rows, last):
+    # 0.09 + 13 * 0.07 and 0.045 + 13 * 0.035 round past their stops, which
+    # once refused the grid: the last point is the stop itself.
+    assert main(["curves", *argv]) == 0
+    data = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert len(data) == 1 + n_rows and data[-1].startswith(last)
 
 
 def test_csv_replaces_target_and_writes_non_regular_files_directly(tmp_path):
@@ -542,6 +598,17 @@ def test_pns_fine_scan_rows_frozen(tmp_path, argv, rows):
     assert len(data) == 1 + 100001
     assert set(rows) <= set(data)
     assert data[1] == rows[0] and data[-1] == rows[-1]
+
+
+def test_pns_scan_ends_at_max_km(tmp_path):
+    # 700 / 0.07 is 9999.999999999998 in floats, which once dropped the
+    # 700 km row: the scan counts its rows as curves counts an axis.
+    out = tmp_path / "pns.csv"
+    assert main(["pns", "--attack", "pns", "--mu", "0.1", "--max-km", "700",
+                 "--step-km", "0.07", "--out", str(out)]) == 0
+    data = [l for l in _read(out).splitlines() if not l.startswith("#")]
+    assert len(data) == 1 + 10001
+    assert data[-2].startswith("699.93,") and data[-1] == "700,4.3267e+13"
 
 
 def test_pns_check_passes_for_storage_attack():

@@ -31,6 +31,7 @@ from threepass.secrate import (
     upper_bound_rate,
     upper_bound_threshold,
 )
+from threepass import protocol
 from threepass.cli import main
 
 # 40-digit evaluations of the defining expressions, frozen.
@@ -338,6 +339,15 @@ def test_cabello_efficiency_presets():
     assert cabello_efficiency(EFFICIENCY_PRESETS["p2"]) == pytest.approx(0.25, abs=1e-12)
     assert cabello_efficiency(EFFICIENCY_PRESETS["sarg04"]) == pytest.approx(
         0.125, abs=1e-12)
+
+
+def test_efficiency_presets_match_the_noiseless_sift_tables():
+    # P1's and P2's b_s are the noiseless fractions of rounds kept without
+    # error, 3/4 and 15/16, read from the sift tables and the exact law.
+    patterns = protocol.code_distribution(0.0, False)[protocol._PATTERN_CODES]
+    for pid in protocol.ProtocolId:
+        kept_right = protocol._KEPT[pid] & ~protocol._ERR[pid]
+        assert EFFICIENCY_PRESETS[pid.value].b_s == patterns @ kept_right
 
 
 def test_cabello_efficiency_custom():
