@@ -3,13 +3,10 @@
 __version__ = "0.1.0"
 
 from .qmath import (
-    BellMixture,
     DensityMatrix4,
     binary_entropy,
     eve_state,
-    hv_entropy,
     maximizing_mu4,
-    mixture_from_qber,
     reconditioned_entropy,
     von_neumann_entropy,
 )

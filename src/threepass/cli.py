@@ -113,13 +113,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_rows(out: IO[str], row_format: str, *columns) -> None:
-    """Write one row of ``row_format`` per element of the broadcast ``columns``.
+    """Write one row of ``row_format`` per element of the equal-length ``columns``.
 
-    ``row_format`` holds one %-conversion per column and ends in a newline;
-    a scalar column is repeated on every row.  Rows are formatted and
-    written :data:`_SUB_BLOCK` at a time, so the strings stay small.
+    ``row_format`` holds one %-conversion per column and ends in a newline.
+    Rows are formatted and written :data:`_SUB_BLOCK` at a time, so the
+    strings stay small.
     """
-    cells = np.column_stack(np.broadcast_arrays(*columns))
+    cells = np.column_stack(columns)
     for first in range(0, len(cells), _SUB_BLOCK):
         rows = cells[first:first + _SUB_BLOCK]
         out.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))

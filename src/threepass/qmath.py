@@ -1,4 +1,4 @@
-"""Entropy functions and Bell-mixture algebra shared by the analysis modules.
+"""Entropy functions and Bell-weight algebra shared by the analysis modules.
 
 Channel noise is parameterized by a symmetric QBER ``e`` acting identically in
 both mutually unbiased bases.  A two-qubit state subjected to that noise is
@@ -6,11 +6,13 @@ Bell diagonal with weights (mu1, mu2, mu3, mu4); the linear constraints
 
     mu3 + mu4 = e,   mu2 + mu4 = e,   mu1 + mu2 = 1 - e,   mu1 + mu3 = 1 - e
 
-leave one free parameter, conventionally mu4 in [0, e].  The eavesdropper's
-conditional states sigma_E^k derived from a purification of that mixture are
-4x4 and block diagonal in the ancilla basis with rank-one 2x2 blocks, so the
-spectra of their mixtures are closed form (:func:`eve_mixture_spectrum`);
-:func:`eve_state` builds the explicit matrices as the reference.  Their
+leave one free parameter, conventionally mu4 in [0, e].  The mixture is
+always held as its (..., 4) array of weights from :func:`bell_weights`.  The
+eavesdropper's conditional states sigma_E^k derived from a purification of
+that mixture are 4x4 and block diagonal in the ancilla basis with rank-one
+2x2 blocks, so the spectra of their mixtures are closed form
+(:func:`eve_mixture_spectrum`); :func:`eve_state` builds the explicit
+matrices from the same weights as the validated reference.  Their
 spectral entropies drive the collective-attack bounds in
 :mod:`threepass.secrate`.  Every closed-form 2x2 block spectrum, here and in
 the average state of the Holevo term, is :func:`symmetric_2x2_eigenvalues`.
@@ -36,8 +38,6 @@ import numpy as np
 PSD_DRIFT = 1e-10
 # Eigenvalues below this are treated as exact zeros in the entropy sum.
 EIGENVALUE_FLOOR = 1e-12
-
-_SUM_TOL = 1e-12
 
 
 def in_range(what: str, x, lo: float, hi: float) -> np.ndarray:
@@ -104,30 +104,6 @@ def bell_weights(e, mu4) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BellMixture:
-    """Probabilities of the four Bell projectors in a Bell-diagonal state.
-
-    Components must be nonnegative and sum to one (within 1e-12).
-    """
-
-    mu1: float
-    mu2: float
-    mu3: float
-    mu4: float
-
-    def __post_init__(self) -> None:
-        mus = (self.mu1, self.mu2, self.mu3, self.mu4)
-        if any(m < -_SUM_TOL for m in mus):
-            raise ValueError(f"Bell mixture components must be >= 0, got {mus}")
-        total = sum(mus)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"Bell mixture must sum to 1 within 1e-12, got {total!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mu1, self.mu2, self.mu3, self.mu4], dtype=float)
-
-
-@dataclass(frozen=True)
 class DensityMatrix4:
     """A 4x4 Hermitian, unit-trace, positive-semidefinite matrix."""
 
@@ -147,39 +123,25 @@ class DensityMatrix4:
         object.__setattr__(self, "matrix", m)
 
 
-def mixture_from_qber(e: float, mu4: float) -> BellMixture:
-    """Bell mixture (1-2e+mu4, e-mu4, e-mu4, mu4) for symmetric QBER ``e``.
-
-    ``mu4`` is the free parameter of the constraint system and must lie in
-    [0, e].
-    """
-    return BellMixture(*bell_weights(e, mu4).tolist())
-
-
-def hv_entropy(mix: BellMixture) -> float:
-    """Shannon entropy, in bits, of the four-outcome Bell-projector distribution."""
-    return spectral_entropy(mix.as_array())
-
-
 def maximizing_mu4(e) -> float | np.ndarray:
-    """The mu4 in [0, e] that maximizes :func:`hv_entropy`, namely e**2.
+    """The mu4 in [0, e] that maximizes the mixture entropy, namely e**2.
 
-    At this choice the mixture entropy equals ``2 * binary_entropy(e)``.
+    The mixture entropy is ``spectral_entropy(bell_weights(e, mu4))``; at
+    this choice it equals ``2 * binary_entropy(e)``.
     Elementwise on arrays.
     """
     e = in_range("QBER must lie", e, 0.0, 0.5)
     return float_if_0d(e * e)
 
 
-def von_neumann_entropy(rho: DensityMatrix4 | np.ndarray) -> float | np.ndarray:
+def von_neumann_entropy(rho) -> float | np.ndarray:
     """Spectral entropy -sum(lam * log2(lam)) of a density matrix, in bits.
 
-    ``rho`` may be a stack of shape (..., 4, 4), solved by one batched
-    ``eigvalsh``; a single matrix gives a float.  The eigenvalue floor and
-    the PSD rule are those of :func:`spectral_entropy`.
+    ``rho`` is a Hermitian matrix or a stack of shape (..., 4, 4), solved by
+    one batched ``eigvalsh``; a single matrix gives a float.  The eigenvalue
+    floor and the PSD rule are those of :func:`spectral_entropy`.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix4) else np.asarray(rho)
-    return spectral_entropy(np.linalg.eigvalsh(m))
+    return spectral_entropy(np.linalg.eigvalsh(rho))
 
 
 def symmetric_2x2_eigenvalues(a, b, coupling_sq) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +156,7 @@ def symmetric_2x2_eigenvalues(a, b, coupling_sq) -> tuple[np.ndarray, np.ndarray
 
 
 def eve_mixture_spectrum(weights, q) -> np.ndarray:
-    """Eigenvalues of (1-q) eve_state(mix, 0) + q eve_state(mix, 1), as (..., 4).
+    """Eigenvalues of (1-q) eve_state(w, 0) + q eve_state(w, 1), as (..., 4).
 
     ``weights`` are Bell weights (..., 4), e.g. from :func:`bell_weights`, and
     ``q`` broadcasts against their leading axes.  Each 2x2 block
@@ -207,8 +169,13 @@ def eve_mixture_spectrum(weights, q) -> np.ndarray:
     return np.concatenate(symmetric_2x2_eigenvalues(a, b, s2 * a * b), axis=-1)
 
 
-def eve_state(mix: BellMixture, k: int) -> DensityMatrix4:
+def eve_state(weights, k: int) -> DensityMatrix4:
     """Eavesdropper's conditional 4x4 state for sifted-key bit ``k``.
+
+    ``weights`` are one mixture's Bell weights (mu1, mu2, mu3, mu4), e.g.
+    from :func:`bell_weights`; the state's trace is their sum after negative
+    weights are clamped to zero, so weights off the probability simplex fail
+    the trace check of :class:`DensityMatrix4`.
 
     Constructed from the subnormalized ancilla-register states accepted by
     the sifting rule, mixed with weights 1/3, 1/3, 1/6, 1/6 and renormalized
@@ -226,7 +193,7 @@ def eve_state(mix: BellMixture, k: int) -> DensityMatrix4:
     """
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
-    mu = np.maximum(mix.as_array(), 0.0)
+    mu = np.maximum(np.asarray(weights, dtype=float), 0.0)
     r = np.sqrt(mu)
     s = -1.0 if k else 1.0
     # Subnormalized register states conditioned on bit k; squared norms are
@@ -245,7 +212,8 @@ def reconditioned_entropy(e: float, mu4: float) -> float:
     """Mixture entropy after conditioning on the error indicator.
 
     Returns ``(1-e) h((1-2e+mu4)/(1-e)) + e h((e-mu4)/e)`` which equals
-    ``hv_entropy(mixture_from_qber(e, mu4)) - binary_entropy(e)``.
+    ``spectral_entropy(bell_weights(e, mu4)) - binary_entropy(e)``, the
+    Bell-mixture entropy less that of the error indicator.
     Boundary values mu4 in {0, e} and e in {0} are handled by continuity.
     """
     mu1, mu2, _, _ = bell_weights(e, mu4).tolist()

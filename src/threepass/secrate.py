@@ -58,9 +58,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# eve_state (imported) and golden_section_max (below) have no caller in the
-# package; both stay in this namespace because perfbench/tracing.py patches
-# them there and fails on a missing name.
+# Three names have no caller in the package and stay only because
+# perfbench/tracing.py looks each one up by name and fails on a missing one:
+# eve_state (imported here; SPANS "qmath.eve_state" patches it in qmath and
+# in this namespace), golden_section_max (below; SPANS
+# "secrate.golden_section_max") and qmath.DensityMatrix4.__post_init__
+# (COUNTERS "qmath.density_checks").
 from .qmath import (  # noqa: F401
     bell_weights,
     binary_entropy,

@@ -22,6 +22,7 @@ import pytest
 import threepass as tp
 from threepass.cli import main as cli_main
 from threepass.protocol import TABLE1_BRANCHES
+from threepass.qmath import bell_weights, spectral_entropy
 from threepass.secrate import EFFICIENCY_PRESETS
 from enum_oracle import oracle_stats
 
@@ -173,19 +174,19 @@ def test_c6_entropy_identities():
         for frac in np.linspace(0.01, 0.99, 100):
             mu4 = float(frac) * e
             lhs = tp.reconditioned_entropy(e, mu4)
-            rhs = tp.hv_entropy(tp.mixture_from_qber(e, mu4)) - tp.binary_entropy(e)
+            rhs = spectral_entropy(bell_weights(e, mu4)) - tp.binary_entropy(e)
             worst = max(worst, abs(lhs - rhs))
     if worst > 1e-9:
         ok = False
     # grid-search maximizer of the mixture entropy sits at e^2
     for e in (0.05, 0.15, 0.3):
         grid = np.linspace(0.0, e, 3001)
-        vals = [tp.hv_entropy(tp.mixture_from_qber(e, float(m))) for m in grid]
+        vals = [spectral_entropy(bell_weights(e, float(m))) for m in grid]
         best = float(grid[int(np.argmax(vals))])
         step = float(grid[1] - grid[0])
         if abs(best - e * e) > step:
             ok = False
-        if abs(tp.hv_entropy(tp.mixture_from_qber(e, e * e))
+        if abs(spectral_entropy(bell_weights(e, e * e))
                - 2.0 * tp.binary_entropy(e)) > 1e-9:
             ok = False
     _check("6", "conditioning identity on 100x100 grid; maximizer at e^2",
@@ -199,8 +200,7 @@ def test_c7_eve_state_structure():
     for e in (0.05, 0.15, 0.3, 0.45):
         for frac in (0.0, 0.3, 1.0):
             mu4 = frac * e
-            mix = tp.mixture_from_qber(e, mu4)
-            mu = mix.as_array()
+            mu = bell_weights(e, mu4)
             for k in (0, 1):
                 s = (-1.0) ** k
                 expected = np.zeros((4, 4))
@@ -208,11 +208,11 @@ def test_c7_eve_state_structure():
                 expected[2, 2], expected[3, 3] = mu[2], mu[3]
                 expected[0, 1] = expected[1, 0] = s * np.sqrt(mu[0] * mu[1])
                 expected[2, 3] = expected[3, 2] = s * np.sqrt(mu[2] * mu[3])
-                got = tp.eve_state(mix, k).matrix
+                got = tp.eve_state(mu, k).matrix
                 if not np.allclose(got, expected, atol=1e-12, rtol=0.0):
                     ok = False
-            e0 = np.linalg.eigvalsh(tp.eve_state(mix, 0).matrix)
-            e1 = np.linalg.eigvalsh(tp.eve_state(mix, 1).matrix)
+            e0 = np.linalg.eigvalsh(tp.eve_state(mu, 0).matrix)
+            e1 = np.linalg.eigvalsh(tp.eve_state(mu, 1).matrix)
             if not np.allclose(e0, e1, atol=1e-12):
                 ok = False
     for e in (0.05, 0.2):

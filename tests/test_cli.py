@@ -401,19 +401,15 @@ _FLOAT_POOLS = st.lists(st.floats(), min_size=1, max_size=8)
 
 
 @given(n=st.sampled_from([0, 1, _SUB_BLOCK, 2 * _SUB_BLOCK + 37]),
-       a=_FLOAT_POOLS, b=_FLOAT_POOLS, q=st.none() | st.floats())
-def test_write_rows_matches_per_row_format(n, a, b, q):
-    # The row writer against the per-row f-string loop it replaced, with q
-    # (when drawn) as a scalar column repeated on every row.
+       a=_FLOAT_POOLS, b=_FLOAT_POOLS)
+def test_write_rows_matches_per_row_format(n, a, b):
+    # The row writer against the per-row f-string loop it replaced; the
+    # single-value formatter against the same conversion.
+    assert [_fmt(x) for x in a] == [f"{x:.6g}" for x in a]
     a, b = np.resize(a, n).tolist(), np.resize(b, n).tolist()
     out = io.StringIO()
-    if q is None:
-        _write_rows(out, "%.6g,%.6g\n", np.array(a), np.array(b))
-        expected = "".join(f"{x:.6g},{r:.6g}\n" for x, r in zip(a, b))
-    else:
-        _write_rows(out, "%.6g,%.6g,%.6g\n", np.array(a), q, np.array(b))
-        expected = "".join(f"{x:.6g},{q:.6g},{r:.6g}\n" for x, r in zip(a, b))
-        assert _fmt(q) == f"{q:.6g}"
+    _write_rows(out, "%.6g,%.6g\n", np.array(a), np.array(b))
+    expected = "".join(f"{x:.6g},{r:.6g}\n" for x, r in zip(a, b))
     # Compared by row: a failing example then shrinks in seconds.
     assert out.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)
 

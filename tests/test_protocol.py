@@ -346,7 +346,7 @@ def test_class_sizes_halve_on_the_first_m_bits():
 
 
 @pytest.mark.parametrize("piece", [1, 2, 3, 64])
-def test_halves_count_exactly_across_pieces(piece):
+def test_halves_popcount_masks_each_last_word(piece):
     # Counts up to _POPCOUNT_MAX whose last word holds `piece` rounds, among
     # zero counts: each takes the popcount of the first m bits of its run of
     # ceil(m / 64) words, all in one draw, the largest 64 words.
@@ -436,7 +436,7 @@ def test_kernel_draws_one_word_per_digit_of_e(e, halvings):
 
 @pytest.mark.parametrize("eve", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 1000])
-def test_simulate_chunk_covers_empty_classes_and_tails(n, eve):
+def test_kernel_counts_stay_on_the_exact_support(n, eve):
     e = Fraction(1, 5)
     config = _config(n, e, eve)
     support = np.zeros(256, dtype=bool)
@@ -491,7 +491,7 @@ def test_simulation_memory_does_not_grow_with_rounds(n_rounds):
     assert peak <= 1 << 18
 
 
-def test_streams_equal_spawned_children():
+def test_run_draws_words_in_getrandbits_order():
     # A run draws every word from random.Random(seed): word i of a draw of n
     # words is bits 64i .. 64i + 63 of getrandbits(64 n).
     config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=5_500, channel_qber=0.1,
@@ -512,7 +512,7 @@ def test_streams_equal_spawned_children():
 
 
 @pytest.mark.parametrize("n_words,chunk", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
-def test_chunks_cover_every_round(n_words, chunk):
+def test_word_source_ignores_draw_sizes(n_words, chunk):
     # The word source serves the same words however a run's draws are cut:
     # draws of at most `chunk` words give, in order, the words of one draw.
     whole = protocol._word_source(11)(n_words)

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threepass.qmath import (
-    BellMixture,
     DensityMatrix4,
     bell_weights,
     binary_entropy,
     eve_mixture_spectrum,
     eve_state,
-    hv_entropy,
     maximizing_mu4,
-    mixture_from_qber,
     reconditioned_entropy,
     spectral_entropy,
     von_neumann_entropy,
@@ -47,51 +44,44 @@ def test_binary_entropy_symmetry(p):
 
 
 def test_mixture_from_qber_noiseless():
-    mix = mixture_from_qber(0.0, 0.0)
-    assert (mix.mu1, mix.mu2, mix.mu3, mix.mu4) == (1.0, 0.0, 0.0, 0.0)
+    w = bell_weights(0.0, 0.0)
+    assert (w[0], w[1], w[2], w[3]) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_mixture_from_qber_values():
-    mix = mixture_from_qber(0.1, 0.01)
-    assert mix.as_array() == pytest.approx([0.81, 0.09, 0.09, 0.01], abs=1e-15)
-    mix = mixture_from_qber(0.25, 0.0625)
-    assert mix.as_array() == pytest.approx([0.5625, 0.1875, 0.1875, 0.0625], abs=1e-15)
+    w = bell_weights(0.1, 0.01)
+    assert w == pytest.approx([0.81, 0.09, 0.09, 0.01], abs=1e-15)
+    w = bell_weights(0.25, 0.0625)
+    assert w == pytest.approx([0.5625, 0.1875, 0.1875, 0.0625], abs=1e-15)
 
 
 def test_mixture_linear_constraints():
     for e in (0.05, 0.2, 0.4):
         for mu4 in (0.0, e / 3, e):
-            m = mixture_from_qber(e, mu4)
-            assert m.mu3 + m.mu4 == pytest.approx(e, abs=1e-12)
-            assert m.mu2 + m.mu4 == pytest.approx(e, abs=1e-12)
-            assert m.mu1 + m.mu2 == pytest.approx(1 - e, abs=1e-12)
-            assert m.mu1 + m.mu3 == pytest.approx(1 - e, abs=1e-12)
+            w = bell_weights(e, mu4)
+            assert w[2] + w[3] == pytest.approx(e, abs=1e-12)
+            assert w[1] + w[3] == pytest.approx(e, abs=1e-12)
+            assert w[0] + w[1] == pytest.approx(1 - e, abs=1e-12)
+            assert w[0] + w[2] == pytest.approx(1 - e, abs=1e-12)
 
 
 def test_mixture_from_qber_domain():
     with pytest.raises(ValueError):
-        mixture_from_qber(0.1, 0.2)  # mu4 > e
+        bell_weights(0.1, 0.2)  # mu4 > e
     with pytest.raises(ValueError):
-        mixture_from_qber(0.6, 0.0)  # e > 1/2
+        bell_weights(0.6, 0.0)  # e > 1/2
     with pytest.raises(ValueError):
-        mixture_from_qber(0.1, -0.01)
-
-
-def test_bell_mixture_invariants():
-    with pytest.raises(ValueError):
-        BellMixture(0.5, 0.5, 0.1, -0.1)
-    with pytest.raises(ValueError):
-        BellMixture(0.3, 0.3, 0.3, 0.3)
+        bell_weights(0.1, -0.01)
 
 
 def test_hv_entropy_endpoints():
-    assert hv_entropy(BellMixture(1.0, 0.0, 0.0, 0.0)) == 0.0
-    assert hv_entropy(BellMixture(0.25, 0.25, 0.25, 0.25)) == 2.0
+    assert spectral_entropy(bell_weights(0.0, 0.0)) == 0.0
+    assert spectral_entropy(bell_weights(0.5, 0.25)) == 2.0
 
 
 def test_hv_entropy_at_maximizer():
     # mu4 = e^2 makes the mixture entropy equal 2 h(e).
-    assert hv_entropy(mixture_from_qber(0.1, 0.01)) == pytest.approx(
+    assert spectral_entropy(bell_weights(0.1, 0.01)) == pytest.approx(
         TWO_H_OF_0P1, abs=1e-9)
 
 
@@ -103,10 +93,10 @@ def test_maximizing_mu4_values():
 def test_maximizing_mu4_grid_search():
     e = 0.15
     grid = np.linspace(0.0, e, round(e / 1e-5) + 1)
-    values = [hv_entropy(mixture_from_qber(e, float(m))) for m in grid]
+    values = [spectral_entropy(bell_weights(e, float(m))) for m in grid]
     best = grid[int(np.argmax(values))]
     assert abs(best - maximizing_mu4(e)) <= 1e-5
-    assert hv_entropy(mixture_from_qber(e, maximizing_mu4(e))) == pytest.approx(
+    assert spectral_entropy(bell_weights(e, maximizing_mu4(e))) == pytest.approx(
         2 * binary_entropy(e), abs=1e-9)
 
 
@@ -125,11 +115,11 @@ def test_von_neumann_entropy_rejects_non_psd():
         von_neumann_entropy(m)
 
 
-def _analytic_block_entropy(mix) -> float:
+def _analytic_block_entropy(w) -> float:
     """Independent spectral oracle: per 2x2 block [[a, sqrt(ab)], [sqrt(ab), b]],
     the eigenvalues are ((a+b) +- sqrt((a-b)^2 + 4ab))/2."""
     out = 0.0
-    for a, b in ((mix.mu1, mix.mu2), (mix.mu3, mix.mu4)):
+    for a, b in ((w[0], w[1]), (w[2], w[3])):
         disc = math.sqrt((a - b) ** 2 + 4.0 * a * b)
         for lam in ((a + b + disc) / 2.0, (a + b - disc) / 2.0):
             if lam > 1e-12:
@@ -139,27 +129,27 @@ def _analytic_block_entropy(mix) -> float:
 
 def test_eve_state_entropy_matches_analytic_blocks():
     for e, mu4 in ((0.1, 0.01), (0.3, 0.1), (0.45, 0.2)):
-        mix = mixture_from_qber(e, mu4)
+        w = bell_weights(e, mu4)
         for k in (0, 1):
-            assert von_neumann_entropy(eve_state(mix, k)) == pytest.approx(
-                _analytic_block_entropy(mix), abs=1e-9)
+            assert von_neumann_entropy(eve_state(w, k).matrix) == pytest.approx(
+                _analytic_block_entropy(w), abs=1e-9)
 
 
 def test_eve_state_entropy_equals_binary_entropy_of_e():
     # Both blocks are rank one, so the spectrum is {1-e, e, 0, 0}.
     for e in (0.05, 0.2, 0.4):
-        mix = mixture_from_qber(e, maximizing_mu4(e))
-        assert von_neumann_entropy(eve_state(mix, 0)) == pytest.approx(
+        w = bell_weights(e, maximizing_mu4(e))
+        assert von_neumann_entropy(eve_state(w, 0).matrix) == pytest.approx(
             binary_entropy(e), abs=1e-9)
 
 
 def test_eve_state_noiseless():
-    m = eve_state(mixture_from_qber(0.0, 0.0), 0).matrix
+    m = eve_state(bell_weights(0.0, 0.0), 0).matrix
     assert m == pytest.approx(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), abs=1e-15)
 
 
 def test_eve_state_block_values():
-    m = eve_state(mixture_from_qber(0.1, 0.01), 0).matrix.real
+    m = eve_state(bell_weights(0.1, 0.01), 0).matrix.real
     expected = np.zeros((4, 4))
     expected[0, 0], expected[1, 1] = 0.81, 0.09
     expected[0, 1] = expected[1, 0] = 0.27
@@ -171,9 +161,9 @@ def test_eve_state_block_values():
 
 
 def test_eve_state_sign_flip():
-    mix = mixture_from_qber(0.2, 0.02)
-    m0 = eve_state(mix, 0).matrix
-    m1 = eve_state(mix, 1).matrix
+    w = bell_weights(0.2, 0.02)
+    m0 = eve_state(w, 0).matrix
+    m1 = eve_state(w, 1).matrix
     u = np.diag([1.0, -1.0, 1.0, -1.0])
     assert m1 == pytest.approx(u @ m0 @ u, abs=1e-15)
     assert np.linalg.eigvalsh(m0) == pytest.approx(np.linalg.eigvalsh(m1), abs=1e-12)
@@ -181,7 +171,14 @@ def test_eve_state_sign_flip():
 
 def test_eve_state_rejects_bad_k():
     with pytest.raises(ValueError):
-        eve_state(mixture_from_qber(0.1, 0.01), 2)
+        eve_state(bell_weights(0.1, 0.01), 2)
+
+
+def test_eve_state_rejects_weights_off_the_simplex():
+    # The state's trace is the sum of the weights clamped at zero.
+    for weights in ((0.3, 0.3, 0.3, 0.3), (0.5, 0.5, 0.1, -0.1)):
+        with pytest.raises(ValueError, match="trace must be 1"):
+            eve_state(np.array(weights), 0)
 
 
 @given(
@@ -189,9 +186,9 @@ def test_eve_state_rejects_bad_k():
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_eve_state_is_density_matrix(e, frac):
-    mix = mixture_from_qber(e, frac * e)
+    w = bell_weights(e, frac * e)
     for k in (0, 1):
-        m = eve_state(mix, k).matrix  # DensityMatrix4 validates on construction
+        m = eve_state(w, k).matrix  # DensityMatrix4 validates on construction
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(m).min() >= -1e-10
 
@@ -202,9 +199,9 @@ def test_eve_state_is_density_matrix(e, frac):
 )
 def test_reconditioned_entropy_identity(e, frac):
     mu4 = frac * e
-    mix = mixture_from_qber(e, mu4)
+    w = bell_weights(e, mu4)
     assert reconditioned_entropy(e, mu4) == pytest.approx(
-        hv_entropy(mix) - binary_entropy(e), abs=1e-9)
+        spectral_entropy(w) - binary_entropy(e), abs=1e-9)
 
 
 def test_reconditioned_entropy_values():
@@ -214,9 +211,9 @@ def test_reconditioned_entropy_values():
     e = 0.3
     expected = (1 - e) * binary_entropy((1 - 2 * e + e) / (1 - e))
     assert reconditioned_entropy(e, e) == pytest.approx(expected, abs=1e-12)
-    mix = mixture_from_qber(0.3, 0.05)
+    w = bell_weights(0.3, 0.05)
     assert reconditioned_entropy(0.3, 0.05) == pytest.approx(
-        hv_entropy(mix) - binary_entropy(0.3), abs=1e-9)
+        spectral_entropy(w) - binary_entropy(0.3), abs=1e-9)
 
 
 def test_density_matrix_validation():
@@ -250,14 +247,15 @@ def test_spectral_entropy_floor_and_drift():
         spectral_entropy([1.0, -1e-9])
 
 
-def test_bell_weights_match_mixture_from_qber():
+def test_bell_weights_match_defining_formula():
     e = np.array([0.0, 0.1, 0.25, 0.5])
     weights = bell_weights(e[:, None], np.array([0.0, 0.5])[None, :] * e[:, None])
     assert weights.shape == (4, 2, 4)
-    for i, ei in enumerate(e):
+    for i, ei in enumerate(e.tolist()):
         for j, frac in enumerate((0.0, 0.5)):
-            mix = mixture_from_qber(float(ei), frac * float(ei))
-            assert weights[i, j].tolist() == mix.as_array().tolist()
+            mu4 = frac * ei
+            expected = [1.0 - 2.0 * ei + mu4, ei - mu4, ei - mu4, mu4]
+            assert weights[i, j].tolist() == expected
 
 
 def test_bell_weights_validate_elementwise():
@@ -270,14 +268,14 @@ def test_bell_weights_validate_elementwise():
 
 
 def test_von_neumann_entropy_batched_equals_loop():
-    mixes = [mixture_from_qber(e, mu4) for e, mu4 in ((0.05, 0.0), (0.2, 0.04), (0.4, 0.3))]
-    stack = np.stack([[eve_state(mix, k).matrix for k in (0, 1)] for mix in mixes])
+    mixes = [bell_weights(e, mu4) for e, mu4 in ((0.05, 0.0), (0.2, 0.04), (0.4, 0.3))]
+    stack = np.stack([[eve_state(w, k).matrix for k in (0, 1)] for w in mixes])
     batched = von_neumann_entropy(stack)
     assert batched.shape == (3, 2)
-    for i, mix in enumerate(mixes):
+    for i, w in enumerate(mixes):
         for k in (0, 1):
             assert batched[i, k] == pytest.approx(
-                von_neumann_entropy(eve_state(mix, k)), abs=1e-14)
+                von_neumann_entropy(eve_state(w, k).matrix), abs=1e-14)
 
 
 @given(
@@ -286,7 +284,7 @@ def test_von_neumann_entropy_batched_equals_loop():
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_eve_mixture_spectrum_matches_eigvalsh(e, frac, q):
-    mix = mixture_from_qber(e, frac * e)
-    rho = (1.0 - q) * eve_state(mix, 0).matrix + q * eve_state(mix, 1).matrix
-    closed = np.sort(eve_mixture_spectrum(mix.as_array(), q))
+    w = bell_weights(e, frac * e)
+    rho = (1.0 - q) * eve_state(w, 0).matrix + q * eve_state(w, 1).matrix
+    closed = np.sort(eve_mixture_spectrum(w, q))
     assert closed == pytest.approx(np.linalg.eigvalsh(rho), abs=1e-14)

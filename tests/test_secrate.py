@@ -9,7 +9,6 @@ from threepass.qmath import (
     binary_entropy,
     eve_state,
     maximizing_mu4,
-    mixture_from_qber,
     von_neumann_entropy,
 )
 from threepass.secrate import (
@@ -367,13 +366,13 @@ def test_efficiency_inputs_validation():
 
 
 def _reference_mixture(e, mu4):
-    return mixture_from_qber(e, maximizing_mu4(e) if mu4 is None else mu4)
+    return bell_weights(e, maximizing_mu4(e) if mu4 is None else mu4)
 
 
 def _reference_lower(e, q, mu4):
     """Lower bound from the explicit 4x4 conditional states, one point at a time."""
-    mix = _reference_mixture(e, mu4)
-    s0, s1 = eve_state(mix, 0).matrix, eve_state(mix, 1).matrix
+    w = _reference_mixture(e, mu4)
+    s0, s1 = eve_state(w, 0).matrix, eve_state(w, 1).matrix
     cond = (0.5 * von_neumann_entropy((1.0 - q) * s0 + q * s1)
             + 0.5 * von_neumann_entropy(q * s0 + (1.0 - q) * s1))
     unc = von_neumann_entropy(0.5 * (s0 + s1))
@@ -382,7 +381,7 @@ def _reference_lower(e, q, mu4):
 
 def _reference_chi(e, q, mu4):
     """Holevo quantity from four explicit projectors and three unbatched eigvalsh."""
-    r = np.sqrt(_reference_mixture(e, mu4).as_array())
+    r = np.sqrt(_reference_mixture(e, mu4))
     projectors = []
     for v in ((r[0], r[1], 0.0, 0.0), (r[0], -r[1], 0.0, 0.0),
               (r[0], r[1], r[2], r[3]), (-r[0], r[1], r[2], -r[3])):
