@@ -31,8 +31,6 @@ from .secrate import (
     upper_bound_threshold,
 )
 from .pns import (
-    FiberLink,
-    WcpSource,
     critical_distance,
     eve_info_irud,
     eve_info_pns,

@@ -43,6 +43,7 @@ from .protocol import (
 )
 from . import pns as pns_mod
 from . import secrate
+from .qmath import in_range
 
 CHECK_FAILED_EXIT = 1
 ERROR_EXIT = 2
@@ -103,9 +104,13 @@ def _default_seed() -> int:
 
 
 def _mu4_params(mu4: float | None) -> dict:
-    """Manifest entries of --mu4-override: its value and, when given, its rule."""
-    return ({"mu4_override": "default (e^2)"} if mu4 is None
-            else {"mu4_override": mu4, "mu4_rule": _MU4_RULE})
+    """Manifest entries of --mu4-override: its value and, when given, its
+    rule.  Called before any rate is evaluated, so a negative or NaN value is
+    refused once, by name; inf reads as mu4 = e."""
+    if mu4 is None:
+        return {"mu4_override": "default (e^2)"}
+    in_range("mu4_override", mu4, 0.0, math.inf)
+    return {"mu4_override": mu4, "mu4_rule": _MU4_RULE}
 
 
 def _fmt(x: float) -> str:
@@ -167,8 +172,8 @@ def _csv_out(path: str | None) -> Iterator[IO[str]]:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    tol = args.tol
-    mu4 = args.mu4_override
+    tol, mu4 = args.tol, args.mu4_override
+    params = {"tol": tol, "bound_tol": secrate.BOUND_TOL, **_mu4_params(mu4)}
     rows = []
     for key, label, fn, check_tol in _THRESHOLD_SPECS:
         computed = secrate.find_threshold(fn, 1e-4, 0.45, tol)
@@ -181,7 +186,6 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
                  upper_e, secrate.REFERENCE_THRESHOLDS["upper_bound"], 2e-3))
 
     with _csv_out(args.out) as out:
-        params = {"tol": tol, "bound_tol": secrate.BOUND_TOL, **_mu4_params(mu4)}
         write_manifest(out, "thresholds", params)
         out.write("key,description,computed,reference,deviation,within_tolerance\n")
         failures = []
@@ -209,12 +213,17 @@ def _grid_points(last: float) -> int:
     return math.floor(last) + 1
 
 
-def _axis_points(start: float, stop: float, step: float) -> tuple:
+def _axis_points(axis: str, start: float, stop: float, step: float) -> tuple:
     """(n, at): the number of points start + i*step up to stop, and the map
     from indices i to the points min(start + i*step, stop), so that a last
-    point that rounding puts past stop is stop itself."""
-    if not (0.0 < step < math.inf and -math.inf < start <= stop < math.inf):
-        raise ValueError(f"invalid grid: start={start} stop={stop} step={step}")
+    point that rounding puts past stop is stop itself.  The ends must be
+    finite and ordered and the step positive and finite; an error names the
+    option as ``<axis>_start``, ``<axis>_stop`` or ``<axis>_step``."""
+    in_range(f"{axis}_start", start, -math.inf, math.inf, "()")
+    in_range(f"{axis}_stop", stop, -math.inf, math.inf, "()")
+    in_range(f"{axis}_step", step, 0.0, math.inf, "()")
+    if start > stop:
+        raise ValueError(f"{axis}_start must not exceed {axis}_stop, got {start} > {stop}")
     return (_grid_points((stop - start) / step + 1e-9),
             lambda i: np.minimum(start + i * step, stop))
 
@@ -234,7 +243,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if unused:
         option = "--" + unused[0].replace("_", "-")
         raise ValueError(f"{option} does not apply to --kind {args.kind}")
-    n_e, e_at = _axis_points(args.e_start, args.e_stop, args.e_step)
+    n_e, e_at = _axis_points("e", args.e_start, args.e_stop, args.e_step)
     params = {
         "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
         "e_step": args.e_step,
@@ -249,7 +258,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         q_start, q_stop, q_step = (default if getattr(args, key) is None
                                    else getattr(args, key)
                                    for key, default in _Q_AXIS_DEFAULTS.items())
-        n_q, q_at = _axis_points(q_start, q_stop, q_step)
+        n_q, q_at = _axis_points("q", q_start, q_stop, q_step)
         _grid_points(n_e * n_q - 1)  # the whole surface
         params.update(q_start=q_start, q_stop=q_stop, q_step=q_step,
                       **_mu4_params(args.mu4_override))
@@ -341,19 +350,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pns(args: argparse.Namespace) -> int:
-    if not 0.0 < args.step_km < math.inf:
-        raise ValueError(f"--step-km must be positive and finite, got {args.step_km}")
-    source = pns_mod.WcpSource(args.mu)
+    in_range("step_km", args.step_km, 0.0, math.inf, "()")
+    in_range("max_km", args.max_km, 0.0, math.inf, "[)")
     if args.attack == "pns":
-        info = lambda l: pns_mod.eve_info_pns(pns_mod.FiberLink(args.alpha, l), source)
+        info = lambda l: pns_mod.eve_info_pns(args.alpha, l, args.mu)
     else:
-        info = lambda l: pns_mod.eve_info_irud(
-            pns_mod.FiberLink(args.alpha, l), source, args.chi)
+        info = lambda l: pns_mod.eve_info_irud(args.alpha, l, args.mu, args.chi)
 
     l_c, delta_c = pns_mod.critical_distance(info, args.alpha, args.max_km)
 
     if args.out:
-        n, length_at = _axis_points(0.0, args.max_km, args.step_km)
+        n, length_at = _axis_points("l", 0.0, args.max_km, args.step_km)
         with _csv_out(args.out) as out:
             write_manifest(out, "pns", {
                 "attack": args.attack, "alpha": args.alpha, "mu": args.mu,

@@ -24,9 +24,11 @@ the attacker as a function of distance:
 
 Both formulas are evaluated exactly as written; information values above 1
 are meaningful only as "the attacker knows everything", and the critical
-distance is the crossing I(l) = 1.  A :class:`FiberLink` length may be an
-array: both attacks then work elementwise and compute the distance-free
-numerator once per call; a scalar length gives a float.  Published reference
+distance is the crossing I(l) = 1.  Both attacks take alpha, the length,
+mu (and chi) as plain numbers, each checked by
+:func:`threepass.qmath.in_range`.  The length may be an array: both attacks
+then work elementwise and compute the distance-free numerator once per call;
+a scalar length gives a float.  Published reference
 figures for the second attack (delta_c = 75.7 dB, l_c = 302.8 km) disagree
 with the formula as written, which crosses near 84.9 dB / 339.5 km; callers
 should report both (the CLI does).
@@ -35,12 +37,11 @@ should report both (the CLI does).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .qmath import binary_entropy, float_if_0d
+from .qmath import binary_entropy, float_if_0d, in_range
 from .secrate import BracketError, find_threshold
 
 DEFAULT_IRUD_OVERLAP = 1.0 / math.sqrt(2.0)
@@ -59,15 +60,14 @@ def poisson_pmf(n: int, mu: float) -> float:
     """p(n, mu) = exp(-mu) mu^n / n!, evaluated in log space for stability."""
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a nonnegative integer, got {n}")
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
+    in_range("mu", mu, 0.0, math.inf, "[)")
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
 
 
 def poisson_tail(k: int, mu):
-    """P(n >= k) for a Poisson mean ``mu``.
+    """P(n >= k) for a Poisson mean ``mu`` in [0, inf).
 
     The k = 1 case uses expm1 so that tiny means (long fibers) keep full
     precision, and takes ``mu`` as an array.  For k >= 2 and mu < 1 the
@@ -75,6 +75,7 @@ def poisson_tail(k: int, mu):
     mu = 1e-8), so the tail is summed directly: its terms shrink by
     mu/(n+1) <= 1/3 each, and the sum stops once a term no longer changes it.
     """
+    in_range("mu", mu, 0.0, math.inf, "[)")
     if k <= 0:
         return 1.0
     if k == 1:
@@ -89,78 +90,55 @@ def poisson_tail(k: int, mu):
     return 1.0 - sum(poisson_pmf(n, mu) for n in range(k))
 
 
-@dataclass(frozen=True)
-class WcpSource:
-    """Weak coherent pulse source of mean photon number ``mu``."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"mean photon number must be positive and finite, got {self.mu}")
+def transmittance(alpha: float, length) -> float | np.ndarray:
+    """eta = 10^(-alpha*length/10) for ``alpha`` dB/km over ``length`` km,
+    elementwise over an array of lengths; both lie in [0, inf)."""
+    in_range("alpha", alpha, 0.0, math.inf, "[)")
+    in_range("length", length, 0.0, math.inf, "[)")
+    return 10.0 ** (-(alpha * length) / 10.0)
 
 
-@dataclass(frozen=True)
-class FiberLink:
-    """Fiber of ``alpha`` dB/km attenuation and ``length`` km (or an array of them)."""
-
-    alpha: float
-    length: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        # Comparisons that NaN fails.
-        if not (0.0 <= self.alpha < math.inf
-                and np.all((0.0 <= self.length) & (self.length < math.inf))):
-            raise ValueError("attenuation and length must be nonnegative and finite, "
-                             f"got alpha={self.alpha}, length={self.length}")
-
-    @property
-    def loss_db(self) -> float | np.ndarray:
-        return self.alpha * self.length
-
-
-def transmittance(link: FiberLink) -> float | np.ndarray:
-    """eta = 10^(-alpha*length/10), elementwise over the link's lengths."""
-    return 10.0 ** (-link.loss_db / 10.0)
-
-
-def _per_detection(numerator: float, link: FiberLink, source: WcpSource) -> float | np.ndarray:
+def _per_detection(numerator: float, alpha: float, length, mu: float) -> float | np.ndarray:
     """``numerator`` over the detection probability sum_{n>=1} p(n, mu*eta).
 
     A link so long that no photon arrives (the loss overflows or eta
     underflows to 0) leaves the attacker knowing everything: IEEE division
     then gives inf.
     """
-    if numerator == 0.0:  # a tiny mu: 0 at every length, where mu*eta may underflow too
-        return float_if_0d(np.zeros(np.shape(link.length)))
     with np.errstate(over="ignore", divide="ignore"):
-        detected = poisson_tail(1, source.mu * transmittance(link))
-        return float_if_0d(np.divide(numerator, detected))
+        eta = transmittance(alpha, length)
+        if numerator == 0.0:  # a tiny mu: 0 at every length, where mu*eta may underflow too
+            return float_if_0d(np.zeros(np.shape(length)))
+        return float_if_0d(np.divide(numerator, poisson_tail(1, mu * eta)))
 
 
-def eve_info_pns(link: FiberLink, source: WcpSource) -> float | np.ndarray:
-    """Attacker's key fraction under the storage attack; raw (unclamped) value."""
-    return _per_detection(0.625 * poisson_tail(2, source.mu) ** 2, link, source)
+def eve_info_pns(alpha: float, length, mu: float) -> float | np.ndarray:
+    """Attacker's key fraction under the storage attack; raw (unclamped) value.
+
+    ``mu`` lies in (0, inf); see :func:`transmittance` for the link.
+    """
+    in_range("mu", mu, 0.0, math.inf, "()")
+    return _per_detection(0.625 * poisson_tail(2, mu) ** 2, alpha, length, mu)
 
 
 def unambiguous_info(n: int, chi: float) -> float:
     """I(n, chi) = 1 - h(P) with P = (1 + sqrt(1 - chi^(2n)))/2, in [0, 1]."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= chi <= 1.0:
-        raise ValueError(f"chi must lie in [0, 1], got {chi}")
+    in_range("chi", chi, 0.0, 1.0)
     return 1.0 - binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - chi ** (2 * n))))
 
 
-def eve_info_irud(link: FiberLink, source: WcpSource,
+def eve_info_irud(alpha: float, length, mu: float,
                   chi: float = DEFAULT_IRUD_OVERLAP) -> float | np.ndarray:
     """Attacker's key fraction under unambiguous discrimination; raw value.
 
     The cube applies to the product I(3, chi) * p(3, mu): a conclusive
-    result is needed on each of the three passes.
+    result is needed on each of the three passes.  ``mu`` lies in (0, inf).
     """
-    return _per_detection((unambiguous_info(3, chi) * poisson_pmf(3, source.mu)) ** 3,
-                          link, source)
+    in_range("mu", mu, 0.0, math.inf, "()")
+    return _per_detection((unambiguous_info(3, chi) * poisson_pmf(3, mu)) ** 3,
+                          alpha, length, mu)
 
 
 def critical_distance(info_fn: Callable[[float], float], alpha: float,
@@ -174,7 +152,7 @@ def critical_distance(info_fn: Callable[[float], float], alpha: float,
     It is solved to min(tol_km, CRITICAL_LOSS_TOL_DB / alpha) km, so l_c is
     within tol_km and delta_c = alpha l_c within 0.0025 dB whatever alpha
     (at 0.25 dB/km the two bounds agree).  A lossless link (alpha = 0), or
-    an alpha the link refuses, keeps tol_km.
+    an alpha that :func:`transmittance` refuses, keeps tol_km.
     """
     if 0.0 < alpha < math.inf:
         tol_km = min(tol_km, CRITICAL_LOSS_TOL_DB / alpha)

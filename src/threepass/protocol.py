@@ -104,9 +104,8 @@ class SimulationConfig:
             raise ValueError(f"n_rounds must be <= 2**63 - 1, got {self.n_rounds}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
-        in_range("QBER must lie", self.channel_qber, 0.0, 0.5)
-        if not self.sb1_tolerance >= 0.0:
-            raise ValueError(f"sb1 tolerance must be >= 0, got {self.sb1_tolerance}")
+        in_range("QBER", self.channel_qber, 0.0, 0.5)
+        in_range("sb1_tolerance", self.sb1_tolerance, 0.0, math.inf)
 
 
 def _node_bits(width: int) -> list[np.ndarray]:

@@ -40,16 +40,20 @@ PSD_DRIFT = 1e-10
 EIGENVALUE_FLOOR = 1e-12
 
 
-def in_range(what: str, x, lo: float, hi: float) -> np.ndarray:
-    """``x`` as a float array, after checking lo <= x <= hi elementwise.
+def in_range(name: str, x, lo: float, hi: float, ends: str = "[]") -> np.ndarray:
+    """``x`` as a float array, after checking that each element lies between
+    ``lo`` and ``hi``: the package's one range check on float inputs.
 
-    NaN fails the check.  The error names ``what`` and the first offending
-    value, e.g. ``q must lie in [0, 1], got 1.5``.
+    ``ends`` holds the interval's brackets, "[" or "(" then "]" or ")"; with
+    infinite ends, "()" means finite.  NaN fails.  The error names ``name``,
+    the interval and the first offending value: ``q must lie in [0, 1], got 1.5``.
     """
     x = np.asarray(x, dtype=float)
-    ok = (lo <= x) & (x <= hi)
-    if not ok.all():
-        raise ValueError(f"{what} in [{lo:g}, {hi:g}], got {float(x[~ok][0])}")
+    v = x if x.ndim else float(x)  # 0-d: a Python float compares several times faster
+    ok = (lo <= v if ends[0] == "[" else lo < v) & (v <= hi if ends[1] == "]" else v < hi)
+    if not (ok.all() if x.ndim else ok):
+        bad = float(x[~ok][0] if x.ndim else v)
+        raise ValueError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {bad}")
     return x
 
 
@@ -77,7 +81,7 @@ def spectral_entropy(eigenvalues) -> float | np.ndarray:
 
 def binary_entropy(p) -> float | np.ndarray:
     """Shannon entropy, in bits, of a {p, 1-p} distribution; elementwise on arrays."""
-    p = in_range("binary_entropy requires p", p, 0.0, 1.0)
+    p = in_range("p", p, 0.0, 1.0)
     dist = np.empty(p.shape + (2,))
     dist[..., 0] = p
     dist[..., 1] = 1.0 - p
@@ -90,7 +94,7 @@ def bell_weights(e, mu4) -> np.ndarray:
     ``e`` and ``mu4`` broadcast against each other; ``e`` must lie in
     [0, 1/2] and ``mu4`` in [0, e], elementwise.
     """
-    e = in_range("QBER must lie", e, 0.0, 0.5)
+    e = in_range("QBER", e, 0.0, 0.5)
     mu4 = np.asarray(mu4, dtype=float)
     ok = (0.0 <= mu4) & (mu4 <= e)
     if not ok.all():
@@ -130,7 +134,7 @@ def maximizing_mu4(e) -> float | np.ndarray:
     this choice it equals ``2 * binary_entropy(e)``.
     Elementwise on arrays.
     """
-    e = in_range("QBER must lie", e, 0.0, 0.5)
+    e = in_range("QBER", e, 0.0, 0.5)
     return float_if_0d(e * e)
 
 

@@ -100,7 +100,7 @@ def key_rate_sb1(e, announce_y: bool = False):
     Endpoint values at e = 0 and e = 1/2 are the continuity limits
     (x log x -> 0), giving 0.5 and -c_Y respectively.
     """
-    e = in_range("QBER must lie", e, 0.0, 0.5)
+    e = in_range("QBER", e, 0.0, 0.5)
     c_y = 1.0 if announce_y else 2.0
     mutual = 1.0 - spectral_entropy(np.stack([e / 2.0, (1.0 - e) / 2.0], axis=-1))
     return float_if_0d(mutual - c_y * binary_entropy(e))
@@ -108,7 +108,7 @@ def key_rate_sb1(e, announce_y: bool = False):
 
 def key_rate_sifted(e, announce_x: bool = False):
     """Sifted-key rate 1 - h(1/6 + 2e/3) - c_X h(e); c_X = 1 with X announced."""
-    e = in_range("QBER must lie", e, 0.0, 0.5)
+    e = in_range("QBER", e, 0.0, 0.5)
     c_x = 1.0 if announce_x else 2.0
     return float_if_0d(1.0 - binary_entropy(1.0 / 6.0 + 2.0 * e / 3.0)
                        - c_x * binary_entropy(e))
@@ -131,8 +131,7 @@ def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
     :class:`BracketError` is raised; a tol that is not below hi - lo
     raises ValueError.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    in_range("tol", tol, 0.0, math.inf, "()")
     lo, hi = float(lo), float(hi)
     f_lo, f_hi = rate_fn(lo), rate_fn(hi)
     if not (f_lo > 0.0 and f_hi < 0.0):
@@ -179,10 +178,12 @@ def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
 
 
 def _bound_inputs(e, q, mu4: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (e, q) broadcast to one shape, and the Bell weights (..., 4)
-    of (e, mu4) with mu4 defaulting to the maximizer e**2; a given mu4 is read
-    as min(mu4, e) at each point, and a negative or NaN one is refused."""
-    e, q = np.broadcast_arrays(np.asarray(e, dtype=float), in_range("q must lie", q, 0.0, 1.0))
+    """(e, q) as arrays, not broadcast, with q checked, and the Bell weights
+    (..., 4) of (e, mu4) on e's shape, which check e; mu4 defaults to the
+    maximizer e**2, a given mu4 is read as min(mu4, e) at each point, and a
+    negative or NaN one is refused."""
+    q = in_range("q", q, 0.0, 1.0)
+    e = np.asarray(e, dtype=float)
     return e, q, bell_weights(e, maximizing_mu4(e) if mu4 is None else np.minimum(mu4, e))
 
 
@@ -199,7 +200,9 @@ def lower_bound_rate(e, q, mu4: Optional[float] = None):
     the entropy-maximizing value e**2.  The two q-mixtures of Eve's states
     are isospectral, so S(E|c) is the entropy of one closed-form spectrum and
     S(E) that of the q = 1/2 mixture, which makes the rate exactly 0 at
-    q = 1/2.  ``e`` and ``q`` broadcast; a scalar call returns a float.
+    q = 1/2.  S(E) depends on e alone, so it is evaluated on e's own shape
+    before the broadcast.  ``e`` and ``q`` broadcast; a scalar call returns a
+    float.
     """
     e, q, weights = _bound_inputs(e, q, mu4)
     cond = spectral_entropy(eve_mixture_spectrum(weights, q))
@@ -259,7 +262,7 @@ def holevo_chi(e, q, mu4: Optional[float] = None):
     k = (2.0 / (1.0 - e) + 1.0) / 3.0
     d = 1.0 - 2.0 * q
     w0, w1, w3 = w[..., 0], w[..., 1], w[..., 3]
-    rho = np.zeros(e.shape + (4, 4))
+    rho = np.zeros(np.broadcast_shapes(e.shape, q.shape) + (4, 4))
     # The average state, blocks {0, 3} and {1, 2}.
     rho[..., 0, 0], rho[..., 3, 3] = k * w0, w3 / 3.0
     rho[..., 1, 1], rho[..., 2, 2] = k * w1, w1 / 3.0
@@ -374,11 +377,9 @@ class EfficiencyInputs:
     b_t: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.q_t < math.inf and 0.0 <= self.b_s < math.inf
-                and 0.0 <= self.b_t < math.inf):
-            raise ValueError("efficiency inputs need 0 < q_t < inf, 0 <= b_s < inf and "
-                             f"0 <= b_t < inf, got b_s={self.b_s}, q_t={self.q_t}, "
-                             f"b_t={self.b_t}")
+        in_range("b_s", self.b_s, 0.0, math.inf, "[)")
+        in_range("q_t", self.q_t, 0.0, math.inf, "()")
+        in_range("b_t", self.b_t, 0.0, math.inf, "[)")
 
 
 #: Per-protocol resource accounting used in the efficiency comparison.

@@ -88,12 +88,10 @@ def test_c2b_upper_bound_threshold():
 # --- criterion 3: critical distance, storage attack -------------------------
 
 def test_c3_pns_critical_distance():
-    source = tp.WcpSource(0.1)
-    l_c, delta_c = tp.critical_distance(
-        lambda l: tp.eve_info_pns(tp.FiberLink(0.25, l), source), 0.25, 400.0)
+    l_c, delta_c = tp.critical_distance(lambda l: tp.eve_info_pns(0.25, l, 0.1), 0.25, 400.0)
     ok_l = abs(l_c - 154.5) <= 1.0
     ok_d = abs(delta_c - 38.625) <= 0.1
-    below = all(tp.eve_info_pns(tp.FiberLink(0.25, float(l)), source) < 0.01
+    below = all(tp.eve_info_pns(0.25, float(l), 0.1) < 0.01
                 for l in np.linspace(0.0, 70.0, 71))
     _check("3", "storage attack: l_c=154.5+-1 km, delta_c=38.625+-0.1 dB, "
            "info<0.01 to 70 km", ok_l and ok_d and below,
@@ -103,8 +101,7 @@ def test_c3_pns_critical_distance():
 # --- criterion 4: discrimination attack -------------------------------------
 
 def test_c4a_irud_monotone():
-    source = tp.WcpSource(0.2)
-    grid = [tp.eve_info_irud(tp.FiberLink(0.25, float(l)), source)
+    grid = [tp.eve_info_irud(0.25, float(l), 0.2)
             for l in np.linspace(0.0, 500.0, 101)]
     _check("4a", "discrimination-attack information increases with distance",
            all(a < b for a, b in zip(grid, grid[1:])))

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -76,15 +77,16 @@ def test_thresholds_manifest_records_bound_tolerance(tmp_path):
 
 
 @pytest.mark.parametrize("tol,message", [
-    ("nan", "positive"), ("0", "positive"), ("-1e-6", "positive"), ("inf", "positive"),
+    ("nan", "lie in (0, inf), got nan"), ("0", "lie in (0, inf), got 0.0"),
+    ("-1e-6", "lie in (0, inf), got -1e-06"), ("inf", "lie in (0, inf), got inf"),
     # At or above the bracket width the search would stop at once and
     # print a point of the unsearched bracket.
-    ("1", "below the bracket width"),
+    ("1", "be below the bracket width"),
 ], ids=["nan", "0", "-1e-6", "inf", "1"])
 def test_thresholds_invalid_tol_exits_2(tmp_path, capsys, tol, message):
     out = tmp_path / "t.csv"
     assert main(["thresholds", f"--tol={tol}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: tol must be {message}")
+    assert capsys.readouterr().err.startswith(f"error: tol must {message}")
     assert not out.exists()
 
 
@@ -121,6 +123,32 @@ def test_bound_threshold_without_crossing_names_bound_and_mu4(capsys, mu4, bound
     assert captured.err.startswith(
         f"error: no {bound} bound threshold at q*=0.4999 with mu4_override={mu4}: "
         "rate must straddle zero on the bracket")
+
+
+def _no_rate(*args, **kwargs):
+    pytest.fail("a rate was evaluated")
+
+
+@pytest.mark.parametrize("argv", [["thresholds"], ["curves", "--kind", "lower"]],
+                         ids=["thresholds", "curves"])
+@pytest.mark.parametrize("mu4", ["nan", "-0.05"])
+def test_mu4_override_is_refused_before_any_rate(monkeypatch, capsys, argv, mu4):
+    # Named as the option, once, not as mu4 at the root bracket's end
+    # e = 1e-4 or at the grid point e = 0, where min(mu4, e) would fail.
+    monkeypatch.setattr(secrate, "find_threshold", _no_rate)
+    monkeypatch.setattr(secrate, "lower_bound_rate", _no_rate)
+    assert main([*argv, f"--mu4-override={mu4}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: mu4_override must lie in [0, inf], got {float(mu4)}\n"
+
+
+def test_mu4_override_inf_reads_as_e(capsys):
+    rows = []
+    for mu4 in ("inf", "0.5"):
+        assert main(["curves", "--kind", "lower", "--mu4-override", mu4, "--e-step", "0.05"]) == 0
+        rows.append([l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")])
+    assert rows[0] == rows[1] and len(rows[0]) == 1 + 7 * 21
 
 
 def test_curves_sifted_crosses_near_published_threshold(tmp_path):
@@ -199,12 +227,14 @@ def test_curves_invalid_grid_exits_2():
 
 
 @pytest.mark.parametrize("argv,bad", [
-    (["--kind", "sb1", "--e-step", "inf"], "step=inf"),
-    (["--kind", "lower", "--q-step", "inf"], "step=inf"),
-    (["--kind", "sb1", "--e-start", "inf", "--e-stop", "inf"], "start=inf"),
-    (["--kind", "sb1", "--e-stop", "inf"], "stop=inf"),
-    (["--kind", "lower", "--q-start=-inf"], "start=-inf"),
-    (["--kind", "upper", "--q-start", "inf", "--q-stop", "inf"], "start=inf"),
+    (["--kind", "sb1", "--e-step", "inf"], "e_step must lie in (0, inf), got inf"),
+    (["--kind", "lower", "--q-step", "inf"], "q_step must lie in (0, inf), got inf"),
+    (["--kind", "sb1", "--e-start", "inf", "--e-stop", "inf"],
+     "e_start must lie in (-inf, inf), got inf"),
+    (["--kind", "sb1", "--e-stop", "inf"], "e_stop must lie in (-inf, inf), got inf"),
+    (["--kind", "lower", "--q-start=-inf"], "q_start must lie in (-inf, inf), got -inf"),
+    (["--kind", "upper", "--q-start", "inf", "--q-stop", "inf"],
+     "q_start must lie in (-inf, inf), got inf"),
 ], ids=["argv0", "argv1", "e-start-stop", "e-stop", "q-start", "q-start-stop"])
 def test_curves_infinite_step_exits_2_without_csv(tmp_path, capsys, argv, bad):
     # inf * 0 at the first grid point once leaked a RuntimeWarning and then
@@ -212,13 +242,14 @@ def test_curves_infinite_step_exits_2_without_csv(tmp_path, capsys, argv, bad):
     out = tmp_path / "curves.csv"
     assert main(["curves", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: invalid grid: ") and bad in err
+    assert err == f"error: {bad}\n"
     assert "Warning" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--kind", "lower", "--mu4-override=-0.05"], "error: mu4 must lie in [0, e=0.0], got -0.05"),
+    (["--kind", "lower", "--mu4-override=-0.05"],
+     "error: mu4_override must lie in [0, inf], got -0.05"),
     (["--kind", "sb1", "--e-stop", "0.6"], "error: QBER must lie in [0, 0.5], got 0.505"),
     (["--kind", "upper", "--q-stop", "1.5", "--e-step", "0.1"],
      "error: q must lie in [0, 1], got 1.0250000000000001"),
@@ -476,7 +507,7 @@ def test_simulate_invalid_sb1_tolerance_exits_2(capsys, tol):
     assert main(["simulate", "--protocol", "p1", "--rounds", "1000",
                  "--sb1-tolerance", tol]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: sb1 tolerance must be >= 0")
+    assert captured.err == f"error: sb1_tolerance must lie in [0, inf], got {float(tol)}\n"
     assert captured.out == ""
 
 
@@ -681,7 +712,7 @@ def test_pns_invalid_step_exits_2_without_csv(tmp_path, capsys, step):
     assert main(["pns", "--attack", "pns", "--mu", "0.1", "--step-km", step,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --step-km must be positive")
+    assert err == f"error: step_km must lie in (0, inf), got {float(step)}\n"
     assert "Warning" not in err
     assert not out.exists()
 
@@ -694,7 +725,9 @@ def test_pns_non_finite_input_exits_2_without_csv(tmp_path, capsys, argv):
     out = tmp_path / "pns.csv"
     assert main(["pns", "--attack", "pns", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "finite" in err
+    option, value = argv[-2:]
+    assert err.startswith(f"error: {option[2:].replace('-', '_')} must lie in ")
+    assert err.endswith(f", got {value}\n")
     assert not out.exists()
 
 
@@ -746,7 +779,9 @@ def test_efficiency_custom(capsys):
 def test_efficiency_non_finite_input_exits_2(capsys, argv):
     assert main(["efficiency", *argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: efficiency inputs need 0 < q_t < inf")
+    option = next(argv[i - 1] for i, value in enumerate(argv) if value in ("nan", "inf"))
+    name = {"--bs": "b_s", "--qt": "q_t", "--bt": "b_t"}[option]
+    assert captured.err.startswith(f"error: {name} must lie in ")
     assert captured.out == ""
 
 
@@ -815,17 +850,74 @@ def _argv(draw):
     return argv
 
 
+#: The one form of a range error: name, interval with its ends, value.
+_RANGE_ERROR = re.compile(r"error: \w+ must lie in [\[(]-?\w+, [\w.]+[\])], got \S+\n")
+
+
 @given(argv=_argv())
 def test_fuzzed_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
+    parsed = True
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing the argv
-            code = exc.code
+            code, parsed = exc.code, False
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:
         data = [line for line in out.getvalue().splitlines()
                 if line and not line.startswith("#")]
         assert data == [], (argv, err.getvalue())
+    if code == 2 and parsed:
+        # One line; a range error in the one form.
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)
+        assert " must lie in " not in message or _RANGE_ERROR.fullmatch(message), (argv, message)
+
+
+#: (argv, option, its name in the error, the interval, a value outside it) for
+#: every float option the fuzz test draws.
+_RANGES = [
+    (["thresholds"], "--tol", "tol", "(0, inf)", "0"),
+    (["thresholds"], "--mu4-override", "mu4_override", "[0, inf]", "-0.05"),
+    (["curves", "--kind", "lower"], "--mu4-override", "mu4_override", "[0, inf]", "-1"),
+    (["curves", "--kind", "sb1"], "--e-start", "e_start", "(-inf, inf)", "-inf"),
+    (["curves", "--kind", "sb1"], "--e-stop", "e_stop", "(-inf, inf)", "inf"),
+    (["curves", "--kind", "sb1"], "--e-step", "e_step", "(0, inf)", "0"),
+    (["curves", "--kind", "upper"], "--q-start", "q_start", "(-inf, inf)", "inf"),
+    (["curves", "--kind", "lower"], "--q-stop", "q_stop", "(-inf, inf)", "-inf"),
+    (["curves", "--kind", "lower"], "--q-step", "q_step", "(0, inf)", "-0.5"),
+    (["simulate", "--protocol", "p1", "--rounds", "10"], "--qber", "QBER", "[0, 0.5]", "0.6"),
+    (["simulate", "--protocol", "p2", "--rounds", "10"], "--sb1-tolerance", "sb1_tolerance",
+     "[0, inf]", "-1"),
+    (["pns", "--attack", "pns", "--mu", "0.1"], "--alpha", "alpha", "[0, inf)", "inf"),
+    (["pns", "--attack", "irud"], "--mu", "mu", "(0, inf)", "0"),
+    (["pns", "--attack", "irud", "--mu", "0.2"], "--chi", "chi", "[0, 1]", "1.5"),
+    (["pns", "--attack", "pns", "--mu", "0.1"], "--max-km", "max_km", "[0, inf)", "-5"),
+    (["pns", "--attack", "pns", "--mu", "0.1"], "--step-km", "step_km", "(0, inf)", "0"),
+    (["efficiency", "--qt", "1", "--bt", "1"], "--bs", "b_s", "[0, inf)", "-1"),
+    (["efficiency", "--bs", "1", "--bt", "1"], "--qt", "q_t", "(0, inf)", "0"),
+    (["efficiency", "--bs", "1", "--qt", "1"], "--bt", "b_t", "[0, inf)", "inf"),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "outside"])
+@pytest.mark.parametrize("argv,option,name,interval,outside", _RANGES,
+                         ids=[f"{argv[0]}{option}" for argv, option, *_ in _RANGES])
+def test_range_error_has_one_form(capsys, argv, option, name, interval, outside, bad):
+    value = outside if bad == "outside" else bad
+    assert main([*argv, f"{option}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must lie in {interval}, got {float(value)}\n"
+    assert _RANGE_ERROR.fullmatch(captured.err)
+
+
+def test_range_table_covers_every_float_option():
+    not_float = {"--kind", "--protocol", "--eve", "--attack", "--preset", "--out",
+                 "--histogram", "--rounds", "--seed"}
+    fuzzed = {(command, option) for command, options in _SUBCOMMANDS.items()
+              for option, values in options.items()
+              if values is not _FLAG and option not in not_float}
+    assert {(argv[0], option) for argv, option, *_ in _RANGES} == fuzzed

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from threepass.pns import (
     CRITICAL_LOSS_TOL_DB,
     DEFAULT_IRUD_OVERLAP,
-    FiberLink,
-    WcpSource,
     critical_distance,
     eve_info_irud,
     eve_info_pns,
@@ -50,6 +48,14 @@ def test_poisson_pmf_domain():
         poisson_pmf(2, -0.1)
 
 
+@pytest.mark.parametrize("fn,k", [(poisson_pmf, 3), (poisson_tail, 1), (poisson_tail, 2)])
+@pytest.mark.parametrize("mu", ["nan", "inf"])
+def test_poisson_mean_must_be_finite(fn, k, mu):
+    # A NaN or infinite mean once gave a silent nan.
+    with pytest.raises(ValueError, match=rf"^mu must lie in \[0, inf\), got {mu}$"):
+        fn(k, float(mu))
+
+
 def test_poisson_tail_matches_complement():
     mu = 0.3
     for k in (0, 1, 2, 5):
@@ -72,10 +78,9 @@ def test_poisson_tail_sums_small_means_directly(k, mu):
 
 
 def test_transmittance_values():
-    assert transmittance(FiberLink(0.25, 0.0)) == 1.0
-    assert transmittance(FiberLink(0.25, 40.0)) == pytest.approx(0.1, abs=1e-15)
-    link = FiberLink(0.25, 154.5)
-    assert link.loss_db == pytest.approx(38.625, abs=1e-12)
+    assert transmittance(0.25, 0.0) == 1.0
+    assert transmittance(0.25, 40.0) == pytest.approx(0.1, abs=1e-15)
+    assert -10.0 * math.log10(transmittance(0.25, 154.5)) == pytest.approx(38.625, abs=1e-12)
 
 
 @given(
@@ -84,33 +89,31 @@ def test_transmittance_values():
 )
 def test_transmittance_multiplicative(l1, l2):
     alpha = 0.25
-    combined = transmittance(FiberLink(alpha, l1 + l2))
-    split = transmittance(FiberLink(alpha, l1)) * transmittance(FiberLink(alpha, l2))
+    combined = transmittance(alpha, l1 + l2)
+    split = transmittance(alpha, l1) * transmittance(alpha, l2)
     assert combined == pytest.approx(split, rel=1e-12)
 
 
 def test_source_validation():
     for mu in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            WcpSource(mu)
+            eve_info_pns(0.25, 10.0, mu)
     for alpha, length in ((-0.1, 10.0), (float("nan"), 10.0), (float("inf"), 10.0),
                           (0.25, float("nan")), (0.25, float("inf")), (0.25, -1.0),
                           (0.25, np.array([0.0, float("nan")])),
                           (0.25, np.array([0.0, -1.0]))):
-        with pytest.raises(ValueError, match="nonnegative and finite"):
-            FiberLink(alpha, length)
+        with pytest.raises(ValueError, match=r"must lie in \[0, inf\), got"):
+            transmittance(alpha, length)
 
 
 def test_eve_info_is_infinite_when_nothing_is_detected():
-    link = FiberLink(0.25, 20_000.0)
-    assert transmittance(link) == 0.0
-    assert eve_info_pns(link, WcpSource(0.1)) == math.inf
-    assert eve_info_irud(link, WcpSource(0.2)) == math.inf
+    assert transmittance(0.25, 20_000.0) == 0.0
+    assert eve_info_pns(0.25, 20_000.0, 0.1) == math.inf
+    assert eve_info_irud(0.25, 20_000.0, 0.2) == math.inf
     # Elementwise, and with a loss that overflows to inf, without warnings.
     lengths = np.array([0.0, 20_000.0])
-    assert np.isinf(eve_info_pns(FiberLink(0.25, lengths), WcpSource(0.1))).tolist() == [
-        False, True]
-    assert eve_info_irud(FiberLink(1e308, lengths), WcpSource(0.2))[1] == math.inf
+    assert np.isinf(eve_info_pns(0.25, lengths, 0.1)).tolist() == [False, True]
+    assert eve_info_irud(1e308, lengths, 0.2)[1] == math.inf
 
 
 def _reference_info(attack, alpha, mu, l):
@@ -139,37 +142,34 @@ def _reference_info(attack, alpha, mu, l):
 )
 def test_eve_info_on_length_arrays_matches_formulas(attack, alpha, mu, lengths):
     fn = eve_info_pns if attack == "pns" else eve_info_irud
-    got = fn(FiberLink(alpha, np.array(lengths)), WcpSource(mu))
+    got = fn(alpha, np.array(lengths), mu)
     assert got.shape == (len(lengths),)
     for l, value in zip(lengths, got.tolist()):
         assert value == pytest.approx(_reference_info(attack, alpha, mu, l), rel=1e-12)
 
 
 def test_scalar_calls_return_floats():
-    link, source = FiberLink(0.25, 10.0), WcpSource(0.1)
-    for value in (transmittance(link), poisson_tail(1, 0.1), eve_info_pns(link, source),
-                  eve_info_irud(link, source), unambiguous_info(3, DEFAULT_IRUD_OVERLAP),
-                  eve_info_pns(FiberLink(0.25, 20_000.0), source)):
+    for value in (transmittance(0.25, 10.0), poisson_tail(1, 0.1),
+                  eve_info_pns(0.25, 10.0, 0.1), eve_info_irud(0.25, 10.0, 0.1),
+                  unambiguous_info(3, DEFAULT_IRUD_OVERLAP), eve_info_pns(0.25, 20_000.0, 0.1)):
         assert type(value) is float
 
 
 def test_eve_info_pns_at_zero_distance():
-    value = eve_info_pns(FiberLink(0.25, 0.0), WcpSource(0.1))
+    value = eve_info_pns(0.25, 0.0, 0.1)
     assert value == pytest.approx(I_EVE1_AT_ZERO, abs=1e-8)
     # numerator pieces
     assert poisson_tail(2, 0.1) == pytest.approx(TAIL2_AT_0P1, abs=1e-12)
 
 
 def test_eve_info_pns_monotone_in_distance():
-    source = WcpSource(0.1)
-    grid = [eve_info_pns(FiberLink(0.25, l), source) for l in np.linspace(0, 300, 61)]
+    grid = [eve_info_pns(0.25, l, 0.1) for l in np.linspace(0, 300, 61)]
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def test_eve_info_pns_small_below_70km():
-    source = WcpSource(0.1)
     for l in np.linspace(0.0, 70.0, 36):
-        assert eve_info_pns(FiberLink(0.25, float(l)), source) < 0.01
+        assert eve_info_pns(0.25, float(l), 0.1) < 0.01
 
 
 def test_unambiguous_info_limits():
@@ -190,17 +190,15 @@ def test_unambiguous_info_domain():
 
 
 def test_eve_info_irud_at_zero_distance():
-    value = eve_info_irud(FiberLink(0.25, 0.0), WcpSource(0.2))
+    value = eve_info_irud(0.25, 0.0, 0.2)
     assert value == pytest.approx(I_EVE2_AT_ZERO, abs=1e-12)
 
 
 def test_eve_info_irud_monotone_and_small_below_200km():
-    source = WcpSource(0.2)
-    grid = [eve_info_irud(FiberLink(0.25, float(l)), source)
-            for l in np.linspace(0, 400, 81)]
+    grid = [eve_info_irud(0.25, float(l), 0.2) for l in np.linspace(0, 400, 81)]
     assert all(a < b for a, b in zip(grid, grid[1:]))
     for l in np.linspace(0.0, 200.0, 41):
-        assert eve_info_irud(FiberLink(0.25, float(l)), source) < 0.01
+        assert eve_info_irud(0.25, float(l), 0.2) < 0.01
 
 
 def test_poisson_tail_takes_arrays():
@@ -216,17 +214,13 @@ def test_critical_distance_synthetic():
 
 
 def test_critical_distance_pns():
-    source = WcpSource(0.1)
-    l_c, delta_c = critical_distance(
-        lambda l: eve_info_pns(FiberLink(0.25, l), source), 0.25, 400.0)
+    l_c, delta_c = critical_distance(lambda l: eve_info_pns(0.25, l, 0.1), 0.25, 400.0)
     assert l_c == pytest.approx(PNS_CRITICAL_KM, abs=0.02)
     assert delta_c == pytest.approx(PNS_CRITICAL_DB, abs=0.005)
 
 
 def test_critical_distance_irud():
-    source = WcpSource(0.2)
-    l_c, delta_c = critical_distance(
-        lambda l: eve_info_irud(FiberLink(0.25, l), source), 0.25, 600.0)
+    l_c, delta_c = critical_distance(lambda l: eve_info_irud(0.25, l, 0.2), 0.25, 600.0)
     assert l_c == pytest.approx(IRUD_CRITICAL_KM, abs=0.02)
     assert delta_c == pytest.approx(IRUD_CRITICAL_DB, abs=0.005)
 
@@ -238,10 +232,8 @@ def test_critical_distance_irud():
 def test_critical_loss_does_not_depend_on_alpha(info, mu, loss_db):
     # The crossing is a loss: delta_c is one figure at any attenuation, and
     # a km tolerance alone would scale its error with alpha.
-    source = WcpSource(mu)
     for alpha in (0.25, 10.0, 1000.0, 1e6, 1e308):
-        _, delta_c = critical_distance(
-            lambda l: info(FiberLink(alpha, l), source), alpha, 500.0)
+        _, delta_c = critical_distance(lambda l: info(alpha, l, mu), alpha, 500.0)
         assert delta_c == pytest.approx(loss_db, abs=CRITICAL_LOSS_TOL_DB), alpha
 
 
@@ -249,7 +241,5 @@ def test_critical_distance_requires_crossing():
     with pytest.raises(ValueError):
         critical_distance(lambda l: 0.5, 0.25, 100.0)
     # lossless channel: information never reaches 1
-    source = WcpSource(0.1)
     with pytest.raises(ValueError):
-        critical_distance(
-            lambda l: eve_info_pns(FiberLink(0.0, l), source), 0.0, 100.0)
+        critical_distance(lambda l: eve_info_pns(0.0, l, 0.1), 0.0, 100.0)

@@ -43,12 +43,12 @@ def test_binary_entropy_symmetry(p):
     assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
 
 
-def test_mixture_from_qber_noiseless():
+def test_bell_weights_noiseless():
     w = bell_weights(0.0, 0.0)
     assert (w[0], w[1], w[2], w[3]) == (1.0, 0.0, 0.0, 0.0)
 
 
-def test_mixture_from_qber_values():
+def test_bell_weights_values():
     w = bell_weights(0.1, 0.01)
     assert w == pytest.approx([0.81, 0.09, 0.09, 0.01], abs=1e-15)
     w = bell_weights(0.25, 0.0625)
@@ -65,7 +65,7 @@ def test_mixture_linear_constraints():
             assert w[0] + w[2] == pytest.approx(1 - e, abs=1e-12)
 
 
-def test_mixture_from_qber_domain():
+def test_bell_weights_domain():
     with pytest.raises(ValueError):
         bell_weights(0.1, 0.2)  # mu4 > e
     with pytest.raises(ValueError):
@@ -74,12 +74,12 @@ def test_mixture_from_qber_domain():
         bell_weights(0.1, -0.01)
 
 
-def test_hv_entropy_endpoints():
+def test_mixture_entropy_endpoints():
     assert spectral_entropy(bell_weights(0.0, 0.0)) == 0.0
     assert spectral_entropy(bell_weights(0.5, 0.25)) == 2.0
 
 
-def test_hv_entropy_at_maximizer():
+def test_mixture_entropy_at_maximizer():
     # mu4 = e^2 makes the mixture entropy equal 2 h(e).
     assert spectral_entropy(bell_weights(0.1, 0.01)) == pytest.approx(
         TWO_H_OF_0P1, abs=1e-9)
@@ -233,7 +233,7 @@ def test_binary_entropy_takes_arrays():
     assert values.shape == (2, 3)
     assert values.tolist() == [[binary_entropy(float(x)) for x in row] for row in p]
     assert type(binary_entropy(0.3)) is float
-    with pytest.raises(ValueError, match=r"requires p in \[0, 1\], got 1.5"):
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1.5$"):
         binary_entropy(np.array([0.2, 1.5]))
     with pytest.raises(ValueError):
         binary_entropy(float("nan"))
