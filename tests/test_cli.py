@@ -248,8 +248,8 @@ def test_curves_infinite_step_exits_2_without_csv(tmp_path, capsys, argv, bad):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--kind", "lower", "--mu4-override=-0.05"],
-     "error: mu4_override must lie in [0, inf], got -0.05"),
+    pytest.param(["--kind", "lower", "--mu4-override=-0.05"],
+                 "error: mu4_override must lie in [0, inf], got -0.05", id="argv0-mu4_override"),
     (["--kind", "sb1", "--e-stop", "0.6"], "error: QBER must lie in [0, 0.5], got 0.505"),
     (["--kind", "upper", "--q-stop", "1.5", "--e-step", "0.1"],
      "error: q must lie in [0, 1], got 1.0250000000000001"),
