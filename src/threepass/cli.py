@@ -350,12 +350,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pns(args: argparse.Namespace) -> int:
+    if args.attack == "pns" and args.chi is not None:
+        raise ValueError("--chi does not apply to --attack pns")
+    chi = pns_mod.DEFAULT_IRUD_OVERLAP if args.chi is None else args.chi
     in_range("step_km", args.step_km, 0.0, math.inf, "()")
     in_range("max_km", args.max_km, 0.0, math.inf, "[)")
     if args.attack == "pns":
         info = lambda l: pns_mod.eve_info_pns(args.alpha, l, args.mu)
     else:
-        info = lambda l: pns_mod.eve_info_irud(args.alpha, l, args.mu, args.chi)
+        info = lambda l: pns_mod.eve_info_irud(args.alpha, l, args.mu, chi)
 
     l_c, delta_c = pns_mod.critical_distance(info, args.alpha, args.max_km)
 
@@ -364,7 +367,7 @@ def cmd_pns(args: argparse.Namespace) -> int:
         with _csv_out(args.out) as out:
             write_manifest(out, "pns", {
                 "attack": args.attack, "alpha": args.alpha, "mu": args.mu,
-                "chi": args.chi, "max_km": args.max_km, "step_km": args.step_km,
+                "chi": chi, "max_km": args.max_km, "step_km": args.step_km,
             })
             out.write("l_km,i_eve\n")
             for i in _blocks(n):
@@ -384,7 +387,7 @@ def cmd_pns(args: argparse.Namespace) -> int:
         else:
             # The published crossing is not asserted for this attack; check
             # the conclusive-information formula and monotonicity instead.
-            i3 = pns_mod.unambiguous_info(3, args.chi)
+            i3 = pns_mod.unambiguous_info(3, chi)
             grid = info(np.arange(41) * 5.0)
             ok = abs(i3 - 0.7942369457243101) <= 1e-6 and bool(np.all(grid[:-1] < grid[1:]))
         if not ok:
@@ -395,6 +398,9 @@ def cmd_pns(args: argparse.Namespace) -> int:
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
     if args.bs is not None or args.qt is not None or args.bt is not None:
+        for option, given in (("--preset", args.preset), ("--check", args.check)):
+            if given:
+                raise ValueError(f"{option} does not apply to custom --bs/--qt/--bt")
         if None in (args.bs, args.qt, args.bt):
             raise ValueError("custom efficiency needs all of --bs, --qt, --bt")
         inputs = secrate.EfficiencyInputs(args.bs, args.qt, args.bt)
@@ -468,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attack", required=True, choices=["pns", "irud"])
     p.add_argument("--alpha", type=float, default=0.25, help="fiber loss, dB/km")
     p.add_argument("--mu", type=float, required=True, help="mean photon number")
-    p.add_argument("--chi", type=float, default=pns_mod.DEFAULT_IRUD_OVERLAP,
+    p.add_argument("--chi", type=float, default=None,
                    help="state overlap for the discrimination attack")
     p.add_argument("--max-km", type=float, default=500.0)
     p.add_argument("--step-km", type=float, default=1.0)

@@ -48,11 +48,13 @@ All words come from one stream, ``random.Random(seed)`` (:func:`_word_source`),
 so a report is bit-for-bit reproducible from its seed.  Sift fraction, QBER
 and the orthogonal fraction follow from per-pattern tables: each protocol's
 sifting rule is written once, as array expressions over the bits of the 64
-reachable round patterns, and the published table's noiseless branches come
-from the same arrays (:func:`_pattern_tables`).  :func:`code_distribution`
-walks the same tree on probabilities, for the exact law of the round codes.
-The exact branch enumeration in ``tests/enum_oracle.py`` is the independent
-reference that the sampler and the tables are tested against.
+reachable round patterns (:func:`_pattern_tables`).  The three passes are
+written once too, in :func:`_walk`: :func:`code_distribution` walks the
+kernel's tree on probabilities, for the exact law of the round codes, and
+the published table's noiseless branches are the support of that law at
+e = 0 without Eve (:func:`_published_branches`).  The exact branch
+enumeration in ``tests/enum_oracle.py`` is the independent reference that
+the sampler and the tables are tested against.
 """
 
 from __future__ import annotations
@@ -122,8 +124,7 @@ def _pattern_tables() -> tuple:
       2*basis + bit;
     - each protocol's determined state, or -1 to discard the round;
     - whether r1 is orthogonal to Alice's state (the sb1 test);
-    - the published table's noiseless branches, as (s_a, y, r1, r2,
-      probability) rows, and their codes.
+    - the codes, in the published table's order (:func:`_published_branches`).
 
     Alice measures r2 in basis mb = basis_a ^ (r1 == bits_a), so the other
     192 codes never occur.
@@ -132,8 +133,7 @@ def _pattern_tables() -> tuple:
     echo = r1 == bits_a  # Alice's return measurement gave her own state
     mb = basis_a ^ echo
     s_a = 2 * basis_a + bits_a
-    states = (s_a, 2 * basis_b + y, 2 * basis_a + r1, 2 * mb + r2)
-    codes = ((states[0] * 4 + states[1]) * 4 + states[2]) * 4 + states[3]
+    codes = ((s_a * 4 + 2 * basis_b + y) * 4 + 2 * basis_a + r1) * 4 + 2 * mb + r2
     other = 2 - 2 * basis_a  # a bit in Alice's other basis is the state other + bit
     determined = {
         # P1, on Bob's announced basis J: an orthogonal r1 means r2 was
@@ -147,15 +147,6 @@ def _pattern_tables() -> tuple:
         ProtocolId.P2: np.where((y == bits_a) & (echo == (r2 == bits_a)),
                                 np.where(echo, s_a, -1), other + y),
     }
-    # Each pass sends a qubit (basis, bit) that is measured in a basis.  A
-    # branch is noiseless when each pass measured in the qubit's own basis
-    # gave its bit; each pass measured in the other basis halves its
-    # probability, from the 1/8 of Alice's and Bob's choices.
-    passes = ((basis_a, bits_a, basis_b, y), (basis_b, y, basis_a, r1),
-              (1 - basis_b, y, mb, r2))
-    first, second, third = ((b != m) | (bit == got) for b, bit, m, got in passes)
-    noiseless = first & second & third
-    probability = 2.0 ** -(3 + sum(b != m for b, _, m, _ in passes))
     # The published order sorts the patterns by (s_a, basis_b ^ basis_a, y,
     # r1 ^ bits_a, r2): Bob's result in Alice's basis first, her echo before
     # the orthogonal r1.  That relabelling of a pattern's bits is its own
@@ -163,13 +154,10 @@ def _pattern_tables() -> tuple:
     # do as well, but its first call maps about 0.25 MB more of numpy into
     # every CLI run.)
     order = (s_a * 2 + (basis_b ^ basis_a)) * 8 + y * 4 + (r1 ^ bits_a) * 2 + r2
-    rows = order[noiseless[order]]
-    branches = list(zip(*(column[rows].tolist() for column in (*states, probability))))
-    return codes, determined, ~echo, branches, codes[rows]
+    return codes, determined, ~echo, codes[order]
 
 
-_PATTERN_CODES, _DETERMINED, _ORTH, TABLE1_BRANCHES, BRANCH_CODES = _pattern_tables()
-#: BRANCH_CODES[i] is the round code of TABLE1_BRANCHES[i].
+_PATTERN_CODES, _DETERMINED, _ORTH, _PUBLISHED_ORDER = _pattern_tables()
 #: Per-pattern sift tables: the round is kept, or kept with a determined
 #: state other than Bob's result y (bits 4-5 of the code).
 _KEPT = {pid: determined >= 0 for pid, determined in _DETERMINED.items()}
@@ -333,16 +321,17 @@ def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
     A batch draws the proposals of every count still unsampled, as two
     (counts, proposals) blocks of words: the proposals, then their uniforms.
     A count takes its first accepted proposal; the float test
-    :func:`_rejection_status` decides nearly all, and :func:`_accept_certified`
-    the rest, in order.  The first batch holds :data:`_PROPOSALS` per count,
-    and each later one, for the few counts left, four times as many.
+    :func:`_rejection_status` decides nearly all, and :func:`_accept_certified`,
+    given (a, b) and the count's mode, the rest, in order.  The first batch
+    holds :data:`_PROPOSALS` per count, and each later one, for the few
+    counts left, four times as many.
     """
     a, b = _dyadic(p)
     sizes = m.tolist()
-    modes = [(n + 1) * a // (a + b) for n in sizes]
+    modes = [(m + 1) * a // (a + b) for m in sizes]
     mode = np.array(modes, dtype=np.int64)
     # (m - M)p / (Mq) = 1 + tilt, for (m - M) a - M b = m a - M (a + b) exactly.
-    tilt = np.array([(n * a - k * (a + b)) / (k * b) for n, k in zip(sizes, modes)])
+    tilt = np.array([(m * a - k * (a + b)) / (k * b) for m, k in zip(sizes, modes)])
     w = _width(m, p)
     out = np.empty_like(m)
     live = np.arange(m.size)
@@ -366,8 +355,8 @@ def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
         first = (status != 0).argmax(axis=1)
         while (status[rows, first] < 0).any():
             for r in np.flatnonzero(status[rows, first] < 0).tolist():
-                f = first[r]
-                status[r, f] = _accept_certified(sizes[live[r]], p, modes[live[r]] + int(y[r, f]),
+                f, i = first[r], live[r]
+                status[r, f] = _accept_certified(sizes[i], a, b, modes[i], modes[i] + int(y[r, f]),
                                                  int(block[r, f]), int(words[1, r, f]), raw)
             first = (status != 0).argmax(axis=1)
         done = status[rows, first] == 1
@@ -428,29 +417,27 @@ class _Uniform:
         self.bits += 64
 
 
-def _accept_certified(m: int, p: float, k: int, block: int, word: int, raw) -> int:
-    """1 when U < 2**block f(k)/f(M), for f the Binomial(m, p) pmf and M =
-    floor((m + 1) p), else 0, for the uniform U whose first 64 bits are
-    ``word``, read on from ``raw`` as far as needed.  No float is used: a
-    ratio of small falling factorials and powers of p/q is compared as
-    integers, a larger one by :func:`_accept_by_interval` first."""
+def _accept_certified(m, a, b, mode, k, block, word, raw) -> int:
+    """1 when U < 2**block f(k)/f(M), for f the Binomial(m, p) pmf at p =
+    a/(a + b) and M = ``mode`` = floor((m + 1) p), else 0, for the uniform U
+    whose first 64 bits are ``word``, read on from ``raw`` as far as needed.
+    No float is used: a ratio of small falling factorials and powers of p/q
+    is compared as integers, a larger one by :func:`_accept_by_interval`
+    first."""
     if not 0 <= k <= m:
         return 0
     uniform = _Uniform(word, raw)
-    a, b = _dyadic(p)
     if abs(k - m * a // (a + b)) * (m.bit_length() + (a * b).bit_length() - 1) > _EXACT_BITS:
-        decided = _accept_by_interval(m, p, k, block, uniform)
+        decided = _accept_by_interval(m, a, b, mode, k, block, uniform)
         if decided is not None:
             return decided
-    return _accept_exactly(m, p, k, block, uniform)
+    return _accept_exactly(m, a, b, mode, k, block, uniform)
 
 
-def _accept_exactly(m: int, p: float, k: int, block: int, uniform: _Uniform) -> int:
-    """:func:`_accept_certified` in integers: with p = a/(a + b) and d =
-    |k - M|, the ratio f(k)/f(M) is num/den, one falling factorial of d
-    factors times a**d or b**d over another times the other power."""
-    a, b = _dyadic(p)
-    mode = (m + 1) * a // (a + b)
+def _accept_exactly(m, a, b, mode, k, block, uniform: _Uniform) -> int:
+    """:func:`_accept_certified` in integers: with d = |k - M|, the ratio
+    f(k)/f(M) is num/den, one falling factorial of d factors times a**d or
+    b**d over another times the other power."""
     d = abs(k - mode)
     num, den = ((math.perm(m - mode, d) * a**d, math.perm(k, d) * b**d) if k >= mode
                 else (math.perm(mode, d) * b**d, math.perm(m - k, d) * a**d))
@@ -489,15 +476,13 @@ def _ln_factorial(n: int):
     return x, Decimal(_STIRLING_REST[0]) / Decimal(_STIRLING_REST[1] * z**15)
 
 
-def _accept_by_interval(m: int, p: float, k: int, block: int, uniform: _Uniform):
+def _accept_by_interval(m, a, b, mode, k, block, uniform: _Uniform):
     """:func:`_accept_certified` by decimal intervals: 1 or 0, or None when
     ln A = ln(2**block f(k)/f(M)) is still too close to ln U at 80 digits.
     U is read on while its interval is the wider one, and the digits are
     doubled otherwise."""
     from decimal import Decimal, localcontext
 
-    a, b = _dyadic(p)
-    mode = (m + 1) * a // (a + b)
     for digits in (40, 80):
         with localcontext() as ctx:
             ctx.prec = digits
@@ -527,36 +512,29 @@ def _accept_by_interval(m: int, p: float, k: int, block: int, uniform: _Uniform)
     return None
 
 
-def _qber_digits(e: float) -> str:
-    """The binary digits d1 d2 ... of e = 0.d1d2..., through its last 1-digit
-    (every float is a dyadic rational); empty for e = 0."""
-    num, den = float(e).as_integer_ratio()
-    return format(num, f"0{den.bit_length() - 1}b") if num else ""
+def _binomial(m: np.ndarray, p: float, raw) -> np.ndarray:
+    """Elementwise Binomial(m, p) for a float p = 0.d1d2... in [0, 1/2].
 
-
-def _binomial(m: np.ndarray, digits: str, raw) -> np.ndarray:
-    """Elementwise Binomial(m, e) for e = 0.d1d2... with the given digits.
-
-    A count above :data:`_POPCOUNT_MAX` whose mode floor((m + 1) e) is at
+    A count above :data:`_POPCOUNT_MAX` whose mode floor((m + 1) p) is at
     least :data:`_MODE_MIN` is drawn by :func:`_binomial_by_rejection`, all
     in one call.  Each of the m rounds of every other count compares a
-    uniform U = 0.u1u2... with e digit by digit, and counts only are kept: at
-    each digit the rounds still equal to e draw their next bit by
-    :func:`_halves`.  Under a 1-digit the 0-bits fall below e; under a
-    0-digit the 1-bits rise above it.  The rounds below e, which have
-    probability e exactly, are counted.  The comparison stops after e's last
-    1-digit (U = e then has probability 0), or earlier once no round is
+    uniform U = 0.u1u2... with p digit by digit, and counts only are kept: at
+    each digit the rounds still equal to p draw their next bit by
+    :func:`_halves`.  Under a 1-digit the 0-bits fall below p; under a
+    0-digit the 1-bits rise above it.  The rounds below p, which have
+    probability p exactly, are counted.  The comparison stops after p's last
+    1-digit (U = p then has probability 0), or earlier once no round is
     still equal, so it draws nothing when every count is drawn by rejection;
-    e = 0 draws nothing.
+    p = 0 draws nothing.
     """
     below = np.zeros_like(m)
-    if not digits:
+    if not p:
         return below
-    a, scale = int(digits, 2), 1 << len(digits)
-    # floor((m + 1) a / scale) >= _MODE_MIN just when m + 1 >= ceil(_MODE_MIN scale / a).
-    large = m >= max(_POPCOUNT_MAX + 1, -(-_MODE_MIN * scale // a) - 1)
+    a, b = _dyadic(p)
+    # floor((m + 1) a / (a + b)) >= _MODE_MIN just when m + 1 >= ceil(_MODE_MIN (a + b) / a).
+    large = m >= max(_POPCOUNT_MAX + 1, -(-_MODE_MIN * (a + b) // a) - 1)
     equal = np.where(large, 0, m)
-    for d in digits:
+    for d in format(a, f"0{(a + b).bit_length() - 1}b"):  # the L digits of p = a / 2**L
         if not equal.any():
             break
         ones = _halves(equal, raw)
@@ -566,7 +544,7 @@ def _binomial(m: np.ndarray, digits: str, raw) -> np.ndarray:
         else:
             equal = equal - ones
     if large.any():
-        below[large] = _binomial_by_rejection(m[large], a / scale, raw)
+        below[large] = _binomial_by_rejection(m[large], p, raw)
     return below
 
 
@@ -642,9 +620,9 @@ def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
     never drawn one at a time: :func:`_walk` splits the count at each node by
     exact binomials, :func:`_halves` and :func:`_binomial`.
     """
-    digits = _qber_digits(config.channel_qber)
+    e = config.channel_qber
     return _walk(np.array([config.n_rounds], dtype=np.int64), lambda m: _halves(m, raw),
-                 lambda m: _binomial(m, digits, raw), config.eve is Eavesdropper.INTERCEPT_RESEND)
+                 lambda m: _binomial(m, e, raw), config.eve is Eavesdropper.INTERCEPT_RESEND)
 
 
 def code_distribution(e: float, eve: bool) -> np.ndarray:
@@ -653,6 +631,21 @@ def code_distribution(e: float, eve: bool) -> np.ndarray:
     walk down the protocol tree on probability 1: a halving takes half of a
     node and the channel flips e of it."""
     return _walk(np.ones(1), lambda p: p / 2, lambda p: p * e, eve)
+
+
+def _published_branches() -> tuple:
+    """The published table's noiseless branches, as (s_a, y, r1, r2,
+    probability) rows, and their codes, in the published order: at e = 0
+    without Eve, the branches in which each pass measured in the qubit's own
+    basis gave its bit, which are the support of the exact law."""
+    law = code_distribution(0.0, False)
+    codes = _PUBLISHED_ORDER[law[_PUBLISHED_ORDER] > 0]
+    columns = (codes >> 6, codes >> 4 & 3, codes >> 2 & 3, codes & 3, law[codes])
+    return list(zip(*(column.tolist() for column in columns))), codes
+
+
+TABLE1_BRANCHES, BRANCH_CODES = _published_branches()
+#: BRANCH_CODES[i] is the round code of TABLE1_BRANCHES[i].
 
 
 def _word_source(seed: int):

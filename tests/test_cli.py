@@ -312,13 +312,24 @@ def test_curves_invalid_grid_to_stdout_writes_nothing(capsys, argv):
     (["--kind", "sb1", "--mu4-override", "0"], "--mu4-override"),
     (["--kind", "lower", "--announce"], "--announce"),
     (["--kind", "upper", "--announce", "--q-step", "0.1"], "--announce"),
+    pytest.param(["--attack", "pns", "--mu", "0.1", "--chi", "nan", "--out", "p.csv"], "--chi",
+                 id="pns-chi"),
+    pytest.param(["--preset", "p1", "--bs", "1", "--qt", "1", "--bt", "1", "--check"],
+                 "--preset", id="efficiency-preset"),
+    pytest.param(["--bs", "1", "--qt", "1", "--bt", "1", "--check"], "--check",
+                 id="efficiency-check"),
 ])
-def test_curves_option_of_another_kind_exits_2(capsys, argv, option):
-    # An option the kind does not read is refused, not silently ignored.
-    assert main(["curves", *argv]) == 2
+def test_curves_option_of_another_kind_exits_2(monkeypatch, tmp_path, capsys, argv, option):
+    # An option that the curves kind, the pns attack or a custom efficiency
+    # does not read is refused, not silently ignored, and nothing is written.
+    command = {"--kind": "curves", "--attack": "pns"}.get(argv[0], "efficiency")
+    scope = "custom --bs/--qt/--bt" if command == "efficiency" else " ".join(argv[:2])
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {option} does not apply to --kind {argv[1]}\n"
+    assert captured.err == f"error: {option} does not apply to {scope}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind,fn", [("lower", secrate.lower_bound_rate),
@@ -590,12 +601,14 @@ def test_bound_outputs_match_golden_files(capsys, name, argv):
 
 
 def test_cli_import_leaves_out_fractions():
-    # fractions (and decimal, which it imports) load only for `efficiency`.
+    # fractions (and decimal, which it imports) load only for `efficiency`;
+    # the one walk that builds the published table at import uses neither.
     package_dir = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, threepass.cli; print('fractions' in sys.modules)"
+    code = ("import sys, threepass.cli; "
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": package_dir}, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"
 
 
 def test_pns_summary_and_csv(tmp_path, capsys):

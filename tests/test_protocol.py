@@ -373,10 +373,8 @@ def test_binomial_compares_digits_exactly(e):
     # exactly 64 * e of 64 rounds then fall below e, and one word is drawn
     # per digit of e.
     k = e.denominator.bit_length() - 1
-    digits = protocol._qber_digits(float(e))
-    assert len(digits) == k
     stub = _StubBits([_ALTERNATE] * k)
-    assert protocol._binomial(np.array([64]), digits, stub.random_raw).tolist() == [64 * e]
+    assert protocol._binomial(np.array([64]), float(e), stub.random_raw).tolist() == [64 * e]
     assert stub.used == k
 
 
@@ -389,26 +387,26 @@ def test_binomial_hand_worked_digits():
     #   (1, 0, 0) more fall below e.
     words = [0b101, _ONES, 0b110000, 0b10, 0, 0b11, 0b10, _ONES]
     stub = _StubBits(words)
-    assert protocol._binomial(np.array([3, 0, 70]), "101", stub.random_raw).tolist() == [2, 0, 4]
+    assert protocol._binomial(np.array([3, 0, 70]), 0.625, stub.random_raw).tolist() == [2, 0, 4]
     assert stub.used == len(words)
     # e = 0 draws nothing; e = 1/2 is one halving, below e on the 0-bits.
     stub = _StubBits([])
-    assert protocol._binomial(np.array([70, 5]), "", stub.random_raw).tolist() == [0, 0]
+    assert protocol._binomial(np.array([70, 5]), 0.0, stub.random_raw).tolist() == [0, 0]
     stub = _StubBits([_ONES, 0b1, 0b10110])
-    assert protocol._binomial(np.array([70, 5]), "1", stub.random_raw).tolist() == [5, 2]
+    assert protocol._binomial(np.array([70, 5]), 0.5, stub.random_raw).tolist() == [5, 2]
     assert stub.draws == [3]
 
 
 def test_binomial_stops_when_no_count_is_equal():
     # e = 1/4 = 0.01: a first digit of 1 puts U above e for every round.
     stub = _StubBits([_ONES, 0])
-    assert protocol._binomial(np.array([64]), "01", stub.random_raw).tolist() == [0]
+    assert protocol._binomial(np.array([64]), 0.25, stub.random_raw).tolist() == [0]
     assert stub.used == 1
     # e = 21/64 = 0.010101: the first count goes above e at the first digit,
     # so only the second, all still equal, draws the other five digits, and
     # 64 * 0.10101 (binary) = 42 of its rounds fall below e.
     stub = _StubBits([_ONES, 0] + [_ALTERNATE] * 5)
-    got = protocol._binomial(np.array([64, 64]), "010101", stub.random_raw)
+    got = protocol._binomial(np.array([64, 64]), 0.328125, stub.random_raw)
     assert got.tolist() == [0, 42]
     assert stub.used == 2 + 5
 
@@ -619,7 +617,7 @@ def test_binomial_samples_large_modes_by_rejection(monkeypatch, e, least):
     monkeypatch.setattr(protocol, "_binomial_by_rejection",
                         lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
     m = np.array([[least - 1, least], [0, 10**12]])
-    got = protocol._binomial(m, protocol._qber_digits(e), protocol._word_source(1))
+    got = protocol._binomial(m, e, protocol._word_source(1))
     assert [call for call in calls if call[1] == e] == [([least, 10**12], e)]
     assert got[0, 1] == least // 2 and got[1, 1] == 10**12 // 2 and got[1, 0] == 0
     assert 0 <= got[0, 0] <= least - 1
@@ -627,7 +625,7 @@ def test_binomial_samples_large_modes_by_rejection(monkeypatch, e, least):
 
 @pytest.mark.parametrize("e,m", _FLIP_CASES + [(2.0**-10, 8_191)])
 def test_binomial_fits_law_at_qbers(e, m):
-    draws = protocol._binomial(np.full(20_000, m, dtype=np.int64), protocol._qber_digits(e),
+    draws = protocol._binomial(np.full(20_000, m, dtype=np.int64), e,
                                protocol._word_source(m))
     _binomial_fit(draws, m, e, 20)
 
@@ -641,7 +639,7 @@ def test_binomial_sampler_fits_law_without_floats(monkeypatch, e):
     calls = []
     certified = protocol._accept_certified
     monkeypatch.setattr(protocol, "_accept_certified", lambda *a: calls.append(1) or certified(*a))
-    draws = protocol._binomial(np.full(3_000, m, dtype=np.int64), protocol._qber_digits(e),
+    draws = protocol._binomial(np.full(3_000, m, dtype=np.int64), e,
                                protocol._word_source(m))
     assert len(calls) >= 3_000
     _binomial_fit(draws, m, e, 20)
@@ -654,7 +652,7 @@ def test_binomial_sampler_fits_law_by_intervals(monkeypatch, e):
     monkeypatch.setattr(protocol, "_EXACT_BITS", -1)
     exact = []
     monkeypatch.setattr(protocol, "_accept_exactly", lambda *a: exact.append(1))
-    draws = protocol._binomial(np.full(500, m, dtype=np.int64), protocol._qber_digits(e),
+    draws = protocol._binomial(np.full(500, m, dtype=np.int64), e,
                                protocol._word_source(m))
     assert not exact
     _binomial_fit(draws, m, e, 10)
@@ -694,7 +692,7 @@ def test_certified_decisions_match_exact_binomials():
             expected = int(den * (v + 1) <= num << bits)
             for decide in (protocol._accept_exactly, protocol._accept_by_interval):
                 uniform = protocol._Uniform(u, _StubBits(more).random_raw)
-                got = decide(m, p, k, block, uniform)
+                got = decide(m, a, b, mode, k, block, uniform)
                 assert got == expected, (decide.__name__, p, m, k, block)
 
 
@@ -740,13 +738,12 @@ def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
     # of the count goes to the sampler, so no digit chain draws.  A uniform
     # of 0 accepts a proposal near the mode, and all ones reject one far off.
     m, mode, w, p = 10_000, 300, 32, protocol._PROPOSALS
-    digits = protocol._qber_digits(0.03)
 
     def sample(first, extra=()):
         proposals = first + [_proposal(0, 0, 0)] * (p - len(first))
         uniforms = [_ONES] * (len(first) - 1) + [0]
         stub = _StubBits(proposals + uniforms + [_ONES] * (p - len(uniforms)) + list(extra))
-        return protocol._binomial(np.array([m]), digits, stub.random_raw).tolist(), stub.draws
+        return protocol._binomial(np.array([m]), 0.03, stub.random_raw).tolist(), stub.draws
 
     for (side, block, offset), k in [
             ((0, 0, 5), mode + 5), ((1, 0, 0), mode - 1), ((0, 2, 3), mode + 2 * w + 3),
