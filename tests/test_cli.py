@@ -590,11 +590,17 @@ def test_simulate_outputs_match_golden_files(tmp_path, capsys, name, argv):
     ("curves_upper_mu4_0.csv", ["curves", "--kind", "upper", "--mu4-override", "0"]),
     ("thresholds.txt", ["thresholds"]),
     ("thresholds_mu4_0.txt", ["thresholds", "--mu4-override", "0.0"]),
+    ("pns_pns_mu0.1.txt", ["pns", "--attack", "pns", "--mu", "0.1",
+                           "--step-km", "0.5", "--out", "-"]),
+    ("pns_irud_mu0.2.txt", ["pns", "--attack", "irud", "--mu", "0.2",
+                            "--step-km", "0.5", "--out", "-"]),
 ])
 def test_bound_outputs_match_golden_files(capsys, name, argv):
-    # The bound surfaces on the default grid and the thresholds table, byte
-    # for byte, manifest included: the default mu4 (closed-form Holevo term)
-    # and mu4 = 0 (batched 4x4 eigvalsh) alike.
+    # The bound surfaces on the default grid, the thresholds table and two
+    # 1001-row attack scans with their summaries, byte for byte, manifest
+    # included: the default mu4 (closed-form Holevo term) and mu4 = 0
+    # (batched 4x4 eigvalsh) alike; the scans hold fixed and exponent
+    # notation, from 3.6e-09 up to 4.3e+08.
     assert main(argv) == 0
     with open(os.path.join(_GOLDEN, name), "rb") as expected:
         assert capsys.readouterr().out.encode() == expected.read()
