@@ -5,7 +5,9 @@ Every CSV written by this tool starts with a reproducibility manifest as
 seed, the tool version, and a UTC timestamp.  Re-running with the manifest's
 parameters reproduces the data rows byte for byte; set SOURCE_DATE_EPOCH to
 pin the timestamp line as well.  THREEPASS_SEED provides the default seed.
-Sweep rows are byte-identical to formatting each number with ``.6g``.
+Sweep rows are byte-identical to formatting each number with ``.6g``: they
+use ``%g``, which is ``.6g`` by definition; a width or precision would take
+CPython's ``%`` off its fast path, which writes a float with no temporary.
 ``curves`` formats each grid coordinate once and writes each q row from one
 template, so only the rates are converted per row; ``pns --out`` formats its
 rows one sub-block at a time.  A ``curves`` grid is checked at its corners
@@ -60,8 +62,11 @@ _SUB_BLOCK = 256
 
 #: The conversion of every number in the CSV output: %-style, so a sub-block
 #: of rows, or a curves row template, is one ``%`` call; it gives the bytes of
-#: ``f"{x:.6g}"``.
-_NUMBER = "%.6g"
+#: ``f"{x:.6g}"``.  ``%g`` is precision 6 by definition.  Do not write
+#: ``%.6g``: with a width or precision CPython's ``%`` formats each float into
+#: a temporary string and copies it; without one it writes straight into the
+#: result.
+_NUMBER = "%g"
 
 #: Most CSV rows one sweep may write; a larger grid is refused before it is built.
 MAX_GRID_POINTS = 10**7
@@ -72,7 +77,8 @@ _Q_AXIS_DEFAULTS = {"q_start": 0.0, "q_stop": 0.5, "q_step": 0.025}
 #: How the bound rates read --mu4-override (:func:`secrate._bound_inputs`).
 _MU4_RULE = "min(mu4_override, e) at each point"
 
-#: (key, rate callable, bracket) for the four closed-form thresholds.
+#: (key, label, rate callable, --check tolerance) for the four closed-form
+#: thresholds.
 _THRESHOLD_SPECS = [
     ("sb1", "return pass (no announcement)",
      lambda e: secrate.key_rate_sb1(e, False), 5e-4),

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import re
 import subprocess
@@ -9,10 +10,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from threepass import cli, secrate
-from threepass.cli import _SUB_BLOCK, _fmt, _write_rows, main
+from threepass.cli import _NUMBER, _SUB_BLOCK, _fmt, _write_rows, main
 
 pytestmark = pytest.mark.usefixtures("pinned_timestamp")
 
@@ -442,15 +443,40 @@ def test_curves_determinism(tmp_path):
 _FLOAT_POOLS = st.lists(st.floats(), min_size=1, max_size=8)
 
 
+def _format_sweep():
+    """A fixed sweep of 10^5 random 64-bit patterns (every float class), the
+    neighbours of the notation edges 1e-4 and 1e6 and of the values that
+    round onto them, half-way ties, and the extremes, each with both signs."""
+    bits = np.random.default_rng(25).integers(0, 2**64, size=10**5, dtype=np.uint64)
+    edges = [1e-4, 9.999995e-05, 1e6, 999999.5, 0.1234565, 1.0000005, 5e-324,
+             2.2250738585072014e-308, 1.7976931348623157e308]
+    near = []
+    for x in edges:
+        down = up = x
+        for _ in range(3):
+            down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+            near += [down, up]
+        near.append(x)
+    near += [0.0, math.inf, math.nan]
+    return bits.view(np.float64).tolist() + near + [-x for x in near]
+
+
+_SWEEP = _format_sweep()
+
+
+@example(n=len(_SWEEP), a=_SWEEP + [np.float64(0.1234565), np.int64(-2**62)],
+         b=_SWEEP[::-1])
 @given(n=st.sampled_from([0, 1, _SUB_BLOCK, 2 * _SUB_BLOCK + 37]),
        a=_FLOAT_POOLS, b=_FLOAT_POOLS)
 def test_write_rows_matches_per_row_format(n, a, b):
-    # The row writer against the per-row f-string loop it replaced; the
-    # single-value formatter against the same conversion.
+    # The row writer, with the production conversion, against the per-row
+    # f-string loop it replaced; the single-value formatter against the same
+    # reference.  The explicit example is the fixed sweep, plus a numpy float
+    # and a numpy integer for the formatter.
     assert [_fmt(x) for x in a] == [f"{x:.6g}" for x in a]
     a, b = np.resize(a, n).tolist(), np.resize(b, n).tolist()
     out = io.StringIO()
-    _write_rows(out, "%.6g,%.6g\n", np.array(a), np.array(b))
+    _write_rows(out, f"{_NUMBER},{_NUMBER}\n", np.array(a), np.array(b))
     expected = "".join(f"{x:.6g},{r:.6g}\n" for x, r in zip(a, b))
     # Compared by row: a failing example then shrinks in seconds.
     assert out.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)
