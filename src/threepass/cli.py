@@ -184,12 +184,12 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     for key, label, fn, check_tol in _THRESHOLD_SPECS:
         computed = secrate.find_threshold(fn, 1e-4, 0.45, tol)
         rows.append((key, label, computed, secrate.REFERENCE_THRESHOLDS[key], check_tol))
-    lower_e, lower_q = secrate.lower_bound_threshold(mu4)
-    upper_e, upper_q = secrate.upper_bound_threshold(mu4)
-    rows.append(("lower_bound", f"collective lower bound (q*={lower_q:.4g})",
-                 lower_e, secrate.REFERENCE_THRESHOLDS["lower_bound"], 2e-3))
-    rows.append(("upper_bound", f"collective upper bound (q*={upper_q:.4g})",
-                 upper_e, secrate.REFERENCE_THRESHOLDS["upper_bound"], 2e-3))
+    rows.append(("lower_bound", "collective lower bound (q->1/2)",
+                 secrate.lower_bound_threshold(mu4),
+                 secrate.REFERENCE_THRESHOLDS["lower_bound"], 2e-3))
+    rows.append(("upper_bound", "collective upper bound (q->1/2)",
+                 secrate.upper_bound_threshold(mu4),
+                 secrate.REFERENCE_THRESHOLDS["upper_bound"], 2e-3))
 
     with _csv_out(args.out) as out:
         write_manifest(out, "thresholds", params)

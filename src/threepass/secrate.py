@@ -19,7 +19,8 @@ pre-processing channel of probability q applied by Alice.  Both bound rates
 satisfy rate(e, q) == rate(e, 1-q) and vanish identically at q = 1/2.  Their
 zero crossing in e increases strictly with q on [0, 1/2), as Kraus, Gisin
 and Renner found for BB84 (PRL 95, 080502, 2005), so the threshold is the
-q -> 1/2 limit of that crossing, evaluated at q = 0.4999.
+q -> 1/2 limit of that crossing.  With d = 1 - 2q each rate is
+d**2 R(e) + O(d**4), and the threshold is the root of R.
 
 The two closed-form rates take an array of e, the bound functions
 broadcastable arrays of (e, q) and a scalar mu4; a scalar call is the same
@@ -31,16 +32,22 @@ product spectrum and S(rho_q) = h(p+) + h(p-) (see :func:`holevo_chi`).
 Under a given mu4 the average state still has a closed-form 2x2 block
 spectrum, and rho_q is a genuine 4x4, one per point in one batched
 ``eigvalsh`` per call.
-:func:`bound_threshold` is one :func:`find_threshold` root at that q.
-Every threshold is a scalar root in e, found by Chandrupatla's bracketing
-method, which interpolates where it can and bisects where it must.
+
+Each R(e) is a ``*_limit(e, mu4)`` function beside its rate, a scalar in
+:mod:`math` with no arrays and no eigensolve: a sum over the 2x2 blocks for
+the lower bound, dS/du at u = 1 for the default-mu4 Holevo term, and the
+Daleckii-Krein second-order term of the 4x4 under a given mu4 (see
+:func:`holevo_chi_limit`).  :func:`bound_threshold` is one
+:func:`find_threshold` root of R.  Every threshold is a scalar root in e,
+found by Chandrupatla's bracketing method, which interpolates where it can
+and bisects where it must.
 
 A note on the upper bound: the published closed form chi(E) - [H(b|c) - H(b)]
 is the sum of a Holevo quantity and the mutual information 1 - h(...), both
 nonnegative, so it has no zero crossing in e and cannot define a threshold.
 :func:`upper_bound_rate` returns that expression as documented;
 :func:`upper_bound_crossing` returns the information margin
-chi(E) - [H(b) - H(b|c)] whose sign change (Eve's ceiling overtaking the
+[H(b) - H(b|c)] - chi(E) whose sign change (Eve's ceiling overtaking the
 Alice-Bob mutual information) is what a threshold can be extracted from.
 
 Reference threshold values as published: 0.0314 and 0.0617 for the
@@ -53,6 +60,7 @@ are 0.0230, 0.0485, and 0.1201.  The CLI prints both sides with deviations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -78,6 +86,7 @@ from .qmath import (  # noqa: F401
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 
 #: Published reference values for the six section-III thresholds.
 REFERENCE_THRESHOLDS = {
@@ -187,6 +196,32 @@ def _bound_inputs(e, q, mu4: Optional[float]) -> tuple[np.ndarray, np.ndarray, n
     return e, q, bell_weights(e, maximizing_mu4(e) if mu4 is None else np.minimum(mu4, e))
 
 
+def _limit_weights(e: float, mu4: Optional[float]) -> tuple[float, float, float]:
+    """Bell weights (w0, w1, w3) of a scalar e, with mu4 read as the bound
+    rates read it (default e**2, else min(mu4, e)); refused as by
+    :func:`bell_weights`."""
+    m = e * e if mu4 is None else min(mu4, e)
+    if not (0.0 <= e <= 0.5 and 0.0 <= m):
+        bell_weights(e, m)  # raises the package's message for e or mu4
+    return 1.0 - 2.0 * e + m, e - m, m
+
+
+def _log2_slope(x: float, y: float) -> float:
+    """(log2 x - log2 y)/(x - y) for x, y > 0, and 1/(x ln 2) at x = y;
+    log1p of the ratio less 1 keeps it accurate for close x and y."""
+    x, y = max(x, y), min(x, y)
+    if x > 2.0 * y:  # far apart: the logarithms do not cancel
+        return (math.log2(x) - math.log2(y)) / (x - y)
+    if x == y:
+        return 1.0 / (x * _LN2)
+    return math.log1p((x - y) / y) / ((x - y) * _LN2)
+
+
+def _mutual_information_limit(e: float) -> float:
+    """lim (1 - 2q)**-2 [H(b) - H(b|c)] as q -> 1/2: (1-2e)**2/(2 ln 2)."""
+    return (1.0 - 2.0 * e) ** 2 / (2.0 * _LN2)
+
+
 def _mutual_information(e, q):
     """H(b) - H(b|c) = 1 - h(q(1-e) + (1-q)e): bit flip q on top of QBER e."""
     e, q = np.asarray(e, dtype=float), np.asarray(q, dtype=float)
@@ -208,6 +243,19 @@ def lower_bound_rate(e, q, mu4: Optional[float] = None):
     cond = spectral_entropy(eve_mixture_spectrum(weights, q))
     unc = spectral_entropy(eve_mixture_spectrum(weights, 0.5))
     return (cond - unc) + _mutual_information(e, q)
+
+
+def lower_bound_limit(e: float, mu4: Optional[float] = None) -> float:
+    """R(e) = lim lower_bound_rate(e, q, mu4) / (1 - 2q)**2 as q -> 1/2.
+
+    A 2x2 block (a, b) of :func:`eve_mixture_spectrum` moves its eigenvalues
+    by -+(1-2q)**2 ab/(a - b), so its entropy falls by (1-2q)**2 times
+    ab (log2 a - log2 b)/(a - b): 0 if a or b is 0, a/ln 2 at a = b.  The
+    blocks are (mu1, mu2) and (mu3, mu4).  A scalar e in math, no arrays.
+    """
+    w0, w1, w3 = _limit_weights(e, mu4)
+    return _mutual_information_limit(e) - sum(
+        a * b * _log2_slope(a, b) for a, b in ((w0, w1), (w1, w3)) if a and b)
 
 
 def holevo_chi(e, q, mu4: Optional[float] = None):
@@ -284,6 +332,65 @@ def holevo_chi(e, q, mu4: Optional[float] = None):
     return float_if_0d(np.where((r01 == 0.0) & (r13 == 0.0), 0.0, chi))
 
 
+def holevo_chi_limit(e: float, mu4: Optional[float] = None) -> float:
+    """lim holevo_chi(e, q, mu4) / (1 - 2q)**2 as q -> 1/2, a scalar in math.
+
+    At the default mu4, chi = S(u = 1) - S(u) with u = 4q(1-q) = 1 - d**2
+    (see :func:`holevo_chi`), so the limit is dS/du at u = 1, by the chain
+    rule through P+-, whose sum and product are linear in u, into
+    h(p+-), with dh/dP = log2((1-p)/p)/(1 - 2p).
+
+    Under a given mu4, rho_q = A + dC with A the average state and C the
+    entries that couple its blocks {0, 3} and {1, 2}.  The first-order term
+    tr(C log A) is 0, and the Daleckii-Krein formula (Bhatia, *Matrix
+    Analysis*, ch. V) gives chi = d**2 sum |C'_ij|**2 (log2 l_i - log2 l_j)
+    /(l_i - l_j) + O(d**4), over eigenpairs i of one block and j of the
+    other, with C' the coupling in A's eigenbasis.  At mu4 = 0 block {0, 3}
+    has a zero eigenvalue, and C does not couple into it (r13 = 0).
+    """
+    w0, w1, w3 = _limit_weights(e, mu4)
+    if mu4 is None:
+        beta = 5.0 + e * (-7.0 + e * (4.0 - 2.0 * e))
+        pq = (2.0 / 9.0) * e * e * (1.0 - e)  # PQ at u = 1, and d(PQ)/du
+        p_sum, dp_sum = (2.0 / 9.0) * e * (1.0 + beta), (2.0 / 9.0) * e * beta
+        gap = math.sqrt(p_sum * p_sum - 4.0 * pq)  # P+ - P-
+        if gap == 0.0:  # e = 0: no Holevo term at any q
+            return 0.0
+        p_plus = 0.5 * (p_sum + gap)
+        p_minus = pq / p_plus
+        chi = 0.0
+        for big_p, d_big_p in ((p_plus, (p_plus * dp_sum - pq) / gap),
+                               (p_minus, (pq - p_minus * dp_sum) / gap)):
+            if big_p:  # P = 0 only where PQ underflows, and then dP/du = 0
+                p = 2.0 * big_p / (1.0 + math.sqrt(max(1.0 - 4.0 * big_p, 0.0)))
+                # dh(p)/dP = log2((1-p)/p) / (1 - 2p)
+                chi += d_big_p * _log2_slope(1.0 - p, p)
+        return chi
+    k = (2.0 / (1.0 - e) + 1.0) / 3.0
+    # C couples index 0 to indices (1, 2) by (k r, r/3), and index 3 by (t, t).
+    r, t = math.sqrt(w0 * w1), math.sqrt(w1 * w3) / 3.0
+    chi = 0.0
+    for lam, (u0, u3) in _eigh_2x2(k * w0, w3 / 3.0, math.sqrt(w0 * w3) / 3.0):
+        row = (u0 * k * r + u3 * t, u0 * r / 3.0 + u3 * t)
+        for mu, (v1, v2) in _eigh_2x2(k * w1, w1 / 3.0, w1 / 3.0):
+            c = row[0] * v1 + row[1] * v2
+            if c and lam > 0.0 and mu > 0.0:  # no coupling into a null eigenvector
+                chi += c * c * _log2_slope(lam, mu)
+    return chi
+
+
+def _eigh_2x2(a: float, b: float, c: float):
+    """Eigenpairs (l, (x, y)) of the PSD [[a, c], [c, b]], larger first, with
+    unit eigenvectors.  The smaller eigenvalue is the determinant over the
+    larger, which keeps it accurate where it is tiny; ab - c**2 is itself
+    accurate for the blocks of :func:`holevo_chi_limit`, where ab >= 3c**2."""
+    large = 0.5 * (a + b) + math.hypot(0.5 * (a - b), c)
+    small = (a * b - c * c) / large if large else 0.0
+    angle = 0.5 * math.atan2(2.0 * c, a - b)
+    cos, sin = math.cos(angle), math.sin(angle)
+    return (large, (cos, sin)), (small, (-sin, cos))
+
+
 def upper_bound_rate(e, q, mu4: Optional[float] = None):
     """The published upper-bound expression chi(E) - [H(b|c) - H(b)].
 
@@ -308,6 +415,12 @@ def upper_bound_crossing(e, q, mu4: Optional[float] = None):
     return _mutual_information(e, q) - chi
 
 
+def upper_bound_limit(e: float, mu4: Optional[float] = None) -> float:
+    """R(e) = lim upper_bound_crossing(e, q, mu4) / (1 - 2q)**2 as q -> 1/2:
+    (1-2e)**2/(2 ln 2) less :func:`holevo_chi_limit`."""
+    return _mutual_information_limit(e) - holevo_chi_limit(e, mu4)
+
+
 def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
                        tol: float = 1e-6) -> tuple[float, float]:
     """Golden-section search for the maximum of a unimodal function."""
@@ -327,45 +440,44 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
     return (c, fc) if fc > fd else (d, fd)
 
 
-# Both bound rates vanish identically at q = 1/2, so the supremum of their
-# roots over q in [0, 1/2) is evaluated just below it.
-_Q_MAX = 0.4999
 #: Root-finder tolerance of both bound thresholds, whatever the caller's --tol.
 BOUND_TOL = 1e-7
 
 
-def bound_threshold(rate_fn: Callable[[float, float], float]) -> tuple[float, float]:
-    """Supremum over q in [0, 1/2) of the zero crossing of rate_fn(., q).
+def bound_threshold(limit_fn: Callable[[float], float]) -> float:
+    """Supremum over q in [0, 1/2) of a bound rate's zero crossing in e.
 
-    Returns (threshold e, q*).  ``rate_fn(e, q)`` must be decreasing in e
-    and change sign on (1e-4, 0.45) near q = 1/2.  For both bound rates the
+    ``limit_fn(e)`` is the rate's leading coefficient R(e) near q = 1/2:
+    rate(e, q) = (1 - 2q)**2 R(e) + O((1 - 2q)**4).  For both bound rates the
     root in e increases strictly with q, so the supremum is the q -> 1/2
-    limit; q = 1/2 itself zeroes the rates, so the root is taken at
-    q* = 0.4999 with a 1e-7 tolerance.  Raises :class:`BracketError` when
-    there is no crossing there.
+    limit, which is the root of R; R must be decreasing and change sign on
+    (1e-4, 0.45).  One root at BOUND_TOL; raises :class:`BracketError` when
+    there is no crossing.
     """
-    return find_threshold(lambda e: rate_fn(e, _Q_MAX), 1e-4, 0.45, BOUND_TOL), _Q_MAX
+    return find_threshold(limit_fn, 1e-4, 0.45, BOUND_TOL)
 
 
-def _named_bound_threshold(name: str, rate_fn: Callable[..., float],
-                           mu4: Optional[float]) -> tuple[float, float]:
-    """:func:`bound_threshold` of ``rate_fn(e, q, mu4)``, its
-    :class:`BracketError` naming the bound, q* and a given mu4."""
+def _named_bound_threshold(name: str, limit_fn: Callable[..., float],
+                           mu4: Optional[float]) -> float:
+    """:func:`bound_threshold` of ``limit_fn(e, mu4)``, its
+    :class:`BracketError` naming the bound and a given mu4."""
     try:
-        return bound_threshold(lambda e, q: rate_fn(e, q, mu4))
+        return bound_threshold(lambda e: limit_fn(e, mu4))
     except BracketError as exc:
         given = "" if mu4 is None else f" with mu4_override={mu4:g}"
-        raise BracketError(f"no {name} bound threshold at q*={_Q_MAX:g}{given}: {exc}") from None
+        raise BracketError(f"no {name} bound threshold at q->1/2{given}: {exc}") from None
 
 
-def lower_bound_threshold(mu4: Optional[float] = None) -> tuple[float, float]:
-    """Largest e with a positive lower bound for some q; returns (e, q*)."""
-    return _named_bound_threshold("lower", lower_bound_rate, mu4)
+def lower_bound_threshold(mu4: Optional[float] = None) -> float:
+    """Largest e with a positive lower bound for some q: the root of
+    :func:`lower_bound_limit`."""
+    return _named_bound_threshold("lower", lower_bound_limit, mu4)
 
 
-def upper_bound_threshold(mu4: Optional[float] = None) -> tuple[float, float]:
-    """Largest e with positive information margin for some q; returns (e, q*)."""
-    return _named_bound_threshold("upper", upper_bound_crossing, mu4)
+def upper_bound_threshold(mu4: Optional[float] = None) -> float:
+    """Largest e with a positive information margin for some q: the root of
+    :func:`upper_bound_limit`."""
+    return _named_bound_threshold("upper", upper_bound_limit, mu4)
 
 
 @dataclass(frozen=True)
@@ -396,6 +508,6 @@ def cabello_efficiency(inputs: EfficiencyInputs) -> float:
     from fractions import Fraction  # only here: fractions and decimal cost import time
 
     eta = Fraction(inputs.b_s) / (Fraction(inputs.q_t) + Fraction(inputs.b_t))
-    if eta > np.finfo(float).max:
+    if eta > sys.float_info.max:
         raise ValueError(f"efficiency b_s/(q_t + b_t) overflows a float: {inputs}")
     return float(eta)

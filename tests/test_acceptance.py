@@ -74,13 +74,13 @@ def test_c1d_sifted_threshold_announced():
 # --- criterion 2: collective-attack bounds ----------------------------------
 
 def test_c2a_lower_bound_threshold():
-    got, q_star = tp.lower_bound_threshold()
+    got = tp.lower_bound_threshold()
     _check("2a", "lower-bound threshold = 0.124 +- 2e-3", abs(got - 0.124) <= 2e-3,
-           f"computed {got:.6f} at q*={q_star:.4f}")
+           f"computed {got:.6f} as q -> 1/2")
 
 
 def test_c2b_upper_bound_threshold():
-    got, q_star = tp.upper_bound_threshold()
+    got = tp.upper_bound_threshold()
     _check("2b", "upper-bound threshold = 0.114 +- 2e-3", abs(got - 0.114) <= 2e-3,
            f"published form has no zero; information-margin crossing {got:.6f}")
 

@@ -122,7 +122,7 @@ def test_bound_threshold_without_crossing_names_bound_and_mu4(capsys, mu4, bound
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        f"error: no {bound} bound threshold at q*=0.4999 with mu4_override={mu4}: "
+        f"error: no {bound} bound threshold at q->1/2 with mu4_override={mu4}: "
         "rate must straddle zero on the bracket")
 
 
@@ -142,6 +142,17 @@ def test_mu4_override_is_refused_before_any_rate(monkeypatch, capsys, argv, mu4)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: mu4_override must lie in [0, inf], got {float(mu4)}\n"
+
+
+@pytest.mark.parametrize("argv", [["thresholds"], ["thresholds", "--mu4-override", "0.0"]],
+                         ids=["default", "mu4_0"])
+def test_thresholds_take_no_eigensolve_and_no_bound_rate(monkeypatch, capsys, argv):
+    # Both bound thresholds are roots of the q -> 1/2 limits, scalars in math.
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_rate)
+    monkeypatch.setattr(secrate, "lower_bound_rate", _no_rate)
+    monkeypatch.setattr(secrate, "upper_bound_crossing", _no_rate)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("(q->1/2)") == 2
 
 
 def test_mu4_override_inf_reads_as_e(capsys):

@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -16,17 +18,19 @@ from threepass.secrate import (
     EFFICIENCY_PRESETS,
     BracketError,
     EfficiencyInputs,
-    _Q_MAX,
     bound_threshold,
     cabello_efficiency,
     find_threshold,
     golden_section_max,
     holevo_chi,
+    holevo_chi_limit,
     key_rate_sb1,
     key_rate_sifted,
+    lower_bound_limit,
     lower_bound_rate,
     lower_bound_threshold,
     upper_bound_crossing,
+    upper_bound_limit,
     upper_bound_rate,
     upper_bound_threshold,
 )
@@ -44,16 +48,18 @@ LOWER_AT_0P1_Q0P1 = 0.06269436857898337
 CHI_AT_0P1_Q0P1 = 0.26934859765218252
 UPPER_AT_0P1_Q0P1 = 0.58927155192390268
 CROSSING_AT_0P1_Q0P1 = 0.050574356619537638
-# Bound thresholds (e, q*) at q* = _Q_MAX: the e values find_threshold
-# returns at BOUND_TOL, frozen bit for bit.  Each lies within 2e-9 of the
-# root of its rate; near q = 1/2 the rate is O((1 - 2q)**2), so the last
-# digits of a root are rounding noise of the rate's arithmetic.
-LOWER_THRESHOLD = (0.12412024926202601, 0.4999)
-UPPER_THRESHOLD = (0.1201374780908984, 0.4999)
-LOWER_THRESHOLD_MU4_0 = (0.1298174783786918, 0.4999)
-UPPER_THRESHOLD_MU4_0 = (0.11552932223839439, 0.4999)
-# The upper threshold of the batched 4x4 eigvalsh path at mu4 = e**2.
-UPPER_THRESHOLD_4X4 = (0.12013747888227343, 0.4999)
+# Roots of the bound rates at q = Q_NEAR_HALF, where the bound thresholds
+# were taken before they became the q -> 1/2 limit: the e values
+# find_threshold returns at BOUND_TOL, frozen bit for bit.  Each lies within
+# 2e-9 of the root of its rate; near q = 1/2 the rate is O((1 - 2q)**2), so
+# the last digits of a root are rounding noise of the rate's arithmetic.
+Q_NEAR_HALF = 0.4999
+LOWER_THRESHOLD = 0.12412024926202601
+UPPER_THRESHOLD = 0.1201374780908984
+LOWER_THRESHOLD_MU4_0 = 0.1298174783786918
+UPPER_THRESHOLD_MU4_0 = 0.11552932223839439
+# The upper root of the batched 4x4 eigvalsh path at mu4 = e**2.
+UPPER_THRESHOLD_4X4 = 0.12013747888227343
 # The same roots to 40 digits: the defining matrices (the 4x4 rho_q, the 2x2
 # blocks of Eve's states) in 60-digit arithmetic, solved to 1e-60.
 ROOTS_40 = {
@@ -62,6 +68,26 @@ ROOTS_40 = {
     "lower_mu4_0": 0.1298174785419772992548484479677304475314,
     "upper_mu4_0": 0.1155293227357352898487183783334683235970,
 }
+# The bound thresholds: as q -> 1/2, rate(e, q) = (1 - 2q)**2 R(e) + O((1 - 2q)**4),
+# and these are the roots of R, from 50-digit evaluations of the
+# perturbation series, frozen.  Each lies 1.9-2.6e-10 above its ROOTS_40 value.
+LIMIT_ROOTS = {
+    "lower": 0.12412024820044399,
+    "upper": 0.12013747825433194,
+    "lower_mu4_0": 0.12981747879941774,
+    "upper_mu4_0": 0.11552932292825196,
+}
+LIMITS = {lower_bound_rate: lower_bound_limit, upper_bound_crossing: upper_bound_limit}
+
+
+def _bound_name(rate, mu4):
+    """The key of a bound rate at mu4 (None or 0) in ROOTS_40 and LIMIT_ROOTS."""
+    return ("lower" if rate is lower_bound_rate else "upper") + ("" if mu4 is None else "_mu4_0")
+
+
+def _root_near_half(rate, mu4=None):
+    """find_threshold's root of rate(., Q_NEAR_HALF, mu4) at BOUND_TOL."""
+    return find_threshold(lambda e: rate(e, Q_NEAR_HALF, mu4), 1e-4, 0.45, BOUND_TOL)
 
 
 def test_key_rate_sb1_limit_at_zero():
@@ -232,12 +258,14 @@ def test_default_mu4_upper_bound_makes_no_eigensolve(monkeypatch, capsys):
     e = np.linspace(0.0, 0.5, 51)[:, None]
     q = np.linspace(0.0, 1.0, 21)[None, :]
     assert holevo_chi(e, q).shape == (51, 21)
-    assert upper_bound_threshold() == UPPER_THRESHOLD
+    assert _root_near_half(upper_bound_crossing) == UPPER_THRESHOLD
     assert main(["curves", "--kind", "upper"]) == 0
     assert capsys.readouterr().out.count("\n") == 1294
-    # A given mu4 still takes the 4x4 path.
+    # A given mu4 still takes the 4x4 path; its q -> 1/2 limit does not.
     with pytest.raises(_Eigensolve):
         holevo_chi(e, q, mu4=0.0)
+    assert abs(upper_bound_threshold() - LIMIT_ROOTS["upper"]) <= BOUND_TOL
+    assert abs(upper_bound_threshold(0.0) - LIMIT_ROOTS["upper_mu4_0"]) <= BOUND_TOL
 
 
 def test_holevo_chi_frozen_value():
@@ -274,16 +302,16 @@ def test_upper_bound_rate_at_balanced_flip_equals_chi():
 def test_bound_thresholds():
     # No ordering between the two is asserted: the published pair is already
     # inverted (0.114 < 0.124) relative to the usual upper/lower reading.
-    e_low, q_low = lower_bound_threshold()
+    e_low = lower_bound_threshold()
+    assert type(e_low) is float
     assert e_low == pytest.approx(0.124120, abs=2e-4)
-    assert q_low > 0.45  # supremum approached toward q = 1/2
-    e_up, _ = upper_bound_threshold()
+    e_up = upper_bound_threshold()
     assert e_up == pytest.approx(0.120137, abs=2e-4)
 
 
 def test_bound_threshold_mu4_override_changes_result():
-    e_default, _ = lower_bound_threshold()
-    e_zero, _ = lower_bound_threshold(mu4=0.0)
+    e_default = lower_bound_threshold()
+    e_zero = lower_bound_threshold(mu4=0.0)
     assert e_zero != pytest.approx(e_default, abs=1e-3)
 
 
@@ -507,8 +535,16 @@ def test_find_threshold_closed_form_budget(rate_fn, root):
 @pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
 @pytest.mark.parametrize("mu4", [None, 0.0])
 def test_find_threshold_bound_budget(rate, mu4):
-    counted, calls = _counted(lambda e: rate(e, _Q_MAX, mu4))
+    counted, calls = _counted(lambda e: rate(e, Q_NEAR_HALF, mu4))
     find_threshold(counted, 1e-4, 0.45, BOUND_TOL)
+    assert calls[0] <= 10
+
+
+@pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
+@pytest.mark.parametrize("mu4", [None, 0.0])
+def test_bound_threshold_budget(rate, mu4):
+    counted, calls = _counted(lambda e: LIMITS[rate](e, mu4))
+    bound_threshold(counted)
     assert calls[0] <= 10
 
 
@@ -523,12 +559,13 @@ def test_find_threshold_sign_step_bisects(level):
 
 
 def test_bound_thresholds_frozen_bit_for_bit():
-    assert lower_bound_threshold() == LOWER_THRESHOLD
-    assert upper_bound_threshold() == UPPER_THRESHOLD
-    assert lower_bound_threshold(mu4=0.0) == LOWER_THRESHOLD_MU4_0
-    assert upper_bound_threshold(mu4=0.0) == UPPER_THRESHOLD_MU4_0
+    assert _root_near_half(lower_bound_rate) == LOWER_THRESHOLD
+    assert _root_near_half(upper_bound_crossing) == UPPER_THRESHOLD
+    assert _root_near_half(lower_bound_rate, 0.0) == LOWER_THRESHOLD_MU4_0
+    assert _root_near_half(upper_bound_crossing, 0.0) == UPPER_THRESHOLD_MU4_0
     # mu4 = e**2 given explicitly takes the batched 4x4 eigvalsh path.
-    assert bound_threshold(lambda e, q: upper_bound_crossing(e, q, e * e)) == UPPER_THRESHOLD_4X4
+    assert find_threshold(lambda e: upper_bound_crossing(e, Q_NEAR_HALF, e * e),
+                          1e-4, 0.45, BOUND_TOL) == UPPER_THRESHOLD_4X4
 
 
 @pytest.mark.parametrize("name,frozen", [
@@ -539,7 +576,7 @@ def test_bound_thresholds_frozen_bit_for_bit():
     ("upper_mu4_0", UPPER_THRESHOLD_MU4_0),
 ], ids=["lower", "upper", "upper_4x4", "lower_mu4_0", "upper_mu4_0"])
 def test_frozen_bound_thresholds_lie_within_2e_9_of_40_digit_roots(name, frozen):
-    assert abs(frozen[0] - ROOTS_40[name]) <= 2e-9
+    assert abs(frozen - ROOTS_40[name]) <= 2e-9
 
 
 @pytest.mark.parametrize("rate,mu4,frozen", [
@@ -549,17 +586,92 @@ def test_frozen_bound_thresholds_lie_within_2e_9_of_40_digit_roots(name, frozen)
     (upper_bound_crossing, 0.0, UPPER_THRESHOLD_MU4_0),
 ], ids=["lower", "upper", "lower_mu4_0", "upper_mu4_0"])
 def test_frozen_bound_roots_lie_within_bound_tol(rate, mu4, frozen):
-    e, q = frozen
-    root = find_threshold(lambda x: rate(x, q, mu4), 1e-4, 0.45, 1e-12)
-    assert abs(e - root) <= BOUND_TOL
+    root = find_threshold(lambda x: rate(x, Q_NEAR_HALF, mu4), 1e-4, 0.45, 1e-12)
+    assert abs(frozen - root) <= BOUND_TOL
 
 
 @pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
 @pytest.mark.parametrize("mu4", [None, 0.0])
 def test_bound_root_increases_toward_half(rate, mu4):
-    # Why bound_threshold needs no search over q: the root in e increases
-    # strictly with q, so its supremum over [0, 1/2) is the root at _Q_MAX.
+    # Why the bound thresholds need no search over q: the root in e increases
+    # strictly with q, so its supremum over [0, 1/2) is the q -> 1/2 limit,
+    # the root of R.  At the grid's last point, q = Q_NEAR_HALF, the float
+    # rate's rounding moves its root by more than the 2e-10 by which that
+    # root misses the limit, so the exact root (ROOTS_40) stands in for it.
     roots = [find_threshold(lambda e: rate(e, q, mu4), 1e-4, 0.45, 1e-7)
-             for q in np.linspace(0.0, _Q_MAX, 101).tolist()]
+             for q in np.linspace(0.0, Q_NEAR_HALF, 101).tolist()]
     assert np.all(np.diff(roots) > 0)
-    assert bound_threshold(lambda e, q: rate(e, q, mu4)) == (roots[-1], _Q_MAX)
+    roots[-1] = ROOTS_40[_bound_name(rate, mu4)]
+    assert bound_threshold(lambda e: LIMITS[rate](e, mu4)) > max(roots)
+
+
+@pytest.mark.parametrize("rate,threshold", [(lower_bound_rate, lower_bound_threshold),
+                                            (upper_bound_crossing, upper_bound_threshold)],
+                         ids=["lower", "upper"])
+@pytest.mark.parametrize("mu4", [None, 0.0])
+def test_bound_limit_roots_match_50_digit_references(rate, threshold, mu4):
+    reference = LIMIT_ROOTS[_bound_name(rate, mu4)]
+    root = find_threshold(lambda e: LIMITS[rate](e, mu4), 1e-4, 0.45, 1e-15)
+    assert abs(root - reference) <= 1e-15
+    assert abs(threshold(mu4) - reference) <= BOUND_TOL
+
+
+@pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
+@pytest.mark.parametrize("mu4", [None, 0.0, 0.003])
+@pytest.mark.parametrize("e", [0.05, 0.12, 0.3])
+def test_rate_over_d_squared_tends_to_limit(rate, mu4, e):
+    # rate(e, q) = d**2 R(e) + O(d**4) with d = 1 - 2q, so rate/d**2 - R is
+    # O(d**2): a tenth of d, a hundredth of the error.  At d = 1e-3 the
+    # rate's own rounding adds about 1e-10, far below the 1e-8 left.
+    err = [abs(rate(e, (1.0 - d) / 2.0, mu4) / d**2 - LIMITS[rate](e, mu4)) for d in (1e-2, 1e-3)]
+    assert err[0] <= 2e-5
+    assert err[1] <= err[0] / 50.0
+
+
+def test_given_mu4_chi_limit_at_e_squared_matches_closed_form(monkeypatch):
+    # The Daleckii-Krein sum over the two 2x2 blocks against the chain rule
+    # through the product spectrum; neither solves an eigenproblem.
+    def refuse(*args, **kwargs):
+        raise _Eigensolve
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for e in np.linspace(1e-4, 0.5, 101).tolist():
+        assert holevo_chi_limit(e, e * e) == pytest.approx(holevo_chi_limit(e),
+                                                           rel=1e-14, abs=1e-17)
+    assert holevo_chi_limit(0.0) == holevo_chi_limit(0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("e", [0.05, 0.12, 0.3, 0.45])
+def test_limits_at_mu4_0_null_space(e):
+    # At mu4 = 0 the average state's block {0, 3} has a zero eigenvalue and
+    # the lower bound's block (mu3, mu4) a zero weight.  Neither contributes:
+    # C does not couple into that eigenvector (r13 = sqrt(w1 w3)/3 = 0), and
+    # both limits are the mu4 -> 0+ limits, with gaps of order mu4 log(mu4).
+    for limit in (lower_bound_limit, upper_bound_limit):
+        at_zero = limit(e, 0.0)
+        gaps = [abs(limit(e, mu4) - at_zero) for mu4 in (1e-9, 1e-12, 1e-15)]
+        assert gaps[0] < 1e-7 and gaps[1] < gaps[0] / 100.0 and gaps[2] < gaps[1] / 100.0
+    d = 1e-3
+    assert holevo_chi_limit(e, 0.0) == pytest.approx(
+        holevo_chi(e, (1.0 - d) / 2.0, 0.0) / d**2, abs=1e-6)
+
+
+@pytest.mark.parametrize("limit", [lower_bound_limit, upper_bound_limit])
+@pytest.mark.parametrize("e,mu4,message", [
+    (0.6, None, "QBER must lie in [0, 0.5], got 0.6"),
+    (float("nan"), None, "QBER must lie in [0, 0.5], got nan"),
+    (0.1, -1.0, "mu4 must lie in [0, e=0.1], got -1.0"),
+    (0.1, float("nan"), "mu4 must lie in [0, e=0.1], got nan"),
+])
+def test_limits_refuse_out_of_range_inputs(limit, e, mu4, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        limit(e, mu4)
+
+
+@pytest.mark.parametrize("limit", [lower_bound_limit, upper_bound_limit])
+@pytest.mark.parametrize("mu4", [None, 0.0, 1e-300, 5e-324, 0.001, float("inf")])
+def test_limits_are_finite_over_the_whole_range(limit, mu4):
+    # The ends e = 0 and 1/2, subnormal e and mu4, and a coupled eigenvalue
+    # that underflows all give a number, not a math error.
+    for e in [0.0, 5e-324, 1e-300, *np.linspace(1e-4, 0.5, 51).tolist(), 0.5]:
+        assert math.isfinite(limit(e, mu4))
