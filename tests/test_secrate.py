@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from threepass.secrate import (
     EFFICIENCY_PRESETS,
     BracketError,
     EfficiencyInputs,
+    _log2_slope,
     bound_threshold,
     cabello_efficiency,
     find_threshold,
@@ -671,7 +673,20 @@ def test_limits_refuse_out_of_range_inputs(limit, e, mu4, message):
 @pytest.mark.parametrize("limit", [lower_bound_limit, upper_bound_limit])
 @pytest.mark.parametrize("mu4", [None, 0.0, 1e-300, 5e-324, 0.001, float("inf")])
 def test_limits_are_finite_over_the_whole_range(limit, mu4):
-    # The ends e = 0 and 1/2, subnormal e and mu4, and a coupled eigenvalue
-    # that underflows all give a number, not a math error.
-    for e in [0.0, 5e-324, 1e-300, *np.linspace(1e-4, 0.5, 51).tolist(), 0.5]:
+    # The ends e = 0 and 1/2, subnormal e and mu4, a coupled eigenvalue that
+    # underflows, and P- = PQ/P+ = 0 where only PQ underflows (e = 2e-162)
+    # all give a number, not a math error.
+    for e in [0.0, 5e-324, 2e-162, 1e-300, *np.linspace(1e-4, 0.5, 51).tolist(), 0.5]:
         assert math.isfinite(limit(e, mu4))
+
+
+@pytest.mark.parametrize("x,y", [(0.3, 0.2), (2.0, 1.0), (1.0 + 2.0**-40, 1.0),
+                                 (7e-4, 6.9e-4), (1.0, 1e-300), (1.0, 5e-324)])
+def test_log2_slope_matches_its_definition(x, y):
+    # (log2 x - log2 y)/(x - y) in 50-digit decimal, for close and far x, y.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dx, dy = Decimal(x), Decimal(y)
+        exact = float((dx.ln() - dy.ln()) / ((dx - dy) * Decimal(2).ln()))
+    assert _log2_slope(x, y) == _log2_slope(y, x) == pytest.approx(exact, rel=4e-16)
+    assert _log2_slope(x, x) == 1.0 / (x * math.log(2.0))
