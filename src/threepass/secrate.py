@@ -348,7 +348,7 @@ def holevo_chi_limit(e: float, mu4: Optional[float] = None) -> float:
     other, with C' the coupling in A's eigenbasis.  At mu4 = 0 block {0, 3}
     has a zero eigenvalue, and C does not couple into it (r13 = 0).
     """
-    w0, w1, w3 = _limit_weights(e, mu4)
+    w0, w1, w3 = _limit_weights(e, mu4)  # which also checks e and mu4 for either path
     if mu4 is None:
         beta = 5.0 + e * (-7.0 + e * (4.0 - 2.0 * e))
         pq = (2.0 / 9.0) * e * e * (1.0 - e)  # PQ at u = 1, and d(PQ)/du
