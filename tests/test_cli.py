@@ -708,6 +708,33 @@ def test_pns_irud_reports_reference_and_deviation(capsys):
     assert "deviation:" in report
 
 
+_PNS_REFERENCE_STDOUT = {
+    "pns": """\
+attack:            pns
+critical distance: l_c = 154.55 km
+critical loss:     delta_c = 38.6384 dB
+reference:         l_c = 154.5 km, delta_c = 38.625 dB
+deviation:         +0.05 km, +0.0134 dB
+""",
+    "irud": """\
+attack:            irud
+critical distance: l_c = 339.48 km
+critical loss:     delta_c = 84.8694 dB
+reference:         l_c = 302.8 km, delta_c = 75.7 dB
+deviation:         +36.68 km, +9.1694 dB
+""",
+}
+
+
+@pytest.mark.parametrize("attack,mu", [("pns", "0.1"), ("irud", "0.2")])
+def test_pns_reference_stdout_frozen(capsys, attack, mu):
+    # The whole report of both reference runs, byte for byte.
+    assert main(["pns", "--attack", attack, "--mu", mu]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _PNS_REFERENCE_STDOUT[attack]
+    assert captured.err == ""
+
+
 def test_pns_no_crossing_exits_2(capsys):
     for argv in (
         ["pns", "--attack", "pns", "--alpha", "0", "--mu", "0.1"],
