@@ -34,6 +34,8 @@ from .pns import (
     critical_distance,
     eve_info_irud,
     eve_info_pns,
+    numerator_irud,
+    numerator_pns,
     poisson_pmf,
     transmittance,
     unambiguous_info,

@@ -362,11 +362,13 @@ def cmd_pns(args: argparse.Namespace) -> int:
     in_range("step_km", args.step_km, 0.0, math.inf, "()")
     in_range("max_km", args.max_km, 0.0, math.inf, "[)")
     if args.attack == "pns":
+        numerator = pns_mod.numerator_pns(args.mu)
         info = lambda l: pns_mod.eve_info_pns(args.alpha, l, args.mu)
     else:
+        numerator = pns_mod.numerator_irud(args.mu, chi)
         info = lambda l: pns_mod.eve_info_irud(args.alpha, l, args.mu, chi)
 
-    l_c, delta_c = pns_mod.critical_distance(info, args.alpha, args.max_km)
+    l_c, delta_c = pns_mod.critical_distance(args.alpha, args.mu, numerator, args.max_km)
 
     if args.out:
         n, length_at = _axis_points("l", 0.0, args.max_km, args.step_km)

@@ -24,7 +24,9 @@ the attacker as a function of distance:
 
 Both formulas are evaluated exactly as written; information values above 1
 are meaningful only as "the attacker knows everything", and the critical
-distance is the crossing I(l) = 1.  Both attacks take alpha, the length,
+distance is the crossing I(l) = 1.  Only the denominator depends on the
+length, so the crossing is closed form (:func:`critical_distance`), and its
+loss does not depend on alpha.  Both attacks take alpha, the length,
 mu (and chi) as plain numbers, each checked by
 :func:`threepass.qmath.in_range`.  The length may be an array: both attacks
 then work elementwise and compute the distance-free numerator once per call;
@@ -37,12 +39,10 @@ should report both (the CLI does).
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .qmath import binary_entropy, float_if_0d, in_range
-from .secrate import BracketError, find_threshold
 
 DEFAULT_IRUD_OVERLAP = 1.0 / math.sqrt(2.0)
 
@@ -52,13 +52,10 @@ REFERENCE_CRITICAL = {
     "irud": {"l_km": 302.8, "delta_db": 75.7},
 }
 
-#: Largest error in dB of a critical loss: 0.01 km at 0.25 dB/km.
-CRITICAL_LOSS_TOL_DB = 0.0025
-
 
 def poisson_pmf(n: int, mu: float) -> float:
     """p(n, mu) = exp(-mu) mu^n / n!, evaluated in log space for stability."""
-    if n < 0 or n != int(n):
+    if not (n >= 0 and n % 1 == 0):  # NaN and inf fail too
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     in_range("mu", mu, 0.0, math.inf, "[)")
     if mu == 0.0:
@@ -112,13 +109,15 @@ def _per_detection(numerator: float, alpha: float, length, mu: float) -> float |
         return float_if_0d(np.divide(numerator, poisson_tail(1, mu * eta)))
 
 
-def eve_info_pns(alpha: float, length, mu: float) -> float | np.ndarray:
-    """Attacker's key fraction under the storage attack; raw (unclamped) value.
-
-    ``mu`` lies in (0, inf); see :func:`transmittance` for the link.
-    """
+def numerator_pns(mu: float) -> float:
+    """N = 0.625 P(n >= 2)^2 of the storage attack, for ``mu`` in (0, inf)."""
     in_range("mu", mu, 0.0, math.inf, "()")
-    return _per_detection(0.625 * poisson_tail(2, mu) ** 2, alpha, length, mu)
+    return 0.625 * poisson_tail(2, mu) ** 2
+
+
+def eve_info_pns(alpha: float, length, mu: float) -> float | np.ndarray:
+    """Attacker's key fraction under the storage attack; raw (unclamped) value."""
+    return _per_detection(numerator_pns(mu), alpha, length, mu)
 
 
 def unambiguous_info(n: int, chi: float) -> float:
@@ -129,38 +128,35 @@ def unambiguous_info(n: int, chi: float) -> float:
     return 1.0 - binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - chi ** (2 * n))))
 
 
+def numerator_irud(mu: float, chi: float = DEFAULT_IRUD_OVERLAP) -> float:
+    """N = (I(3, chi) p(3, mu))^3 of unambiguous discrimination, ``mu`` in (0, inf)."""
+    in_range("mu", mu, 0.0, math.inf, "()")
+    return (unambiguous_info(3, chi) * poisson_pmf(3, mu)) ** 3
+
+
 def eve_info_irud(alpha: float, length, mu: float,
                   chi: float = DEFAULT_IRUD_OVERLAP) -> float | np.ndarray:
-    """Attacker's key fraction under unambiguous discrimination; raw value.
+    """Attacker's key fraction under unambiguous discrimination; raw value."""
+    return _per_detection(numerator_irud(mu, chi), alpha, length, mu)
 
-    The cube applies to the product I(3, chi) * p(3, mu): a conclusive
-    result is needed on each of the three passes.  ``mu`` lies in (0, inf).
+
+def critical_distance(alpha: float, mu: float, numerator: float,
+                      max_km: float) -> tuple[float, float]:
+    """Solve N / (1 - exp(-mu eta(l))) = 1 for an attack's ``numerator`` N;
+    returns (l_c in km, delta_c in dB), with max_km and alpha in [0, inf).
+
+    eta_c = -log1p(-N)/mu gives delta_c = -10 log10(eta_c) dB at every alpha,
+    taken as a difference of logs so that eta_c cannot underflow, and
+    l_c = delta_c/alpha.  Only 0 < l_c < max_km is a crossing.
     """
+    in_range("max_km", max_km, 0.0, math.inf, "[)")
+    in_range("alpha", alpha, 0.0, math.inf, "[)")
     in_range("mu", mu, 0.0, math.inf, "()")
-    return _per_detection((unambiguous_info(3, chi) * poisson_pmf(3, mu)) ** 3,
-                          alpha, length, mu)
-
-
-def critical_distance(info_fn: Callable[[float], float], alpha: float,
-                      hi_km: float, tol_km: float = 0.01) -> tuple[float, float]:
-    """Solve info_fn(l) = 1; returns (l_c in km, delta_c in dB).
-
-    Requires info_fn(0) < 1 < info_fn(hi_km); the information functions here
-    increase monotonically with distance because only the expected-detection
-    denominator depends on it.  The root is Chandrupatla's method,
-    :func:`threepass.secrate.find_threshold`, on the margin 1 - info_fn(l).
-    It is solved to min(tol_km, CRITICAL_LOSS_TOL_DB / alpha) km, so l_c is
-    within tol_km and delta_c = alpha l_c within 0.0025 dB whatever alpha
-    (at 0.25 dB/km the two bounds agree).  A lossless link (alpha = 0), or
-    an alpha that :func:`transmittance` refuses, keeps tol_km.
-    """
-    if 0.0 < alpha < math.inf:
-        tol_km = min(tol_km, CRITICAL_LOSS_TOL_DB / alpha)
-    try:
-        l_c = find_threshold(lambda l: 1.0 - info_fn(l), 0.0, hi_km, tol_km)
-    except BracketError:
-        raise ValueError(
-            f"no crossing on [0, {hi_km}] km: info(0)={info_fn(0.0):.6g}, "
-            f"info(hi)={info_fn(hi_km):.6g}"
-        ) from None
-    return l_c, alpha * l_c
+    if 0.0 < numerator < 1.0 and alpha > 0.0:  # log1p raises at N >= 1
+        delta_c = 10.0 * (math.log10(mu) - math.log10(-math.log1p(-numerator)))
+        l_c = delta_c / alpha
+        if 0.0 < l_c < max_km:
+            return l_c, delta_c
+    info = lambda l: _per_detection(numerator, alpha, l, mu)
+    raise ValueError(f"no crossing on [0, {max_km}] km: info(0)={info(0.0):.6g}, "
+                     f"info(hi)={info(max_km):.6g}")

@@ -36,8 +36,6 @@ import numpy as np
 # precision.  Values in [-PSD_DRIFT, 0) are clamped to 0; anything more
 # negative is treated as a genuine invariant violation.
 PSD_DRIFT = 1e-10
-# Eigenvalues below this are treated as exact zeros in the entropy sum.
-EIGENVALUE_FLOOR = 1e-12
 
 
 def in_range(name: str, x, lo: float, hi: float, ends: str = "[]") -> np.ndarray:
@@ -65,14 +63,15 @@ def float_if_0d(x):
 def spectral_entropy(eigenvalues) -> float | np.ndarray:
     """-sum(lam * log2(lam)) over the last axis, in bits.
 
-    Eigenvalues below 1e-12 are treated as exact zeros; eigenvalues in
-    [-1e-10, 0) are clamped to zero.  An eigenvalue below -1e-10 violates the
-    PSD invariant and raises ValueError.  A 1-d input gives a float.
+    Every positive eigenvalue counts, however small, so the sum is continuous
+    (a cutoff at c would jump by c log2(1/c)); eigenvalues in [-1e-10, 0] are
+    exact zeros.  An eigenvalue below -1e-10 violates the PSD invariant and
+    raises ValueError.  A 1-d input gives a float.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size and lam.min() < -PSD_DRIFT:
         raise ValueError(f"matrix is not PSD: min eigenvalue {lam.min()}")
-    kept = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)
+    kept = np.where(lam > 0.0, lam, 1.0)
     terms = np.log2(kept)
     terms *= kept
     # 0.0 - sum keeps an all-zero sum at +0.0 rather than -0.0.
@@ -142,8 +141,8 @@ def von_neumann_entropy(rho) -> float | np.ndarray:
     """Spectral entropy -sum(lam * log2(lam)) of a density matrix, in bits.
 
     ``rho`` is a Hermitian matrix or a stack of shape (..., 4, 4), solved by
-    one batched ``eigvalsh``; a single matrix gives a float.  The eigenvalue
-    floor and the PSD rule are those of :func:`spectral_entropy`.
+    one batched ``eigvalsh``; a single matrix gives a float.  Zero and
+    negative eigenvalues are read as in :func:`spectral_entropy`.
     """
     return spectral_entropy(np.linalg.eigvalsh(rho))
 

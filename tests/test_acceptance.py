@@ -88,7 +88,7 @@ def test_c2b_upper_bound_threshold():
 # --- criterion 3: critical distance, storage attack -------------------------
 
 def test_c3_pns_critical_distance():
-    l_c, delta_c = tp.critical_distance(lambda l: tp.eve_info_pns(0.25, l, 0.1), 0.25, 400.0)
+    l_c, delta_c = tp.critical_distance(0.25, 0.1, tp.numerator_pns(0.1), 400.0)
     ok_l = abs(l_c - 154.5) <= 1.0
     ok_d = abs(delta_c - 38.625) <= 0.1
     below = all(tp.eve_info_pns(0.25, float(l), 0.1) < 0.01

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from threepass import cli, secrate
+from threepass import cli, pns as pns_mod, secrate
 from threepass.cli import _NUMBER, _SUB_BLOCK, _fmt, _write_rows, main
 
 pytestmark = pytest.mark.usefixtures("pinned_timestamp")
@@ -153,6 +153,20 @@ def test_thresholds_take_no_eigensolve_and_no_bound_rate(monkeypatch, capsys, ar
     monkeypatch.setattr(secrate, "upper_bound_crossing", _no_rate)
     assert main(argv) == 0
     assert capsys.readouterr().out.count("(q->1/2)") == 2
+
+
+@pytest.mark.parametrize("attack,mu,info_calls", [("pns", "0.1", 0), ("irud", "0.2", 1)])
+def test_pns_takes_no_root_search(monkeypatch, capsys, attack, mu, info_calls):
+    # The crossing is closed form; the information is evaluated only for
+    # the irud --check grid, in one array call.
+    monkeypatch.setattr(secrate, "find_threshold", lambda *a, **k: pytest.fail("a root search"))
+    calls = []
+    name = f"eve_info_{attack}"
+    info = getattr(pns_mod, name)
+    monkeypatch.setattr(pns_mod, name, lambda *a: calls.append(a) or info(*a))
+    assert main(["pns", "--attack", attack, "--mu", mu, "--check"]) == 0
+    assert capsys.readouterr().out.startswith(f"attack:            {attack}\n")
+    assert len(calls) == info_calls
 
 
 def test_mu4_override_inf_reads_as_e(capsys):

@@ -1,15 +1,17 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from threepass.pns import (
-    CRITICAL_LOSS_TOL_DB,
     DEFAULT_IRUD_OVERLAP,
     critical_distance,
     eve_info_irud,
     eve_info_pns,
+    numerator_irud,
+    numerator_pns,
     poisson_pmf,
     poisson_tail,
     transmittance,
@@ -23,10 +25,6 @@ I_EVE1_AT_ZERO = 1.4377726514963294e-4
 I3_AT_DEFAULT_OVERLAP = 0.7942369457243099
 P3_AT_0P2 = 0.00109164100410398
 I_EVE2_AT_ZERO = 3.5955525986956491e-9
-PNS_CRITICAL_KM = 154.5536
-PNS_CRITICAL_DB = 38.6384
-IRUD_CRITICAL_KM = 339.4776
-IRUD_CRITICAL_DB = 84.8694
 
 
 def test_poisson_pmf_values():
@@ -44,6 +42,10 @@ def test_poisson_pmf_normalization():
 def test_poisson_pmf_domain():
     with pytest.raises(ValueError):
         poisson_pmf(-1, 0.1)
+    for n in (2.5, math.inf, math.nan):
+        # inf and NaN once escaped as OverflowError and int()'s own message.
+        with pytest.raises(ValueError, match=rf"^n must be a nonnegative integer, got {n}$"):
+            poisson_pmf(n, 0.1)
     with pytest.raises(ValueError):
         poisson_pmf(2, -0.1)
 
@@ -207,39 +209,86 @@ def test_poisson_tail_takes_arrays():
         [-math.expm1(-m) for m in mu.tolist()], rel=1e-15)
 
 
+def _exact_loss_db(attack, mu):
+    """The crossing's loss in dB from the defining formulas, at 50 digits:
+    mu is read as the exact value of its float, chi as 1/sqrt(2)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu = Decimal(mu)
+        if attack == "pns":
+            numerator = Decimal("0.625") * (1 - (-mu).exp() * (1 + mu)) ** 2
+        else:
+            p = (1 + (1 - Decimal(1) / 8).sqrt()) / 2  # chi^6 = 1/8
+            i3 = 1 + (p * p.ln() + (1 - p) * (1 - p).ln()) / Decimal(2).ln()
+            numerator = (i3 * (-mu).exp() * mu ** 3 / 6) ** 3
+        return -10 * (-(1 - numerator).ln() / mu).log10()
+
+
+def test_exact_loss_db_reference():
+    assert str(_exact_loss_db("pns", 0.1)).startswith("38.638405936175441897")
+
+
 def test_critical_distance_synthetic():
-    l_c, delta_c = critical_distance(lambda l: l / 100.0, 0.25, 400.0)
-    assert l_c == pytest.approx(100.0, abs=0.01)
-    assert delta_c == pytest.approx(25.0, abs=0.01)
+    # eta_c = 0.01 at mu = 1: a 20 dB crossing, 80 km at 0.25 dB/km.
+    l_c, delta_c = critical_distance(0.25, 1.0, -math.expm1(-0.01), 400.0)
+    assert l_c == pytest.approx(80.0, rel=1e-14)
+    assert delta_c == pytest.approx(20.0, rel=1e-14)
+
+
+def _assert_matches_decimal(attack, numerator, mu, max_km):
+    loss_db = float(_exact_loss_db(attack, mu))
+    l_c, delta_c = critical_distance(0.25, mu, numerator(mu), max_km)
+    assert delta_c == pytest.approx(loss_db, rel=1e-13, abs=0.0)
+    assert l_c == pytest.approx(loss_db / 0.25, rel=1e-13, abs=0.0)
 
 
 def test_critical_distance_pns():
-    l_c, delta_c = critical_distance(lambda l: eve_info_pns(0.25, l, 0.1), 0.25, 400.0)
-    assert l_c == pytest.approx(PNS_CRITICAL_KM, abs=0.02)
-    assert delta_c == pytest.approx(PNS_CRITICAL_DB, abs=0.005)
+    _assert_matches_decimal("pns", numerator_pns, 0.1, 400.0)
 
 
 def test_critical_distance_irud():
-    l_c, delta_c = critical_distance(lambda l: eve_info_irud(0.25, l, 0.2), 0.25, 600.0)
-    assert l_c == pytest.approx(IRUD_CRITICAL_KM, abs=0.02)
-    assert delta_c == pytest.approx(IRUD_CRITICAL_DB, abs=0.005)
+    _assert_matches_decimal("irud", numerator_irud, 0.2, 600.0)
 
 
-@pytest.mark.parametrize("info,mu,loss_db", [
-    (eve_info_pns, 0.1, PNS_CRITICAL_DB),
-    (eve_info_irud, 0.2, IRUD_CRITICAL_DB),
-], ids=["pns", "irud"])
-def test_critical_loss_does_not_depend_on_alpha(info, mu, loss_db):
-    # The crossing is a loss: delta_c is one figure at any attenuation, and
-    # a km tolerance alone would scale its error with alpha.
-    for alpha in (0.25, 10.0, 1000.0, 1e6, 1e308):
-        _, delta_c = critical_distance(lambda l: info(alpha, l, mu), alpha, 500.0)
-        assert delta_c == pytest.approx(loss_db, abs=CRITICAL_LOSS_TOL_DB), alpha
+@pytest.mark.parametrize("numerator,mu", [(numerator_pns, 0.1), (numerator_irud, 0.2)],
+                         ids=["pns", "irud"])
+def test_critical_loss_does_not_depend_on_alpha(numerator, mu):
+    # The crossing is a loss: delta_c is one float at any attenuation.
+    losses = {critical_distance(alpha, mu, numerator(mu), 500.0)[1]
+              for alpha in (0.25, 10.0, 1000.0, 1e6, 1e308)}
+    assert len(losses) == 1
 
 
 def test_critical_distance_requires_crossing():
-    with pytest.raises(ValueError):
-        critical_distance(lambda l: 0.5, 0.25, 100.0)
-    # lossless channel: information never reaches 1
-    with pytest.raises(ValueError):
-        critical_distance(lambda l: eve_info_pns(0.0, l, 0.1), 0.0, 100.0)
+    for alpha, mu, numerator, max_km, message in (
+        # N = 0, also where the numerator underflows.
+        (0.25, 0.1, 0.0, 100.0, "info(0)=0, info(hi)=0"),
+        (0.25, 1e-320, numerator_pns(1e-320), 100.0, "info(0)=0, info(hi)=0"),
+        (0.25, 1e-300, numerator_irud(1e-300), 2000.0, "info(0)=0, info(hi)=0"),
+        # info(0) >= 1: N >= 1 - exp(-mu), and N >= 1, where log1p would raise.
+        (0.25, 0.1, -math.expm1(-0.1), 100.0, "info(0)=1, info(hi)=300.978"),
+        (0.25, 0.1, 1.0, 100.0, "info(0)=10.5083, info(hi)=3162.78"),
+        (0.25, 0.1, 2.0, 100.0, "info(0)=21.0167, info(hi)=6325.56"),
+        # l_c beyond max_km, also on a lossless link and at max_km = 0.
+        (0.25, 0.1, numerator_pns(0.1), 100.0, "info(0)=0.000143777, info(hi)=0.0432738"),
+        (0.0, 0.1, numerator_pns(0.1), 100.0, "info(0)=0.000143777, info(hi)=0.000143777"),
+        (0.25, 0.1, numerator_pns(0.1), 0.0, "info(0)=0.000143777, info(hi)=0.000143777"),
+    ):
+        with pytest.raises(ValueError) as refusal:
+            critical_distance(alpha, mu, numerator, max_km)
+        assert str(refusal.value) == f"no crossing on [0, {max_km}] km: {message}"
+
+
+@pytest.mark.parametrize("args,message", [
+    ((0.25, 0.1, 1e-5, math.nan), "max_km must lie in [0, inf), got nan"),
+    ((0.25, 0.1, 1e-5, -1.0), "max_km must lie in [0, inf), got -1.0"),
+    ((math.nan, 0.1, 1e-5, 500.0), "alpha must lie in [0, inf), got nan"),
+    ((math.inf, 0.1, 1e-5, 500.0), "alpha must lie in [0, inf), got inf"),
+    ((0.25, 0.0, 1e-5, 500.0), "mu must lie in (0, inf), got 0.0"),
+    ((0.25, math.nan, 1e-5, 500.0), "mu must lie in (0, inf), got nan"),
+])
+def test_critical_distance_names_its_inputs(args, message):
+    # Named as the CLI names them: a NaN max_km was once reported as a length.
+    with pytest.raises(ValueError) as refusal:
+        critical_distance(*args)
+    assert str(refusal.value) == message

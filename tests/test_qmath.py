@@ -241,7 +241,8 @@ def test_binary_entropy_takes_arrays():
 
 def test_spectral_entropy_floor_and_drift():
     assert spectral_entropy([0.5, 0.5, 0.0, -1e-11]) == 1.0
-    assert spectral_entropy([1.0, 1e-13]) == 0.0  # below the floor: an exact zero
+    # No cutoff: a tiny eigenvalue counts, so the sum has no jump near it.
+    assert spectral_entropy([1.0, 1e-13]) == pytest.approx(13e-13 * math.log2(10.0), rel=1e-15)
     assert spectral_entropy([[1.0, 0.0], [0.5, 0.5]]).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
         spectral_entropy([1.0, -1e-9])

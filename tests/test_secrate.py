@@ -422,7 +422,7 @@ def _reference_chi(e, q, mu4):
 
     def entropy(m):
         lam = np.linalg.eigvalsh(m)
-        return -sum(x * np.log2(x) for x in lam if x > 1e-12)
+        return -sum(x * np.log2(x) for x in lam if x > 0.0)
 
     return (entropy((p00 + p11) / 3.0 + (p0p + p1m) / 6.0)
             - 0.5 * entropy((1.0 - q) * given_0 + q * given_1)
