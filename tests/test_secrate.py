@@ -560,6 +560,85 @@ def test_find_threshold_sign_step_bisects(level):
     assert abs(root - 0.1) <= 1e-6
 
 
+# float.hex() of every root `thresholds` computes, frozen bit for bit: the four
+# closed-form roots at --tol 1e-6 and 1e-12, and both bounds at the default
+# mu4 and at mu4 = 0.
+THRESHOLD_ROOTS_HEX = {
+    ("sb1", 1e-6): "0x1.fdf172c75db3ep-6",
+    ("sb1_announced", 1e-6): "0x1.f7badcc01fd70p-5",
+    ("sifted", 1e-6): "0x1.78567e37a1642p-6",
+    ("sifted_announced", 1e-6): "0x1.8d6fd533fdb96p-5",
+    ("sb1", 1e-12): "0x1.fdf172c757950p-6",
+    ("sb1_announced", 1e-12): "0x1.f7badcc01f059p-5",
+    ("sifted", 1e-12): "0x1.78567e379cfd7p-6",
+    ("sifted_announced", 1e-12): "0x1.8d6fd533fd3cdp-5",
+    ("lower_bound", None): "0x1.fc65836cad4d3p-4",
+    ("upper_bound", None): "0x1.ec1546c205306p-4",
+    ("lower_bound", 0.0): "0x1.09ddbf0f24345p-3",
+    ("upper_bound", 0.0): "0x1.d935467b4b393p-4",
+}
+# Both ends, then bisection: a jump gives the interpolation a zero
+# difference fc - fb (finite levels) or inf - inf (infinite ones).
+_STEP_ITERATES = [
+    "0x0.0p+0", "0x1.999999999999ap-2", "0x1.999999999999ap-3", "0x1.999999999999ap-4",
+    "0x1.999999999999ap-5", "0x1.3333333333334p-4", "0x1.6666666666667p-4",
+    "0x1.8000000000000p-4", "0x1.8cccccccccccdp-4", "0x1.9333333333334p-4",
+    "0x1.9666666666667p-4", "0x1.9800000000000p-4", "0x1.98ccccccccccdp-4",
+    "0x1.9933333333334p-4", "0x1.9966666666667p-4", "0x1.9980000000000p-4",
+    "0x1.998cccccccccdp-4", "0x1.9993333333334p-4", "0x1.9996666666667p-4",
+    "0x1.9998000000000p-4", "0x1.9998ccccccccdp-4",
+]
+# (rate, lo, hi, tol, root, every point evaluated), all hex, frozen bit for bit.
+AWKWARD_ROOTS = {
+    "step": (lambda e: 1.0 if e < 0.1 else -1.0, 0.0, 0.4, 1e-6,
+             "0x1.9999333333334p-4", _STEP_ITERATES),
+    # The last secant point is NaN, so the end with the smaller |rate| is returned.
+    "step_inf": (lambda e: math.inf if e < 0.1 else -math.inf, 0.0, 0.4, 1e-6,
+                 "0x1.9998ccccccccdp-4", _STEP_ITERATES),
+    # A bisection point and an interpolated point that are exact zeros.
+    "line_zero_at_bisection": (lambda e: 0.5 - e, 0.0, 1.0, 1e-9, "0x1.0000000000000p-1",
+                               ["0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1"]),
+    "line_zero_at_interpolation": (
+        lambda e: 0.1 - e, 0.0, 0.4, 1e-12, "0x1.999999999999ap-4",
+        ["0x0.0p+0", "0x1.999999999999ap-2", "0x1.999999999999ap-3", "0x1.999999999999ap-4"]),
+    # Two equal rates on the flat part: a zero difference fc - fa.
+    "flat_then_falls": (
+        lambda e: 1.0 if e < 0.3 else 1.0 - 10.0 * (e - 0.3), 0.0, 0.4, 1e-9,
+        "0x1.9999999999999p-2",
+        ["0x0.0p+0", "0x1.999999999999ap-2", "0x1.999999999999ap-3", "0x1.3333333333334p-2",
+         "0x1.6666666666667p-2", "0x1.999999910293bp-2"]),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_closed_form_threshold_roots_frozen_bit_for_bit(tol):
+    from threepass.cli import _THRESHOLD_SPECS
+
+    for key, _, rate_fn, _ in _THRESHOLD_SPECS:
+        root = find_threshold(rate_fn, 1e-4, 0.45, tol)
+        assert type(root) is float
+        assert root.hex() == THRESHOLD_ROOTS_HEX[key, tol], key
+
+
+@pytest.mark.parametrize("mu4", [None, 0.0])
+def test_bound_threshold_roots_frozen_bit_for_bit(mu4):
+    assert lower_bound_threshold(mu4).hex() == THRESHOLD_ROOTS_HEX["lower_bound", mu4]
+    assert upper_bound_threshold(mu4).hex() == THRESHOLD_ROOTS_HEX["upper_bound", mu4]
+
+
+@pytest.mark.parametrize("name", sorted(AWKWARD_ROOTS))
+def test_find_threshold_awkward_iterates_frozen_bit_for_bit(name):
+    rate_fn, lo, hi, tol, root, iterates = AWKWARD_ROOTS[name]
+    seen = []
+
+    def recorded(e):
+        seen.append(e.hex())
+        return rate_fn(e)
+
+    assert find_threshold(recorded, lo, hi, tol).hex() == root
+    assert seen == iterates
+
+
 def test_bound_thresholds_frozen_bit_for_bit():
     assert _root_near_half(lower_bound_rate) == LOWER_THRESHOLD
     assert _root_near_half(upper_bound_crossing) == UPPER_THRESHOLD
