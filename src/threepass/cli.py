@@ -430,16 +430,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache  # built on the first main call, not at import
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="threepass",
-        description="Three-pass single-photon QKD: simulation and key-rate analysis.",
-    )
-    parser.add_argument("--version", action="version", version=f"threepass {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("thresholds", help="tolerable-error thresholds and bounds")
+def _thresholds_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="root-finder tolerance of the four closed-form thresholds; "
                         f"the two bounds always use {secrate.BOUND_TOL:g}")
@@ -448,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless every value matches its reference")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("curves", help="key-rate curves as CSV")
+
+def _curves_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=["sb1", "sifted", "lower", "upper"])
     p.add_argument("--announce", action="store_true",
                    help="announce Y (sb1) or X (sifted); sb1 and sifted only")
@@ -464,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"fix mu4 instead of the default e^2, as {_MU4_RULE}; "
                         "lower and upper only")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_curves)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo protocol run")
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--protocol", required=True, choices=["p1", "p2"])
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--qber", type=float, default=0.0, help="channel QBER per pass")
@@ -476,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sb1-tolerance", type=float, default=DEFAULT_SB1_TOLERANCE)
     p.add_argument("--histogram", default=None,
                    help="write the noiseless-branch histogram CSV here")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("pns", help="attacker information vs distance")
+
+def _pns_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", required=True, choices=["pns", "irud"])
     p.add_argument("--alpha", type=float, default=0.25, help="fiber loss, dB/km")
     p.add_argument("--mu", type=float, required=True, help="mean photon number")
@@ -488,21 +479,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-km", type=float, default=1.0)
     p.add_argument("--out", default=None, help="CSV path for the distance curve")
     p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_pns)
 
-    p = sub.add_parser("efficiency", help="secret bits per transmitted resource")
+
+def _efficiency_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=["p1", "p2", "sarg04"], default=None)
     p.add_argument("--bs", type=float, default=None)
     p.add_argument("--qt", type=float, default=None)
     p.add_argument("--bt", type=float, default=None)
     p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_efficiency)
 
+
+#: Each subcommand's help line, handler and arguments, in the order of --help.
+_COMMANDS = {
+    "thresholds": ("tolerable-error thresholds and bounds", cmd_thresholds,
+                   _thresholds_arguments),
+    "curves": ("key-rate curves as CSV", cmd_curves, _curves_arguments),
+    "simulate": ("Monte-Carlo protocol run", cmd_simulate, _simulate_arguments),
+    "pns": ("attacker information vs distance", cmd_pns, _pns_arguments),
+    "efficiency": ("secret bits per transmitted resource", cmd_efficiency,
+                   _efficiency_arguments),
+}
+
+
+@functools.cache  # one parser per command, built on its first main call, not at import
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser.  Every subcommand is registered with its
+    help line, but only ``command`` gets its arguments, or every subcommand
+    when ``command`` is None; an argv parses, helps and fails the same on
+    the parser of its first word as on the full one."""
+    parser = argparse.ArgumentParser(
+        prog="threepass",
+        description="Three-pass single-photon QKD: simulation and key-rate analysis.",
+    )
+    parser.add_argument("--version", action="version", version=f"threepass {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, func, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A first word that is no command (--help, --version, a typo) needs them all.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, secrate.BracketError, OSError) as exc:

@@ -19,7 +19,10 @@ the average state of the Holevo term, is :func:`symmetric_2x2_eigenvalues`.
 
 :func:`bell_weights`, :func:`binary_entropy`, :func:`spectral_entropy`,
 :func:`von_neumann_entropy` and :func:`eve_mixture_spectrum` work elementwise
-on arrays; a scalar input gives a Python float.
+on arrays; a scalar input gives a Python float.  :func:`in_range` returns a
+float input, Python's or numpy's, as a Python float, and
+:func:`binary_entropy` takes it down a scalar route, :func:`pair_entropy`,
+with the bits of the array route and no array built.
 
 All entropies are in bits (base-2 logarithms) and 0*log(0) is taken to be 0.
 Every function here is pure; concurrent use is safe.
@@ -38,19 +41,23 @@ import numpy as np
 PSD_DRIFT = 1e-10
 
 
-def in_range(name: str, x, lo: float, hi: float, ends: str = "[]") -> np.ndarray:
-    """``x`` as a float array, after checking that each element lies between
-    ``lo`` and ``hi``: the package's one range check on float inputs.
+def in_range(name: str, x, lo: float, hi: float, ends: str = "[]") -> float | np.ndarray:
+    """``x`` after checking that each element lies between ``lo`` and ``hi``:
+    the package's one range check on float inputs.  A float, Python's or
+    numpy's, comes back as a Python float; anything else as a float array.
 
     ``ends`` holds the interval's brackets, "[" or "(" then "]" or ")"; with
     infinite ends, "()" means finite.  NaN fails.  The error names ``name``,
     the interval and the first offending value: ``q must lie in [0, 1], got 1.5``.
     """
-    x = np.asarray(x, dtype=float)
-    v = x if x.ndim else float(x)  # 0-d: a Python float compares several times faster
+    if isinstance(x, float):
+        x = v = float(x)
+    else:
+        x = np.asarray(x, dtype=float)
+        v = x if x.ndim else float(x)  # 0-d: a Python float compares several times faster
     ok = (lo <= v if ends[0] == "[" else lo < v) & (v <= hi if ends[1] == "]" else v < hi)
-    if not (ok.all() if x.ndim else ok):
-        bad = float(x[~ok][0] if x.ndim else v)
+    if not (ok if isinstance(v, float) else ok.all()):
+        bad = v if isinstance(v, float) else float(x[~ok][0])
         raise ValueError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {bad}")
     return x
 
@@ -78,9 +85,21 @@ def spectral_entropy(eigenvalues) -> float | np.ndarray:
     return float_if_0d(0.0 - terms.sum(axis=-1))
 
 
+def pair_entropy(x: float, y: float) -> float:
+    """:func:`spectral_entropy` of the two Python floats x, y >= 0 with the
+    same bits and no array: numpy's own log2 of each positive one, 0 log 0
+    taken as 0, and the two terms summed as the array route sums them."""
+    t0 = x * float(np.log2(x)) if x > 0.0 else 0.0
+    t1 = y * float(np.log2(y)) if y > 0.0 else 0.0
+    return 0.0 - (t0 + t1)
+
+
 def binary_entropy(p) -> float | np.ndarray:
-    """Shannon entropy, in bits, of a {p, 1-p} distribution; elementwise on arrays."""
+    """Shannon entropy, in bits, of a {p, 1-p} distribution; elementwise on
+    arrays, and by :func:`pair_entropy` for a float."""
     p = in_range("p", p, 0.0, 1.0)
+    if isinstance(p, float):
+        return pair_entropy(p, 1.0 - p)
     dist = np.empty(p.shape + (2,))
     dist[..., 0] = p
     dist[..., 1] = 1.0 - p

@@ -22,11 +22,13 @@ and Renner found for BB84 (PRL 95, 080502, 2005), so the threshold is the
 q -> 1/2 limit of that crossing.  With d = 1 - 2q each rate is
 d**2 R(e) + O(d**4), and the threshold is the root of R.
 
-The two closed-form rates take an array of e, the bound functions
-broadcastable arrays of (e, q) and a scalar mu4; a scalar call is the same
-code on 0-d arrays returning a float.  The lower bound is closed form: Eve's
-states have rank-one 2x2 blocks, so every q-mixture has the 2x2 spectrum of
-:func:`threepass.qmath.eve_mixture_spectrum`.  The Holevo term of the
+The two closed-form rates take an array of e, or a float e, Python's or
+numpy's, which the same function evaluates on Python floats with numpy's own
+log2 per entropy term: the bits of the array route, returned as a float.
+The bound functions take broadcastable arrays of (e, q) and a scalar mu4; a
+scalar call is the same code on 0-d arrays returning a float.  The lower
+bound is closed form: Eve's states have rank-one 2x2 blocks, so every
+q-mixture has the 2x2 spectrum of :func:`threepass.qmath.eve_mixture_spectrum`.  The Holevo term of the
 upper bound is closed form at the default mu4 = e**2, where rho_q has a
 product spectrum and S(rho_q) = h(p+) + h(p-) (see :func:`holevo_chi`).
 Under a given mu4 the average state still has a closed-form 2x2 block
@@ -40,7 +42,7 @@ Daleckii-Krein second-order term of the 4x4 under a given mu4 (see
 :func:`holevo_chi_limit`).  :func:`bound_threshold` is one
 :func:`find_threshold` root of R.  Every threshold is a scalar root in e,
 found by Chandrupatla's bracketing method, which interpolates where it can
-and bisects where it must.
+and bisects where it must, on Python floats.
 
 A note on the upper bound: the published closed form chi(E) - [H(b|c) - H(b)]
 is the sum of a Holevo quantity and the mutual information 1 - h(...), both
@@ -80,6 +82,7 @@ from .qmath import (  # noqa: F401
     float_if_0d,
     in_range,
     maximizing_mu4,
+    pair_entropy,
     spectral_entropy,
     symmetric_2x2_eigenvalues,
     von_neumann_entropy,
@@ -111,16 +114,18 @@ def key_rate_sb1(e, announce_y: bool = False):
     """
     e = in_range("QBER", e, 0.0, 0.5)
     c_y = 1.0 if announce_y else 2.0
-    mutual = 1.0 - spectral_entropy(np.stack([e / 2.0, (1.0 - e) / 2.0], axis=-1))
-    return float_if_0d(mutual - c_y * binary_entropy(e))
+    if isinstance(e, float):
+        mutual = 1.0 - pair_entropy(e / 2.0, (1.0 - e) / 2.0)
+    else:
+        mutual = 1.0 - spectral_entropy(np.stack([e / 2.0, (1.0 - e) / 2.0], axis=-1))
+    return mutual - c_y * binary_entropy(e)
 
 
 def key_rate_sifted(e, announce_x: bool = False):
     """Sifted-key rate 1 - h(1/6 + 2e/3) - c_X h(e); c_X = 1 with X announced."""
     e = in_range("QBER", e, 0.0, 0.5)
     c_x = 1.0 if announce_x else 2.0
-    return float_if_0d(1.0 - binary_entropy(1.0 / 6.0 + 2.0 * e / 3.0)
-                       - c_x * binary_entropy(e))
+    return 1.0 - binary_entropy(1.0 / 6.0 + 2.0 * e / 3.0) - c_x * binary_entropy(e)
 
 
 def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
@@ -135,10 +140,10 @@ def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
     tol is smaller), the secant point of its ends is returned, or the end
     with the smaller |rate| should that point leave the bracket.
 
-    ``rate_fn`` takes a float and returns a scalar rate; the root is a
-    float.  It needs rate_fn(lo) > 0 > rate_fn(hi), else
-    :class:`BracketError` is raised; a tol that is not below hi - lo
-    raises ValueError.
+    The iteration runs on Python floats.  ``rate_fn`` takes a float and
+    returns a scalar rate; the root is a float.  It needs rate_fn(lo) > 0 >
+    rate_fn(hi), else :class:`BracketError` is raised; a tol that is not
+    below hi - lo raises ValueError.
     """
     in_range("tol", tol, 0.0, math.inf, "()")
     lo, hi = float(lo), float(hi)
@@ -153,37 +158,46 @@ def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
                          f"on [{lo}, {hi}]")
     # a is the newest point, b the other end of the bracket, c the end that
     # the newest point replaced; t places the next point at a + t (b - a).
-    # They are float64 scalars, so a zero or infinite difference in the
-    # interpolation gives inf or NaN under errstate rather than raising.
-    a, b, fa, fb = np.float64(lo), np.float64(hi), np.float64(f_lo), np.float64(f_hi)
+    a, b, fa, fb = lo, hi, float(f_lo), float(f_hi)
     t = 0.5
     while True:
         width = abs(b - a)
-        tol_x = max(tol, 2.0 * np.spacing(max(abs(a), abs(b))))
+        tol_x = max(tol, 2.0 * math.ulp(max(abs(a), abs(b))))
         if not (width > tol_x and fa != 0.0):
             break
         t_min = 0.5 * tol_x / width
         x = a + min(max(t, t_min), 1.0 - t_min) * (b - a)
-        fx = np.float64(rate_fn(float(x)))
+        fx = float(rate_fn(x))
         # Keep b on the far side of the root from the new point.
         if (fx > 0.0) != (fa > 0.0):
             c, fc, b, fb = b, fb, a, fa
         else:
             c, fc = a, fa
         a, fa = x, fx
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xi = (a - b) / (c - b)
-            phi = (fa - fb) / (fc - fb)
-            t_iqi = (fa / (fb - fa) * fc / (fb - fc)
-                     + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-            # NaN anywhere fails the test, so bisection takes over.
-            trusted = 1.0 - np.sqrt(1.0 - xi) < phi < np.sqrt(xi) and np.isfinite(t_iqi)
-        t = t_iqi if trusted else 0.5
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = a - fa * (b - a) / (fb - fa)
-    if not min(a, b) <= root <= max(a, b):
+        t = _interpolation_step(a, b, c, fa, fb, fc)
+    root = a - fa * (b - a) / (fb - fa)
+    if not min(a, b) <= root <= max(a, b):  # NaN too
         root = a if abs(fa) <= abs(fb) else b
-    return float(root)
+    return root
+
+
+def _interpolation_step(a: float, b: float, c: float,
+                        fa: float, fb: float, fc: float) -> float:
+    """Chandrupatla's next t: inverse quadratic interpolation through the
+    three points where his test trusts it, else 0.5 (bisection).
+
+    a lies strictly between b and c, so 0 <= xi <= 1, and b lies across
+    the root from a and c, whose rates share a sign (or fa is 0): of the
+    differences below only fc - fa can be 0, on a flat rate.  That, and NaN
+    or inf anywhere, makes the step bisect."""
+    if fc == fa:
+        return 0.5
+    xi = (a - b) / (c - b)
+    phi = (fa - fb) / (fc - fb)
+    if not 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+        return 0.5
+    t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+    return t if math.isfinite(t) else 0.5
 
 
 def _bound_inputs(e, q, mu4: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,7 +205,7 @@ def _bound_inputs(e, q, mu4: Optional[float]) -> tuple[np.ndarray, np.ndarray, n
     (..., 4) of (e, mu4) on e's shape, which check e; mu4 defaults to the
     maximizer e**2, a given mu4 is read as min(mu4, e) at each point, and a
     negative or NaN one is refused."""
-    q = in_range("q", q, 0.0, 1.0)
+    q = np.asarray(in_range("q", q, 0.0, 1.0))
     e = np.asarray(e, dtype=float)
     return e, q, bell_weights(e, maximizing_mu4(e) if mu4 is None else np.minimum(mu4, e))
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import math
 import os
@@ -558,10 +559,65 @@ def test_bad_seed_env_fails_only_simulate_without_seed(monkeypatch, capsys):
     assert err == "error: THREEPASS_SEED must be an integer, got 'abc'\n"
 
 
-def test_parser_is_built_once():
+def test_parser_is_built_once(capsys):
+    # Once per command: a command's later calls reuse its parser.
     cli.build_parser.cache_clear()
     assert main(["efficiency"]) == 0 and main(["efficiency", "--preset", "p1"]) == 0
     assert cli.build_parser.cache_info().misses == 1
+    assert main(["thresholds", "--tol", "1e-3"]) == 0 and main(["efficiency"]) == 0
+    assert main(["thresholds"]) == 0
+    assert cli.build_parser.cache_info().misses == 2
+
+
+def _subparsers(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_parser_of_one_command_helps_as_the_full_one(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = cli.build_parser(None), cli.build_parser(command)
+    assert one.format_help() == full.format_help()
+    assert _subparsers(one)[command].format_help() == _subparsers(full)[command].format_help()
+    # The other commands are registered, with their help lines, but get no arguments.
+    for name, p in _subparsers(one).items():
+        assert name == command or [a.dest for a in p._actions] == ["help"]
+
+
+_ROOT_USAGE = ("usage: threepass [-h] [--version]\n"
+               "                 {thresholds,curves,simulate,pns,efficiency} ...\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["thresholds", "extra"], "threepass: error: unrecognized arguments: extra\n"),
+    (["thresholdz"], "threepass: error: argument command: invalid choice: 'thresholdz' "
+                     "(choose from 'thresholds', 'curves', 'simulate', 'pns', 'efficiency')\n"),
+    ([], "threepass: error: the following arguments are required: command\n"),
+])
+def test_parse_errors_print_the_root_usage(monkeypatch, capsys, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _ROOT_USAGE + err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["--version"], ["-h", "thresholds"], ["thresholds", "extra"],
+    ["thresholds", "--tol"], ["curves", "--kind", "x"], ["simulate", "--help"],
+    ["pns", "--attack", "pns"], ["efficiency", "--bs", "x"], ["--", "efficiency"],
+])
+def test_parse_exits_as_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for parse in (main, cli.build_parser(None).parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outcomes.append((exc.value.code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan"])

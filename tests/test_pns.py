@@ -3,7 +3,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from conftest import at_harvested_literals
+from hypothesis import example, given, strategies as st
 
 from threepass.pns import (
     DEFAULT_IRUD_OVERLAP,
@@ -86,9 +87,10 @@ def test_transmittance_values():
 
 
 @given(
-    st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
-    st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
+    l1=st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
+    l2=st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
 )
+@at_harvested_literals(l1=50.0, l2=120.0)
 def test_transmittance_multiplicative(l1, l2):
     alpha = 0.25
     combined = transmittance(alpha, l1 + l2)
@@ -137,11 +139,14 @@ def _reference_info(attack, alpha, mu, l):
 
 
 @given(
-    st.sampled_from(["pns", "irud"]),
-    st.floats(min_value=0.1, max_value=0.4),
-    st.floats(min_value=0.01, max_value=1.0),
-    st.lists(st.floats(min_value=0.0, max_value=600.0), min_size=1, max_size=20),
+    attack=st.sampled_from(["pns", "irud"]),
+    alpha=st.floats(min_value=0.1, max_value=0.4),
+    mu=st.floats(min_value=0.01, max_value=1.0),
+    lengths=st.lists(st.floats(min_value=0.0, max_value=600.0), min_size=1, max_size=20),
 )
+# Only the lengths' range holds the harvested literals (conftest.HARVESTED).
+@example(attack="pns", alpha=0.25, mu=0.1, lengths=[1e-6, 1e-10, 1e-12])
+@example(attack="irud", alpha=0.25, mu=0.2, lengths=[1e-6, 1e-10, 1e-12])
 def test_eve_info_on_length_arrays_matches_formulas(attack, alpha, mu, lengths):
     fn = eve_info_pns if attack == "pns" else eve_info_irud
     got = fn(alpha, np.array(lengths), mu)

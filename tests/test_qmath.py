@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import at_harvested_literals
 from hypothesis import given, strategies as st
 
 from threepass.qmath import (
@@ -38,7 +39,8 @@ def test_binary_entropy_domain():
         binary_entropy(1.01)
 
 
-@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+@given(p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+@at_harvested_literals(p=0.5)
 def test_binary_entropy_symmetry(p):
     assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
 
@@ -182,9 +184,10 @@ def test_eve_state_rejects_weights_off_the_simplex():
 
 
 @given(
-    st.floats(min_value=1e-4, max_value=0.5, allow_nan=False),
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    e=st.floats(min_value=1e-4, max_value=0.5, allow_nan=False),
+    frac=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
+@at_harvested_literals(e=0.1, frac=0.5)
 def test_eve_state_is_density_matrix(e, frac):
     w = bell_weights(e, frac * e)
     for k in (0, 1):
@@ -232,7 +235,16 @@ def test_binary_entropy_takes_arrays():
     values = binary_entropy(p)
     assert values.shape == (2, 3)
     assert values.tolist() == [[binary_entropy(float(x)) for x in row] for row in p]
-    assert type(binary_entropy(0.3)) is float
+    # A float takes the scalar route: the same bits as the array route, at
+    # the ends, subnormal and tiny p, 1 less one ulp and on dense grids.
+    p = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0],
+                        np.linspace(0.0, 1.0, 20001), np.geomspace(1e-320, 1.0, 2001),
+                        1.0 - np.geomspace(1e-16, 1.0, 2001)])
+    scalar = [binary_entropy(x) for x in p.tolist()]
+    assert [x.hex() for x in binary_entropy(p).tolist()] == [x.hex() for x in scalar]
+    assert {type(x) for x in scalar} == {float}
+    assert type(binary_entropy(np.float64(0.3))) is float
+    assert binary_entropy(np.float64(0.3)) == binary_entropy(0.3)
     with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1.5$"):
         binary_entropy(np.array([0.2, 1.5]))
     with pytest.raises(ValueError):
@@ -280,10 +292,11 @@ def test_von_neumann_entropy_batched_equals_loop():
 
 
 @given(
-    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    e=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    frac=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    q=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
+@at_harvested_literals(e=0.1, frac=0.5, q=0.3)
 def test_eve_mixture_spectrum_matches_eigvalsh(e, frac, q):
     w = bell_weights(e, frac * e)
     rho = (1.0 - q) * eve_state(w, 0).matrix + q * eve_state(w, 1).matrix

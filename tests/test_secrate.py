@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from conftest import at_harvested_literals
 from hypothesis import given, strategies as st
 
 from threepass.qmath import (
@@ -146,9 +147,16 @@ def test_both_sifted_rates_negative_above_15_percent():
 @pytest.mark.parametrize("announce", [False, True])
 @pytest.mark.parametrize("fn", [key_rate_sb1, key_rate_sifted])
 def test_key_rates_take_arrays(fn, announce):
-    e = np.linspace(0.0, 0.5, 101)
-    assert fn(e, announce).tolist() == [fn(x, announce) for x in e.tolist()]
-    assert type(fn(0.1, announce)) is float
+    # A float takes the scalar route: the same bits as the array route, at
+    # the ends, subnormal and tiny e, 1/2 less one ulp and on dense grids.
+    e = np.concatenate([[0.0, 5e-324, 1e-300, 0.25, 0.5 - 2.0**-54, 0.5],
+                        np.linspace(0.0, 0.5, 20001), np.geomspace(1e-320, 0.5, 2001),
+                        0.5 - np.geomspace(1e-17, 0.5, 2001)])
+    scalar = [fn(x, announce) for x in e.tolist()]
+    assert [x.hex() for x in fn(e, announce).tolist()] == [x.hex() for x in scalar]
+    assert {type(x) for x in scalar} == {float}
+    assert type(fn(np.float64(0.1), announce)) is float
+    assert fn(np.float64(0.1), announce) == fn(0.1, announce)
     with pytest.raises(ValueError, match=r"QBER must lie in \[0, 0.5\], got 0.6"):
         fn(np.array([0.1, 0.6]), announce)
 
@@ -437,6 +445,7 @@ _MU4_CHOICES = st.sampled_from([None, 0.0, 1 / 3, 1.0])  # None, or a fraction o
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     _MU4_CHOICES,
 )
+@at_harvested_literals(e=0.1, q=0.3, mu4_frac=0.5)
 def test_bound_rates_match_4x4_reference(e, q, mu4_frac):
     mu4 = None if mu4_frac is None else mu4_frac * e
     assert lower_bound_rate(e, q, mu4) == pytest.approx(_reference_lower(e, q, mu4), abs=1e-12)
