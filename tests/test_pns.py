@@ -87,8 +87,8 @@ def test_transmittance_values():
 
 
 @given(
-    l1=st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
-    l2=st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
 )
 @at_harvested_literals(l1=50.0, l2=120.0)
 def test_transmittance_multiplicative(l1, l2):
@@ -139,10 +139,10 @@ def _reference_info(attack, alpha, mu, l):
 
 
 @given(
-    attack=st.sampled_from(["pns", "irud"]),
-    alpha=st.floats(min_value=0.1, max_value=0.4),
-    mu=st.floats(min_value=0.01, max_value=1.0),
-    lengths=st.lists(st.floats(min_value=0.0, max_value=600.0), min_size=1, max_size=20),
+    st.sampled_from(["pns", "irud"]),
+    st.floats(min_value=0.1, max_value=0.4),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.lists(st.floats(min_value=0.0, max_value=600.0), min_size=1, max_size=20),
 )
 # Only the lengths' range holds the harvested literals (conftest.HARVESTED).
 @example(attack="pns", alpha=0.25, mu=0.1, lengths=[1e-6, 1e-10, 1e-12])

@@ -39,7 +39,7 @@ def test_binary_entropy_domain():
         binary_entropy(1.01)
 
 
-@given(p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 @at_harvested_literals(p=0.5)
 def test_binary_entropy_symmetry(p):
     assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
@@ -184,8 +184,8 @@ def test_eve_state_rejects_weights_off_the_simplex():
 
 
 @given(
-    e=st.floats(min_value=1e-4, max_value=0.5, allow_nan=False),
-    frac=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.floats(min_value=1e-4, max_value=0.5, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 @at_harvested_literals(e=0.1, frac=0.5)
 def test_eve_state_is_density_matrix(e, frac):
@@ -292,9 +292,9 @@ def test_von_neumann_entropy_batched_equals_loop():
 
 
 @given(
-    e=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
-    frac=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    q=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 @at_harvested_literals(e=0.1, frac=0.5, q=0.3)
 def test_eve_mixture_spectrum_matches_eigvalsh(e, frac, q):
