@@ -501,31 +501,41 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser on its own, whose refusals main prints from the full tree."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.cache  # one parser per command, built on its first main call, not at import
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line's parser.  Every subcommand is registered with its
-    help line, but only ``command`` gets its arguments, or every subcommand
-    when ``command`` is None; an argv parses, helps and fails the same on
-    the parser of its first word as on the full one."""
+    """``command``'s parser alone, which parses and helps as its parser in the
+    full tree, or, when ``command`` is None, that tree of the root and every command."""
+    if command is not None:
+        parser = _CommandParser(prog=f"threepass {command}")
+        _, func, add_arguments = _COMMANDS[command]
+        add_arguments(parser)
+        parser.set_defaults(func=func)
+        return parser
     parser = argparse.ArgumentParser(
         prog="threepass",
         description="Three-pass single-photon QKD: simulation and key-rate analysis.",
     )
     parser.add_argument("--version", action="version", version=f"threepass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, func, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command in (None, name):
-            add_arguments(p)
-        p.set_defaults(func=func)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_line, parents=[build_parser(name)], add_help=False)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A first word that is no command (--help, --version, a typo) needs them all.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    try:
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
+    except argparse.ArgumentError:  # printed by the tree, whose root may refuse first
+        args = build_parser(None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, secrate.BracketError, OSError) as exc:

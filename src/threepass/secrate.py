@@ -142,11 +142,12 @@ def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
 
     The iteration runs on Python floats.  ``rate_fn`` takes a float and
     returns a scalar rate; the root is a float.  It needs rate_fn(lo) > 0 >
-    rate_fn(hi), else :class:`BracketError` is raised; a tol that is not
-    below hi - lo raises ValueError.
+    rate_fn(hi), else :class:`BracketError` is raised; an end that is not
+    finite, or a tol that is not below hi - lo, raises ValueError.
     """
     in_range("tol", tol, 0.0, math.inf, "()")
-    lo, hi = float(lo), float(hi)
+    lo = in_range("lo", float(lo), -math.inf, math.inf, "()")
+    hi = in_range("hi", float(hi), -math.inf, math.inf, "()")
     f_lo, f_hi = rate_fn(lo), rate_fn(hi)
     if not (f_lo > 0.0 and f_hi < 0.0):
         raise BracketError(

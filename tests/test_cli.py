@@ -578,12 +578,23 @@ def _subparsers(parser):
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_parser_of_one_command_helps_as_the_full_one(monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
-    full, one = cli.build_parser(None), cli.build_parser(command)
+    one, full = cli.build_parser(command), _subparsers(cli.build_parser(None))[command]
     assert one.format_help() == full.format_help()
-    assert _subparsers(one)[command].format_help() == _subparsers(full)[command].format_help()
-    # The other commands are registered, with their help lines, but get no arguments.
-    for name, p in _subparsers(one).items():
-        assert name == command or [a.dest for a in p._actions] == ["help"]
+    assert one.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--tol", "1e-3"], ["curves", "--kind", "sb1", "--e-step", "0.1"],
+    ["simulate", "--protocol", "p1", "--rounds", "1000"],
+    ["pns", "--attack", "pns", "--mu", "0.1"], ["efficiency", "--preset", "p1"],
+])
+def test_a_named_command_is_parsed_without_the_full_parser(monkeypatch, capsys, argv):
+    def add_parser(*args, **kwargs):
+        raise AssertionError("the full parser was built")
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    assert main(argv) == 0
 
 
 _ROOT_USAGE = ("usage: threepass [-h] [--version]\n"
@@ -609,6 +620,10 @@ def test_parse_errors_print_the_root_usage(monkeypatch, capsys, argv, err):
     ["--help"], ["--version"], ["-h", "thresholds"], ["thresholds", "extra"],
     ["thresholds", "--tol"], ["curves", "--kind", "x"], ["simulate", "--help"],
     ["pns", "--attack", "pns"], ["efficiency", "--bs", "x"], ["--", "efficiency"],
+    ["thresholds", "--tol", "1e-3", "extra"], ["thresholds", "--version"],
+    ["thresholds", "--", "x"], ["curves", "--kind", "lower", "-x"],
+    ["thresholds", "--foo", "--tol", "x"], ["simulate", "-h", "extra"],
+    ["thresholds", "--check", "--=x"],
 ])
 def test_parse_exits_as_the_full_parser(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")

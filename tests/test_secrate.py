@@ -180,6 +180,20 @@ def test_find_threshold_bracket_error():
         find_threshold(lambda e: 0.1 - e, 0.0, 0.4, tol=0.0)
 
 
+@pytest.mark.parametrize("lo,hi,err", [
+    (-math.inf, 1.0, "lo must lie in (-inf, inf), got -inf"),
+    (-math.inf, math.inf, "lo must lie in (-inf, inf), got -inf"),
+    (0.0, math.inf, "hi must lie in (-inf, inf), got inf"),
+    (math.nan, 1.0, "lo must lie in (-inf, inf), got nan"),
+    (0.0, math.nan, "hi must lie in (-inf, inf), got nan"),
+])
+def test_find_threshold_refuses_a_bracket_end_that_is_not_finite(lo, hi, err):
+    calls = []
+    with pytest.raises(ValueError) as exc:
+        find_threshold(lambda e: calls.append(e) or -e, lo, hi)
+    assert str(exc.value) == err and calls == []
+
+
 def test_lower_bound_rate_zero_at_half():
     for e in (0.01, 0.1, 0.3):
         assert lower_bound_rate(e, 0.5) == pytest.approx(0.0, abs=1e-12)
