@@ -27,19 +27,21 @@ the histogram of their (s_a, y, r1, r2) codes, so :func:`run_simulation`
 samples that histogram at the level of counts, never round by round: the
 conditional-binomial method for multinomials (Davis, CSDA 16, 1993).  Its
 state is the number of rounds at each node of the protocol tree, and each
-random step of a round splits a node's count by an exact binomial.  Alice's
-and Bob's choices, Eve's basis and result, and every measurement outside the
-qubit's basis are halvings, Binomial(m, 1/2); the channel flips
-Binomial(m, e) rounds.  A halving of at most :data:`_POPCOUNT_MAX` (T)
-rounds is the popcount of m fresh random bits.  A larger halving, and each
-transmission's flip counts above T whose mode floor((m + 1) e) is at least
-8, are drawn in one call by rejection from a geometric envelope around the
-mode (:func:`_binomial_by_rejection`), in O(1) expected words: a float
-log-ratio built from log1p terms decides each proposal unless it lies within
-a proven error margin of the uniform, and there exact integers or decimal
-intervals decide (:func:`_accept_certified`).  The other flip counts compare
-each round's uniform with the binary digits of e (Knuth and Yao, 1976), one
-halving per digit, so P(flip) = e exactly.  No float probability decides an
+level of the tree appends one bit to every node.  A node's rounds carry the
+same qubit and measure it in the same basis, so the count read as the other
+bit is one exact Binomial(m, p), at one p per node (:func:`_chances`): 1/2
+for Alice's and Bob's choices and a measurement outside the qubit's basis,
+and e in it, or (e + 1/2)/2 under intercept-resend.  So a run is six
+levels, each one :func:`_binomial` call on every node, p an exact dyadic.  A
+count whose mode floor((m + 1) p) is at least 8 is drawn by rejection from a
+geometric envelope around the mode (:func:`_binomial_by_rejection`), in O(1)
+expected words: a float log-ratio built from log1p terms decides each
+proposal unless it lies within a proven error margin of the uniform, and
+there exact integers or decimal intervals decide (:func:`_accept_certified`).
+Any other count compares each round's uniform with the binary digits of p
+(Knuth and Yao, 1976), one halving per digit, so P(other bit) = p exactly; a
+halving of at most :data:`_POPCOUNT_MAX` (T) rounds is the popcount of m
+fresh random bits (:func:`_halves`).  No float probability decides an
 outcome, and a zero count draws nothing.  So a run draws a few thousand
 words, and its cost and memory do not grow with the round count, up to
 2**63 - 1.
@@ -201,14 +203,14 @@ class SimulationReport:
         return "\n".join(lines)
 
 
-#: Counts of at most this many rounds are halved by popcount, ceil(m / 64)
+#: Digit-chain halvings of at most this many rounds are popcounts, ceil(m / 64)
 #: words each; larger ones by rejection (:func:`_binomial_by_rejection`).  So a
 #: halving draws at most _POPCOUNT_MAX / 64 words per count.
 _POPCOUNT_MAX = 2**12
 
-#: The least mode floor((m + 1) e) of a count above :data:`_POPCOUNT_MAX` that
-#: the channel's flips draw by rejection; below it the envelope's bound is not
-#: proven, and :func:`_binomial` compares digits.
+#: The least mode floor((m + 1) p) of a count that :func:`_binomial` draws by
+#: rejection, whatever its size; below it the envelope's bound is not proven,
+#: and it compares digits.
 _MODE_MIN = 8
 
 #: Proposals drawn for each count in the first batch of the rejection
@@ -271,7 +273,7 @@ def _dyadic(p: float) -> tuple[int, int]:
     return a, scale - a
 
 
-def _width(m: np.ndarray, p: float) -> np.ndarray:
+def _width(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The envelope's block width for Binomial(m, p): the smallest power of
     two w with w*w > 0.6932 * 4mpq, which exceeds 4mpq ln 2 by far more than
     float rounding.  0.6932 * 4mpq < 2**e for e its frexp exponent, and
@@ -279,13 +281,13 @@ def _width(m: np.ndarray, p: float) -> np.ndarray:
     return np.int64(1) << (np.frexp(0.6932 * 4 * p * (1 - p) * m)[1] + 1) // 2
 
 
-def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
-    """Binomial(m, p) for each count m > :data:`_POPCOUNT_MAX`, exactly, for a
-    float p <= 1/2 at which every count's mode M = floor((m + 1) p) is at
-    least :data:`_MODE_MIN`: by rejection from a geometric envelope around the
-    mode (Bringmann, Kuhn, Panagiotou, Peter and Thomas, ICALP 2014, section
-    3, there at p = 1/2; Kachitvichyanukul and Schmeiser, CACM 31(2), 1988,
-    for rejection around the mode at a general p).
+def _binomial_by_rejection(m: np.ndarray, p, raw) -> np.ndarray:
+    """Binomial(m, p) for each count m, exactly, for p <= 1/2 one float or a
+    list of one exact (a, b) (:func:`_dyadic`) per count, at which every
+    count's mode M = floor((m + 1) p) is at least :data:`_MODE_MIN`: by
+    rejection from a geometric envelope around the mode (Bringmann, Kuhn,
+    Panagiotou, Peter and Thomas, ICALP 2014, section 3, there at p = 1/2;
+    Kachitvichyanukul and Schmeiser, CACM 31(2), 1988, at a general p).
 
     Let q = 1 - p and f(k) = C(m, k) p**k q**(m - k).  M is computed in
     integers from p = a / 2**L, since m a overflows int64, and w is the
@@ -298,7 +300,7 @@ def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
     proposed with probability 2**-(K+2) / w.  A uniform U, the next word and
     as many more as a decision needs, accepts k when U < 2**K f(k)/f(M), so k
     is kept with probability f(k)/(4 w f(M)): exactly the law of
-    Binomial(m, p).  About 1/5 to 3/8 of the proposals are accepted, as
+    Binomial(m, p).  About 1/5 to 2/5 of the proposals are accepted, as
     w*w/(mpq) varies.  At p = 1/2, M is ceil(m / 2) and w*w > 0.6932 m.
 
     The envelope holds: 2**K f(k) <= f(M) on block K.  M is a mode, which
@@ -314,9 +316,10 @@ def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
         ln(f(M +- w)/f(M)) <= -w(w - 1)/(2npq) + w**3/(6 (np)**2)
                             = -(A/2)(1 - 1/w) + A**1.5 q**1.5/(6 sqrt(np)).
 
-    Here 2.772 < A < 11.1 (w is the smallest such power of two, and
-    m > 4096), w >= 4 and np >= M >= 8.  The right side is convex in A, and
-    at both ends it is at most -0.76 < ln(1/2) (-0.77 and -1.98).
+    Here 2.599 < A < 11.1: w is the smallest such power of two, and m >= 15
+    (as M >= 8 and p <= 1/2), so m/n >= 15/16 and A > 2.7728 * 15/16.  Also
+    np >= M >= 8, so 4mpq >= 15 and w >= 4.  The right side is convex in A,
+    and at both ends it is at most -0.72 < ln(1/2) (-0.728 and -1.98).
 
     A batch draws the proposals of every count still unsampled, as two
     (counts, proposals) blocks of words: the proposals, then their uniforms.
@@ -326,13 +329,13 @@ def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
     holds :data:`_PROPOSALS` per count, and each later one, for the few
     counts left, four times as many.
     """
-    a, b = _dyadic(p)
+    pairs = [_dyadic(p)] * m.size if isinstance(p, float) else p
     sizes = m.tolist()
-    modes = [(m + 1) * a // (a + b) for m in sizes]
+    modes = [(n + 1) * a // (a + b) for n, (a, b) in zip(sizes, pairs)]
     mode = np.array(modes, dtype=np.int64)
     # (m - M)p / (Mq) = 1 + tilt, for (m - M) a - M b = m a - M (a + b) exactly.
-    tilt = np.array([(m * a - k * (a + b)) / (k * b) for m, k in zip(sizes, modes)])
-    w = _width(m, p)
+    tilt = np.array([(n * a - k * (a + b)) / (k * b) for n, k, (a, b) in zip(sizes, modes, pairs)])
+    w = _width(m, np.array([a / (a + b) for a, b in pairs]))
     out = np.empty_like(m)
     live = np.arange(m.size)
     proposals = _PROPOSALS
@@ -356,8 +359,9 @@ def _binomial_by_rejection(m: np.ndarray, p: float, raw) -> np.ndarray:
         while (status[rows, first] < 0).any():
             for r in np.flatnonzero(status[rows, first] < 0).tolist():
                 f, i = first[r], live[r]
-                status[r, f] = _accept_certified(sizes[i], a, b, modes[i], modes[i] + int(y[r, f]),
-                                                 int(block[r, f]), int(words[1, r, f]), raw)
+                status[r, f] = _accept_certified(sizes[i], *pairs[i], modes[i],
+                                                 modes[i] + int(y[r, f]), int(block[r, f]),
+                                                 int(words[1, r, f]), raw)
             first = (status != 0).argmax(axis=1)
         done = status[rows, first] == 1
         out[live[done]] = mode[live[done]] + y[done, first[done]]
@@ -490,13 +494,13 @@ def _accept_by_interval(m, a, b, mode, k, block, uniform: _Uniform):
             (x_g, r_g), (x_mode, r_mode), (x_k, r_k), (x_b, r_b) = (
                 _ln_factorial(n) for n in (m - mode, mode, k, m - k))
             ln_a = (block * ln2 + x_g + x_mode - x_k - x_b
-                    + (k - mode) * (Decimal(a).ln() - Decimal(b).ln()))
+                    + (k - mode) * (Decimal(a) / Decimal(b)).ln())
             while True:
                 # Every operation rounds by at most one unit in the digits'
                 # last place of a magnitude below 256 m + bits, and there are
-                # fewer than 200 of them; ln a and ln b, times |k - M| <= m,
-                # count as such, as a < 2**53 and b < 2**117 for any p at
-                # which some m has a mode of at least 1.
+                # fewer than 200 of them; ln(a/b), times |k - M| <= m,
+                # counts as such, as 2**-63 <= p <= a/b <= 1 for any p <= 1/2
+                # at which some m has a mode of at least 1.
                 slack = 200 * (256 * m + uniform.bits) * Decimal(10) ** (1 - digits)
                 radius = r_g + r_mode + r_k + r_b + slack
                 ln_hi = Decimal(uniform.u + 1).ln() - uniform.bits * ln2
@@ -512,91 +516,87 @@ def _accept_by_interval(m, a, b, mode, k, block, uniform: _Uniform):
     return None
 
 
-def _binomial(m: np.ndarray, p: float, raw) -> np.ndarray:
-    """Elementwise Binomial(m, p) for a float p = 0.d1d2... in [0, 1/2].
+def _binomial(m: np.ndarray, p, raw) -> np.ndarray:
+    """Elementwise Binomial(m, p) for dyadic p = 0.d1d2...dL in [0, 1/2], one
+    float or a list of one exact (a, b) (:func:`_dyadic`) per count.
 
-    A count above :data:`_POPCOUNT_MAX` whose mode floor((m + 1) p) is at
-    least :data:`_MODE_MIN` is drawn by :func:`_binomial_by_rejection`, all
-    in one call.  Each of the m rounds of every other count compares a
-    uniform U = 0.u1u2... with p digit by digit, and counts only are kept: at
-    each digit the rounds still equal to p draw their next bit by
+    A count whose mode floor((m + 1) p) is at least :data:`_MODE_MIN` is
+    drawn by :func:`_binomial_by_rejection`, all in one call, whatever its
+    size.  Each of the m rounds of every other count compares a uniform U =
+    0.u1u2... with its p digit by digit, and counts only are kept: at each
+    digit the rounds still equal to their p draw their next bit by
     :func:`_halves`.  Under a 1-digit the 0-bits fall below p; under a
     0-digit the 1-bits rise above it.  The rounds below p, which have
-    probability p exactly, are counted.  The comparison stops after p's last
-    1-digit (U = p then has probability 0), or earlier once no round is
-    still equal, so it draws nothing when every count is drawn by rejection;
-    p = 0 draws nothing.
+    probability p exactly, are counted.  A count's comparison stops after its
+    p's last 1-digit (U = p then has probability 0), and the chain stops once
+    no round is still equal, so it draws nothing when every count is drawn by
+    rejection; p = 0 draws nothing.
     """
-    below = np.zeros_like(m)
-    if not p:
-        return below
-    a, b = _dyadic(p)
-    # floor((m + 1) a / (a + b)) >= _MODE_MIN just when m + 1 >= ceil(_MODE_MIN (a + b) / a).
-    large = m >= max(_POPCOUNT_MAX + 1, -(-_MODE_MIN * (a + b) // a) - 1)
-    equal = np.where(large, 0, m)
-    for d in format(a, f"0{(a + b).bit_length() - 1}b"):  # the L digits of p = a / 2**L
+    pairs = [_dyadic(p)] * m.size if isinstance(p, float) else p
+    flat = m.ravel()
+    large = np.array([(n + 1) * a // (a + b) >= _MODE_MIN
+                      for n, (a, b) in zip(flat.tolist(), pairs)], dtype=bool)
+    below = np.zeros_like(flat)
+    equal = np.where(large, 0, flat)
+    # The L digits of each p = a / 2**L: 2**L + a in binary, its leading 1 cut.
+    digits = [format(a + b | a, "b")[1:] for a, b in pairs]
+    ends = np.array([len(d) for d in digits])
+    for i in range(max(ends, default=0)):
+        equal[ends <= i] = 0
         if not equal.any():
             break
         ones = _halves(equal, raw)
-        if d == "1":
-            below += equal - ones
-            equal = ones
-        else:
-            equal = equal - ones
+        one = np.array([d[i:i + 1] == "1" for d in digits])
+        below += np.where(one, equal - ones, 0)
+        equal = np.where(one, ones, equal - ones)
     if large.any():
-        below[large] = _binomial_by_rejection(m[large], p, raw)
-    return below
+        below[large] = _binomial_by_rejection(
+            flat[large], [pair for pair, sampled in zip(pairs, large) if sampled], raw)
+    return below.reshape(m.shape)
 
 
-def _split(counts: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """The counts with a new last axis: (counts - ones, ones)."""
-    return np.stack([counts - ones, ones], axis=-1)
+def _chances(e: float, eve: bool) -> tuple:
+    """The exact (a, b) (:func:`_dyadic`) of the chance that a qubit is read
+    as the other bit: 1/2 measured in the other basis, and e in its own, or
+    (e + 1/2)/2 under intercept-resend: Eve's basis is the qubit's half the
+    time, and she passes the flip on; else her resent qubit is in the other
+    basis, and the bit is uniform."""
+    a, b = _dyadic(e)
+    if eve:  # (a/(a + b) + 1/2)/2 = (3a + b) / (4(a + b)), in lowest terms
+        g = math.gcd(3 * a + b, 4 * (a + b))
+        a, b = (3 * a + b) // g, (a + 3 * b) // g
+    return (1, 1), (a, b)
 
 
-def _measure(flight: np.ndarray, basis: np.ndarray, halves) -> np.ndarray:
-    """[N, 2]: node i's rounds by the bit measured in ``basis[i]``, from
-    ``flight[i, b, bit]``, its rounds whose qubit is in that basis and bit.
-
-    A qubit in the measured basis gives its bit; one in the other basis a
-    uniform bit, split by ``halves``."""
-    rows = np.arange(len(flight))
-    mixed = flight[rows, 1 - basis].sum(axis=1)
-    return flight[rows, basis] + _split(mixed, halves(mixed))
-
-
-def _walk(total: np.ndarray, halves, flips, eve: bool) -> np.ndarray:
+def _walk(total: np.ndarray, part, e: float, eve: bool) -> np.ndarray:
     """Split ``total``, a one-element array, down the protocol tree; return
     the [256] part of it at each round code.
 
-    ``halves(x)`` gives the part of each x whose uniform bit is 1, and
-    ``flips(x)`` the part the channel flips.  The state is the part of
-    ``total`` at each node: three halvings split it into the 8 (basis_a,
-    bits_a, basis_b) classes, and each pass appends its measured bit to the
-    node, so the nodes after the third pass are the 64 patterns of
-    :data:`_PATTERN_CODES`.
+    Each level appends one bit to every node: three uniform bits split
+    ``total`` into the 8 (basis_a, bits_a, basis_b) classes, and each pass
+    the bit measured, so the nodes after the third pass are the 64 patterns
+    of :data:`_PATTERN_CODES`.  A node's rounds send one qubit and measure
+    it in one basis, so ``part(x, p)`` splits each node x[i] by one binomial:
+    the part read as the other bit at p[i] = (a, b) (:func:`_chances`), 1/2
+    in the other basis, and e in the qubit's own, or (e + 1/2)/2 under
+    intercept-resend.
     """
+    chances = _chances(e, eve)
 
     def send(counts, basis, bit, meas_basis):
         """Send node i's rounds as the qubit (basis[i], bit[i]), measure them
         in meas_basis[i], and return the nodes extended by the result."""
-        # flight[i, b, bit]: node i's rounds whose qubit is in basis b and bit.
-        flight = np.zeros((counts.size, 2, 2), dtype=counts.dtype)
-        flight[np.arange(counts.size), basis, bit] = counts
-        # The channel moves the flipped rounds to the orthogonal bit.
-        flipped = flips(flight)
-        flight += flipped[..., ::-1] - flipped
-        if eve:
-            # Eve measures in a uniform basis, X for the halving's ones, and
-            # resends her result in her basis.
-            by_basis = np.moveaxis(_split(flight, halves(flight)), -1, 0)
-            results = _measure(by_basis.reshape(-1, 2, 2), np.repeat([0, 1], counts.size), halves)
-            flight = results.reshape(2, -1, 2).swapaxes(0, 1)
-        return _measure(flight, meas_basis, halves).ravel()
+        same = np.broadcast_to(basis == meas_basis, counts.shape)
+        other = part(counts, [chances[s] for s in same.tolist()])
+        # Each part is placed as drawn, never as the rest of the other.
+        kept = counts - other
+        return np.stack([np.where(bit, other, kept), np.where(bit, kept, other)], axis=-1).ravel()
 
-    # Node c = basis_a << 2 | bits_a << 1 | basis_b, each bit a halving.
+    # Node c = basis_a << 2 | bits_a << 1 | basis_b, each bit a uniform one:
+    # a 1 sent in Z and read in X.
     counts = total
     for _ in range(3):
-        counts = _split(counts, halves(counts)).ravel()
+        counts = send(counts, 0, 1, 1)
     # Alice's qubit, which Bob measures in his basis: y.
     basis_a, bits_a, basis_b = _node_bits(3)
     counts = send(counts, basis_a, bits_a, basis_b)
@@ -618,19 +618,18 @@ def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
 
     The rounds are exchangeable and only their histogram is kept, so they are
     never drawn one at a time: :func:`_walk` splits the count at each node by
-    exact binomials, :func:`_halves` and :func:`_binomial`.
+    one exact binomial, :func:`_binomial`.
     """
-    e = config.channel_qber
-    return _walk(np.array([config.n_rounds], dtype=np.int64), lambda m: _halves(m, raw),
-                 lambda m: _binomial(m, e, raw), config.eve is Eavesdropper.INTERCEPT_RESEND)
+    return _walk(np.array([config.n_rounds], dtype=np.int64), lambda m, p: _binomial(m, p, raw),
+                 config.channel_qber, config.eve is Eavesdropper.INTERCEPT_RESEND)
 
 
 def code_distribution(e: float, eve: bool) -> np.ndarray:
     """float64[256]: the probability of each round code at channel QBER e,
     with or without the intercept-resend eavesdropper.  It is the kernel's
-    walk down the protocol tree on probability 1: a halving takes half of a
-    node and the channel flips e of it."""
-    return _walk(np.ones(1), lambda p: p / 2, lambda p: p * e, eve)
+    walk down the protocol tree on probability 1, a node's part read as the
+    other bit the node times the float nearest its exact p."""
+    return _walk(np.ones(1), lambda x, p: x * np.array([a / (a + b) for a, b in p]), e, eve)
 
 
 def _published_branches() -> tuple:

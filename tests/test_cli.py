@@ -706,6 +706,28 @@ def test_simulate_outputs_match_golden_files(tmp_path, capsys, name, argv):
         assert hist.read_bytes() == expected.read()
 
 
+@pytest.mark.parametrize("name", ["p1_noiseless", "p2_qber0.03_eve", "p1_qber0.1_eve",
+                                  "p2_qber0.2"])
+def test_golden_histograms_fit_their_expected_counts(name):
+    # Each frozen histogram is a fair draw: Pearson's chi-square of its
+    # observed counts against its exact expected ones, the rows expected
+    # fewer than 5 times pooled, stays below the quantile at normal score
+    # 3.72 (upper tail 1e-4, by Wilson-Hilferty).
+    with open(os.path.join(_GOLDEN, name + ".csv")) as f:
+        rows = [line.split(",") for line in f.read().splitlines() if line[0] != "#"][1:]
+    expected = [float(row[5]) for row in rows]
+    observed = [int(row[6]) for row in rows]
+    assert sum(observed) == round(sum(expected))
+    cells = [(o, x) for o, x in zip(observed, expected) if x >= 5]
+    rare = [(o, x) for o, x in zip(observed, expected) if x < 5]
+    if sum(x for _, x in rare):
+        cells.append((sum(o for o, _ in rare), sum(x for _, x in rare)))
+    chi_square = sum((o - x) ** 2 / x for o, x in cells)
+    dof = len(cells) - 1
+    a = 2 / (9 * dof)
+    assert chi_square <= dof * (1 - a + 3.72 * a ** 0.5) ** 3
+
+
 @pytest.mark.parametrize("name,argv", [
     ("curves_upper.csv", ["curves", "--kind", "upper"]),
     ("curves_lower.csv", ["curves", "--kind", "lower"]),

@@ -202,8 +202,8 @@ def test_config_validation():
 FROZEN_CONFIG = SimulationConfig(protocol=ProtocolId.P2, n_rounds=30_000, channel_qber=0.05,
                                  eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=2212)
 FROZEN_BRANCH_COUNTS = (
-    1472, 493, 467, 668, 460, 476, 644, 1420, 475, 469, 708, 452, 467, 684,
-    1478, 462, 439, 675, 442, 473, 666, 1500, 472, 481, 693, 454, 479, 674,
+    1398, 448, 461, 690, 472, 459, 708, 1391, 521, 458, 661, 474, 446, 644,
+    1438, 470, 507, 696, 476, 496, 693, 1382, 435, 461, 640, 472, 487, 706,
 )
 
 
@@ -320,11 +320,15 @@ def test_halves_count_elementwise():
     assert stub.draws == []
 
 
-def test_class_sizes_halve_on_the_first_m_bits():
-    # The kernel's first three halvings split the rounds into the 8
+def test_class_sizes_halve_on_the_first_m_bits(monkeypatch):
+    # The kernel's first three levels split the rounds into the 8
     # (basis_a, bits_a, basis_b) classes, level by level, 0-child first.
     # At e = 0 without Eve the words after them only measure, so each class
-    # is the sum of its 8 patterns.
+    # is the sum of its 8 patterns.  With no mode large enough for the
+    # sampler, every level is one halving of the digit chain at p = 1/2, and
+    # a class bit is 1 on the halving's 1-bits.
+    monkeypatch.setattr(protocol, "_MODE_MIN", math.inf)
+
     def class_sizes(n, words):
         stub = _StubBits(words + [0] * 16)
         config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n)
@@ -366,9 +370,16 @@ def test_halves_popcount_masks_each_last_word(piece):
     assert stub.draws == [used] == [words.size]
 
 
+@pytest.fixture
+def chain_only(monkeypatch):
+    """Send no count to the rejection sampler: every count, whatever its
+    mode, compares digits."""
+    monkeypatch.setattr(protocol, "_MODE_MIN", math.inf)
+
+
 @pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8),
                                Fraction(5, 16), Fraction(21, 64), Fraction(1, 64)])
-def test_binomial_compares_digits_exactly(e):
+def test_binomial_compares_digits_exactly(chain_only, e):
     # Words that split the rounds still equal to e in half at each digit:
     # exactly 64 * e of 64 rounds then fall below e, and one word is drawn
     # per digit of e.
@@ -378,7 +389,7 @@ def test_binomial_compares_digits_exactly(e):
     assert stub.used == k
 
 
-def test_binomial_hand_worked_digits():
+def test_binomial_hand_worked_digits(chain_only):
     # e = 5/8 = 0.101 over counts (3, 0, 70); the zero count draws nothing.
     # Digit 1: ones 2 of 3 and 64 + 2 of 70, so (1, 0, 4) fall below e and
     #   (2, 0, 66) stay equal.
@@ -397,7 +408,7 @@ def test_binomial_hand_worked_digits():
     assert stub.draws == [3]
 
 
-def test_binomial_stops_when_no_count_is_equal():
+def test_binomial_stops_when_no_count_is_equal(chain_only):
     # e = 1/4 = 0.01: a first digit of 1 puts U above e for every round.
     stub = _StubBits([_ONES, 0])
     assert protocol._binomial(np.array([64]), 0.25, stub.random_raw).tolist() == [0]
@@ -411,25 +422,40 @@ def test_binomial_stops_when_no_count_is_equal():
     assert stub.used == 2 + 5
 
 
-@pytest.mark.parametrize("e,halvings", [(0.0, 6), (0.5, 9), (0.25, 12)])
-def test_kernel_draws_one_word_per_digit_of_e(e, halvings):
-    # All words are 0 but the third class halving's, which are all ones: the
-    # 250 rounds all land in class (Z, 0, X).  Each transmission flips all of
-    # them at e's last digit, one halving per digit of e (none at e = 0), and
-    # every measurement meets a qubit in the other basis: Bob's y in X,
-    # Alice's r1 in Z and, as r1 = 0 returns her own bit, her r2 in X.  So the
-    # three class halvings, the three measurements and the flips are all
-    # that is drawn, 4 words each.  Eve adds her basis halving on each pass
-    # and, on the second, where the qubit is in X, her result; Alice then
-    # measures Eve's Z qubit in Z and draws nothing for r1.
-    n = 250
-    pattern = 0b001000  # basis_b = X, y = r1 = r2 = 0
-    for eve, eve_halvings in ((Eavesdropper.NONE, 0), (Eavesdropper.INTERCEPT_RESEND, 3)):
-        config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=e, eve=eve)
-        stub = _StubBits([0] * 8 + [_ONES] * 4 + [0] * 64)
-        counts = protocol._code_counts(config, stub.random_raw)
-        assert counts[protocol._PATTERN_CODES[pattern]] == counts.sum() == n
-        assert stub.used == (halvings + eve_halvings) * 4
+def test_binomial_compares_each_count_with_its_own_digits(chain_only):
+    # p = 1/2 = 0.1 and 3/8 = 0.011 on two counts of 64 rounds, as exact
+    # (a, b) pairs, with words that split the rounds still equal in half.
+    # The first count stops after its one digit: 32 fall below 1/2.  The
+    # second draws alone from then on: 64 * 0.011 (binary) = 24 fall below.
+    stub = _StubBits([_ALTERNATE] * 4)
+    got = protocol._binomial(np.array([64, 64]), [(1, 1), (3, 5)], stub.random_raw)
+    assert got.tolist() == [32, 24]
+    assert stub.draws == [2, 1, 1]
+
+
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("e,digits,eve_digits", [(0.0, 0, 2), (0.5, 1, 1), (0.25, 2, 3),
+                                                 (0.375, 3, 4)])
+def test_kernel_draws_one_word_per_digit_of_e(e, digits, eve_digits, eve):
+    # 14 rounds, too few for the sampler (their mode at p = 1/2 is 7), so
+    # each level compares digits, one word per digit for the one nonempty
+    # node.  All-ones class words keep every round at bit 1 of its halving:
+    # class (X, 1, X).  Then every pass measures a qubit in its own basis and
+    # draws one word per digit of the chance that it reads the other bit: e,
+    # or (e + 1/2)/2 under intercept-resend (1/4, 1/2, 3/8 and 7/16 here).
+    # Words that are 0 under a 0-digit and all ones under a 1-digit keep
+    # every round equal to that chance to its last digit, so none is read as
+    # the other bit, and no other word is drawn.
+    n, pattern = 14, 0b111111  # basis_a = bits_a = basis_b = X, y = r1 = r2 = 1
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=e,
+                              eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
+    a, b = protocol._chances(e, eve)[1]
+    chance = [_ONES if d == "1" else 0 for d in format(a + b | a, "b")[1:]]
+    assert len(chance) == (eve_digits if eve else digits)
+    stub = _StubBits([_ONES] * 3 + chance * 3)
+    counts = protocol._code_counts(config, stub.random_raw)
+    assert counts[protocol._PATTERN_CODES[pattern]] == counts.sum() == n
+    assert stub.used == 3 + 3 * len(chance)
 
 
 @pytest.mark.parametrize("eve", [False, True])
@@ -446,30 +472,36 @@ def test_kernel_counts_stay_on_the_exact_support(n, eve):
         assert counts[~support].sum() == 0
 
 
-@pytest.mark.parametrize("pid,eve,most", [(ProtocolId.P1, Eavesdropper.NONE, 22),
-                                          (ProtocolId.P2, Eavesdropper.INTERCEPT_RESEND, 12)])
-def test_flips_keep_the_halvings_few(monkeypatch, pid, eve, most):
-    # At 10**7 rounds and e = 0.03 each transmission draws every flip count
-    # above T by one rejection call.  The digit chain, up to 55 halvings per
-    # transmission, made 77 (p1) and 84 (p2 with intercept-resend) of these
-    # runs' _halves calls; the bounds are the calls the rejection sampler's
-    # runs make: the 6 or 12 class, measurement and Eve halvings, and for p1
-    # the chain on its third pass's nodes of at most T rounds.
-    calls = []
-    halves = protocol._halves
-    monkeypatch.setattr(protocol, "_halves", lambda m, raw: calls.append(1) or halves(m, raw))
+@pytest.mark.parametrize("pid,eve", [(ProtocolId.P1, Eavesdropper.NONE),
+                                     (ProtocolId.P2, Eavesdropper.INTERCEPT_RESEND)])
+def test_flips_keep_the_halvings_few(monkeypatch, pid, eve):
+    # One _binomial call per level, with or without Eve: three class levels
+    # and one per pass.  At 10**7 rounds and e = 0.03 every nonempty node has
+    # a mode of at least 8 at its chance, so each level draws by at most one
+    # rejection call, and the digit chain draws nothing.
+    calls = {"_binomial": 0, "_binomial_by_rejection": 0, "_halves": 0}
+    for name in calls:
+        original = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda *a, name=name, original=original:
+                            calls.__setitem__(name, calls[name] + 1) or original(*a))
     config = SimulationConfig(protocol=pid, n_rounds=10**7, channel_qber=0.03, eve=eve)
     counts = protocol._code_counts(config, protocol._word_source(0))
     assert counts.sum() == 10**7
-    assert len(calls) <= most
+    assert calls["_binomial"] == 6
+    assert calls["_binomial_by_rejection"] <= 6
+    assert calls["_halves"] == 0
 
 
 def test_simulation_frozen_outputs():
     report = run_simulation(FROZEN_CONFIG)
     assert report.branch_counts == FROZEN_BRANCH_COUNTS
-    assert report.other_count == 11_257
-    assert report.sifted_count == 27_552
-    assert report.error_count == 9_637
+    assert report.other_count == 11_410
+    assert report.sifted_count == 27_408
+    assert report.error_count == 9_666
+    # The frozen draw is a fair one: its whole histogram fits the exact law.
+    counts = protocol._code_counts(FROZEN_CONFIG, protocol._word_source(FROZEN_CONFIG.rng_seed))
+    assert tuple(counts[protocol.BRANCH_CODES].tolist()) == FROZEN_BRANCH_COUNTS
+    _fits_oracle(counts, Fraction(FROZEN_CONFIG.channel_qber), True)
 
 
 @pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18, 1 << 22, 1 << 62])
@@ -536,6 +568,22 @@ def test_code_distribution_matches_oracle(e, eve):
     assert got.shape == (256,) and got.dtype == np.float64
     assert np.abs(got - expected).max() <= 1e-15
     assert abs(got.sum() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("eve", [False, True])
+@pytest.mark.parametrize("e", [1e-9, 2.0**-40, 0.03])
+def test_code_distribution_is_relatively_accurate_at_small_qbers(e, eve):
+    # Every code's probability to 1e-13 of itself, however small: at e =
+    # 1e-9 a code three flips deep has probability about 1e-29, which an
+    # absolute band cannot see.  The part read as the other bit is its
+    # node times p, never the node less the rest.
+    got = protocol.code_distribution(e, eve)
+    expected = np.zeros(256)
+    for key, p in oracle_stats(e=Fraction(e), eve=eve).histogram.items():
+        expected[_code(key)] = float(p)
+    assert (got[expected == 0] == 0).all()
+    support = expected > 0
+    assert np.abs(got[support] / expected[support] - 1).max() <= 1e-13
 
 
 def _binomial_fit(draws: np.ndarray, m: int, p: float, bins: int) -> None:
@@ -607,20 +655,37 @@ _T = protocol._POPCOUNT_MAX
 _FLIP_CASES = [(e, m) for e in (0.03, 0.2, 2.0**-10) for m in (_T + 1, _T + 2, 10**9 + 7)]
 
 
-@pytest.mark.parametrize("e,least", [(2.0**-10, 8_191), (2.0**-9, _T + 1), (0.03, _T + 1),
-                                     (0.5, _T + 1)])
+@pytest.mark.parametrize("e,least", [(2.0**-10, 8_191), (2.0**-9, 4_095), (0.03, 266),
+                                     (0.5, 15)])
 def test_binomial_samples_large_modes_by_rejection(monkeypatch, e, least):
-    # Counts above T whose mode floor((m + 1) e) is at least _MODE_MIN = 8
-    # go to the sampler at p = e, in one call; the rest keep the digit chain,
-    # whose halvings above T call it at p = 1/2.
+    # Counts whose mode floor((m + 1) e) is at least _MODE_MIN = 8 go to the
+    # sampler at p = e, in one call, whatever their size; the rest keep the
+    # digit chain, whose halvings above T call it at p = 1/2.
     calls = []
     monkeypatch.setattr(protocol, "_binomial_by_rejection",
                         lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
+    pair = protocol._dyadic(e)
+    assert (least + 1) * pair[0] // sum(pair) == 8 > least * pair[0] // sum(pair)
     m = np.array([[least - 1, least], [0, 10**12]])
     got = protocol._binomial(m, e, protocol._word_source(1))
-    assert [call for call in calls if call[1] == e] == [([least, 10**12], e)]
+    assert [call for call in calls if call[1] != 0.5] == [([least, 10**12], [pair, pair])]
     assert got[0, 1] == least // 2 and got[1, 1] == 10**12 // 2 and got[1, 0] == 0
     assert 0 <= got[0, 0] <= least - 1
+
+
+def test_binomial_routes_each_count_by_its_own_mode(monkeypatch):
+    # Per-count chances: 15 rounds at 1/2 and 30 at Eve's (0.03 + 1/2)/2 have
+    # a mode of 8 and go to the sampler together; 14 at 1/2 and 10**6 at
+    # 2**-20 have modes 7 and 0 and keep the chain, whose halvings above T
+    # call the sampler at p = 1/2.
+    calls = []
+    monkeypatch.setattr(protocol, "_binomial_by_rejection",
+                        lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
+    half, eve = protocol._chances(0.03, True)
+    tiny = protocol._dyadic(2.0**-20)
+    m = np.array([14, 15, 30, 10**6])
+    protocol._binomial(m, [half, half, eve, tiny], protocol._word_source(1))
+    assert [call for call in calls if call[1] != 0.5] == [([15, 30], [half, eve])]
 
 
 @pytest.mark.parametrize("e,m", _FLIP_CASES + [(2.0**-10, 8_191)])
@@ -628,6 +693,17 @@ def test_binomial_fits_law_at_qbers(e, m):
     draws = protocol._binomial(np.full(20_000, m, dtype=np.int64), e,
                                protocol._word_source(m))
     _binomial_fit(draws, m, e, 20)
+
+
+def test_binomial_fits_law_at_the_smallest_sampled_modes():
+    # One call on counts of mode 8, the least the sampler takes, each at its
+    # own chance: 15 rounds at 1/2, 266 at 0.03 and 30 at Eve's
+    # (0.03 + 1/2)/2.  Each group fits its own law.
+    cases = [((1, 1), 15), (protocol._dyadic(0.03), 266), (protocol._chances(0.03, True)[1], 30)]
+    m = np.array([size for _, size in cases] * 6_000)
+    draws = protocol._binomial(m, [pair for pair, _ in cases] * 6_000, protocol._word_source(8))
+    for i, ((a, b), size) in enumerate(cases):
+        _binomial_fit(draws[i::3], size, a / (a + b), 10)
 
 
 @pytest.mark.parametrize("e", [0.03, 0.2, 2.0**-10])
@@ -763,16 +839,22 @@ def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
     assert (got, draws) == ([mode + 9], [2 * p] + [1] * 10)
 
 
+_EVE_CHANCE = protocol._chances(0.03, True)[1]  # (0.03 + 1/2)/2, not a float
+
+
 @pytest.mark.parametrize("m,e,mode", [(_T + 1, 2.0**-9, 8), (8_191, 2.0**-10, 8),
                                       (_T + 1, 0.03, 122), (_T + 2, 0.2, 819),
-                                      (_T + 1, 0.5, 2049)])
+                                      (_T + 1, 0.5, 2049), (15, 0.5, 8), (266, 0.03, 8),
+                                      (30, _EVE_CHANCE, 8), (_T - 1, 0.03, 122)])
 def test_envelope_bounds_the_pmf_exactly(m, e, mode):
     # 2**K f(k) <= f(M) for every k in [0, m], K the block of k, in integers:
     # F(k) = C(m, k) a**k b**(m - k), for e = a/(a + b), is f(k) (a + b)**m.
-    # The first two cases have the smallest mode the sampler takes.
-    a, b = protocol._dyadic(e)
+    # The cases of mode 8 have the smallest mode the sampler takes, the last
+    # four the smallest counts it takes at 1/2, 0.03 and Eve's chance at
+    # 0.03, and a count just below T.
+    a, b = e if isinstance(e, tuple) else protocol._dyadic(e)
     assert (m + 1) * a // (a + b) == mode >= protocol._MODE_MIN
-    w = int(protocol._width(np.array([m]), e)[0])
+    w = int(protocol._width(np.array([m]), np.array([a / (a + b)]))[0])
     top = math.comb(m, mode) * a**mode * b ** (m - mode)
     f = b**m
     for k in range(m + 1):
