@@ -433,29 +433,32 @@ def test_binomial_compares_each_count_with_its_own_digits(chain_only):
     assert stub.draws == [2, 1, 1]
 
 
-@pytest.mark.parametrize("eve", [False, True])
-@pytest.mark.parametrize("e,digits,eve_digits", [(0.0, 0, 2), (0.5, 1, 1), (0.25, 2, 3),
-                                                 (0.375, 3, 4)])
-def test_kernel_draws_one_word_per_digit_of_e(e, digits, eve_digits, eve):
+@pytest.mark.parametrize("e,halvings", [(0.0, 6), (0.5, 9), (0.25, 12)])
+def test_kernel_draws_one_word_per_digit_of_e(e, halvings):
     # 14 rounds, too few for the sampler (their mode at p = 1/2 is 7), so
-    # each level compares digits, one word per digit for the one nonempty
-    # node.  All-ones class words keep every round at bit 1 of its halving:
-    # class (X, 1, X).  Then every pass measures a qubit in its own basis and
-    # draws one word per digit of the chance that it reads the other bit: e,
-    # or (e + 1/2)/2 under intercept-resend (1/4, 1/2, 3/8 and 7/16 here).
-    # Words that are 0 under a 0-digit and all ones under a 1-digit keep
-    # every round equal to that chance to its last digit, so none is read as
-    # the other bit, and no other word is drawn.
-    n, pattern = 14, 0b111111  # basis_a = bits_a = basis_b = X, y = r1 = r2 = 1
-    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=e,
-                              eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
-    a, b = protocol._chances(e, eve)[1]
-    chance = [_ONES if d == "1" else 0 for d in format(a + b | a, "b")[1:]]
-    assert len(chance) == (eve_digits if eve else digits)
-    stub = _StubBits([_ONES] * 3 + chance * 3)
-    counts = protocol._code_counts(config, stub.random_raw)
-    assert counts[protocol._PATTERN_CODES[pattern]] == counts.sum() == n
-    assert stub.used == 3 + 3 * len(chance)
+    # every level compares digits, one word per digit for each nonempty node.
+    # All-ones words put every round in basis_a = X with bits_a = 1, and the
+    # third word splits them 7/7 between basis_b = Z and X.  Each pass then
+    # has two nodes: one measures its qubit in the other basis, one halving
+    # at p = 1/2, and one in the qubit's own, one word per digit of its
+    # chance of reading the other bit: e, or (e + 1/2)/2 under
+    # intercept-resend (1/4, 1/2 and 3/8 here).  Words that are all ones
+    # under a 1-digit and 0 under a 0-digit keep every round equal to its
+    # chance to the last digit, so none reads the other bit and no other
+    # word is drawn: 3 class words, then 1 + the chance's digits per pass.
+    n = 14
+    eve_digits = {0.0: 2, 0.5: 1, 0.25: 3}[e]
+    for eve, digits in ((False, (halvings - 6) // 3), (True, eve_digits)):
+        config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=e,
+                                  eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
+        a, b = protocol._chances(e, eve)[1]
+        chance = [_ONES if d == "1" else 0 for d in format(a + b | a, "b")[1:]]
+        assert len(chance) == digits
+        stub = _StubBits([_ONES, _ONES, (1 << 7) - 1] + ([_ONES] + chance) * 3)
+        counts = protocol._code_counts(config, stub.random_raw)
+        # (basis_a, bits_a, basis_b, y, r1, r2) = (X, 1, Z, 1, 1, 1) and (X, 1, X, 1, 1, 1).
+        assert counts[protocol._PATTERN_CODES[[0b110111, 0b111111]]].tolist() == [7, 7]
+        assert stub.used == 6 + 3 * digits
 
 
 @pytest.mark.parametrize("eve", [False, True])
@@ -655,21 +658,24 @@ _T = protocol._POPCOUNT_MAX
 _FLIP_CASES = [(e, m) for e in (0.03, 0.2, 2.0**-10) for m in (_T + 1, _T + 2, 10**9 + 7)]
 
 
-@pytest.mark.parametrize("e,least", [(2.0**-10, 8_191), (2.0**-9, 4_095), (0.03, 266),
-                                     (0.5, 15)])
-def test_binomial_samples_large_modes_by_rejection(monkeypatch, e, least):
+@pytest.mark.parametrize("e,m", [(2.0**-10, 8_191), (2.0**-9, _T + 1), (0.03, _T + 1),
+                                 (0.5, _T + 1)])
+def test_binomial_samples_large_modes_by_rejection(monkeypatch, e, m):
     # Counts whose mode floor((m + 1) e) is at least _MODE_MIN = 8 go to the
-    # sampler at p = e, in one call, whatever their size; the rest keep the
-    # digit chain, whose halvings above T call it at p = 1/2.
+    # sampler at p = e, in one call, whatever their size: the least such
+    # count at e (8191 at 2**-10, where T + 1 has mode 4; 4095, 266 and 15
+    # at the others), m above T, and 10**12.  The count below the least
+    # keeps the digit chain, whose halvings above T call it at p = 1/2.
     calls = []
     monkeypatch.setattr(protocol, "_binomial_by_rejection",
                         lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
     pair = protocol._dyadic(e)
+    least = -(-8 * sum(pair) // pair[0]) - 1
     assert (least + 1) * pair[0] // sum(pair) == 8 > least * pair[0] // sum(pair)
-    m = np.array([[least - 1, least], [0, 10**12]])
-    got = protocol._binomial(m, e, protocol._word_source(1))
-    assert [call for call in calls if call[1] != 0.5] == [([least, 10**12], [pair, pair])]
-    assert got[0, 1] == least // 2 and got[1, 1] == 10**12 // 2 and got[1, 0] == 0
+    counts = np.array([[least - 1, least], [m, 10**12]])
+    got = protocol._binomial(counts, e, protocol._word_source(1))
+    assert [call for call in calls if call[1] != 0.5] == [([least, m, 10**12], [pair] * 3)]
+    assert got[0, 1] == least // 2 and got[1, 0] == m // 2 and got[1, 1] == 10**12 // 2
     assert 0 <= got[0, 0] <= least - 1
 
 
