@@ -746,9 +746,11 @@ def test_certified_decisions_match_exact_binomials():
     # math.comb and, for p = a/2**L, the factor (a/(2**L - a))**(k - M),
     # reading the uniform's words in turn.  Half the uniforms begin with A's
     # own first 64 bits, so that only further words decide, and an error in A
-    # above 2**-64 shows.
+    # above 2**-64 shows.  The last p is Eve's chance (e + 1/2)/2 at e = 0.03,
+    # an exact fraction over 2**56 and no float.
     rng = random.Random(4)
-    for p in (0.5, 0.03, 0.2, 2.0**-10):
+    a, b = protocol._chances(0.03, True)[1]
+    for p in (0.5, 0.03, 0.2, 2.0**-10, Fraction(a, a + b)):
         a, scale = p.as_integer_ratio()
         b = scale - a
         modes = {m: (m + 1) * a // scale for m in (5_000, 5_001, 20_001, 20_002)}
