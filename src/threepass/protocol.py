@@ -588,7 +588,7 @@ def _walk(total: np.ndarray, part, e: float, eve: bool) -> np.ndarray:
         in meas_basis[i], and return the nodes extended by the result."""
         same = np.broadcast_to(basis == meas_basis, counts.shape)
         other = part(counts, [chances[s] for s in same.tolist()])
-        # Each part is placed as drawn, never as the rest of the other.
+        # other is drawn, or node * p: never node less the rest, inexact at small p.
         kept = counts - other
         return np.stack([np.where(bit, other, kept), np.where(bit, kept, other)], axis=-1).ravel()
 
