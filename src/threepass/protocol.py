@@ -32,19 +32,16 @@ same qubit and measure it in the same basis, so the count read as the other
 bit is one exact Binomial(m, p), at one p per node (:func:`_chances`): 1/2
 for Alice's and Bob's choices and a measurement outside the qubit's basis,
 and e in it, or (e + 1/2)/2 under intercept-resend.  So a run is six
-levels, each one :func:`_binomial` call on every node, p an exact dyadic.  A
-count whose mode floor((m + 1) p) is at least 8 is drawn by rejection from a
-geometric envelope around the mode (:func:`_binomial_by_rejection`), in O(1)
-expected words: a float log-ratio built from log1p terms decides each
-proposal unless it lies within a proven error margin of the uniform, and
-there exact integers or decimal intervals decide (:func:`_accept_certified`).
-Any other count compares each round's uniform with the binary digits of p
-(Knuth and Yao, 1976), one halving per digit, so P(other bit) = p exactly; a
-halving of at most :data:`_POPCOUNT_MAX` (T) rounds is the popcount of m
-fresh random bits (:func:`_halves`).  No float probability decides an
-outcome, and a zero count draws nothing.  So a run draws a few thousand
-words, and its cost and memory do not grow with the round count, up to
-2**63 - 1.
+levels, each one :func:`_binomial` call on every node, p an exact dyadic.
+Every count of m > 0 rounds at p > 0 is drawn by rejection from a geometric
+envelope around its mode floor((m + 1) p) (:func:`_binomial_by_rejection`),
+in O(1) expected words: a float log-ratio built from log1p terms decides each
+proposal unless it lies within a proven error margin of the uniform, or the
+mode is 0 or m, where the log-ratio is singular, and there exact integers or
+decimal intervals decide (:func:`_accept_certified`).  No float probability
+decides an outcome, and a zero count, or p = 0, draws nothing.  So a run
+draws a few thousand words, and its cost and memory do not grow with the
+round count, up to 2**63 - 1.
 
 All words come from one stream, ``random.Random(seed)`` (:func:`_word_source`),
 so a report is bit-for-bit reproducible from its seed.  Sift fraction, QBER
@@ -203,14 +200,9 @@ class SimulationReport:
         return "\n".join(lines)
 
 
-#: Digit-chain halvings of at most this many rounds are popcounts, ceil(m / 64)
-#: words each; larger ones by rejection (:func:`_binomial_by_rejection`).  So a
-#: halving draws at most _POPCOUNT_MAX / 64 words per count.
-_POPCOUNT_MAX = 2**12
-
-#: The least mode floor((m + 1) p) of a count that :func:`_binomial` draws by
-#: rejection, whatever its size; below it the envelope's bound is not proven,
-#: and it compares digits.
+#: The least mode floor((m + 1) p) whose envelope width :func:`_width`
+#: sets from 4mpq; below it the width is set from M + 1: w = 2, 4, 4, 4, 4,
+#: 8, 8, 8 at M = 0..7 (the proof is in :func:`_binomial_by_rejection`).
 _MODE_MIN = 8
 
 #: Proposals drawn for each count in the first batch of the rejection
@@ -230,35 +222,8 @@ _MARGIN = 2.0**-40
 #: intervals above.
 _EXACT_BITS = 2**16
 
-_ONES = np.uint64(2**64 - 1)
 _LOW31 = np.uint64(2**31 - 1)
 _LN2 = math.log(2.0)
-
-
-def _halves(m: np.ndarray, raw) -> np.ndarray:
-    """Elementwise Binomial(m, 1/2).
-
-    A count of at most :data:`_POPCOUNT_MAX` rounds is the ones among its
-    first m of ceil(m / 64) fresh words, the lanes of the last word past m
-    masked off: such counts, in order, take consecutive runs of one draw.  The
-    larger counts are then sampled by :func:`_binomial_by_rejection` at
-    p = 1/2.  A zero count draws nothing.
-    """
-    flat = m.ravel()
-    ones = np.zeros(flat.size, dtype=np.int64)
-    large = flat > _POPCOUNT_MAX
-    small = np.flatnonzero((flat > 0) ^ large)
-    if small.size:
-        sizes = flat[small]
-        words = -(-sizes // 64)
-        ends = np.cumsum(words)
-        mask = np.full(ends[-1], _ONES)
-        mask[ends - 1] = _ONES >> (-sizes % 64).astype(np.uint64)
-        bits = np.bitwise_count(raw(int(ends[-1])) & mask)
-        ones[small] = np.add.reduceat(bits, ends - words, dtype=np.int64)
-    if large.any():
-        ones[large] = _binomial_by_rejection(flat[large], 0.5, raw)
-    return ones.reshape(m.shape)
 
 
 def _leading_zeros(words: np.ndarray) -> np.ndarray:
@@ -273,35 +238,38 @@ def _dyadic(p: float) -> tuple[int, int]:
     return a, scale - a
 
 
-def _width(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The envelope's block width for Binomial(m, p): the smallest power of
-    two w with w*w > 0.6932 * 4mpq, which exceeds 4mpq ln 2 by far more than
-    float rounding.  0.6932 * 4mpq < 2**e for e its frexp exponent, and
-    2**(e - 1) <= it, so w = 2**ceil(e / 2)."""
-    return np.int64(1) << (np.frexp(0.6932 * 4 * p * (1 - p) * m)[1] + 1) // 2
+def _width(m: np.ndarray, p: np.ndarray, mode: np.ndarray) -> np.ndarray:
+    """The envelope's block width for Binomial(m, p) of mode M: the smallest
+    power of two w with w*w > 0.6932 * 4x, for x = mpq at M >= :data:`_MODE_MIN`
+    and x = M + 1 below it.  0.6932 * 4 exceeds 4 ln 2 by far more than float
+    rounding.  0.6932 * 4x < 2**e for e its frexp exponent, and 2**(e - 1) <=
+    it, so w = 2**ceil(e / 2)."""
+    x = np.where(mode < _MODE_MIN, 0.6932 * 4 * (mode + 1), 0.6932 * 4 * p * (1 - p) * m)
+    return np.int64(1) << (np.frexp(x)[1] + 1) // 2
 
 
-def _binomial_by_rejection(m: np.ndarray, p, raw) -> np.ndarray:
-    """Binomial(m, p) for each count m, exactly, for p <= 1/2 one float or a
-    list of one exact (a, b) (:func:`_dyadic`) per count, at which every
-    count's mode M = floor((m + 1) p) is at least :data:`_MODE_MIN`: by
-    rejection from a geometric envelope around the mode (Bringmann, Kuhn,
-    Panagiotou, Peter and Thomas, ICALP 2014, section 3, there at p = 1/2;
-    Kachitvichyanukul and Schmeiser, CACM 31(2), 1988, at a general p).
+def _binomial_by_rejection(m: np.ndarray, pairs: list, raw) -> np.ndarray:
+    """Binomial(m, p) for each count m > 0, exactly, at its p = a/(a + b) in
+    (0, 1/2], one exact (a, b) (:func:`_dyadic`) per count: by rejection from
+    a geometric envelope around the mode M = floor((m + 1) p) (Bringmann,
+    Kuhn, Panagiotou, Peter and Thomas, ICALP 2014, section 3, there at
+    p = 1/2; Kachitvichyanukul and Schmeiser, CACM 31(2), 1988, at a general
+    p).
 
     Let q = 1 - p and f(k) = C(m, k) p**k q**(m - k).  M is computed in
     integers from p = a / 2**L, since m a overflows int64, and w is the
-    smallest power of two with w*w > 0.6932 * 4mpq (:func:`_width`).  A
-    proposal k lies at distance j = K*w + offset from the mode.  One word
-    gives all three: the block index K ~ Geometric(1/2) is the leading zeros
-    of its bits 62..32 (read on into further words' bits 62..32 while they
-    are all 0), bit 63 its side (0: k = M + j, 1: k = M - 1 - j, so each k
-    has one (side, j)), and its bits below w the offset.  Such a k is
-    proposed with probability 2**-(K+2) / w.  A uniform U, the next word and
-    as many more as a decision needs, accepts k when U < 2**K f(k)/f(M), so k
-    is kept with probability f(k)/(4 w f(M)): exactly the law of
-    Binomial(m, p).  About 1/5 to 2/5 of the proposals are accepted, as
-    w*w/(mpq) varies.  At p = 1/2, M is ceil(m / 2) and w*w > 0.6932 m.
+    smallest power of two with w*w > 0.6932 * 4mpq, or 0.6932 * 4(M + 1) at
+    M < :data:`_MODE_MIN` (:func:`_width`).  A proposal k lies at distance
+    j = K*w + offset from the mode.  One word gives all three: the block index
+    K ~ Geometric(1/2) is the leading zeros of its bits 62..32 (read on into
+    further words' bits 62..32 while they are all 0), bit 63 its side (0:
+    k = M + j, 1: k = M - 1 - j, so each k has one (side, j)), and its bits
+    below w the offset.  Such a k is proposed with probability 2**-(K+2) / w.
+    A uniform U, the next word and as many more as a decision needs, accepts
+    k when U < 2**K f(k)/f(M), so k is kept with probability f(k)/(4 w f(M)):
+    exactly the law of Binomial(m, p).  About 1/5 to 2/5 of the proposals are
+    accepted, as w*w/(mpq) varies, and at least 1/8 at the small modes.  At
+    p = 1/2, M is ceil(m / 2) and w*w > 0.6932 m from M = 8 on.
 
     The envelope holds: 2**K f(k) <= f(M) on block K.  M is a mode, which
     settles K = 0.  The pmf ratio f(k + 1)/f(k) = (m - k)p/((k + 1)q) falls
@@ -316,10 +284,16 @@ def _binomial_by_rejection(m: np.ndarray, p, raw) -> np.ndarray:
         ln(f(M +- w)/f(M)) <= -w(w - 1)/(2npq) + w**3/(6 (np)**2)
                             = -(A/2)(1 - 1/w) + A**1.5 q**1.5/(6 sqrt(np)).
 
-    Here 2.599 < A < 11.1: w is the smallest such power of two, and m >= 15
-    (as M >= 8 and p <= 1/2), so m/n >= 15/16 and A > 2.7728 * 15/16.  Also
+    At M >= 8, 2.599 < A < 11.1: w is the smallest such power of two, and
+    m >= 15 (as p <= 1/2), so m/n >= 15/16 and A > 2.7728 * 15/16.  Also
     np >= M >= 8, so 4mpq >= 15 and w >= 4.  The right side is convex in A,
     and at both ends it is at most -0.72 < ln(1/2) (-0.728 and -1.98).
+
+    At M < 8 the ratio at k = M + i is below (M + 1)/(M + 1 + i), for
+    (m - M)p < (M + 1)q, that is M > np - 1.  So f(M + w)/f(M) is below the
+    product of (M + 1)/(M + 1 + i) over i < w, which is at most 1/2 at each
+    M = 0..7 with its w = 2, 4, 4, 4, 4, 8, 8, 8: exactly 1/2 at M = 0, and
+    less above.  And M - 1 - w < 0, so side 1 has no block K >= 1 in [0, m].
 
     A batch draws the proposals of every count still unsampled, as two
     (counts, proposals) blocks of words: the proposals, then their uniforms.
@@ -329,13 +303,14 @@ def _binomial_by_rejection(m: np.ndarray, p, raw) -> np.ndarray:
     holds :data:`_PROPOSALS` per count, and each later one, for the few
     counts left, four times as many.
     """
-    pairs = [_dyadic(p)] * m.size if isinstance(p, float) else p
     sizes = m.tolist()
     modes = [(n + 1) * a // (a + b) for n, (a, b) in zip(sizes, pairs)]
     mode = np.array(modes, dtype=np.int64)
-    # (m - M)p / (Mq) = 1 + tilt, for (m - M) a - M b = m a - M (a + b) exactly.
-    tilt = np.array([(n * a - k * (a + b)) / (k * b) for n, k, (a, b) in zip(sizes, modes, pairs)])
-    w = _width(m, np.array([a / (a + b) for a, b in pairs]))
+    # (m - M)p / (Mq) = 1 + tilt, for (m - M) a - M b = m a - M (a + b) exactly;
+    # at M = 0 the float test takes no tilt.
+    tilt = np.array([(n * a - k * (a + b)) / (k * b) if k else 0.0
+                     for n, k, (a, b) in zip(sizes, modes, pairs)])
+    w = _width(m, np.array([a / (a + b) for a, b in pairs]), mode)
     out = np.empty_like(m)
     live = np.arange(m.size)
     proposals = _PROPOSALS
@@ -382,8 +357,10 @@ def _rejection_status(m, mode, tilt, y, block, uniform) -> np.ndarray:
         ln A = K ln 2 + y log1p(t) - (k + 1/2) log1p(y/M)
                - (b + 1/2) log1p(-y/G) + r_M + r_G - r_k - r_b.
 
-    Its terms are O(|y|) near the mode, where ln f(k) is O(m ln m): |t| <=
-    2/M, the last two products have opposite signs and together at least |y|,
+    Its terms are O(|y|) near the mode, where ln f(k) is O(m ln m): for
+    0 < M < m, t = (mp - M)/(Mq) lies in [-1/M, 1/M) and 1 + t >= 1/2, so
+    y log1p(t) is at most 2|y| in magnitude and an error in t is not blown
+    up; the last two products have opposite signs and together at least |y|;
     and an error in a log1p argument is damped by the factor before it.  So
     the float value errs by less than 2**-48 (K ln 2 + 2 S + 64), with S the
     magnitude of the last two products' difference, and leaves out the r_n,
@@ -391,7 +368,9 @@ def _rejection_status(m, mode, tilt, y, block, uniform) -> np.ndarray:
     at k = 0 or m.  A decision needs ln A to clear ln U by that plus
     :data:`_MARGIN` (K ln 2 + 2 S + 64).  A k outside [0, m] gives a log1p
     argument below -1 and so a NaN, or -inf, value of ln A: it is rejected,
-    as f(k) = 0, and never accepted.
+    as f(k) = 0, and never accepted.  At M = 0 or M = m (m = 1, p = 1/2),
+    where log1p(y/M) or log1p(-y/G) is singular, no float decides: a k in
+    [0, m] is left to :func:`_accept_certified`, and any other rejected.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         k, b = mode + y, m - mode - y
@@ -404,8 +383,9 @@ def _rejection_status(m, mode, tilt, y, block, uniform) -> np.ndarray:
         error = ((lift + 2 * np.abs(up - down) + 64) * _MARGIN
                  + ((m / 12) / (kf * bf) + (1 / mode + 1 / (m - mode)) / 12))
         u = (uniform >> np.uint64(11)).astype(float)
-        accept = ln_a - error > np.log(u + 1)
-        kept = ln_a + error >= np.log(u)
+        singular = (mode == 0) | (mode == m)
+        accept = ~singular & (ln_a - error > np.log(u + 1))
+        kept = np.where(singular, (k >= 0) & (b >= 0), ln_a + error >= np.log(u))
     return np.where(accept, 1, np.where(kept, -1, 0)).astype(np.int8)
 
 
@@ -497,11 +477,13 @@ def _accept_by_interval(m, a, b, mode, k, block, uniform: _Uniform):
                     + (k - mode) * (Decimal(a) / Decimal(b)).ln())
             while True:
                 # Every operation rounds by at most one unit in the digits'
-                # last place of a magnitude below 256 m + bits, and there are
-                # fewer than 200 of them; ln(a/b), times |k - M| <= m,
-                # counts as such, as 2**-63 <= p <= a/b <= 1 for any p <= 1/2
-                # at which some m has a mode of at least 1.
-                slack = 200 * (256 * m + uniform.bits) * Decimal(10) ** (1 - digits)
+                # last place of a magnitude below 1024 max(m, 1024) + bits,
+                # and there are fewer than 200 of them: each ln n! is taken
+                # from ln(max(n, 1024))! < 44 max(m, 1024), and ln(a/b) times
+                # |k - M| <= m is below 745 m, as p is a float, at least
+                # 2**-1074, or Eve's chance, at least 1/4.
+                magnitude = 1024 * max(m, _STIRLING_MIN) + uniform.bits
+                slack = 200 * magnitude * Decimal(10) ** (1 - digits)
                 radius = r_g + r_mode + r_k + r_b + slack
                 ln_hi = Decimal(uniform.u + 1).ln() - uniform.bits * ln2
                 if ln_hi + slack <= ln_a - radius:
@@ -517,42 +499,17 @@ def _accept_by_interval(m, a, b, mode, k, block, uniform: _Uniform):
 
 
 def _binomial(m: np.ndarray, p, raw) -> np.ndarray:
-    """Elementwise Binomial(m, p) for dyadic p = 0.d1d2...dL in [0, 1/2], one
-    float or a list of one exact (a, b) (:func:`_dyadic`) per count.
-
-    A count whose mode floor((m + 1) p) is at least :data:`_MODE_MIN` is
-    drawn by :func:`_binomial_by_rejection`, all in one call, whatever its
-    size.  Each of the m rounds of every other count compares a uniform U =
-    0.u1u2... with its p digit by digit, and counts only are kept: at each
-    digit the rounds still equal to their p draw their next bit by
-    :func:`_halves`.  Under a 1-digit the 0-bits fall below p; under a
-    0-digit the 1-bits rise above it.  The rounds below p, which have
-    probability p exactly, are counted.  A count's comparison stops after its
-    p's last 1-digit (U = p then has probability 0), and the chain stops once
-    no round is still equal, so it draws nothing when every count is drawn by
-    rejection; p = 0 draws nothing.
-    """
+    """Elementwise Binomial(m, p) for dyadic p in [0, 1/2], one float or a
+    list of one exact (a, b) (:func:`_dyadic`) per count: every count of
+    m > 0 rounds at p > 0 is drawn by :func:`_binomial_by_rejection`, all in
+    one call, and the others are 0 and draw nothing."""
     pairs = [_dyadic(p)] * m.size if isinstance(p, float) else p
     flat = m.ravel()
-    large = np.array([(n + 1) * a // (a + b) >= _MODE_MIN
-                      for n, (a, b) in zip(flat.tolist(), pairs)], dtype=bool)
-    below = np.zeros_like(flat)
-    equal = np.where(large, 0, flat)
-    # The L digits of each p = a / 2**L: 2**L + a in binary, its leading 1 cut.
-    digits = [format(a + b | a, "b")[1:] for a, b in pairs]
-    ends = np.array([len(d) for d in digits])
-    for i in range(max(ends, default=0)):
-        equal[ends <= i] = 0
-        if not equal.any():
-            break
-        ones = _halves(equal, raw)
-        one = np.array([d[i:i + 1] == "1" for d in digits])
-        below += np.where(one, equal - ones, 0)
-        equal = np.where(one, ones, equal - ones)
-    if large.any():
-        below[large] = _binomial_by_rejection(
-            flat[large], [pair for pair, sampled in zip(pairs, large) if sampled], raw)
-    return below.reshape(m.shape)
+    drawn = [i for i, (n, (a, _)) in enumerate(zip(flat.tolist(), pairs)) if n and a]
+    out = np.zeros_like(flat)
+    if drawn:
+        out[drawn] = _binomial_by_rejection(flat[drawn], [pairs[i] for i in drawn], raw)
+    return out.reshape(m.shape)
 
 
 def _chances(e: float, eve: bool) -> tuple:

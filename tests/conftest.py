@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 from hypothesis import HealthCheck, example, settings
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -29,3 +30,24 @@ def at_harvested_literals(**base):
                 test = example(**{**base, name: literal})(test)
         return test
     return decorate
+
+
+def chi_square_bound(dof: int, z: float = 3.72) -> float:
+    """The chi-square quantile at normal score z (3.72: upper tail 1e-4), by
+    the Wilson-Hilferty approximation (Wilson and Hilferty, PNAS 17, 1931)."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * a ** 0.5) ** 3
+
+
+def assert_fits(observed, expected) -> None:
+    """Assert that counts fit their expected values: none falls where none is
+    expected, and Pearson's chi-square, the cells expected fewer than 5 times
+    pooled, stays below :func:`chi_square_bound`."""
+    observed, expected = np.asarray(observed), np.asarray(expected, dtype=float)
+    assert observed[expected == 0].sum() == 0
+    common, rare = expected >= 5, (expected > 0) & (expected < 5)
+    cells = np.append(observed[common], observed[rare].sum())
+    means = np.append(expected[common], expected[rare].sum())
+    if not rare.any():  # no pooled cell
+        cells, means = cells[:-1], means[:-1]
+    assert float(((cells - means) ** 2 / means).sum()) <= chi_square_bound(means.size - 1)

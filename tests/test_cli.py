@@ -15,6 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from threepass import cli, pns as pns_mod, secrate
 from threepass.cli import _NUMBER, _SUB_BLOCK, _fmt, _write_rows, main
+from conftest import assert_fits
 
 pytestmark = pytest.mark.usefixtures("pinned_timestamp")
 
@@ -657,8 +658,8 @@ def test_simulate_rounds_beyond_int64_exits_2(capsys):
 @pytest.mark.parametrize("eve", ["none", "intercept-resend"])
 @pytest.mark.parametrize("rounds", [10**12, 2**63 - 1])
 def test_simulate_huge_round_counts(tmp_path, capsys, rounds, eve, qber):
-    # A run's cost does not grow with --rounds, up to the int64 limit, and
-    # at the smallest QBER, whose 1074 binary digits the flips compare.
+    # A run's cost does not grow with --rounds, up to the int64 limit, nor
+    # at the smallest QBER, 2**-1074, where a count read at e has mode 0.
     hist = tmp_path / "hist.csv"
     start = time.perf_counter()
     assert main(["simulate", "--protocol", "p2", "--rounds", str(rounds), "--qber", qber,
@@ -709,23 +710,14 @@ def test_simulate_outputs_match_golden_files(tmp_path, capsys, name, argv):
 @pytest.mark.parametrize("name", ["p1_noiseless", "p2_qber0.03_eve", "p1_qber0.1_eve",
                                   "p2_qber0.2"])
 def test_golden_histograms_fit_their_expected_counts(name):
-    # Each frozen histogram is a fair draw: Pearson's chi-square of its
-    # observed counts against its exact expected ones, the rows expected
-    # fewer than 5 times pooled, stays below the quantile at normal score
-    # 3.72 (upper tail 1e-4, by Wilson-Hilferty).
+    # Each frozen histogram is a fair draw: it fits its exact expected
+    # counts (conftest.assert_fits).
     with open(os.path.join(_GOLDEN, name + ".csv")) as f:
         rows = [line.split(",") for line in f.read().splitlines() if line[0] != "#"][1:]
     expected = [float(row[5]) for row in rows]
     observed = [int(row[6]) for row in rows]
     assert sum(observed) == round(sum(expected))
-    cells = [(o, x) for o, x in zip(observed, expected) if x >= 5]
-    rare = [(o, x) for o, x in zip(observed, expected) if x < 5]
-    if sum(x for _, x in rare):
-        cells.append((sum(o for o, _ in rare), sum(x for _, x in rare)))
-    chi_square = sum((o - x) ** 2 / x for o, x in cells)
-    dof = len(cells) - 1
-    a = 2 / (9 * dof)
-    assert chi_square <= dof * (1 - a + 3.72 * a ** 0.5) ** 3
+    assert_fits(observed, expected)
 
 
 @pytest.mark.parametrize("name,argv", [

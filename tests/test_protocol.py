@@ -14,6 +14,7 @@ from threepass.protocol import (
     SimulationConfig,
     run_simulation,
 )
+from conftest import assert_fits
 from enum_oracle import oracle_stats
 
 # States are indexed as 2*basis + bit: |0>, |1>, |+>, |->.
@@ -173,8 +174,8 @@ def _one_word_at_a_time(seed):
 
 def test_simulation_reports_the_same_whatever_the_draw_sizes(monkeypatch):
     # A run's words come in the same order whatever the sizes of its draws:
-    # drawn one word at a time, a run reports exactly what it reports with
-    # whole draws, at a size whose counts take both halving paths.
+    # drawn one word at a time, a run reports exactly what it reports with a
+    # whole batch of proposals and uniforms in each draw.
     config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=100_001, channel_qber=0.1,
                               rng_seed=5)
     whole = run_simulation(config)
@@ -205,6 +206,16 @@ FROZEN_BRANCH_COUNTS = (
     1398, 448, 461, 690, 472, 459, 708, 1391, 521, 458, 661, 474, 446, 644,
     1438, 470, 507, 696, 476, 496, 693, 1382, 435, 461, 640, 472, 487, 706,
 )
+# A run without Eve at e = 1e-4, whose counts read at e have modes 0, 3, 4,
+# 6 and 7, where every count of FROZEN_CONFIG's run has a mode of at least
+# 8: its report pins the words drawn at small modes.
+FROZEN_SMALL_MODES_CONFIG = SimulationConfig(protocol=ProtocolId.P1, n_rounds=10**6,
+                                             channel_qber=1e-4, rng_seed=2212)
+FROZEN_SMALL_MODES_BRANCH_COUNTS = (
+    124632, 15790, 15488, 31327, 15860, 15535, 31410, 124547, 15642, 15786, 31248, 15557, 15620,
+    30892, 124963, 15959, 15587, 31408, 15697, 15804, 31204, 124754, 15790, 15653, 31304, 15696,
+    15737, 30944,
+)
 
 
 def _code(key) -> int:
@@ -230,13 +241,6 @@ def test_sift_tables_reproduce_oracle_exactly(e, eve):
         assert expect(protocol._ERR[pid]) / expect(protocol._KEPT[pid]) == qber
 
 
-def _chi_square_bound(dof: int, z: float = 3.72) -> float:
-    """The chi-square quantile at normal score z (3.72: upper tail 1e-4),
-    by the Wilson-Hilferty approximation."""
-    a = 2.0 / (9.0 * dof)
-    return dof * (1.0 - a + z * a ** 0.5) ** 3
-
-
 def _fits_oracle(counts: np.ndarray, e: Fraction, eve: bool) -> None:
     """Assert that a kernel histogram of counts.sum() rounds stays on the
     oracle's support and passes Pearson's chi-square test against it."""
@@ -244,16 +248,7 @@ def _fits_oracle(counts: np.ndarray, e: Fraction, eve: bool) -> None:
     expected = np.zeros(256)
     for key, p in oracle_stats(e=e, eve=eve).histogram.items():
         expected[_code(key)] = float(p * n)
-    assert counts[expected == 0].sum() == 0  # no round off the oracle's support
-    # Pearson's statistic, the codes expected fewer than 5 times pooled.
-    common, rare = expected >= 5, (expected > 0) & (expected < 5)
-    observed, mean = list(counts[common]), list(expected[common])
-    if rare.any():
-        observed.append(counts[rare].sum())
-        mean.append(expected[rare].sum())
-    observed, mean = np.array(observed), np.array(mean)
-    chi_square = float(((observed - mean) ** 2 / mean).sum())
-    assert chi_square <= _chi_square_bound(len(mean) - 1)
+    assert_fits(counts, expected)
 
 
 def _kernel(config: SimulationConfig, seed) -> np.ndarray:
@@ -303,162 +298,6 @@ class _StubBits:
 
 
 _ONES = 2**64 - 1
-_ALTERNATE = 0xAAAA_AAAA_AAAA_AAAA  # odd lanes set: m / 2 ones in the first m, m even
-
-
-def test_halves_count_elementwise():
-    # In order, over any shape: zero counts draw nothing, and each nonzero
-    # count takes the popcount of the first m lanes of its next ceil(m / 64)
-    # words (lane 3 of the first word is past m = 3), all in one draw.
-    stub = _StubBits([0b1011, _ONES, 0b111, 1 << 63])
-    got = protocol._halves(np.array([[3, 0], [0, 70], [64, 0]]), stub.random_raw)
-    assert got.tolist() == [[2, 0], [0, 67], [1, 0]]
-    assert stub.draws == [4]
-    stub = _StubBits([])
-    got = protocol._halves(np.zeros((2, 2), dtype=np.int64), stub.random_raw)
-    assert got.tolist() == [[0, 0], [0, 0]]
-    assert stub.draws == []
-
-
-def test_class_sizes_halve_on_the_first_m_bits(monkeypatch):
-    # The kernel's first three levels split the rounds into the 8
-    # (basis_a, bits_a, basis_b) classes, level by level, 0-child first.
-    # At e = 0 without Eve the words after them only measure, so each class
-    # is the sum of its 8 patterns.  With no mode large enough for the
-    # sampler, every level is one halving of the digit chain at p = 1/2, and
-    # a class bit is 1 on the halving's 1-bits.
-    monkeypatch.setattr(protocol, "_MODE_MIN", math.inf)
-
-    def class_sizes(n, words):
-        stub = _StubBits(words + [0] * 16)
-        config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n)
-        counts = protocol._code_counts(config, stub.random_raw)
-        return counts[protocol._PATTERN_CODES].reshape(8, 8).sum(axis=1).tolist(), stub.used
-
-    # All-ones words put every round in class 7, all-zero words in class 0;
-    # each level splits one nonempty class of n = 70 rounds, 2 words apiece,
-    # and every measurement then meets a qubit in its own basis.
-    for word, full in ((_ONES, 7), (0, 0)):
-        assert class_sizes(70, [word] * 6) == ([70 if c == full else 0 for c in range(8)], 6)
-    # Bits past m do not count: only the 6 low lanes of each second word hold
-    # a round, and they are 0.
-    assert class_sizes(70, [0, _ONES << 6 & _ONES] * 3) == ([70] + [0] * 7, 6)
-    # 130 rounds: 64 + 2 ones of 130, then 10 of 64 and 2 of 66, then
-    # 54 of 54, 0 of 10, 1 of 64 and 2 of 2; empty classes draw nothing.
-    words = [_ONES, 0, 0b11, (1 << 10) - 1, 0, _ONES, _ONES, 0, 1, _ONES]
-    assert class_sizes(130, words)[0] == [0, 54, 10, 0, 63, 1, 0, 2]
-
-
-@pytest.mark.parametrize("piece", [1, 2, 3, 64])
-def test_halves_popcount_masks_each_last_word(piece):
-    # Counts up to _POPCOUNT_MAX whose last word holds `piece` rounds, among
-    # zero counts: each takes the popcount of the first m bits of its run of
-    # ceil(m / 64) words, all in one draw, the largest 64 words.
-    top = protocol._POPCOUNT_MAX
-    m = [64 + piece, 0, piece, top - 64 + piece, 0, 2 * 64 + piece]
-    assert max(m) <= top
-    words = np.random.default_rng(piece).bit_generator.random_raw(sum(-(-s // 64) for s in m))
-    stub = _StubBits(words)
-    got = protocol._halves(np.array(m), stub.random_raw)
-    expected, used = [], 0
-    for size in m:
-        k = -(-size // 64)
-        run = sum(int(w) << 64 * i for i, w in enumerate(words[used:used + k]))
-        expected.append((run & ((1 << size) - 1)).bit_count())
-        used += k
-    assert got.tolist() == expected
-    assert stub.draws == [used] == [words.size]
-
-
-@pytest.fixture
-def chain_only(monkeypatch):
-    """Send no count to the rejection sampler: every count, whatever its
-    mode, compares digits."""
-    monkeypatch.setattr(protocol, "_MODE_MIN", math.inf)
-
-
-@pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8),
-                               Fraction(5, 16), Fraction(21, 64), Fraction(1, 64)])
-def test_binomial_compares_digits_exactly(chain_only, e):
-    # Words that split the rounds still equal to e in half at each digit:
-    # exactly 64 * e of 64 rounds then fall below e, and one word is drawn
-    # per digit of e.
-    k = e.denominator.bit_length() - 1
-    stub = _StubBits([_ALTERNATE] * k)
-    assert protocol._binomial(np.array([64]), float(e), stub.random_raw).tolist() == [64 * e]
-    assert stub.used == k
-
-
-def test_binomial_hand_worked_digits(chain_only):
-    # e = 5/8 = 0.101 over counts (3, 0, 70); the zero count draws nothing.
-    # Digit 1: ones 2 of 3 and 64 + 2 of 70, so (1, 0, 4) fall below e and
-    #   (2, 0, 66) stay equal.
-    # Digit 0: ones 1 of 2 and 0 + 2 of 66 rise above; (1, 0, 64) stay equal.
-    # Digit 1: ones 0 of 1 (the set lane 1 is past m) and 64 of 64, so
-    #   (1, 0, 0) more fall below e.
-    words = [0b101, _ONES, 0b110000, 0b10, 0, 0b11, 0b10, _ONES]
-    stub = _StubBits(words)
-    assert protocol._binomial(np.array([3, 0, 70]), 0.625, stub.random_raw).tolist() == [2, 0, 4]
-    assert stub.used == len(words)
-    # e = 0 draws nothing; e = 1/2 is one halving, below e on the 0-bits.
-    stub = _StubBits([])
-    assert protocol._binomial(np.array([70, 5]), 0.0, stub.random_raw).tolist() == [0, 0]
-    stub = _StubBits([_ONES, 0b1, 0b10110])
-    assert protocol._binomial(np.array([70, 5]), 0.5, stub.random_raw).tolist() == [5, 2]
-    assert stub.draws == [3]
-
-
-def test_binomial_stops_when_no_count_is_equal(chain_only):
-    # e = 1/4 = 0.01: a first digit of 1 puts U above e for every round.
-    stub = _StubBits([_ONES, 0])
-    assert protocol._binomial(np.array([64]), 0.25, stub.random_raw).tolist() == [0]
-    assert stub.used == 1
-    # e = 21/64 = 0.010101: the first count goes above e at the first digit,
-    # so only the second, all still equal, draws the other five digits, and
-    # 64 * 0.10101 (binary) = 42 of its rounds fall below e.
-    stub = _StubBits([_ONES, 0] + [_ALTERNATE] * 5)
-    got = protocol._binomial(np.array([64, 64]), 0.328125, stub.random_raw)
-    assert got.tolist() == [0, 42]
-    assert stub.used == 2 + 5
-
-
-def test_binomial_compares_each_count_with_its_own_digits(chain_only):
-    # p = 1/2 = 0.1 and 3/8 = 0.011 on two counts of 64 rounds, as exact
-    # (a, b) pairs, with words that split the rounds still equal in half.
-    # The first count stops after its one digit: 32 fall below 1/2.  The
-    # second draws alone from then on: 64 * 0.011 (binary) = 24 fall below.
-    stub = _StubBits([_ALTERNATE] * 4)
-    got = protocol._binomial(np.array([64, 64]), [(1, 1), (3, 5)], stub.random_raw)
-    assert got.tolist() == [32, 24]
-    assert stub.draws == [2, 1, 1]
-
-
-@pytest.mark.parametrize("e,halvings", [(0.0, 6), (0.5, 9), (0.25, 12)])
-def test_kernel_draws_one_word_per_digit_of_e(e, halvings):
-    # 14 rounds, too few for the sampler (their mode at p = 1/2 is 7), so
-    # every level compares digits, one word per digit for each nonempty node.
-    # All-ones words put every round in basis_a = X with bits_a = 1, and the
-    # third word splits them 7/7 between basis_b = Z and X.  Each pass then
-    # has two nodes: one measures its qubit in the other basis, one halving
-    # at p = 1/2, and one in the qubit's own, one word per digit of its
-    # chance of reading the other bit: e, or (e + 1/2)/2 under
-    # intercept-resend (1/4, 1/2 and 3/8 here).  Words that are all ones
-    # under a 1-digit and 0 under a 0-digit keep every round equal to its
-    # chance to the last digit, so none reads the other bit and no other
-    # word is drawn: 3 class words, then 1 + the chance's digits per pass.
-    n = 14
-    eve_digits = {0.0: 2, 0.5: 1, 0.25: 3}[e]
-    for eve, digits in ((False, (halvings - 6) // 3), (True, eve_digits)):
-        config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=n, channel_qber=e,
-                                  eve=Eavesdropper.INTERCEPT_RESEND if eve else Eavesdropper.NONE)
-        a, b = protocol._chances(e, eve)[1]
-        chance = [_ONES if d == "1" else 0 for d in format(a + b | a, "b")[1:]]
-        assert len(chance) == digits
-        stub = _StubBits([_ONES, _ONES, (1 << 7) - 1] + ([_ONES] + chance) * 3)
-        counts = protocol._code_counts(config, stub.random_raw)
-        # (basis_a, bits_a, basis_b, y, r1, r2) = (X, 1, Z, 1, 1, 1) and (X, 1, X, 1, 1, 1).
-        assert counts[protocol._PATTERN_CODES[[0b110111, 0b111111]]].tolist() == [7, 7]
-        assert stub.used == 6 + 3 * digits
 
 
 @pytest.mark.parametrize("eve", [False, True])
@@ -479,20 +318,21 @@ def test_kernel_counts_stay_on_the_exact_support(n, eve):
                                      (ProtocolId.P2, Eavesdropper.INTERCEPT_RESEND)])
 def test_flips_keep_the_halvings_few(monkeypatch, pid, eve):
     # One _binomial call per level, with or without Eve: three class levels
-    # and one per pass.  At 10**7 rounds and e = 0.03 every nonempty node has
-    # a mode of at least 8 at its chance, so each level draws by at most one
-    # rejection call, and the digit chain draws nothing.
-    calls = {"_binomial": 0, "_binomial_by_rejection": 0, "_halves": 0}
+    # and one per pass, each drawing by at most one rejection call, at every
+    # e: at 10**7 rounds the counts read at 1e-9 or 2**-40 without Eve have
+    # modes below 8, and those read at 0.03 modes of at least 8.
+    calls = {"_binomial": 0, "_binomial_by_rejection": 0}
     for name in calls:
         original = getattr(protocol, name)
         monkeypatch.setattr(protocol, name, lambda *a, name=name, original=original:
                             calls.__setitem__(name, calls[name] + 1) or original(*a))
-    config = SimulationConfig(protocol=pid, n_rounds=10**7, channel_qber=0.03, eve=eve)
-    counts = protocol._code_counts(config, protocol._word_source(0))
-    assert counts.sum() == 10**7
-    assert calls["_binomial"] == 6
-    assert calls["_binomial_by_rejection"] <= 6
-    assert calls["_halves"] == 0
+    for e in (0.03, 1e-9, 2.0**-40):
+        calls.update(dict.fromkeys(calls, 0))
+        config = SimulationConfig(protocol=pid, n_rounds=10**7, channel_qber=e, eve=eve)
+        counts = protocol._code_counts(config, protocol._word_source(0))
+        assert counts.sum() == 10**7
+        assert calls["_binomial"] == 6
+        assert calls["_binomial_by_rejection"] <= 6
 
 
 def test_simulation_frozen_outputs():
@@ -505,23 +345,33 @@ def test_simulation_frozen_outputs():
     counts = protocol._code_counts(FROZEN_CONFIG, protocol._word_source(FROZEN_CONFIG.rng_seed))
     assert tuple(counts[protocol.BRANCH_CODES].tolist()) == FROZEN_BRANCH_COUNTS
     _fits_oracle(counts, Fraction(FROZEN_CONFIG.channel_qber), True)
+    report = run_simulation(FROZEN_SMALL_MODES_CONFIG)
+    assert report.branch_counts == FROZEN_SMALL_MODES_BRANCH_COUNTS
+    assert (report.other_count, report.sifted_count, report.error_count) == (166, 748_759, 126)
+    counts = protocol._code_counts(FROZEN_SMALL_MODES_CONFIG, protocol._word_source(2212))
+    _fits_oracle(counts, Fraction(FROZEN_SMALL_MODES_CONFIG.channel_qber), False)
 
 
 @pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18, 1 << 22, 1 << 62])
 def test_simulation_memory_does_not_grow_with_rounds(n_rounds):
-    config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=n_rounds, channel_qber=0.03,
-                              eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=3)
-    run_simulation(config)  # warm up outside the measurement
-    tracemalloc.start()
-    try:
-        run_simulation(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # A halving holds at most _POPCOUNT_MAX / 64 words per count, or 2 *
-    # _PROPOSALS words per count in a first rejection batch, for at most 256
-    # counts: one bound, 256 kB, whatever n_rounds is (about 130 kB is used).
-    assert peak <= 1 << 18
+    # With Eve at e = 0.03, and without her at e = 1e-9, where the counts
+    # read at e have modes below 8 at all but the largest n_rounds.
+    for pid, e, eve in ((ProtocolId.P2, 0.03, Eavesdropper.INTERCEPT_RESEND),
+                        (ProtocolId.P1, 1e-9, Eavesdropper.NONE)):
+        config = SimulationConfig(protocol=pid, n_rounds=n_rounds, channel_qber=e, eve=eve,
+                                  rng_seed=3)
+        run_simulation(config)  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            run_simulation(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A first rejection batch holds 2 * _PROPOSALS words per count, a
+        # later one four times as many per count left, for at most 32 counts
+        # a level, and a few float arrays of their shape: one bound, 256 kB,
+        # whatever n_rounds or e is (60-95 kB is used).
+        assert peak <= 1 << 18, (e, peak)
 
 
 def test_run_draws_words_in_getrandbits_order():
@@ -596,7 +446,7 @@ def _binomial_fit(draws: np.ndarray, m: int, p: float, bins: int) -> None:
 
     The pmf is taken over 12 standard deviations each side of floor(m p), by
     the exact ratio f(k + 1)/f(k) = (m - k)/(k + 1) * p/q in floats and
-    normalised there; the mass left out is below 1e-30."""
+    normalised there; the mass left out is below 1e-20."""
     assert draws.min() >= 0 and draws.max() <= m
     a, scale = p.as_integer_ratio()
     h, reach, q = m * a // scale, int(6 * math.sqrt(4 * m * p * (1 - p))) + 10, 1 - p
@@ -611,18 +461,16 @@ def _binomial_fit(draws: np.ndarray, m: int, p: float, bins: int) -> None:
     expected = np.diff(np.concatenate([[0.0], np.cumsum(pmf)[edges - lo - 1], [1.0]]))
     observed = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=edges.size + 1)
     n = draws.size
-    chi_square = float(((observed - n * expected) ** 2 / (n * expected)).sum())
-    assert chi_square <= _chi_square_bound(edges.size)
+    assert_fits(observed, n * expected)
     # The mean, m p, within 4.5 standard errors: a shift of the law by a
     # small fraction of its width shows here before it shows in the cells.
     assert abs(draws.mean() - m * p) <= 4.5 * math.sqrt(m * p * q / n)
 
 
-@pytest.mark.parametrize("m", [protocol._POPCOUNT_MAX + 1, protocol._POPCOUNT_MAX + 2,
-                               10**9 + 7, 10**9 + 8])
+@pytest.mark.parametrize("m", [4_097, 4_098, 10**9 + 7, 10**9 + 8])
 def test_rejection_sampler_fits_binomial(m):
-    # Just above the popcount path and at about 1e9 rounds, odd and even.
-    draws = protocol._halves(np.full(40_000, m, dtype=np.int64), protocol._word_source(m))
+    # At p = 1/2, at about 4e3 and 1e9 rounds, odd and even.
+    draws = protocol._binomial(np.full(40_000, m, dtype=np.int64), 0.5, protocol._word_source(m))
     _binomial_fit(draws, m, 0.5, 40)
 
 
@@ -634,7 +482,7 @@ def test_rejection_sampler_fits_binomial_without_floats(monkeypatch, m):
     calls = []
     certified = protocol._accept_certified
     monkeypatch.setattr(protocol, "_accept_certified", lambda *a: calls.append(1) or certified(*a))
-    draws = protocol._halves(np.full(3_000, m, dtype=np.int64), protocol._word_source(m))
+    draws = protocol._binomial(np.full(3_000, m, dtype=np.int64), 0.5, protocol._word_source(m))
     assert len(calls) >= 3_000
     _binomial_fit(draws, m, 0.5, 20)
 
@@ -646,65 +494,82 @@ def test_rejection_sampler_fits_binomial_by_intervals(monkeypatch):
     monkeypatch.setattr(protocol, "_EXACT_BITS", -1)
     exact = []
     monkeypatch.setattr(protocol, "_accept_exactly", lambda *a: exact.append(1))
-    draws = protocol._halves(np.full(500, m, dtype=np.int64), protocol._word_source(m))
+    draws = protocol._binomial(np.full(500, m, dtype=np.int64), 0.5, protocol._word_source(m))
     assert not exact
     _binomial_fit(draws, m, 0.5, 10)
 
 
-_T = protocol._POPCOUNT_MAX
-# The channel's QBERs 3/100 and 1/5, and 2**-10, at which counts just above T
-# have a mode of 4 and keep the digit chain, while 8191 rounds give the
-# sampler's smallest mode, 8.
-_FLIP_CASES = [(e, m) for e in (0.03, 0.2, 2.0**-10) for m in (_T + 1, _T + 2, 10**9 + 7)]
+# The channel's QBERs 3/100 and 1/5, and 2**-10, at which 4097 rounds have a
+# mode of 4 and 8191 rounds a mode of 8, the least whose envelope width is
+# set from 4mpq.
+_FLIP_CASES = [(e, m) for e in (0.03, 0.2, 2.0**-10) for m in (4_097, 4_098, 10**9 + 7)]
+# Counts of each mode 0..7 at 1e-9, 2**-40 and 0.03: (m + 1) e lies in
+# (mode + 1/2, mode + 1/2 + e] at m = int((mode + 1/2) / e).
+_SMALL_MODES = [(e, int((mode + 0.5) / e)) for e in (1e-9, 2.0**-40, 0.03) for mode in range(8)]
 
 
-@pytest.mark.parametrize("e,m", [(2.0**-10, 8_191), (2.0**-9, _T + 1), (0.03, _T + 1),
-                                 (0.5, _T + 1)])
+@pytest.mark.parametrize("e,m", [(2.0**-10, 8_191), (2.0**-9, 4_097), (0.03, 4_097),
+                                 (0.5, 4_097)])
 def test_binomial_samples_large_modes_by_rejection(monkeypatch, e, m):
-    # Counts whose mode floor((m + 1) e) is at least _MODE_MIN = 8 go to the
-    # sampler at p = e, in one call, whatever their size: the least such
-    # count at e (8191 at 2**-10, where T + 1 has mode 4; 4095, 266 and 15
-    # at the others), m above T, and 10**12.  The count below the least
-    # keeps the digit chain, whose halvings above T call it at p = 1/2.
+    # Every count of m > 0 rounds goes to the sampler at p = e, in one call,
+    # whatever its mode: the least count of mode 8 at e (8191 at 2**-10, and
+    # 4095, 266 and 15 at the others), the count of mode 7 below it, m,
+    # 10**12 and 1.  A zero count draws nothing and is 0.
     calls = []
     monkeypatch.setattr(protocol, "_binomial_by_rejection",
                         lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
     pair = protocol._dyadic(e)
     least = -(-8 * sum(pair) // pair[0]) - 1
     assert (least + 1) * pair[0] // sum(pair) == 8 > least * pair[0] // sum(pair)
-    counts = np.array([[least - 1, least], [m, 10**12]])
+    counts = np.array([[least - 1, least, 0], [m, 10**12, 1]])
     got = protocol._binomial(counts, e, protocol._word_source(1))
-    assert [call for call in calls if call[1] != 0.5] == [([least, m, 10**12], [pair] * 3)]
-    assert got[0, 1] == least // 2 and got[1, 0] == m // 2 and got[1, 1] == 10**12 // 2
-    assert 0 <= got[0, 0] <= least - 1
+    assert calls == [([least - 1, least, m, 10**12, 1], [pair] * 5)]
+    assert got.tolist() == [[(least - 1) // 2, least // 2, 0], [m // 2, 10**12 // 2, 0]]
 
 
 def test_binomial_routes_each_count_by_its_own_mode(monkeypatch):
-    # Per-count chances: 15 rounds at 1/2 and 30 at Eve's (0.03 + 1/2)/2 have
-    # a mode of 8 and go to the sampler together; 14 at 1/2 and 10**6 at
-    # 2**-20 have modes 7 and 0 and keep the chain, whose halvings above T
-    # call the sampler at p = 1/2.
+    # Per-count chances: every nonzero count at p > 0 goes to the sampler with
+    # its own (a, b), all in one call, whatever its mode: 15 rounds at 1/2
+    # and 30 at Eve's (0.03 + 1/2)/2 of mode 8, 14 at 1/2 of mode 7, 10**6 at
+    # 2**-20 of mode 0, and 1 at 1/2, whose mode is m.  The zero count and
+    # the count at p = 0 draw nothing, and a call with no other draws none.
     calls = []
     monkeypatch.setattr(protocol, "_binomial_by_rejection",
                         lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
     half, eve = protocol._chances(0.03, True)
-    tiny = protocol._dyadic(2.0**-20)
-    m = np.array([14, 15, 30, 10**6])
-    protocol._binomial(m, [half, half, eve, tiny], protocol._word_source(1))
-    assert [call for call in calls if call[1] != 0.5] == [([15, 30], [half, eve])]
+    tiny, zero = protocol._dyadic(2.0**-20), protocol._dyadic(0.0)
+    m = np.array([14, 15, 0, 30, 10**6, 70, 1])
+    got = protocol._binomial(m, [half, half, eve, eve, tiny, zero, half], protocol._word_source(1))
+    assert calls == [([14, 15, 30, 10**6, 1], [half, half, eve, tiny, half])]
+    assert got.tolist() == [7, 7, 0, 15, 500_000, 0, 0]
+    stub = _StubBits([])
+    assert protocol._binomial(np.array([[70, 5]]), 0.0, stub.random_raw).tolist() == [[0, 0]]
+    assert protocol._binomial(np.zeros(3, dtype=np.int64), 0.5, stub.random_raw).tolist() == [0] * 3
+    assert len(calls) == 1 and stub.draws == []
 
 
-@pytest.mark.parametrize("e,m", _FLIP_CASES + [(2.0**-10, 8_191)])
+@pytest.mark.parametrize("e,m", _FLIP_CASES + [(2.0**-10, 8_191)] + _SMALL_MODES)
 def test_binomial_fits_law_at_qbers(e, m):
     draws = protocol._binomial(np.full(20_000, m, dtype=np.int64), e,
                                protocol._word_source(m))
     _binomial_fit(draws, m, e, 20)
 
 
+@pytest.mark.parametrize("m", range(1, 15))
+def test_binomial_fits_law_at_one_half_on_few_rounds(m):
+    # Modes 1..7 at p = 1/2, with m = 1, whose mode is m: Pearson's
+    # chi-square over the m + 1 outcomes against C(m, k) / 2**m.
+    n = 20_000
+    draws = protocol._binomial(np.full(n, m, dtype=np.int64), 0.5, protocol._word_source(m))
+    assert draws.min() >= 0 and draws.max() <= m
+    assert_fits(np.bincount(draws, minlength=m + 1),
+                [n * math.comb(m, k) / 2**m for k in range(m + 1)])
+
+
 def test_binomial_fits_law_at_the_smallest_sampled_modes():
-    # One call on counts of mode 8, the least the sampler takes, each at its
-    # own chance: 15 rounds at 1/2, 266 at 0.03 and 30 at Eve's
-    # (0.03 + 1/2)/2.  Each group fits its own law.
+    # One call on counts of mode 8, the least whose envelope width is set
+    # from 4mpq, each at its own chance: 15 rounds at 1/2, 266 at 0.03 and
+    # 30 at Eve's (0.03 + 1/2)/2.  Each group fits its own law.
     cases = [((1, 1), 15), (protocol._dyadic(0.03), 266), (protocol._chances(0.03, True)[1], 30)]
     m = np.array([size for _, size in cases] * 6_000)
     draws = protocol._binomial(m, [pair for pair, _ in cases] * 6_000, protocol._word_source(8))
@@ -712,11 +577,11 @@ def test_binomial_fits_law_at_the_smallest_sampled_modes():
         _binomial_fit(draws[i::3], size, a / (a + b), 10)
 
 
-@pytest.mark.parametrize("e", [0.03, 0.2, 2.0**-10])
-def test_binomial_sampler_fits_law_without_floats(monkeypatch, e):
+@pytest.mark.parametrize("e,m", [pytest.param(e, 20_001, id=str(e)) for e in (0.03, 0.2, 2.0**-10)]
+                         + _SMALL_MODES)
+def test_binomial_sampler_fits_law_without_floats(monkeypatch, e, m):
     # With an infinite margin the float test decides nothing in [0, m]: every
     # such proposal before a count's first acceptance is decided exactly.
-    m = 20_001
     monkeypatch.setattr(protocol, "_MARGIN", math.inf)
     calls = []
     certified = protocol._accept_certified
@@ -727,57 +592,84 @@ def test_binomial_sampler_fits_law_without_floats(monkeypatch, e):
     _binomial_fit(draws, m, e, 20)
 
 
-@pytest.mark.parametrize("e", [0.03, 0.2, 2.0**-10])
-def test_binomial_sampler_fits_law_by_intervals(monkeypatch, e):
-    m = 20_001
+@pytest.mark.parametrize("e,m,draws", [pytest.param(e, 20_001, 500, id=str(e))
+                                        for e in (0.03, 0.2, 2.0**-10)]
+                         + [(e, m, 60) for e, m in _SMALL_MODES])
+def test_binomial_sampler_fits_law_by_intervals(monkeypatch, e, m, draws):
+    # At the small modes every factorial is taken from 1024!, a few ms a
+    # proposal, so fewer draws test the law there;
+    # test_certified_decisions_match_exact_binomials_at_small_modes checks
+    # each decision.
     monkeypatch.setattr(protocol, "_MARGIN", math.inf)
     monkeypatch.setattr(protocol, "_EXACT_BITS", -1)
     exact = []
     monkeypatch.setattr(protocol, "_accept_exactly", lambda *a: exact.append(1))
-    draws = protocol._binomial(np.full(500, m, dtype=np.int64), e,
+    draws = protocol._binomial(np.full(draws, m, dtype=np.int64), e,
                                protocol._word_source(m))
     assert not exact
     _binomial_fit(draws, m, e, 10)
 
 
+def _check_certified(m, a, b, k, block, u, more) -> None:
+    """Assert that both certified paths decide U < A = 2**block f(k)/f(M), for
+    f the Binomial(m, p) pmf at p = a/(a + b) and M = floor((m + 1) p), as the
+    reference does with math.comb and the factor (a/b)**(k - M), reading the
+    uniform's words, u and then ``more``, in turn.  A u of None begins U with
+    A's own first 64 bits."""
+    mode = (m + 1) * a // (a + b)
+    num, den = math.comb(m, k) << block, math.comb(m, mode)
+    if k >= mode:
+        num, den = num * a ** (k - mode), den * b ** (k - mode)
+    else:
+        num, den = num * b ** (mode - k), den * a ** (mode - k)
+    if u is None:
+        u = min(num * 2**64 // den, _ONES)
+    # The reference: U in [u, u + 1) / 2**bits, read on until it decides.
+    bits, v, words = 64, u, iter(more)
+    while den * (v + 1) > num << bits and den * v < num << bits:
+        v, bits = v << 64 | next(words), bits + 64
+    expected = int(den * (v + 1) <= num << bits)
+    for decide in (protocol._accept_exactly, protocol._accept_by_interval):
+        uniform = protocol._Uniform(u, _StubBits(more).random_raw)
+        got = decide(m, a, b, mode, k, block, uniform)
+        assert got == expected, (decide.__name__, a / (a + b), m, k, block)
+
+
 def test_certified_decisions_match_exact_binomials():
-    # Both certified paths decide U < A = 2**K f(k)/f(M), for f the
-    # Binomial(m, p) pmf and M = floor((m + 1) p), as the reference does with
-    # math.comb and, for p = a/2**L, the factor (a/(2**L - a))**(k - M),
-    # reading the uniform's words in turn.  Half the uniforms begin with A's
-    # own first 64 bits, so that only further words decide, and an error in A
-    # above 2**-64 shows.  The last p is Eve's chance (e + 1/2)/2 at e = 0.03,
-    # an exact fraction over 2**56 and no float.
+    # Half the uniforms begin with A's own first 64 bits, so that only
+    # further words decide, and an error in A above 2**-64 shows.  The last p
+    # is Eve's chance (e + 1/2)/2 at e = 0.03, an exact fraction over 2**56
+    # and no float.
     rng = random.Random(4)
     a, b = protocol._chances(0.03, True)[1]
     for p in (0.5, 0.03, 0.2, 2.0**-10, Fraction(a, a + b)):
         a, scale = p.as_integer_ratio()
-        b = scale - a
-        modes = {m: (m + 1) * a // scale for m in (5_000, 5_001, 20_001, 20_002)}
         cases = [(5_001, 0, 0), (5_001, 5_001, 3), (5_000, 7, 1), (20_001, 19_000, 0)]
         for _ in range(80):
-            m = rng.choice(list(modes))
+            m = rng.choice([5_000, 5_001, 20_001, 20_002])
             spread = int(2 * math.sqrt(m * p * (1 - p)))
             cases.append((m, max(m * a // scale + rng.randint(-3, 3) * spread, 0),
                           rng.randint(0, 3)))
         for m, k, block in cases:
-            mode = modes[m]
-            num, den = math.comb(m, k) << block, math.comb(m, mode)
-            if k >= mode:
-                num, den = num * a ** (k - mode), den * b ** (k - mode)
-            else:
-                num, den = num * b ** (mode - k), den * a ** (mode - k)
-            u = rng.getrandbits(64) if rng.random() < 0.5 else min(num * 2**64 // den, _ONES)
-            more = [rng.getrandbits(64) for _ in range(4)]
-            # The reference: U in [u, u + 1) / 2**bits, read on until it decides.
-            bits, v, words = 64, u, iter(more)
-            while den * (v + 1) > num << bits and den * v < num << bits:
-                v, bits = v << 64 | next(words), bits + 64
-            expected = int(den * (v + 1) <= num << bits)
-            for decide in (protocol._accept_exactly, protocol._accept_by_interval):
-                uniform = protocol._Uniform(u, _StubBits(more).random_raw)
-                got = decide(m, a, b, mode, k, block, uniform)
-                assert got == expected, (decide.__name__, p, m, k, block)
+            u = rng.getrandbits(64) if rng.random() < 0.5 else None
+            _check_certified(m, a, scale - a, k, block, u, [rng.getrandbits(64) for _ in range(4)])
+    # Small modes, where the float test is singular (M = 0, and M = m at
+    # m = 1, p = 1/2) or meets the widths below mode 8: every k up to M + 8,
+    # at blocks 0..3, on counts of about modes 0, 1, 3 and 7, and m = 1.  At
+    # p = 2**-1074, the least float, 2**62 rounds have mode 0 and |ln(a/b)|
+    # is about 744, the largest the decimal intervals meet; A < 2**-1000
+    # there for k >= 1, so U begins with a random word.
+    a, b = protocol._chances(0.03, True)[1]
+    small = [(p, m) for p in (0.5, 0.03, 1e-9, 2.0**-40, Fraction(a, a + b))
+             for m in sorted({1} | {int((mode + 0.5) / p) for mode in (0, 1, 3, 7)})]
+    for p, m in small + [(2.0**-1074, 2**62)]:
+        a, scale = p.as_integer_ratio()
+        mode = (m + 1) * a // scale
+        tiny = p == 2.0**-1074
+        for k in list(range(min(m, mode + 8) + 1)) + ([60, 100] if tiny else []):
+            u = rng.getrandbits(64) if (tiny and k) or rng.random() < 0.5 else None
+            _check_certified(m, a, scale - a, k, rng.randint(0, 3), u,
+                             [rng.getrandbits(64) for _ in range(4)])
 
 
 def _proposal(side: int, block: int, offset: int) -> int:
@@ -797,7 +689,7 @@ def test_rejection_proposal_mapping(m):
         proposals = first + [_proposal(0, 0, 0)] * (p - len(first))
         uniforms = [_ONES, 0] if len(first) == 2 else [0]
         stub = _StubBits(proposals + uniforms + [_ONES] * (p - len(uniforms)) + list(extra))
-        got = protocol._halves(np.array([m]), stub.random_raw).tolist()
+        got = protocol._binomial(np.array([m]), 0.5, stub.random_raw).tolist()
         return got, stub.draws
 
     for (side, block, offset), k in [
@@ -818,9 +710,9 @@ def test_rejection_proposal_mapping(m):
 
 def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
     # The same layout around the mode M = floor((m + 1) e) = 300 of m = 10_000
-    # rounds at e = 0.03, where w = 32: 16*16 < 0.6932 * 4mpq < 32*32.  All
-    # of the count goes to the sampler, so no digit chain draws.  A uniform
-    # of 0 accepts a proposal near the mode, and all ones reject one far off.
+    # rounds at e = 0.03, where w = 32: 16*16 < 0.6932 * 4mpq < 32*32.  A
+    # uniform of 0 accepts a proposal near the mode, and all ones reject one
+    # far off.
     m, mode, w, p = 10_000, 300, 32, protocol._PROPOSALS
 
     def sample(first, extra=()):
@@ -850,19 +742,31 @@ def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
 _EVE_CHANCE = protocol._chances(0.03, True)[1]  # (0.03 + 1/2)/2, not a float
 
 
-@pytest.mark.parametrize("m,e,mode", [(_T + 1, 2.0**-9, 8), (8_191, 2.0**-10, 8),
-                                      (_T + 1, 0.03, 122), (_T + 2, 0.2, 819),
-                                      (_T + 1, 0.5, 2049), (15, 0.5, 8), (266, 0.03, 8),
-                                      (30, _EVE_CHANCE, 8), (_T - 1, 0.03, 122)])
+def _pair(e) -> tuple:
+    return e if isinstance(e, tuple) else protocol._dyadic(e)
+
+
+# The largest count of each mode 0..7 at each chance, whose pmf falls the
+# slowest above its mode: (m + 1) a < (mode + 1)(a + b).  At 1/2 no count
+# has mode 0; m = 1 has mode m.
+_SMALL_ENVELOPES = [(m, e, mode) for e in (0.5, 0.03, 2.0**-10, _EVE_CHANCE) for mode in range(8)
+                    for m in [((mode + 1) * sum(_pair(e)) - 1) // _pair(e)[0] - 1] if m > 0]
+
+
+@pytest.mark.parametrize("m,e,mode", [(4_097, 2.0**-9, 8), (8_191, 2.0**-10, 8),
+                                      (4_097, 0.03, 122), (4_098, 0.2, 819),
+                                      (4_097, 0.5, 2049), (15, 0.5, 8), (266, 0.03, 8),
+                                      (30, _EVE_CHANCE, 8), (4_095, 0.03, 122), (1, 0.5, 1)]
+                         + _SMALL_ENVELOPES)
 def test_envelope_bounds_the_pmf_exactly(m, e, mode):
     # 2**K f(k) <= f(M) for every k in [0, m], K the block of k, in integers:
     # F(k) = C(m, k) a**k b**(m - k), for e = a/(a + b), is f(k) (a + b)**m.
-    # The cases of mode 8 have the smallest mode the sampler takes, the last
-    # four the smallest counts it takes at 1/2, 0.03 and Eve's chance at
-    # 0.03, and a count just below T.
-    a, b = e if isinstance(e, tuple) else protocol._dyadic(e)
-    assert (m + 1) * a // (a + b) == mode >= protocol._MODE_MIN
-    w = int(protocol._width(np.array([m]), np.array([a / (a + b)]))[0])
+    # The cases of mode 8 have the least mode whose width is set from 4mpq,
+    # and 15, 266 and 30 are the least counts of that mode at 1/2, 0.03 and
+    # Eve's chance at 0.03.
+    a, b = _pair(e)
+    assert (m + 1) * a // (a + b) == mode
+    w = int(protocol._width(np.array([m]), np.array([a / (a + b)]), np.array([mode]))[0])
     top = math.comb(m, mode) * a**mode * b ** (m - mode)
     f = b**m
     for k in range(m + 1):
@@ -873,7 +777,7 @@ def test_envelope_bounds_the_pmf_exactly(m, e, mode):
 
 def test_halves_at_the_largest_count():
     m = 2**63 - 1
-    draws = protocol._halves(np.full(2_000, m, dtype=np.int64), protocol._word_source(1))
+    draws = protocol._binomial(np.full(2_000, m, dtype=np.int64), 0.5, protocol._word_source(1))
     z = (draws.astype(float) - m / 2) / (math.sqrt(m) / 2)
     assert draws.min() >= 0 and draws.max() <= m
     assert abs(z.mean()) < 0.15 and abs(z.std() - 1) < 0.1 and abs(z).max() < 6
