@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -350,6 +351,58 @@ def test_simulation_frozen_outputs():
     assert (report.other_count, report.sifted_count, report.error_count) == (166, 748_759, 126)
     counts = protocol._code_counts(FROZEN_SMALL_MODES_CONFIG, protocol._word_source(2212))
     _fits_oracle(counts, Fraction(FROZEN_SMALL_MODES_CONFIG.channel_qber), False)
+
+
+# The sha256 of the kernel's int64 counts over a grid of seeds, QBERs, round
+# counts and Eve, then of the exact law at each of those QBERs: few rounds,
+# where certified decisions and modes 0 and m are common, huge counts, and
+# QBERs from 1e-9 to 1/2.  Frozen from the numpy kernel that preceded the
+# kernel on Python ints, which must draw the same words.
+_PIN_QBERS = (0.0, 1e-9, 0.01, 0.03, 0.1, 0.25, 0.5)
+_PIN_ROUNDS = (14, 1000, 10**6, 10**7, 2**40, 2**62)
+_PIN_DIGEST = "030f625b48cda428d0a08fafc877460e0e92ef59e246b7c06869ee8dc1c24996"
+
+
+def test_kernel_words_and_law_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(25):
+        for e in _PIN_QBERS:
+            for n in _PIN_ROUNDS:
+                for eve in (Eavesdropper.NONE, Eavesdropper.INTERCEPT_RESEND):
+                    config = SimulationConfig(ProtocolId.P1, n, e, eve, seed)
+                    counts = protocol._code_counts(config, protocol._word_source(seed))
+                    assert counts.dtype == np.int64 and counts.shape == (256,)
+                    digest.update(counts.tobytes())
+    for e in _PIN_QBERS:
+        for eve in (False, True):
+            digest.update(protocol.code_distribution(e, eve).tobytes())
+    assert digest.hexdigest() == _PIN_DIGEST
+
+
+# Whole reports, frozen like _PIN_DIGEST: 14 rounds, whose counts are drawn
+# mostly by certified decisions, and 2**62 rounds with Eve.
+_PINNED_REPORTS = [
+    (SimulationConfig(ProtocolId.P1, 14, 0.03, Eavesdropper.NONE, 5),
+     (0.6428571428571429, 0.0, 0.21428571428571427, True,
+      (3, 0, 0, 0, 0, 2, 0, 0, 0, 1, 1, 0, 0, 1, 2, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0),
+      0, 9, 0)),
+    (SimulationConfig(ProtocolId.P2, 2**62, 0.03, Eavesdropper.INTERCEPT_RESEND, 5),
+     (0.9181812501470585, 0.34336745892839426, 0.44477499985292707, False,
+      (228892604117438635, 72057594069283085, 72057594148333669, 105924663413104757,
+       72057594008629515, 72057594191965602, 105924663034025692, 228892604576137633,
+       72057594270282946, 72057594355352896, 105924663355635976, 72057594359112710,
+       72057593904621338, 105924663325281459, 228892605186425619, 72057593932419338,
+       72057594014145783, 105924663458196954, 72057593543154970, 72057593912883350,
+       105924663200157756, 228892604839852653, 72057593813233272, 72057594363626742,
+       105924663004797707, 72057594153654863, 72057594065480315, 105924662826669106),
+      1695796788983483563, 4234363633685369784, 1453942681077347577)),
+]
+
+
+@pytest.mark.parametrize("config,expected", _PINNED_REPORTS, ids=["14", "2**62-eve"])
+def test_reports_are_pinned(config, expected):
+    report = run_simulation(config)
+    assert report == protocol.SimulationReport(config, *expected)
 
 
 @pytest.mark.parametrize("n_rounds", [1 << 13, 1 << 18, 1 << 22, 1 << 62])
