@@ -41,7 +41,8 @@ mode is 0 or m, where the log-ratio is singular, and there exact integers or
 decimal intervals decide (:func:`_accept_certified`).  No float probability
 decides an outcome, and a zero count, or p = 0, draws nothing.  So a run
 draws a few thousand words, and its cost and memory do not grow with the
-round count, up to 2**63 - 1.
+round count, up to 2**63 - 1.  A level holds at most 32 counts, so the kernel
+runs on Python ints and floats, and only the 256 code counts are an array.
 
 All words come from one stream, ``random.Random(seed)`` (:func:`_word_source`),
 so a report is bit-for-bit reproducible from its seed.  Sift fraction, QBER
@@ -59,8 +60,10 @@ the sampler and the tables are tested against.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +88,7 @@ DEFAULT_SB1_TOLERANCE = 0.0617
 #: The names of the four signal states, indexed as 2*basis + bit (Z = 0, X = 1).
 STATE_NAMES = ("|0>", "|1>", "|+>", "|->")
 
-#: Largest round count: counts are int64.
+#: Largest round count: the kernel's histogram is int64, and the CLI's contract.
 _MAX_ROUNDS = 2**63 - 1
 
 
@@ -109,10 +112,9 @@ class SimulationConfig:
         in_range("sb1_tolerance", self.sb1_tolerance, 0.0, math.inf)
 
 
-def _node_bits(width: int) -> list[np.ndarray]:
+def _node_bits(width: int) -> list[list[int]]:
     """The bits of the nodes 0 .. 2**width - 1, most significant first."""
-    nodes = np.arange(1 << width)
-    return [nodes >> shift & 1 for shift in range(width - 1, -1, -1)]
+    return [[n >> shift & 1 for n in range(1 << width)] for shift in range(width - 1, -1, -1)]
 
 
 def _pattern_tables() -> tuple:
@@ -128,7 +130,7 @@ def _pattern_tables() -> tuple:
     Alice measures r2 in basis mb = basis_a ^ (r1 == bits_a), so the other
     192 codes never occur.
     """
-    basis_a, bits_a, basis_b, y, r1, r2 = _node_bits(6)
+    basis_a, bits_a, basis_b, y, r1, r2 = np.array(_node_bits(6))
     echo = r1 == bits_a  # Alice's return measurement gave her own state
     mb = basis_a ^ echo
     s_a = 2 * basis_a + bits_a
@@ -211,9 +213,9 @@ _PROPOSALS = 16
 
 #: Error margin of the float log-ratio in :func:`_rejection_status`, relative
 #: to a bound on its terms' magnitudes.  Each term is off by a few units in
-#: the last place (numpy tests its float64 log and log1p to 1 ulp; 4 are
-#: allowed here, and 1/2 per rounding), so the float value errs by less than
-#: 2**-48 of that bound; this margin is 256 times more.  Within it,
+#: the last place (1/2 per rounding, and 4 allowed per math.log1p or log, the
+#: C library's, which glibc documents to 1 ulp), so the float value errs by
+#: less than 2**-48 of that bound; this margin is 256 times more.  Within it,
 #: :func:`_accept_certified` decides.
 _MARGIN = 2.0**-40
 
@@ -222,13 +224,13 @@ _MARGIN = 2.0**-40
 #: intervals above.
 _EXACT_BITS = 2**16
 
-_LOW31 = np.uint64(2**31 - 1)
+_LOW31 = 2**31 - 1
 _LN2 = math.log(2.0)
 
 
-def _leading_zeros(words: np.ndarray) -> np.ndarray:
-    """The leading zeros of bits 62..32 of each uint64 word, 31 when all are 0."""
-    return 31 - np.frexp((words >> np.uint64(32) & _LOW31).astype(float))[1]
+def _leading_zeros(word: int) -> int:
+    """The leading zeros of bits 62..32 of a 64-bit word, 31 when all are 0."""
+    return 31 - (word >> 32 & _LOW31).bit_length()
 
 
 def _dyadic(p: float) -> tuple[int, int]:
@@ -238,17 +240,17 @@ def _dyadic(p: float) -> tuple[int, int]:
     return a, scale - a
 
 
-def _width(m: np.ndarray, p: np.ndarray, mode: np.ndarray) -> np.ndarray:
+def _width(m: int, p: float, mode: int) -> int:
     """The envelope's block width for Binomial(m, p) of mode M: the smallest
     power of two w with w*w > 0.6932 * 4x, for x = mpq at M >= :data:`_MODE_MIN`
     and x = M + 1 below it.  0.6932 * 4 exceeds 4 ln 2 by far more than float
     rounding.  0.6932 * 4x < 2**e for e its frexp exponent, and 2**(e - 1) <=
     it, so w = 2**ceil(e / 2)."""
-    x = np.where(mode < _MODE_MIN, 0.6932 * 4 * (mode + 1), 0.6932 * 4 * p * (1 - p) * m)
-    return np.int64(1) << (np.frexp(x)[1] + 1) // 2
+    x = 0.6932 * 4 * (mode + 1) if mode < _MODE_MIN else 0.6932 * 4 * p * (1 - p) * m
+    return 1 << (math.frexp(x)[1] + 1) // 2
 
 
-def _binomial_by_rejection(m: np.ndarray, pairs: list, raw) -> np.ndarray:
+def _binomial_by_rejection(m: list, pairs: list, raw) -> list:
     """Binomial(m, p) for each count m > 0, exactly, at its p = a/(a + b) in
     (0, 1/2], one exact (a, b) (:func:`_dyadic`) per count: by rejection from
     a geometric envelope around the mode M = floor((m + 1) p) (Bringmann,
@@ -295,58 +297,58 @@ def _binomial_by_rejection(m: np.ndarray, pairs: list, raw) -> np.ndarray:
     M = 0..7 with its w = 2, 4, 4, 4, 4, 8, 8, 8: exactly 1/2 at M = 0, and
     less above.  And M - 1 - w < 0, so side 1 has no block K >= 1 in [0, m].
 
-    A batch draws the proposals of every count still unsampled, as two
-    (counts, proposals) blocks of words: the proposals, then their uniforms.
-    A count takes its first accepted proposal; the float test
-    :func:`_rejection_status` decides nearly all, and :func:`_accept_certified`,
-    given (a, b) and the count's mode, the rest, in order.  The first batch
-    holds :data:`_PROPOSALS` per count, and each later one, for the few
-    counts left, four times as many.
+    A batch draws the proposals of every count still unsampled, then their
+    uniforms, then a word more per block still open, in order, while any is.
+    A count takes its first accepted proposal; :func:`_rejection_status`
+    decides nearly all, and :func:`_accept_certified`, given (a, b) and the
+    mode, the rest, in rounds, each in count order.  The first batch holds
+    :data:`_PROPOSALS` per count, and each later one four times as many.
     """
-    sizes = m.tolist()
-    modes = [(n + 1) * a // (a + b) for n, (a, b) in zip(sizes, pairs)]
-    mode = np.array(modes, dtype=np.int64)
+    out = [None] * len(m)
+    modes = [(n + 1) * a // (a + b) for n, (a, b) in zip(m, pairs)]
     # (m - M)p / (Mq) = 1 + tilt, for (m - M) a - M b = m a - M (a + b) exactly;
     # at M = 0 the float test takes no tilt.
-    tilt = np.array([(n * a - k * (a + b)) / (k * b) if k else 0.0
-                     for n, k, (a, b) in zip(sizes, modes, pairs)])
-    w = _width(m, np.array([a / (a + b) for a, b in pairs]), mode)
-    out = np.empty_like(m)
-    live = np.arange(m.size)
+    tilts = [(n * a - k * (a + b)) / (k * b) if k else 0.0
+             for n, k, (a, b) in zip(m, modes, pairs)]
+    widths = [_width(n, a / (a + b), k) for n, k, (a, b) in zip(m, modes, pairs)]
+    live = list(range(len(m)))
     proposals = _PROPOSALS
-    while live.size:
-        n = live.size
-        words = raw(2 * n * proposals).reshape(2, n, proposals)
-        block = _leading_zeros(words[0])
-        unended = block == 31
-        while unended.any():
-            more = _leading_zeros(raw(int(unended.sum())))
-            block[unended] += more
-            unended[unended] = more == 31
-        wl = w[live, None]
-        j = block * wl + (words[0] & (wl - 1).astype(np.uint64)).astype(np.int64)
-        # y = k - M: j on side 0, and M - 1 - j - M = ~j on side 1.
-        y = j ^ words[0].view(np.int64) >> 63
-        status = _rejection_status(m[live, None], mode[live, None], tilt[live, None], y,
-                                   block, words[1])
-        rows = np.arange(n)
-        first = (status != 0).argmax(axis=1)
-        while (status[rows, first] < 0).any():
-            for r in np.flatnonzero(status[rows, first] < 0).tolist():
-                f, i = first[r], live[r]
-                status[r, f] = _accept_certified(sizes[i], *pairs[i], modes[i],
-                                                 modes[i] + int(y[r, f]), int(block[r, f]),
-                                                 int(words[1, r, f]), raw)
-            first = (status != 0).argmax(axis=1)
-        done = status[rows, first] == 1
-        out[live[done]] = mode[live[done]] + y[done, first[done]]
-        live = live[~done]
+    while live:
+        size = len(live) * proposals
+        words = raw(2 * size)
+        more, unended = {}, [at for at in range(size) if not words[at] >> 32 & _LOW31]
+        while unended:
+            extra = dict(zip(unended, raw(len(unended))))
+            more.update((at, more.get(at, 0) + _leading_zeros(word)) for at, word in extra.items())
+            unended = [at for at, word in extra.items() if not word >> 32 & _LOW31]
+
+        def tests(r, i):
+            """Count i's proposals (row r) to the first accepted; yields before certifying."""
+            n, mode, w = m[i], modes[i], widths[i]
+            for at in range(r * proposals, (r + 1) * proposals):
+                word, uniform = words[at], words[size + at]
+                block = _leading_zeros(word) + more.get(at, 0)
+                j = block * w + (word & w - 1)
+                # y = k - M: j on side 0, and M - 1 - j - M = ~j on side 1.
+                y = ~j if word >> 63 else j
+                status = _rejection_status(n, mode, tilts[i], y, block, uniform)
+                if status < 0:
+                    yield
+                    status = _accept_certified(n, *pairs[i], mode, mode + y, block, uniform, raw)
+                if status:
+                    out[i] = mode + y
+                    return
+
+        waiting = [tests(r, i) for r, i in enumerate(live)]
+        while waiting:
+            waiting = [count for count in waiting if next(count, True) is None]
+        live = [i for i in live if out[i] is None]
         proposals *= 4
     return out
 
 
-def _rejection_status(m, mode, tilt, y, block, uniform) -> np.ndarray:
-    """int8 per proposal k = M + y of :func:`_binomial_by_rejection`: 1 to
+def _rejection_status(m: int, mode: int, tilt: float, y: int, block: int, uniform: int) -> int:
+    """For the proposal k = M + y of :func:`_binomial_by_rejection`: 1 to
     accept, 0 to reject, -1 when the float test cannot tell.
 
     The test takes U in [u, u + 1) / 2**53 for u the top 53 bits of
@@ -364,29 +366,28 @@ def _rejection_status(m, mode, tilt, y, block, uniform) -> np.ndarray:
     and an error in a log1p argument is damped by the factor before it.  So
     the float value errs by less than 2**-48 (K ln 2 + 2 S + 64), with S the
     magnitude of the last two products' difference, and leaves out the r_n,
-    which sum to less than (1/M + 1/G + 1/k + 1/b)/12 in magnitude, infinite
-    at k = 0 or m.  A decision needs ln A to clear ln U by that plus
-    :data:`_MARGIN` (K ln 2 + 2 S + 64).  A k outside [0, m] gives a log1p
-    argument below -1 and so a NaN, or -inf, value of ln A: it is rejected,
-    as f(k) = 0, and never accepted.  At M = 0 or M = m (m = 1, p = 1/2),
-    where log1p(y/M) or log1p(-y/G) is singular, no float decides: a k in
-    [0, m] is left to :func:`_accept_certified`, and any other rejected.
+    which sum to less than (1/M + 1/G + 1/k + 1/b)/12 in magnitude.  A
+    decision needs ln A to clear ln U by that plus :data:`_MARGIN` (K ln 2 +
+    2 S + 64), and u = 0 clears ln 0 = -inf.  A k outside [0, m] is rejected;
+    :func:`_accept_certified` takes one in it where a log1p is singular: M = 0
+    or m (m = 1, p = 1/2), k = 0 or m, or y/M or -y/G rounded to -1.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k, b = mode + y, m - mode - y
-        kf, bf, yf = k.astype(float), b.astype(float), y.astype(float)
-        lift = block * _LN2
-        up = (kf + 0.5) * np.log1p(yf / mode)
-        down = (bf + 0.5) * np.log1p(yf / (mode - m))
-        # ln(2**53 A), to compare with ln u.
-        ln_a = lift + yf * np.log1p(tilt) - up - down + 53 * _LN2
-        error = ((lift + 2 * np.abs(up - down) + 64) * _MARGIN
-                 + ((m / 12) / (kf * bf) + (1 / mode + 1 / (m - mode)) / 12))
-        u = (uniform >> np.uint64(11)).astype(float)
-        singular = (mode == 0) | (mode == m)
-        accept = ~singular & (ln_a - error > np.log(u + 1))
-        kept = np.where(singular, (k >= 0) & (b >= 0), ln_a + error >= np.log(u))
-    return np.where(accept, 1, np.where(kept, -1, 0)).astype(np.int8)
+    k, b = mode + y, m - mode - y
+    if k < 0 or b < 0:
+        return 0
+    kf, bf, yf, mf, gf = float(k), float(b), float(y), float(mode), float(m - mode)
+    if not 0 < mode < m or yf / mf == -1.0 or -yf / gf == -1.0:
+        return -1
+    lift = block * _LN2
+    up, down = (kf + 0.5) * math.log1p(yf / mf), (bf + 0.5) * math.log1p(-yf / gf)
+    # ln(2**53 A), to compare with ln u.
+    ln_a = lift + yf * math.log1p(tilt) - up - down + 53 * _LN2
+    error = ((lift + 2 * abs(up - down) + 64) * _MARGIN
+             + (float(m) / 12 / (kf * bf) + (1 / mf + 1 / gf) / 12))
+    u = float(uniform >> 11)
+    if ln_a - error > math.log(u + 1):
+        return 1
+    return -1 if not u or ln_a + error >= math.log(u) else 0
 
 
 class _Uniform:
@@ -445,19 +446,21 @@ _STIRLING_REST = (3617, 122400)
 _STIRLING_MIN = 1024
 
 
-def _ln_factorial(n: int):
+@functools.lru_cache(maxsize=1024)
+def _ln_factorial(n: int, digits: int):
     """(x, r): ln n! - ln(2 pi)/2 lies within r of x, besides the roundings
-    of the current decimal context."""
-    from decimal import Decimal
+    of decimal arithmetic at ``digits`` digits."""
+    from decimal import Context, Decimal, localcontext
 
     z = max(n, _STIRLING_MIN)
-    dz = Decimal(z)
-    x = (dz + Decimal("0.5")) * dz.ln() - dz
-    for i, (num, den) in enumerate(_STIRLING):
-        x += Decimal(num) / Decimal(den * z ** (2 * i + 1))
-    if n < z:
-        x -= Decimal(math.perm(z, z - n)).ln()  # z! / n!
-    return x, Decimal(_STIRLING_REST[0]) / Decimal(_STIRLING_REST[1] * z**15)
+    with localcontext(Context(prec=digits)):
+        dz = Decimal(z)
+        x = (dz + Decimal("0.5")) * dz.ln() - dz
+        for i, (num, den) in enumerate(_STIRLING):
+            x += Decimal(num) / Decimal(den * z ** (2 * i + 1))
+        if n < z:
+            x -= Decimal(math.perm(z, z - n)).ln()  # z! / n!
+        return x, Decimal(_STIRLING_REST[0]) / Decimal(_STIRLING_REST[1] * z**15)
 
 
 def _accept_by_interval(m, a, b, mode, k, block, uniform: _Uniform):
@@ -472,7 +475,7 @@ def _accept_by_interval(m, a, b, mode, k, block, uniform: _Uniform):
             ctx.prec = digits
             ln2 = Decimal(2).ln()
             (x_g, r_g), (x_mode, r_mode), (x_k, r_k), (x_b, r_b) = (
-                _ln_factorial(n) for n in (m - mode, mode, k, m - k))
+                _ln_factorial(n, digits) for n in (m - mode, mode, k, m - k))
             ln_a = (block * ln2 + x_g + x_mode - x_k - x_b
                     + (k - mode) * (Decimal(a) / Decimal(b)).ln())
             while True:
@@ -498,18 +501,16 @@ def _accept_by_interval(m, a, b, mode, k, block, uniform: _Uniform):
     return None
 
 
-def _binomial(m: np.ndarray, p, raw) -> np.ndarray:
-    """Elementwise Binomial(m, p) for dyadic p in [0, 1/2], one float or a
-    list of one exact (a, b) (:func:`_dyadic`) per count: every count of
-    m > 0 rounds at p > 0 is drawn by :func:`_binomial_by_rejection`, all in
-    one call, and the others are 0 and draw nothing."""
-    pairs = [_dyadic(p)] * m.size if isinstance(p, float) else p
-    flat = m.ravel()
-    drawn = [i for i, (n, (a, _)) in enumerate(zip(flat.tolist(), pairs)) if n and a]
-    out = np.zeros_like(flat)
-    if drawn:
-        out[drawn] = _binomial_by_rejection(flat[drawn], [pairs[i] for i in drawn], raw)
-    return out.reshape(m.shape)
+def _binomial(m: list, p, raw) -> list:
+    """Binomial(m[i], p) for each count m[i], at dyadic p in [0, 1/2], one
+    float or a list of one exact (a, b) (:func:`_dyadic`) per count: every
+    count of m > 0 rounds at p > 0 is drawn by :func:`_binomial_by_rejection`,
+    all in one call, and the others are 0 and draw nothing."""
+    pairs = [_dyadic(p)] * len(m) if isinstance(p, float) else p
+    drawn = [i for i, (n, (a, _)) in enumerate(zip(m, pairs)) if n and a]
+    got = iter(_binomial_by_rejection([m[i] for i in drawn], [pairs[i] for i in drawn], raw)
+               if drawn else ())
+    return [next(got) if n and a else 0 for n, (a, _) in zip(m, pairs)]
 
 
 def _chances(e: float, eve: bool) -> tuple:
@@ -525,9 +526,9 @@ def _chances(e: float, eve: bool) -> tuple:
     return (1, 1), (a, b)
 
 
-def _walk(total: np.ndarray, part, e: float, eve: bool) -> np.ndarray:
-    """Split ``total``, a one-element array, down the protocol tree; return
-    the [256] part of it at each round code.
+def _walk(total, part, e: float, eve: bool) -> np.ndarray:
+    """Split ``total``, an int or a float, down the protocol tree; return the
+    int64 or float64 [256] part of it at each round code.
 
     Each level appends one bit to every node: three uniform bits split
     ``total`` into the 8 (basis_a, bits_a, basis_b) classes, and each pass
@@ -541,19 +542,17 @@ def _walk(total: np.ndarray, part, e: float, eve: bool) -> np.ndarray:
     chances = _chances(e, eve)
 
     def send(counts, basis, bit, meas_basis):
-        """Send node i's rounds as the qubit (basis[i], bit[i]), measure them
-        in meas_basis[i], and return the nodes extended by the result."""
-        same = np.broadcast_to(basis == meas_basis, counts.shape)
-        other = part(counts, [chances[s] for s in same.tolist()])
+        """Send node i's rounds as the qubit (basis[i], bit[i]), read in meas_basis[i]."""
+        other = part(counts, [chances[s == t] for s, t in zip(basis, meas_basis)])
         # other is drawn, or node * p: never node less the rest, inexact at small p.
-        kept = counts - other
-        return np.stack([np.where(bit, other, kept), np.where(bit, kept, other)], axis=-1).ravel()
+        return [x for node, x_other, one in zip(counts, other, bit)
+                for x in ((x_other, node - x_other) if one else (node - x_other, x_other))]
 
     # Node c = basis_a << 2 | bits_a << 1 | basis_b, each bit a uniform one:
     # a 1 sent in Z and read in X.
-    counts = total
+    counts = [total]
     for _ in range(3):
-        counts = send(counts, 0, 1, 1)
+        counts = send(counts, [0] * len(counts), [1] * len(counts), [1] * len(counts))
     # Alice's qubit, which Bob measures in his basis: y.
     basis_a, bits_a, basis_b = _node_bits(3)
     counts = send(counts, basis_a, bits_a, basis_b)
@@ -563,8 +562,9 @@ def _walk(total: np.ndarray, part, e: float, eve: bool) -> np.ndarray:
     # Bob's bit in his other basis, which Alice measures in the other basis
     # if r1 returned her own state, else in hers: r2.
     basis_a, bits_a, basis_b, y, r1 = _node_bits(5)
-    counts = send(counts, 1 - basis_b, y, basis_a ^ (r1 == bits_a))
-    by_code = np.zeros(256, dtype=counts.dtype)
+    counts = send(counts, [1 - s for s in basis_b], y,
+                  [s ^ (r == t) for s, r, t in zip(basis_a, r1, bits_a)])
+    by_code = np.zeros(256, dtype=type(total))
     by_code[_PATTERN_CODES] = counts
     return by_code
 
@@ -577,7 +577,7 @@ def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
     never drawn one at a time: :func:`_walk` splits the count at each node by
     one exact binomial, :func:`_binomial`.
     """
-    return _walk(np.array([config.n_rounds], dtype=np.int64), lambda m, p: _binomial(m, p, raw),
+    return _walk(config.n_rounds, lambda m, p: _binomial(m, p, raw),
                  config.channel_qber, config.eve is Eavesdropper.INTERCEPT_RESEND)
 
 
@@ -586,7 +586,7 @@ def code_distribution(e: float, eve: bool) -> np.ndarray:
     with or without the intercept-resend eavesdropper.  It is the kernel's
     walk down the protocol tree on probability 1, a node's part read as the
     other bit the node times the float nearest its exact p."""
-    return _walk(np.ones(1), lambda x, p: x * np.array([a / (a + b) for a, b in p]), e, eve)
+    return _walk(1.0, lambda x, p: [node * (a / (a + b)) for node, (a, b) in zip(x, p)], e, eve)
 
 
 def _published_branches() -> tuple:
@@ -605,13 +605,13 @@ TABLE1_BRANCHES, BRANCH_CODES = _published_branches()
 
 
 def _word_source(seed: int):
-    """``raw(n)``: the next n 64-bit words of ``random.Random(seed)``.
+    """``raw(n)``: the next n 64-bit words of ``random.Random(seed)``, as ints.
 
     Word i of a draw is bits 64i .. 64i + 63 of one ``getrandbits(64 n)``
     call, two outputs of the Mersenne Twister, low first, so the words come in
     the same order whatever the sizes of the draws."""
     bits = random.Random(seed).getrandbits
-    return lambda n: np.frombuffer(bits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+    return lambda n: struct.unpack(f"<{n}Q", bits(64 * n).to_bytes(8 * n, "little"))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:

@@ -170,7 +170,7 @@ def _one_word_at_a_time(seed):
     """A word source like ``protocol._word_source`` that draws its words from
     ``random.Random(seed)`` one ``getrandbits(64)`` at a time."""
     bits = random.Random(seed).getrandbits
-    return lambda n: np.array([bits(64) for _ in range(n)], dtype=np.uint64)
+    return lambda n: [bits(64) for _ in range(n)]
 
 
 def test_simulation_reports_the_same_whatever_the_draw_sizes(monkeypatch):
@@ -253,7 +253,8 @@ def _fits_oracle(counts: np.ndarray, e: Fraction, eve: bool) -> None:
 
 
 def _kernel(config: SimulationConfig, seed) -> np.ndarray:
-    return protocol._code_counts(config, np.random.default_rng(seed).bit_generator.random_raw)
+    random_raw = np.random.default_rng(seed).bit_generator.random_raw
+    return protocol._code_counts(config, lambda n: random_raw(n).tolist())
 
 
 def _config(n: int, e: Fraction, eve: bool) -> SimulationConfig:
@@ -282,20 +283,20 @@ def test_kernel_histogram_fits_oracle_at_ten_million_rounds(e, eve):
 
 
 class _StubBits:
-    """A bit generator whose random_raw hands out the given words in order
-    and records the size of each draw."""
+    """A bit generator whose random_raw hands out the given words in order,
+    as a list of ints, and records the size of each draw."""
 
     def __init__(self, words):
-        self.words = np.array(words, dtype=np.uint64)
+        self.words = list(words)
         self.used = 0
         self.draws = []
 
     def random_raw(self, size):
-        if self.used + size > self.words.size:
+        if self.used + size > len(self.words):
             raise IndexError("stub bit generator ran out of words")
         self.used += size
         self.draws.append(size)
-        return self.words[self.used - size:self.used].copy()
+        return self.words[self.used - size:self.used]
 
 
 _ONES = 2**64 - 1
@@ -334,6 +335,23 @@ def test_flips_keep_the_halvings_few(monkeypatch, pid, eve):
         assert counts.sum() == 10**7
         assert calls["_binomial"] == 6
         assert calls["_binomial_by_rejection"] <= 6
+
+
+def test_kernel_calls_numpy_only_for_its_histogram(monkeypatch):
+    # The walk, the binomials and the sampler run on Python ints and floats:
+    # the one numpy call of a run builds the [256] histogram at its end.
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(protocol, "np", Recorder())
+    for e, eve in ((0.03, Eavesdropper.INTERCEPT_RESEND), (1e-9, Eavesdropper.NONE)):
+        config = SimulationConfig(ProtocolId.P2, 10**7, e, eve)
+        assert protocol._code_counts(config, protocol._word_source(1)).sum() == 10**7
+    assert calls == ["zeros", "zeros"]
 
 
 def test_simulation_frozen_outputs():
@@ -422,8 +440,8 @@ def test_simulation_memory_does_not_grow_with_rounds(n_rounds):
             tracemalloc.stop()
         # A first rejection batch holds 2 * _PROPOSALS words per count, a
         # later one four times as many per count left, for at most 32 counts
-        # a level, and a few float arrays of their shape: one bound, 256 kB,
-        # whatever n_rounds or e is (60-95 kB is used).
+        # a level, as Python ints: one bound, 256 kB, whatever n_rounds or e
+        # is (45-70 kB is used).
         assert peak <= 1 << 18, (e, peak)
 
 
@@ -436,7 +454,7 @@ def test_run_draws_words_in_getrandbits_order():
 
     def raw(n):
         draw = bits(64 * n)
-        return np.array([draw >> 64 * i & _ONES for i in range(n)], dtype=np.uint64)
+        return [draw >> 64 * i & _ONES for i in range(n)]
 
     counts = protocol._code_counts(config, raw)
     report = run_simulation(config)
@@ -454,8 +472,8 @@ def test_word_source_ignores_draw_sizes(n_words, chunk):
     whole = protocol._word_source(11)(n_words)
     raw = protocol._word_source(11)
     pieces = [raw(min(chunk, n_words - lo)) for lo in range(0, n_words, chunk)]
-    assert all(piece.dtype == np.uint64 for piece in pieces) and whole.size == n_words
-    assert np.concatenate([whole[:0], *pieces]).tolist() == whole.tolist()
+    assert len(whole) == n_words and all(type(word) is int and 0 <= word <= _ONES for word in whole)
+    assert [word for piece in pieces for word in piece] == list(whole)
 
 
 def test_config_rejects_bad_sb1_tolerance():
@@ -492,7 +510,7 @@ def test_code_distribution_is_relatively_accurate_at_small_qbers(e, eve):
     assert np.abs(got[support] / expected[support] - 1).max() <= 1e-13
 
 
-def _binomial_fit(draws: np.ndarray, m: int, p: float, bins: int) -> None:
+def _binomial_fit(draws: list, m: int, p: float, bins: int) -> None:
     """Assert that draws of Binomial(m, p) pass Pearson's chi-square test
     against C(m, k) p**k q**(m - k) over ``bins`` cells of about equal
     probability, and a test of their mean.
@@ -500,6 +518,7 @@ def _binomial_fit(draws: np.ndarray, m: int, p: float, bins: int) -> None:
     The pmf is taken over 12 standard deviations each side of floor(m p), by
     the exact ratio f(k + 1)/f(k) = (m - k)/(k + 1) * p/q in floats and
     normalised there; the mass left out is below 1e-20."""
+    draws = np.array(draws)
     assert draws.min() >= 0 and draws.max() <= m
     a, scale = p.as_integer_ratio()
     h, reach, q = m * a // scale, int(6 * math.sqrt(4 * m * p * (1 - p))) + 10, 1 - p
@@ -523,7 +542,7 @@ def _binomial_fit(draws: np.ndarray, m: int, p: float, bins: int) -> None:
 @pytest.mark.parametrize("m", [4_097, 4_098, 10**9 + 7, 10**9 + 8])
 def test_rejection_sampler_fits_binomial(m):
     # At p = 1/2, at about 4e3 and 1e9 rounds, odd and even.
-    draws = protocol._binomial(np.full(40_000, m, dtype=np.int64), 0.5, protocol._word_source(m))
+    draws = protocol._binomial([m] * 40_000, 0.5, protocol._word_source(m))
     _binomial_fit(draws, m, 0.5, 40)
 
 
@@ -535,7 +554,7 @@ def test_rejection_sampler_fits_binomial_without_floats(monkeypatch, m):
     calls = []
     certified = protocol._accept_certified
     monkeypatch.setattr(protocol, "_accept_certified", lambda *a: calls.append(1) or certified(*a))
-    draws = protocol._binomial(np.full(3_000, m, dtype=np.int64), 0.5, protocol._word_source(m))
+    draws = protocol._binomial([m] * 3_000, 0.5, protocol._word_source(m))
     assert len(calls) >= 3_000
     _binomial_fit(draws, m, 0.5, 20)
 
@@ -547,7 +566,7 @@ def test_rejection_sampler_fits_binomial_by_intervals(monkeypatch):
     monkeypatch.setattr(protocol, "_EXACT_BITS", -1)
     exact = []
     monkeypatch.setattr(protocol, "_accept_exactly", lambda *a: exact.append(1))
-    draws = protocol._binomial(np.full(500, m, dtype=np.int64), 0.5, protocol._word_source(m))
+    draws = protocol._binomial([m] * 500, 0.5, protocol._word_source(m))
     assert not exact
     _binomial_fit(draws, m, 0.5, 10)
 
@@ -570,14 +589,14 @@ def test_binomial_samples_large_modes_by_rejection(monkeypatch, e, m):
     # 10**12 and 1.  A zero count draws nothing and is 0.
     calls = []
     monkeypatch.setattr(protocol, "_binomial_by_rejection",
-                        lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
+                        lambda m, p, raw: calls.append((m, p)) or [n // 2 for n in m])
     pair = protocol._dyadic(e)
     least = -(-8 * sum(pair) // pair[0]) - 1
     assert (least + 1) * pair[0] // sum(pair) == 8 > least * pair[0] // sum(pair)
-    counts = np.array([[least - 1, least, 0], [m, 10**12, 1]])
+    counts = [least - 1, least, 0, m, 10**12, 1]
     got = protocol._binomial(counts, e, protocol._word_source(1))
     assert calls == [([least - 1, least, m, 10**12, 1], [pair] * 5)]
-    assert got.tolist() == [[(least - 1) // 2, least // 2, 0], [m // 2, 10**12 // 2, 0]]
+    assert got == [(least - 1) // 2, least // 2, 0, m // 2, 10**12 // 2, 0]
 
 
 def test_binomial_routes_each_count_by_its_own_mode(monkeypatch):
@@ -588,23 +607,22 @@ def test_binomial_routes_each_count_by_its_own_mode(monkeypatch):
     # the count at p = 0 draw nothing, and a call with no other draws none.
     calls = []
     monkeypatch.setattr(protocol, "_binomial_by_rejection",
-                        lambda m, p, raw: calls.append((m.tolist(), p)) or m // 2)
+                        lambda m, p, raw: calls.append((m, p)) or [n // 2 for n in m])
     half, eve = protocol._chances(0.03, True)
     tiny, zero = protocol._dyadic(2.0**-20), protocol._dyadic(0.0)
-    m = np.array([14, 15, 0, 30, 10**6, 70, 1])
+    m = [14, 15, 0, 30, 10**6, 70, 1]
     got = protocol._binomial(m, [half, half, eve, eve, tiny, zero, half], protocol._word_source(1))
     assert calls == [([14, 15, 30, 10**6, 1], [half, half, eve, tiny, half])]
-    assert got.tolist() == [7, 7, 0, 15, 500_000, 0, 0]
+    assert got == [7, 7, 0, 15, 500_000, 0, 0]
     stub = _StubBits([])
-    assert protocol._binomial(np.array([[70, 5]]), 0.0, stub.random_raw).tolist() == [[0, 0]]
-    assert protocol._binomial(np.zeros(3, dtype=np.int64), 0.5, stub.random_raw).tolist() == [0] * 3
+    assert protocol._binomial([70, 5], 0.0, stub.random_raw) == [0, 0]
+    assert protocol._binomial([0] * 3, 0.5, stub.random_raw) == [0] * 3
     assert len(calls) == 1 and stub.draws == []
 
 
 @pytest.mark.parametrize("e,m", _FLIP_CASES + [(2.0**-10, 8_191)] + _SMALL_MODES)
 def test_binomial_fits_law_at_qbers(e, m):
-    draws = protocol._binomial(np.full(20_000, m, dtype=np.int64), e,
-                               protocol._word_source(m))
+    draws = protocol._binomial([m] * 20_000, e, protocol._word_source(m))
     _binomial_fit(draws, m, e, 20)
 
 
@@ -613,8 +631,8 @@ def test_binomial_fits_law_at_one_half_on_few_rounds(m):
     # Modes 1..7 at p = 1/2, with m = 1, whose mode is m: Pearson's
     # chi-square over the m + 1 outcomes against C(m, k) / 2**m.
     n = 20_000
-    draws = protocol._binomial(np.full(n, m, dtype=np.int64), 0.5, protocol._word_source(m))
-    assert draws.min() >= 0 and draws.max() <= m
+    draws = protocol._binomial([m] * n, 0.5, protocol._word_source(m))
+    assert min(draws) >= 0 and max(draws) <= m
     assert_fits(np.bincount(draws, minlength=m + 1),
                 [n * math.comb(m, k) / 2**m for k in range(m + 1)])
 
@@ -624,7 +642,7 @@ def test_binomial_fits_law_at_the_smallest_sampled_modes():
     # from 4mpq, each at its own chance: 15 rounds at 1/2, 266 at 0.03 and
     # 30 at Eve's (0.03 + 1/2)/2.  Each group fits its own law.
     cases = [((1, 1), 15), (protocol._dyadic(0.03), 266), (protocol._chances(0.03, True)[1], 30)]
-    m = np.array([size for _, size in cases] * 6_000)
+    m = [size for _, size in cases] * 6_000
     draws = protocol._binomial(m, [pair for pair, _ in cases] * 6_000, protocol._word_source(8))
     for i, ((a, b), size) in enumerate(cases):
         _binomial_fit(draws[i::3], size, a / (a + b), 10)
@@ -639,8 +657,7 @@ def test_binomial_sampler_fits_law_without_floats(monkeypatch, e, m):
     calls = []
     certified = protocol._accept_certified
     monkeypatch.setattr(protocol, "_accept_certified", lambda *a: calls.append(1) or certified(*a))
-    draws = protocol._binomial(np.full(3_000, m, dtype=np.int64), e,
-                               protocol._word_source(m))
+    draws = protocol._binomial([m] * 3_000, e, protocol._word_source(m))
     assert len(calls) >= 3_000
     _binomial_fit(draws, m, e, 20)
 
@@ -649,26 +666,23 @@ def test_binomial_sampler_fits_law_without_floats(monkeypatch, e, m):
                                         for e in (0.03, 0.2, 2.0**-10)]
                          + [(e, m, 60) for e, m in _SMALL_MODES])
 def test_binomial_sampler_fits_law_by_intervals(monkeypatch, e, m, draws):
-    # At the small modes every factorial is taken from 1024!, a few ms a
-    # proposal, so fewer draws test the law there;
-    # test_certified_decisions_match_exact_binomials_at_small_modes checks
-    # each decision.
+    # Fewer draws test the law at the small modes;
+    # test_certified_decisions_match_exact_binomials checks each decision there.
     monkeypatch.setattr(protocol, "_MARGIN", math.inf)
     monkeypatch.setattr(protocol, "_EXACT_BITS", -1)
     exact = []
     monkeypatch.setattr(protocol, "_accept_exactly", lambda *a: exact.append(1))
-    draws = protocol._binomial(np.full(draws, m, dtype=np.int64), e,
-                               protocol._word_source(m))
+    draws = protocol._binomial([m] * draws, e, protocol._word_source(m))
     assert not exact
     _binomial_fit(draws, m, e, 10)
 
 
-def _check_certified(m, a, b, k, block, u, more) -> None:
+def _check_certified(m, a, b, k, block, u, more, agree=1) -> None:
     """Assert that both certified paths decide U < A = 2**block f(k)/f(M), for
     f the Binomial(m, p) pmf at p = a/(a + b) and M = floor((m + 1) p), as the
     reference does with math.comb and the factor (a/b)**(k - M), reading the
     uniform's words, u and then ``more``, in turn.  A u of None begins U with
-    A's own first 64 bits."""
+    A's own first 64 * ``agree`` bits, and then ``more``."""
     mode = (m + 1) * a // (a + b)
     num, den = math.comb(m, k) << block, math.comb(m, mode)
     if k >= mode:
@@ -676,7 +690,9 @@ def _check_certified(m, a, b, k, block, u, more) -> None:
     else:
         num, den = num * b ** (mode - k), den * a ** (mode - k)
     if u is None:
-        u = min(num * 2**64 // den, _ONES)
+        lead = min((num << 64 * agree) // den, (1 << 64 * agree) - 1)
+        u, more = lead >> 64 * (agree - 1), [lead >> 64 * i & _ONES
+                                            for i in range(agree - 2, -1, -1)] + list(more)
     # The reference: U in [u, u + 1) / 2**bits, read on until it decides.
     bits, v, words = 64, u, iter(more)
     while den * (v + 1) > num << bits and den * v < num << bits:
@@ -725,6 +741,41 @@ def test_certified_decisions_match_exact_binomials():
                              [rng.getrandbits(64) for _ in range(4)])
 
 
+def test_interval_decisions_reach_eighty_digits():
+    # U begins with A's own first 128 bits, so that 40 digits cannot decide:
+    # the 80-digit pass must, and with every factorial taken at 80 digits.
+    rng = random.Random(9)
+    for p, m in ((0.5, 20_001), (0.03, 5_001), (2.0**-10, 20_002), (1e-9, 1_500_000_000)):
+        a, scale = p.as_integer_ratio()
+        mode = (m + 1) * a // scale
+        for k in range(max(mode - 3, 0), mode + 4):
+            _check_certified(m, a, scale - a, k, rng.randint(0, 2), None,
+                             [rng.getrandbits(64) for _ in range(3)], agree=2)
+
+
+def test_certified_decisions_take_turns_across_counts(monkeypatch):
+    # With an infinite margin every proposal in [0, m] is certified, and each
+    # uniform here begins with its A's own first 64 bits, so each decision
+    # reads one more word.  Pending decisions are made in rounds, one per
+    # count in count order: count 0's first proposal takes the first word
+    # (all ones: rejected), count 1's the second (all ones: rejected), and
+    # count 0's second proposal the third (0: accepted), while count 1 takes
+    # the mode, whose A = 1 needs no more word.
+    monkeypatch.setattr(protocol, "_MARGIN", math.inf)
+    m, p = 10_000, protocol._PROPOSALS
+    mode = m // 2
+
+    def a64(k):  # A = f(k)/f(M) at p = 1/2 and block 0, to 64 bits
+        return (math.comb(m, k) << 64) // math.comb(m, mode)
+
+    first = [_proposal(0, 0, 5), _proposal(0, 0, 6)] + [_proposal(0, 0, 0)] * (p - 2)
+    second = [_proposal(0, 0, 7)] + [_proposal(0, 0, 0)] * (p - 1)
+    uniforms = [a64(mode + 5), a64(mode + 6)] + [0] * (p - 2) + [a64(mode + 7)] + [0] * (p - 1)
+    stub = _StubBits(first + second + uniforms + [_ONES, _ONES, 0])
+    assert protocol._binomial([m, m], 0.5, stub.random_raw) == [mode + 6, mode]
+    assert stub.draws == [4 * p, 1, 1, 1]
+
+
 def _proposal(side: int, block: int, offset: int) -> int:
     """The proposal word of a block index below 31, a side and an offset."""
     field = 1 << 30 - block if block < 31 else 0
@@ -742,7 +793,7 @@ def test_rejection_proposal_mapping(m):
         proposals = first + [_proposal(0, 0, 0)] * (p - len(first))
         uniforms = [_ONES, 0] if len(first) == 2 else [0]
         stub = _StubBits(proposals + uniforms + [_ONES] * (p - len(uniforms)) + list(extra))
-        got = protocol._binomial(np.array([m]), 0.5, stub.random_raw).tolist()
+        got = protocol._binomial([m], 0.5, stub.random_raw)
         return got, stub.draws
 
     for (side, block, offset), k in [
@@ -772,7 +823,7 @@ def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
         proposals = first + [_proposal(0, 0, 0)] * (p - len(first))
         uniforms = [_ONES] * (len(first) - 1) + [0]
         stub = _StubBits(proposals + uniforms + [_ONES] * (p - len(uniforms)) + list(extra))
-        return protocol._binomial(np.array([m]), 0.03, stub.random_raw).tolist(), stub.draws
+        return protocol._binomial([m], 0.03, stub.random_raw), stub.draws
 
     for (side, block, offset), k in [
             ((0, 0, 5), mode + 5), ((1, 0, 0), mode - 1), ((0, 2, 3), mode + 2 * w + 3),
@@ -790,6 +841,39 @@ def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
     assert (got, draws) == ([mode + 9], [2 * p])
     got, draws = sample([_proposal(0, 31, 0), _proposal(0, 0, 9)], extra=[0] * 9 + [1 << 62])
     assert (got, draws) == ([mode + 9], [2 * p] + [1] * 10)
+
+
+def _status(m: int, e: float, k: int, uniform: int = 1 << 63) -> int:
+    """The float test's status of the proposal k, at block 0, of m rounds at e."""
+    a, b = protocol._dyadic(e)
+    mode = (m + 1) * a // (a + b)
+    tilt = (m * a - mode * (a + b)) / (mode * b) if mode else 0.0
+    return protocol._rejection_status(m, mode, tilt, k - mode, 0, uniform)
+
+
+def test_rejection_status_at_its_edges(monkeypatch):
+    # Mode 300 of 10_000 rounds at 0.03.  f(k) = 0 outside [0, m]: rejected;
+    # at k = 0 and m a log1p is singular: certified.
+    m = 10_000
+    assert [_status(m, 0.03, k) for k in (-1, 0, m, m + 1)] == [0, -1, -1, 0]
+    # Mode 0 (10 rounds at 2**-10) and mode m (1 round at 1/2): every k in
+    # [0, m] is certified.
+    assert [_status(10, 2.0**-10, k) for k in (-1, 0, 1, 5, 10, 11)] == [0, -1, -1, -1, -1, 0]
+    assert [_status(1, 0.5, k) for k in (-2, -1, 0, 1, 2)] == [0, 0, -1, -1, 0]
+    # k = 1 of 2**62 rounds at 1/2, whose y/M rounds to -1: certified.
+    assert _status(2**62, 0.5, 1) == -1 and _status(2**62, 0.5, 0) == -1
+    # A uniform word below 2**11 gives u = 0, and U may be 0: the mode is
+    # accepted, and a k with A < 2**-53 is left to the certified path.
+    assert _status(m, 0.03, 300, uniform=2**11 - 1) == 1
+    assert _status(m, 0.03, 900, uniform=0) == -1
+    assert _status(m, 0.03, 900, uniform=2**11) == 0
+    # A = 1 at the mode: U of all ones may still lie below it.
+    assert _status(m, 0.03, 300, uniform=_ONES) == -1
+    # With an infinite margin every k in [0, m] is certified.
+    monkeypatch.setattr(protocol, "_MARGIN", math.inf)
+    for k in (-1, 0, 1, 299, 300, 301, 900, m - 1, m, m + 1):
+        for uniform in (0, 2**11, 1 << 63, _ONES):
+            assert _status(m, 0.03, k, uniform) == (-1 if 0 <= k <= m else 0)
 
 
 _EVE_CHANCE = protocol._chances(0.03, True)[1]  # (0.03 + 1/2)/2, not a float
@@ -819,7 +903,7 @@ def test_envelope_bounds_the_pmf_exactly(m, e, mode):
     # Eve's chance at 0.03.
     a, b = _pair(e)
     assert (m + 1) * a // (a + b) == mode
-    w = int(protocol._width(np.array([m]), np.array([a / (a + b)]), np.array([mode]))[0])
+    w = protocol._width(m, a / (a + b), mode)
     top = math.comb(m, mode) * a**mode * b ** (m - mode)
     f = b**m
     for k in range(m + 1):
@@ -830,9 +914,9 @@ def test_envelope_bounds_the_pmf_exactly(m, e, mode):
 
 def test_halves_at_the_largest_count():
     m = 2**63 - 1
-    draws = protocol._binomial(np.full(2_000, m, dtype=np.int64), 0.5, protocol._word_source(1))
-    z = (draws.astype(float) - m / 2) / (math.sqrt(m) / 2)
-    assert draws.min() >= 0 and draws.max() <= m
+    draws = protocol._binomial([m] * 2_000, 0.5, protocol._word_source(1))
+    z = (np.array(draws, dtype=float) - m / 2) / (math.sqrt(m) / 2)
+    assert min(draws) >= 0 and max(draws) <= m
     assert abs(z.mean()) < 0.15 and abs(z.std() - 1) < 0.1 and abs(z).max() < 6
     config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=m, channel_qber=0.03,
                               eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=1)
