@@ -112,9 +112,10 @@ class SimulationConfig:
         in_range("sb1_tolerance", self.sb1_tolerance, 0.0, math.inf)
 
 
-def _node_bits(width: int) -> list[list[int]]:
+@functools.cache
+def _node_bits(width: int) -> tuple:
     """The bits of the nodes 0 .. 2**width - 1, most significant first."""
-    return [[n >> shift & 1 for n in range(1 << width)] for shift in range(width - 1, -1, -1)]
+    return tuple(tuple(n >> s & 1 for n in range(1 << width)) for s in range(width - 1, -1, -1))
 
 
 def _pattern_tables() -> tuple:
@@ -214,7 +215,7 @@ _PROPOSALS = 16
 #: Error margin of the float log-ratio in :func:`_rejection_status`, relative
 #: to a bound on its terms' magnitudes.  Each term is off by a few units in
 #: the last place (1/2 per rounding, and 4 allowed per math.log1p or log, the
-#: C library's, which glibc documents to 1 ulp), so the float value errs by
+#: C library's: glibc documents 1 ulp on x86-64), so the float value errs by
 #: less than 2**-48 of that bound; this margin is 256 times more.  Within it,
 #: :func:`_accept_certified` decides.
 _MARGIN = 2.0**-40
@@ -311,8 +312,7 @@ def _binomial_by_rejection(m: list, pairs: list, raw) -> list:
     tilts = [(n * a - k * (a + b)) / (k * b) if k else 0.0
              for n, k, (a, b) in zip(m, modes, pairs)]
     widths = [_width(n, a / (a + b), k) for n, k, (a, b) in zip(m, modes, pairs)]
-    live = list(range(len(m)))
-    proposals = _PROPOSALS
+    live, proposals = list(range(len(m))), _PROPOSALS
     while live:
         size = len(live) * proposals
         words = raw(2 * size)
