@@ -363,10 +363,8 @@ def cmd_pns(args: argparse.Namespace) -> int:
     in_range("max_km", args.max_km, 0.0, math.inf, "[)")
     if args.attack == "pns":
         numerator = pns_mod.numerator_pns(args.mu)
-        info = lambda l: pns_mod.eve_info_pns(args.alpha, l, args.mu)
     else:
         numerator = pns_mod.numerator_irud(args.mu, chi)
-        info = lambda l: pns_mod.eve_info_irud(args.alpha, l, args.mu, chi)
 
     l_c, delta_c = pns_mod.critical_distance(args.alpha, args.mu, numerator, args.max_km)
 
@@ -380,7 +378,8 @@ def cmd_pns(args: argparse.Namespace) -> int:
             out.write("l_km,i_eve\n")
             for i in _blocks(n):
                 lengths = length_at(i)
-                _write_rows(out, f"{_NUMBER},{_NUMBER}\n", lengths, info(lengths))
+                _write_rows(out, f"{_NUMBER},{_NUMBER}\n", lengths,
+                            pns_mod.per_detection(numerator, args.alpha, lengths, args.mu))
 
     print(f"attack:            {args.attack}")
     print(f"critical distance: l_c = {l_c:.2f} km")
@@ -396,7 +395,7 @@ def cmd_pns(args: argparse.Namespace) -> int:
             # The published crossing is not asserted for this attack; check
             # the conclusive-information formula and monotonicity instead.
             i3 = pns_mod.unambiguous_info(3, chi)
-            grid = info(np.arange(41) * 5.0)
+            grid = pns_mod.eve_info_irud(args.alpha, np.arange(41) * 5.0, args.mu, chi)
             ok = abs(i3 - 0.7942369457243101) <= 1e-6 and bool(np.all(grid[:-1] < grid[1:]))
         if not ok:
             print("check failed", file=sys.stderr)

@@ -95,8 +95,11 @@ def transmittance(alpha: float, length) -> float | np.ndarray:
     return 10.0 ** (-(alpha * length) / 10.0)
 
 
-def _per_detection(numerator: float, alpha: float, length, mu: float) -> float | np.ndarray:
-    """``numerator`` over the detection probability sum_{n>=1} p(n, mu*eta).
+def per_detection(numerator: float, alpha: float, length, mu: float) -> float | np.ndarray:
+    """``numerator`` over the detection probability sum_{n>=1} p(n, mu*eta):
+    the attacker's key fraction for an attack's distance-free numerator
+    (:func:`numerator_pns`, :func:`numerator_irud`), computed once for any
+    number of lengths.
 
     A link so long that no photon arrives (the loss overflows or eta
     underflows to 0) leaves the attacker knowing everything: IEEE division
@@ -117,7 +120,7 @@ def numerator_pns(mu: float) -> float:
 
 def eve_info_pns(alpha: float, length, mu: float) -> float | np.ndarray:
     """Attacker's key fraction under the storage attack; raw (unclamped) value."""
-    return _per_detection(numerator_pns(mu), alpha, length, mu)
+    return per_detection(numerator_pns(mu), alpha, length, mu)
 
 
 def unambiguous_info(n: int, chi: float) -> float:
@@ -137,7 +140,7 @@ def numerator_irud(mu: float, chi: float = DEFAULT_IRUD_OVERLAP) -> float:
 def eve_info_irud(alpha: float, length, mu: float,
                   chi: float = DEFAULT_IRUD_OVERLAP) -> float | np.ndarray:
     """Attacker's key fraction under unambiguous discrimination; raw value."""
-    return _per_detection(numerator_irud(mu, chi), alpha, length, mu)
+    return per_detection(numerator_irud(mu, chi), alpha, length, mu)
 
 
 def critical_distance(alpha: float, mu: float, numerator: float,
@@ -157,6 +160,6 @@ def critical_distance(alpha: float, mu: float, numerator: float,
         l_c = delta_c / alpha
         if 0.0 < l_c < max_km:
             return l_c, delta_c
-    info = lambda l: _per_detection(numerator, alpha, l, mu)
+    info = lambda l: per_detection(numerator, alpha, l, mu)
     raise ValueError(f"no crossing on [0, {max_km}] km: info(0)={info(0.0):.6g}, "
                      f"info(hi)={info(max_km):.6g}")

@@ -40,7 +40,8 @@ proposal unless it lies within a proven error margin of the uniform, or the
 mode is 0 or m, where the log-ratio is singular, and there exact integers or
 decimal intervals decide (:func:`_accept_certified`).  No float probability
 decides an outcome, and a zero count, or p = 0, draws nothing.  So a run
-draws a few thousand words, and its cost and memory do not grow with the
+draws a few thousand words, a buffer of uint64 per draw of which only the
+words read are boxed as ints, and its cost and memory do not grow with the
 round count, up to 2**63 - 1.  A level holds at most 32 counts, so the kernel
 runs on Python ints and floats, and only the 256 code counts are an array.
 
@@ -63,7 +64,7 @@ import enum
 import functools
 import math
 import random
-import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +213,7 @@ _MODE_MIN = 8
 #: sampler; each is accepted with probability about 1/4.
 _PROPOSALS = 16
 
-#: Error margin of the float log-ratio in :func:`_rejection_status`, relative
+#: Error margin of the float test of :func:`_binomial_by_rejection`, relative
 #: to a bound on its terms' magnitudes.  Each term is off by a few units in
 #: the last place (1/2 per rounding, and 4 allowed per math.log1p or log, the
 #: C library's: glibc documents 1 ulp on x86-64), so the float value errs by
@@ -229,9 +230,16 @@ _LOW31 = 2**31 - 1
 _LN2 = math.log(2.0)
 
 
-def _leading_zeros(word: int) -> int:
-    """The leading zeros of bits 62..32 of a 64-bit word, 31 when all are 0."""
-    return 31 - (word >> 32 & _LOW31).bit_length()
+def _open_blocks(words, n: int) -> list:
+    """The indices i < n at which bits 62..32 of words[i] are all 0, whose
+    block reads on into a further word.  Read as one int, each 64-bit lane of
+    words[:n] masked to bits 62..32, plus that mask, carries into bit 63
+    unless all 31 bits are 0; only if some lane does not, at odds of about
+    n * 2**-31, are the words read one at a time."""
+    mask = int.from_bytes(b"\0\0\0\0\xff\xff\xff\x7f" * n, "little")
+    lanes = int.from_bytes(memoryview(words)[:n], sys.byteorder)  # each lane one word
+    closed = (lanes & mask) + mask | mask == mask << 1 | mask
+    return [] if closed else [i for i in range(n) if not words[i] >> 32 & _LOW31]
 
 
 def _dyadic(p: float) -> tuple[int, int]:
@@ -249,6 +257,19 @@ def _width(m: int, p: float, mode: int) -> int:
     it, so w = 2**ceil(e / 2)."""
     x = 0.6932 * 4 * (mode + 1) if mode < _MODE_MIN else 0.6932 * 4 * p * (1 - p) * m
     return 1 << (math.frexp(x)[1] + 1) // 2
+
+
+def _count_constants(m: int, a: int, b: int) -> tuple:
+    """(m, a, b, M, w) of Binomial(m, a/(a + b)) (:func:`_width`), then the
+    float test's constants (:func:`_binomial_by_rejection`): M and G = m - M
+    as floats, log1p(t), m/12 and (1/M + 1/G)/12, or 0s at M = 0 or m, where
+    the test is singular.  1 + t = (m - M)p/(Mq), and t = (m a - M (a + b))
+    / (M b) is one rounding of a ratio of exact integers."""
+    mode = (m + 1) * a // (a + b)
+    mf, gf = float(mode), float(m - mode)
+    return (m, a, b, mode, _width(m, a / (a + b), mode)) + (
+        (mf, gf, math.log1p((m * a - mode * (a + b)) / (mode * b)), float(m) / 12,
+         (1 / mf + 1 / gf) / 12) if mf and gf else (0.0,) * 5)
 
 
 def _binomial_by_rejection(m: list, pairs: list, raw) -> list:
@@ -299,60 +320,16 @@ def _binomial_by_rejection(m: list, pairs: list, raw) -> list:
     less above.  And M - 1 - w < 0, so side 1 has no block K >= 1 in [0, m].
 
     A batch draws the proposals of every count still unsampled, then their
-    uniforms, then a word more per block still open, in order, while any is.
-    A count takes its first accepted proposal; :func:`_rejection_status`
-    decides nearly all, and :func:`_accept_certified`, given (a, b) and the
-    mode, the rest, in rounds, each in count order.  The first batch holds
-    :data:`_PROPOSALS` per count, and each later one four times as many.
-    """
-    out = [None] * len(m)
-    modes = [(n + 1) * a // (a + b) for n, (a, b) in zip(m, pairs)]
-    # (m - M)p / (Mq) = 1 + tilt, for (m - M) a - M b = m a - M (a + b) exactly;
-    # at M = 0 the float test takes no tilt.
-    tilts = [(n * a - k * (a + b)) / (k * b) if k else 0.0
-             for n, k, (a, b) in zip(m, modes, pairs)]
-    widths = [_width(n, a / (a + b), k) for n, k, (a, b) in zip(m, modes, pairs)]
-    live, proposals = list(range(len(m))), _PROPOSALS
-    while live:
-        size = len(live) * proposals
-        words = raw(2 * size)
-        more, unended = {}, [at for at in range(size) if not words[at] >> 32 & _LOW31]
-        while unended:
-            extra = dict(zip(unended, raw(len(unended))))
-            more.update((at, more.get(at, 0) + _leading_zeros(word)) for at, word in extra.items())
-            unended = [at for at, word in extra.items() if not word >> 32 & _LOW31]
+    uniforms, as one buffer of words, each boxed as an int only when read; a
+    big-int scan finds the blocks still open (:func:`_open_blocks`), and a
+    word more is drawn per open block, in order, while any is.  A count takes
+    its first accepted proposal: the float test below, on constants computed
+    once per count, decides nearly all, and :func:`_accept_certified`, given
+    (a, b) and the mode, the rest, in rounds, each in count order.  The first
+    batch holds :data:`_PROPOSALS` per count, each later one four times as many.
 
-        def tests(r, i):
-            """Count i's proposals (row r) to the first accepted; yields before certifying."""
-            n, mode, w = m[i], modes[i], widths[i]
-            for at in range(r * proposals, (r + 1) * proposals):
-                word, uniform = words[at], words[size + at]
-                block = _leading_zeros(word) + more.get(at, 0)
-                j = block * w + (word & w - 1)
-                # y = k - M: j on side 0, and M - 1 - j - M = ~j on side 1.
-                y = ~j if word >> 63 else j
-                status = _rejection_status(n, mode, tilts[i], y, block, uniform)
-                if status < 0:
-                    yield
-                    status = _accept_certified(n, *pairs[i], mode, mode + y, block, uniform, raw)
-                if status:
-                    out[i] = mode + y
-                    return
-
-        waiting = [tests(r, i) for r, i in enumerate(live)]
-        while waiting:
-            waiting = [count for count in waiting if next(count, True) is None]
-        live = [i for i in live if out[i] is None]
-        proposals *= 4
-    return out
-
-
-def _rejection_status(m: int, mode: int, tilt: float, y: int, block: int, uniform: int) -> int:
-    """For the proposal k = M + y of :func:`_binomial_by_rejection`: 1 to
-    accept, 0 to reject, -1 when the float test cannot tell.
-
-    The test takes U in [u, u + 1) / 2**53 for u the top 53 bits of
-    ``uniform`` and decides by ln A, A = 2**K f(k)/f(M).  With G = m - M,
+    The float test takes U in [u, u + 1) / 2**53, u the top 53 bits of the
+    uniform word, and accepts, rejects or cannot tell by ln A.  With G = m - M,
     b = m - k, 1 + t = G p/(M q) and Stirling's ln n! = (n + 1/2) ln n - n +
     ln(2 pi)/2 + r_n, 0 < r_n < 1/(12n) (Robbins, 1955),
 
@@ -372,22 +349,61 @@ def _rejection_status(m: int, mode: int, tilt: float, y: int, block: int, unifor
     :func:`_accept_certified` takes one in it where a log1p is singular: M = 0
     or m (m = 1, p = 1/2), k = 0 or m, or y/M or -y/G rounded to -1.
     """
-    k, b = mode + y, m - mode - y
-    if k < 0 or b < 0:
-        return 0
-    kf, bf, yf, mf, gf = float(k), float(b), float(y), float(mode), float(m - mode)
-    if not 0 < mode < m or yf / mf == -1.0 or -yf / gf == -1.0:
-        return -1
-    lift = block * _LN2
-    up, down = (kf + 0.5) * math.log1p(yf / mf), (bf + 0.5) * math.log1p(-yf / gf)
-    # ln(2**53 A), to compare with ln u.
-    ln_a = lift + yf * math.log1p(tilt) - up - down + 53 * _LN2
-    error = ((lift + 2 * abs(up - down) + 64) * _MARGIN
-             + (float(m) / 12 / (kf * bf) + (1 / mf + 1 / gf) / 12))
-    u = float(uniform >> 11)
-    if ln_a - error > math.log(u + 1):
-        return 1
-    return -1 if not u or ln_a + error >= math.log(u) else 0
+    out, margin = [None] * len(m), _MARGIN
+    counts = [_count_constants(n, a, b) for n, (a, b) in zip(m, pairs)]
+    live, proposals = list(range(len(m))), _PROPOSALS
+    while live:
+        size = len(live) * proposals
+        words = raw(2 * size)
+        more, unended = {}, _open_blocks(words, size)
+        while unended:
+            extra = raw(len(unended))
+            for at, word in zip(unended, extra):  # K adds its leading zeros
+                more[at] = more.get(at, 0) + 31 - (word >> 32 & _LOW31).bit_length()
+            unended = [unended[i] for i in _open_blocks(extra, len(unended))]
+        # Count i's proposals, row r of the batch, to its first accepted; one
+        # waiting for a certified decision goes to the next round's ``turn``.
+        turn = [(i, r * proposals, (r + 1) * proposals, None, 0) for r, i in enumerate(live)]
+        while turn:
+            turn, this = [], turn
+            for i, start, end, k, block in this:
+                n, a, b, mode, w, mf, gf, log_tilt, m12, r_mg = counts[i]
+                if k is not None:
+                    if _accept_certified(n, a, b, mode, k, block, words[size + start], raw):
+                        out[i] = k
+                        continue
+                    start += 1
+                for at in range(start, end):
+                    word = words[at]  # K: the leading zeros of bits 62..32
+                    block = 31 - (word >> 32 & _LOW31).bit_length()
+                    if block == 31:
+                        block += more[at]
+                    j = block * w + (word & w - 1)
+                    # y = k - M: j on side 0, and M - 1 - j - M = ~j on side 1.
+                    y = ~j if word >> 63 else j
+                    k, rest = mode + y, n - mode - y
+                    if k < 0 or rest < 0:
+                        continue
+                    yf = float(y)
+                    if not mf or yf / mf == -1.0 or -yf / gf == -1.0:
+                        turn.append((i, at, end, k, block))
+                        break
+                    kf, bf = float(k), float(rest)
+                    lift = block * _LN2
+                    up, down = (kf + 0.5) * math.log1p(yf / mf), (bf + 0.5) * math.log1p(-yf / gf)
+                    # ln(2**53 A), to compare with ln u.
+                    ln_a = lift + yf * log_tilt - up - down + 53 * _LN2
+                    error = (lift + 2 * abs(up - down) + 64) * margin + (m12 / (kf * bf) + r_mg)
+                    u = float(words[size + at] >> 11)
+                    if ln_a - error > math.log(u + 1):
+                        out[i] = k
+                        break
+                    if not u or ln_a + error >= math.log(u):
+                        turn.append((i, at, end, k, block))
+                        break
+        live = [i for i in live if out[i] is None]
+        proposals *= 4
+    return out
 
 
 class _Uniform:
@@ -507,10 +523,12 @@ def _binomial(m: list, p, raw) -> list:
     count of m > 0 rounds at p > 0 is drawn by :func:`_binomial_by_rejection`,
     all in one call, and the others are 0 and draw nothing."""
     pairs = [_dyadic(p)] * len(m) if isinstance(p, float) else p
-    drawn = [i for i, (n, (a, _)) in enumerate(zip(m, pairs)) if n and a]
-    got = iter(_binomial_by_rejection([m[i] for i in drawn], [pairs[i] for i in drawn], raw)
-               if drawn else ())
-    return [next(got) if n and a else 0 for n, (a, _) in zip(m, pairs)]
+    out, drawn = [0] * len(m), [i for i, (n, (a, _)) in enumerate(zip(m, pairs)) if n and a]
+    if drawn:
+        got = _binomial_by_rejection([m[i] for i in drawn], [pairs[i] for i in drawn], raw)
+        for i, x in zip(drawn, got):
+            out[i] = x
+    return out
 
 
 def _chances(e: float, eve: bool) -> tuple:
@@ -605,13 +623,15 @@ TABLE1_BRANCHES, BRANCH_CODES = _published_branches()
 
 
 def _word_source(seed: int):
-    """``raw(n)``: the next n 64-bit words of ``random.Random(seed)``, as ints.
+    """``raw(n)``: the next n 64-bit words of ``random.Random(seed)``, as a
+    memoryview of uint64, so that a word is boxed as an int only when read.
 
     Word i of a draw is bits 64i .. 64i + 63 of one ``getrandbits(64 n)``
     call, two outputs of the Mersenne Twister, low first, so the words come in
-    the same order whatever the sizes of the draws."""
-    bits = random.Random(seed).getrandbits
-    return lambda n: struct.unpack(f"<{n}Q", bits(64 * n).to_bytes(8 * n, "little"))
+    the same order whatever the sizes of the draws.  The draw's bytes are cast
+    in the machine's order; a big-endian one reads the words last first."""
+    bits, step = random.Random(seed).getrandbits, 1 if sys.byteorder == "little" else -1
+    return lambda n: memoryview(bits(64 * n).to_bytes(8 * n, sys.byteorder)).cast("Q")[::step]
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:

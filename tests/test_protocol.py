@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import math
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -170,7 +172,7 @@ def _one_word_at_a_time(seed):
     """A word source like ``protocol._word_source`` that draws its words from
     ``random.Random(seed)`` one ``getrandbits(64)`` at a time."""
     bits = random.Random(seed).getrandbits
-    return lambda n: [bits(64) for _ in range(n)]
+    return lambda n: array("Q", [bits(64) for _ in range(n)])
 
 
 def test_simulation_reports_the_same_whatever_the_draw_sizes(monkeypatch):
@@ -254,7 +256,7 @@ def _fits_oracle(counts: np.ndarray, e: Fraction, eve: bool) -> None:
 
 def _kernel(config: SimulationConfig, seed) -> np.ndarray:
     random_raw = np.random.default_rng(seed).bit_generator.random_raw
-    return protocol._code_counts(config, lambda n: random_raw(n).tolist())
+    return protocol._code_counts(config, lambda n: array("Q", random_raw(n).tobytes()))
 
 
 def _config(n: int, e: Fraction, eve: bool) -> SimulationConfig:
@@ -284,7 +286,7 @@ def test_kernel_histogram_fits_oracle_at_ten_million_rounds(e, eve):
 
 class _StubBits:
     """A bit generator whose random_raw hands out the given words in order,
-    as a list of ints, and records the size of each draw."""
+    as an array('Q'), and records the size of each draw."""
 
     def __init__(self, words):
         self.words = list(words)
@@ -296,10 +298,11 @@ class _StubBits:
             raise IndexError("stub bit generator ran out of words")
         self.used += size
         self.draws.append(size)
-        return self.words[self.used - size:self.used]
+        return array("Q", self.words[self.used - size:self.used])
 
 
 _ONES = 2**64 - 1
+_LOW32 = 2**32 - 1
 
 
 @pytest.mark.parametrize("eve", [False, True])
@@ -440,8 +443,8 @@ def test_simulation_memory_does_not_grow_with_rounds(n_rounds):
             tracemalloc.stop()
         # A first rejection batch holds 2 * _PROPOSALS words per count, a
         # later one four times as many per count left, for at most 32 counts
-        # a level, as Python ints: one bound, 256 kB, whatever n_rounds or e
-        # is (45-70 kB is used).
+        # a level, in one buffer of uint64: one bound, 256 kB, whatever
+        # n_rounds or e is (26-42 kB is used).
         assert peak <= 1 << 18, (e, peak)
 
 
@@ -454,7 +457,7 @@ def test_run_draws_words_in_getrandbits_order():
 
     def raw(n):
         draw = bits(64 * n)
-        return [draw >> 64 * i & _ONES for i in range(n)]
+        return array("Q", [draw >> 64 * i & _ONES for i in range(n)])
 
     counts = protocol._code_counts(config, raw)
     report = run_simulation(config)
@@ -474,6 +477,17 @@ def test_word_source_ignores_draw_sizes(n_words, chunk):
     pieces = [raw(min(chunk, n_words - lo)) for lo in range(0, n_words, chunk)]
     assert len(whole) == n_words and all(type(word) is int and 0 <= word <= _ONES for word in whole)
     assert [word for piece in pieces for word in piece] == list(whole)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1024])
+def test_word_source_gives_the_lanes_of_one_draw(n):
+    # raw(n) is one buffer of uint64 words: word i is bits 64i .. 64i + 63 of
+    # one getrandbits(64 n), on either byte order.
+    raw, bits = protocol._word_source(23), random.Random(23).getrandbits
+    for _ in range(3):
+        words, draw = raw(n), bits(64 * n)
+        assert memoryview(words).format == "Q" and len(words) == n
+        assert list(words) == [draw >> 64 * i & _ONES for i in range(n)]
 
 
 def test_config_rejects_bad_sb1_tolerance():
@@ -843,17 +857,172 @@ def test_rejection_proposal_mapping_at_a_qber(monkeypatch):
     assert (got, draws) == ([mode + 9], [2 * p] + [1] * 10)
 
 
-def _status(m: int, e: float, k: int, uniform: int = 1 << 63) -> int:
-    """The float test's status of the proposal k, at block 0, of m rounds at e."""
+def _open_by_word(words) -> list:
+    """The open blocks by the per-word rule: bits 62..32 all 0."""
+    return [i for i, word in enumerate(words) if not word >> 32 & (2**31 - 1)]
+
+
+@pytest.mark.parametrize("n", [1, 16, 1024])
+def test_open_block_scan_matches_the_per_word_rule(n):
+    # Closed words have one of bits 62..32 set, and random other bits; the
+    # batch's uniforms follow its proposals and are not scanned.
+    rng = random.Random(n)
+    closed = [rng.getrandbits(64) | 1 << rng.randrange(32, 63) for _ in range(n)]
+
+    def batch(changes):
+        words = list(closed)
+        for at, word in changes.items():
+            words[at % n] = word
+        return words
+
+    batches = [closed, batch({0: 0}), batch({-1: 0}), batch({1: 0, 2: 0}), batch({-2: 0, -1: 0}),
+               batch({n // 2: 1 << 63 | _LOW32}),  # open: the side and offset bits do not close it
+               batch({0: 1 << 32, -1: 1 << 62}),  # closed by bit 32 or bit 62 alone
+               batch({0: _ONES ^ (2**31 - 1) << 32}),  # open, every other bit set
+               [0] * n, [1 << 63] * n, [1 << 32] * n,
+               [rng.getrandbits(64) & (_ONES if rng.random() < 0.9 else 1 << 63 | _LOW32)
+                for _ in range(n)]]
+    for words in batches:
+        expected = _open_by_word(words)
+        assert protocol._open_blocks(array("Q", words), n) == expected
+        assert protocol._open_blocks(array("Q", words + [0] * n), n) == expected
+
+
+def test_blocks_read_on_into_further_words(monkeypatch):
+    # Two counts of 10**6 rounds at 1/2 (mode 500_000, w = 1024): count 0's
+    # first proposal (word 0) and count 1's (word 16) are open.  The first
+    # extra draw gives each a word: word 0's is all zero and stays open, and
+    # word 16's closes it after 4 zeros; the second gives word 0 a word that
+    # closes it after 2.  So K = 31 + 31 + 2 and 31 + 4.  Their uniforms of 0
+    # leave both to the certified test, a stub that accepts.
+    m, mode, w, p = 10**6, 500_000, 1024, protocol._PROPOSALS
+    certified = []
+    monkeypatch.setattr(protocol, "_accept_certified",
+                        lambda m, a, b, mode, k, block, *rest: certified.append((k, block)) or 1)
+    rows = [[_proposal(0, 31, 5)] + [_proposal(0, 0, 0)] * (p - 1),
+            [_proposal(0, 31, 7)] + [_proposal(0, 0, 0)] * (p - 1)]
+    extra = [0, 1 << 62 - 4, 1 << 62 - 2]
+    stub = _StubBits(rows[0] + rows[1] + [0] * (2 * p) + extra)
+    got = protocol._binomial([m, m], 0.5, stub.random_raw)
+    k0, k1 = mode + 64 * w + 5, mode + 35 * w + 7
+    assert got == [k0, k1] and certified == [(k0, 64), (k1, 35)]
+    assert stub.draws == [4 * p, 2, 1]
+
+
+def test_float_test_constants_are_its_former_expressions():
+    # Computed once per count, the float test's constants are bit for bit the
+    # expressions it evaluated on every proposal before: float(M), float(G),
+    # log1p of the exactly divided tilt, float(m) / 12 and (1/M + 1/G)/12,
+    # with G = m - M; 0s at M = 0 or m, where the test defers every proposal.
+    rng = random.Random(12)
+    chances = [(1, 1), protocol._chances(0.03, True)[1]] + [
+        protocol._dyadic(e) for e in (0.03, 0.2, 1e-9, 2.0**-40, 2.0**-1074)]
+    sizes = [1, 2, 14, 15, 1000, 10**6, 10**7, 2**40, 2**62, 2**63 - 1]
+    sizes += [rng.randrange(1, 2**rng.randrange(2, 64)) for _ in range(300)]
+    for a, b in chances:
+        for m in sizes:
+            mode = (m + 1) * a // (a + b)
+            got = protocol._count_constants(m, a, b)
+            assert got[:5] == (m, a, b, mode, protocol._width(m, a / (a + b), mode))
+            if not 0 < mode < m:
+                assert got[5:] == (0.0,) * 5
+                continue
+            mf, gf = float(mode), float(m - mode)
+            tilt = (m * a - mode * (a + b)) / (mode * b)
+            assert got[5:] == (mf, gf, math.log1p(tilt), float(m) / 12, (1 / mf + 1 / gf) / 12)
+
+
+def _float_edges(m: int, a: int, b: int, k: int, block: int) -> tuple:
+    """ln(2**53 A) less and plus the float test's error bound for the
+    proposal k on block K, by the expressions the float test is documented
+    by, each evaluated on its own (the kernel computes some once per count)."""
+    mode = (m + 1) * a // (a + b)
+    y, rest = k - mode, m - k
+    kf, bf, yf, mf, gf = float(k), float(rest), float(y), float(mode), float(m - mode)
+    tilt = (m * a - mode * (a + b)) / (mode * b)
+    lift = block * math.log(2.0)
+    up, down = (kf + 0.5) * math.log1p(yf / mf), (bf + 0.5) * math.log1p(-yf / gf)
+    ln_a = lift + yf * math.log1p(tilt) - up - down + 53 * math.log(2.0)
+    error = ((lift + 2 * abs(up - down) + 64) * protocol._MARGIN
+             + (float(m) / 12 / (kf * bf) + (1 / mf + 1 / gf) / 12))
+    return ln_a - error, ln_a + error
+
+
+def _last_below(x: float, shift: int) -> int:
+    """The largest u with log(u + shift) < x."""
+    u = int(math.exp(x))
+    while math.log(u + shift) >= x:
+        u -= 1
+    while math.log(u + 1 + shift) < x:
+        u += 1
+    return u
+
+
+def test_float_test_defers_exactly_within_its_error_band(monkeypatch):
+    # Four counts of one batch at 0.03, with their own constants, propose
+    # k on block 0 or 1 and side 0 or 1 first.  Uniforms on each edge of
+    # the error band around A decide it: the last u accepted (1) and the
+    # next (-1, certified), the first u rejected (0) and the one before
+    # (-1).  The next proposal, the mode with a uniform of 0, is accepted.
+    a, b = protocol._dyadic(0.03)
+    m = [10_000, 4_000_000, 10_000, 2_000_000]
+    modes = [(n + 1) * a // (a + b) for n in m]
+    first = [_proposal(0, 0, 20), _proposal(0, 0, 300), _proposal(0, 1, 5), _proposal(1, 0, 200)]
+    ks = [modes[0] + 20, modes[1] + 300, modes[2] + 32 + 5, modes[3] - 1 - 200]
+    blocks = [0, 0, 1, 0]
+    certified = []
+    monkeypatch.setattr(protocol, "_accept_certified",
+                        lambda m, a, b, mode, k, *rest: certified.append(k) or 1)
+    uniforms = []
+    for n, k, block in zip(m, ks, blocks):
+        lo, hi = _float_edges(n, a, b, k, block)
+        accepted, rejected = _last_below(lo, 1), _last_below(math.nextafter(hi, math.inf), 0) + 1
+        assert math.log(rejected) > hi >= math.log(rejected - 1) and rejected < 2**53
+        uniforms.append([(accepted, 1), (accepted + 1, -1), (rejected, 0), (rejected - 1, -1)])
+    p = protocol._PROPOSALS
+    for case in range(4):
+        certified.clear()
+        rows = [[word] + [_proposal(0, 0, 0)] * (p - 1) for word in first]
+        tests = [[u[case][0] << 11] + [0] * (p - 1) for u in uniforms]
+        stub = _StubBits(sum(rows, []) + sum(tests, []))
+        got = protocol._binomial(m, 0.03, stub.random_raw)
+        status = [-1 if k in certified else 1 if x == k else 0 for x, k in zip(got, ks)]
+        assert status == [u[case][1] for u in uniforms], case
+        assert all(x == mode for x, mode, s in zip(got, modes, status) if s == 0)
+
+
+def _status_of(monkeypatch, m: int, e: float, k: int, uniform: int = 1 << 63) -> int:
+    """The float test's status of the proposal k, at block 0, of m rounds at
+    e, read from one _binomial call: 1 when k is accepted, -1 when it goes to
+    the certified test, 0 when the next proposal is taken.  A width of 2**62
+    puts every k in reach of block 0, whose word gives j in its bits 61..0;
+    the width maps words to proposals and does not enter the test.  The next
+    proposal lies in [0, m], and its uniform of 0 takes it, by the float test
+    or the certified one, here a stub that accepts."""
     a, b = protocol._dyadic(e)
     mode = (m + 1) * a // (a + b)
-    tilt = (m * a - mode * (a + b)) / (mode * b) if mode else 0.0
-    return protocol._rejection_status(m, mode, tilt, k - mode, 0, uniform)
+    certified = []
+    monkeypatch.setattr(protocol, "_width", lambda *args: 1 << 62)
+    monkeypatch.setattr(protocol, "_accept_certified",
+                        lambda m, a, b, mode, k, *rest: certified.append(k) or 1)
+    other = mode if k != mode else mode + 1 if mode < m else mode - 1
+
+    def word(k):  # block 0: bit 62 set, the side in bit 63
+        return 1 << 63 | 1 << 62 | mode - 1 - k if k < mode else 1 << 62 | k - mode
+
+    p = protocol._PROPOSALS
+    stub = _StubBits([word(k)] + [word(other)] * (p - 1) + [uniform] + [0] * (p - 1))
+    got = protocol._binomial([m], e, stub.random_raw)
+    if certified[:1] == [k]:
+        return -1
+    assert got in ([k], [other])
+    return 1 if got == [k] else 0
 
 
 def test_rejection_status_at_its_edges(monkeypatch):
     # Mode 300 of 10_000 rounds at 0.03.  f(k) = 0 outside [0, m]: rejected;
     # at k = 0 and m a log1p is singular: certified.
+    _status = functools.partial(_status_of, monkeypatch)
     m = 10_000
     assert [_status(m, 0.03, k) for k in (-1, 0, m, m + 1)] == [0, -1, -1, 0]
     # Mode 0 (10 rounds at 2**-10) and mode m (1 round at 1/2): every k in
