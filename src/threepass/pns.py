@@ -98,8 +98,8 @@ def transmittance(alpha: float, length) -> float | np.ndarray:
 def per_detection(numerator: float, alpha: float, length, mu: float) -> float | np.ndarray:
     """``numerator`` over the detection probability sum_{n>=1} p(n, mu*eta):
     the attacker's key fraction for an attack's distance-free numerator
-    (:func:`numerator_pns`, :func:`numerator_irud`), computed once for any
-    number of lengths.
+    (:func:`numerator_pns`, :func:`numerator_irud`), which a caller computes
+    once for any number of lengths.
 
     A link so long that no photon arrives (the loss overflows or eta
     underflows to 0) leaves the attacker knowing everything: IEEE division

@@ -237,7 +237,7 @@ def _open_blocks(words, n: int) -> list:
     unless all 31 bits are 0; only if some lane does not, at odds of about
     n * 2**-31, are the words read one at a time."""
     mask = int.from_bytes(b"\0\0\0\0\xff\xff\xff\x7f" * n, "little")
-    lanes = int.from_bytes(memoryview(words)[:n], sys.byteorder)  # each lane one word
+    lanes = int.from_bytes(memoryview(words)[:n], sys.byteorder)  # a word a lane
     closed = (lanes & mask) + mask | mask == mask << 1 | mask
     return [] if closed else [i for i in range(n) if not words[i] >> 32 & _LOW31]
 

@@ -171,6 +171,21 @@ def test_pns_takes_no_root_search(monkeypatch, capsys, attack, mu, info_calls):
     assert len(calls) == info_calls
 
 
+@pytest.mark.parametrize("attack,mu", [("pns", "0.1"), ("irud", "0.2")])
+def test_pns_out_computes_the_numerator_once(monkeypatch, tmp_path, attack, mu):
+    # The --out blocks divide the numerator computed for the critical
+    # distance: one numerator per command, however many 2048-row blocks.
+    calls = []
+    name = f"numerator_{attack}"
+    numerator = getattr(pns_mod, name)
+    monkeypatch.setattr(pns_mod, name, lambda *a: calls.append(a) or numerator(*a))
+    monkeypatch.setattr(pns_mod, f"eve_info_{attack}", lambda *a: pytest.fail("eve_info"))
+    out = tmp_path / "scan.csv"
+    assert main(["pns", "--attack", attack, "--mu", mu, "--step-km", "0.05",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1 and _read(out).count("\n") > 3 * 2048
+
+
 def test_mu4_override_inf_reads_as_e(capsys):
     rows = []
     for mu4 in ("inf", "0.5"):

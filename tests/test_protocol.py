@@ -983,8 +983,8 @@ def test_float_test_defers_exactly_within_its_error_band(monkeypatch):
     for case in range(4):
         certified.clear()
         rows = [[word] + [_proposal(0, 0, 0)] * (p - 1) for word in first]
-        tests = [[u[case][0] << 11] + [0] * (p - 1) for u in uniforms]
-        stub = _StubBits(sum(rows, []) + sum(tests, []))
+        words = [[u[case][0] << 11] + [0] * (p - 1) for u in uniforms]
+        stub = _StubBits(sum(rows, []) + sum(words, []))
         got = protocol._binomial(m, 0.03, stub.random_raw)
         status = [-1 if k in certified else 1 if x == k else 0 for x, k in zip(got, ks)]
         assert status == [u[case][1] for u in uniforms], case
