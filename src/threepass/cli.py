@@ -77,17 +77,24 @@ _Q_AXIS_DEFAULTS = {"q_start": 0.0, "q_stop": 0.5, "q_step": 0.025}
 #: How the bound rates read --mu4-override (:func:`secrate._bound_inputs`).
 _MU4_RULE = "min(mu4_override, e) at each point"
 
-#: (key, label, rate callable, --check tolerance) for the four closed-form
-#: thresholds.
-_THRESHOLD_SPECS = [
+
+def _closed_form_root(rate_fn):
+    """The threshold of a closed-form rate as a function of mu4, which it ignores."""
+    return lambda mu4: secrate.find_threshold(rate_fn, *secrate.THRESHOLD_BRACKET)
+
+
+#: (key, label, root of mu4, --check tolerance) for the six thresholds.
+_THRESHOLDS = [
     ("sb1", "return pass (no announcement)",
-     lambda e: secrate.key_rate_sb1(e, False), 5e-4),
+     _closed_form_root(lambda e: secrate.key_rate_sb1(e, False)), 5e-4),
     ("sb1_announced", "return pass (Y announced)",
-     lambda e: secrate.key_rate_sb1(e, True), 5e-4),
+     _closed_form_root(lambda e: secrate.key_rate_sb1(e, True)), 5e-4),
     ("sifted", "sifted key (no announcement)",
-     lambda e: secrate.key_rate_sifted(e, False), 5e-4),
+     _closed_form_root(lambda e: secrate.key_rate_sifted(e, False)), 5e-4),
     ("sifted_announced", "sifted key (X announced)",
-     lambda e: secrate.key_rate_sifted(e, True), 5e-3),
+     _closed_form_root(lambda e: secrate.key_rate_sifted(e, True)), 5e-3),
+    ("lower_bound", "collective lower bound (q->1/2)", secrate.lower_bound_threshold, 2e-3),
+    ("upper_bound", "collective upper bound (q->1/2)", secrate.upper_bound_threshold, 2e-3),
 ]
 
 
@@ -178,18 +185,10 @@ def _csv_out(path: str | None) -> Iterator[IO[str]]:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    tol, mu4 = args.tol, args.mu4_override
-    params = {"tol": tol, "bound_tol": secrate.BOUND_TOL, **_mu4_params(mu4)}
-    rows = []
-    for key, label, fn, check_tol in _THRESHOLD_SPECS:
-        computed = secrate.find_threshold(fn, 1e-4, 0.45, tol)
-        rows.append((key, label, computed, secrate.REFERENCE_THRESHOLDS[key], check_tol))
-    rows.append(("lower_bound", "collective lower bound (q->1/2)",
-                 secrate.lower_bound_threshold(mu4),
-                 secrate.REFERENCE_THRESHOLDS["lower_bound"], 2e-3))
-    rows.append(("upper_bound", "collective upper bound (q->1/2)",
-                 secrate.upper_bound_threshold(mu4),
-                 secrate.REFERENCE_THRESHOLDS["upper_bound"], 2e-3))
+    mu4 = args.mu4_override
+    params = {"tol": secrate.THRESHOLD_TOL, **_mu4_params(mu4)}
+    rows = [(key, label, root(mu4), secrate.REFERENCE_THRESHOLDS[key], check_tol)
+            for key, label, root, check_tol in _THRESHOLDS]
 
     with _csv_out(args.out) as out:
         write_manifest(out, "thresholds", params)
@@ -430,9 +429,6 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def _thresholds_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="root-finder tolerance of the four closed-form thresholds; "
-                        f"the two bounds always use {secrate.BOUND_TOL:g}")
     p.add_argument("--mu4-override", type=float, default=None,
                    help=f"fix mu4 instead of the default e^2, as {_MU4_RULE}")
     p.add_argument("--check", action="store_true",

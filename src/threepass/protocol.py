@@ -83,7 +83,8 @@ class ProtocolId(enum.Enum):
 
 
 # Tolerance on |orthogonal fraction - 1/4| in the step-3 abort test; equals
-# the basis-announced tolerable error limit of the return-pass key rate.
+# the published basis-announced tolerable error of the return-pass key rate,
+# secrate.REFERENCE_THRESHOLDS["sb1_announced"].
 DEFAULT_SB1_TOLERANCE = 0.0617
 
 #: The names of the four signal states, indexed as 2*basis + bit (Z = 0, X = 1).

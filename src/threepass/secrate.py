@@ -40,9 +40,10 @@ Each R(e) is a ``*_limit(e, mu4)`` function beside its rate, a scalar in
 the lower bound, dS/du at u = 1 for the default-mu4 Holevo term, and the
 Daleckii-Krein second-order term of the 4x4 under a given mu4 (see
 :func:`holevo_chi_limit`).  :func:`bound_threshold` is one
-:func:`find_threshold` root of R.  Every threshold is a scalar root in e,
-found by Chandrupatla's bracketing method, which interpolates where it can
-and bisects where it must, on Python floats.
+:func:`find_threshold` root of R.  Every threshold is a scalar root in e on
+:data:`THRESHOLD_BRACKET` at :data:`THRESHOLD_TOL`, found by Chandrupatla's
+bracketing method, which interpolates where it can and bisects where it
+must, on Python floats.
 
 A note on the upper bound: the published closed form chi(E) - [H(b|c) - H(b)]
 is the sum of a Holevo quantity and the mutual information 1 - h(...), both
@@ -91,6 +92,10 @@ from .qmath import (  # noqa: F401
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LN2 = math.log(2.0)
 
+#: The e bracket and root tolerance of every section-III threshold.
+THRESHOLD_BRACKET = (1e-4, 0.45)
+THRESHOLD_TOL = 1e-7
+
 #: Published reference values for the six section-III thresholds.
 REFERENCE_THRESHOLDS = {
     "sb1": 0.0314,
@@ -129,7 +134,7 @@ def key_rate_sifted(e, announce_x: bool = False):
 
 
 def find_threshold(rate_fn: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-6) -> float:
+                   tol: float = THRESHOLD_TOL) -> float:
     """Root of a decreasing rate function on [lo, hi] by Chandrupatla's
     method (Adv. Eng. Software 28(3):145-149, 1997).
 
@@ -455,10 +460,6 @@ def golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
     return (c, fc) if fc > fd else (d, fd)
 
 
-#: Root-finder tolerance of both bound thresholds, whatever the caller's --tol.
-BOUND_TOL = 1e-7
-
-
 def bound_threshold(limit_fn: Callable[[float], float]) -> float:
     """Supremum over q in [0, 1/2) of a bound rate's zero crossing in e.
 
@@ -466,10 +467,10 @@ def bound_threshold(limit_fn: Callable[[float], float]) -> float:
     rate(e, q) = (1 - 2q)**2 R(e) + O((1 - 2q)**4).  For both bound rates the
     root in e increases strictly with q, so the supremum is the q -> 1/2
     limit, which is the root of R; R must be decreasing and change sign on
-    (1e-4, 0.45).  One root at BOUND_TOL; raises :class:`BracketError` when
-    there is no crossing.
+    :data:`THRESHOLD_BRACKET`.  One root at :data:`THRESHOLD_TOL`; raises
+    :class:`BracketError` when there is no crossing.
     """
-    return find_threshold(limit_fn, 1e-4, 0.45, BOUND_TOL)
+    return find_threshold(limit_fn, *THRESHOLD_BRACKET)
 
 
 def _named_bound_threshold(name: str, limit_fn: Callable[..., float],

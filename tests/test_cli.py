@@ -35,6 +35,8 @@ def test_thresholds_table(tmp_path, capsys):
     text = _read(out)
     assert text.startswith("# command: thresholds\n")
     assert "# timestamp: 2023-11-14T22:13:20Z" in text
+    # One tolerance, closed-form and bound rows alike.
+    assert [l for l in text.splitlines() if l.startswith("# tol")] == ["# tol: 1e-07"]
     header = [l for l in text.splitlines() if not l.startswith("#")][0]
     assert header == "key,description,computed,reference,deviation,within_tolerance"
     # all six published reference values appear in the table
@@ -47,7 +49,7 @@ def test_thresholds_table(tmp_path, capsys):
 
 
 def test_thresholds_prints_correctly_rounded_roots(capsys):
-    # The roots at --tol 1e-6, correct to every printed digit.
+    # The roots at secrate.THRESHOLD_TOL, correct to every printed digit.
     assert main(["thresholds"]) == 0
     rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
             if not l.startswith("#")]
@@ -61,36 +63,6 @@ def test_thresholds_prints_correctly_rounded_roots(capsys):
 def test_thresholds_check_exit_code(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["thresholds", "--check", "--out", str(out)]) == 1
-
-
-def test_thresholds_loose_tolerance_runs(tmp_path):
-    out = tmp_path / "t.csv"
-    assert main(["thresholds", "--tol", "1e-4", "--out", str(out)]) == 0
-    assert "sb1," in _read(out)
-
-
-def test_thresholds_manifest_records_bound_tolerance(tmp_path):
-    # --tol governs the four closed-form rows; the two bound rows use their
-    # own fixed tolerance, which gets its own manifest line.
-    out = tmp_path / "t.csv"
-    assert main(["thresholds", "--tol", "1e-3", "--out", str(out)]) == 0
-    manifest = [l for l in _read(out).splitlines() if l.startswith("#")]
-    assert "# tol: 0.001" in manifest
-    assert "# bound_tol: 1e-07" in manifest
-
-
-@pytest.mark.parametrize("tol,message", [
-    ("nan", "lie in (0, inf), got nan"), ("0", "lie in (0, inf), got 0.0"),
-    ("-1e-6", "lie in (0, inf), got -1e-06"), ("inf", "lie in (0, inf), got inf"),
-    # At or above the bracket width the search would stop at once and
-    # print a point of the unsearched bracket.
-    ("1", "be below the bracket width"),
-], ids=["nan", "0", "-1e-6", "inf", "1"])
-def test_thresholds_invalid_tol_exits_2(tmp_path, capsys, tol, message):
-    out = tmp_path / "t.csv"
-    assert main(["thresholds", f"--tol={tol}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: tol must {message}")
-    assert not out.exists()
 
 
 def test_thresholds_mu4_override_flagged(tmp_path):
@@ -580,7 +552,7 @@ def test_parser_is_built_once(capsys):
     cli.build_parser.cache_clear()
     assert main(["efficiency"]) == 0 and main(["efficiency", "--preset", "p1"]) == 0
     assert cli.build_parser.cache_info().misses == 1
-    assert main(["thresholds", "--tol", "1e-3"]) == 0 and main(["efficiency"]) == 0
+    assert main(["thresholds", "--mu4-override", "0.0"]) == 0 and main(["efficiency"]) == 0
     assert main(["thresholds"]) == 0
     assert cli.build_parser.cache_info().misses == 2
 
@@ -600,7 +572,7 @@ def test_parser_of_one_command_helps_as_the_full_one(monkeypatch, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["thresholds", "--tol", "1e-3"], ["curves", "--kind", "sb1", "--e-step", "0.1"],
+    ["thresholds", "--mu4-override", "0.0"], ["curves", "--kind", "sb1", "--e-step", "0.1"],
     ["simulate", "--protocol", "p1", "--rounds", "1000"],
     ["pns", "--attack", "pns", "--mu", "0.1"], ["efficiency", "--preset", "p1"],
 ])
@@ -622,6 +594,9 @@ _ROOT_USAGE = ("usage: threepass [-h] [--version]\n"
     (["thresholdz"], "threepass: error: argument command: invalid choice: 'thresholdz' "
                      "(choose from 'thresholds', 'curves', 'simulate', 'pns', 'efficiency')\n"),
     ([], "threepass: error: the following arguments are required: command\n"),
+    # The root tolerance is fixed (secrate.THRESHOLD_TOL); there is no option.
+    (["thresholds", "--tol", "1e-3"],
+     "threepass: error: unrecognized arguments: --tol 1e-3\n"),
 ])
 def test_parse_errors_print_the_root_usage(monkeypatch, capsys, argv, err):
     monkeypatch.setenv("COLUMNS", "80")
@@ -634,11 +609,11 @@ def test_parse_errors_print_the_root_usage(monkeypatch, capsys, argv, err):
 
 @pytest.mark.parametrize("argv", [
     ["--help"], ["--version"], ["-h", "thresholds"], ["thresholds", "extra"],
-    ["thresholds", "--tol"], ["curves", "--kind", "x"], ["simulate", "--help"],
+    ["thresholds", "--mu4-override"], ["curves", "--kind", "x"], ["simulate", "--help"],
     ["pns", "--attack", "pns"], ["efficiency", "--bs", "x"], ["--", "efficiency"],
-    ["thresholds", "--tol", "1e-3", "extra"], ["thresholds", "--version"],
+    ["thresholds", "--mu4-override", "0", "extra"], ["thresholds", "--version"],
     ["thresholds", "--", "x"], ["curves", "--kind", "lower", "-x"],
-    ["thresholds", "--foo", "--tol", "x"], ["simulate", "-h", "extra"],
+    ["thresholds", "--foo", "--mu4-override", "x"], ["simulate", "-h", "extra"],
     ["thresholds", "--check", "--=x"],
 ])
 def test_parse_exits_as_the_full_parser(monkeypatch, capsys, argv):
@@ -1007,7 +982,7 @@ _FLAG = st.just(None)  # a flag takes no value
 #: Options that argparse requires; the fuzz test always passes them.
 _REQUIRED = {"--kind", "--protocol", "--rounds", "--attack", "--mu"}
 _SUBCOMMANDS = {
-    "thresholds": {"--tol": _number(1e-9, 1e-2), "--mu4-override": _number(0.0, 0.1),
+    "thresholds": {"--mu4-override": _number(0.0, 0.1),
                    "--check": _FLAG, "--out": st.just("-")},
     "curves": {"--kind": st.sampled_from(["sb1", "sifted", "lower", "upper"]),
                "--announce": _FLAG, "--e-start": _number(0.0, 0.5),
@@ -1076,7 +1051,6 @@ def test_fuzzed_argv_exits_cleanly(argv):
 #: (argv, option, its name in the error, the interval, a value outside it) for
 #: every float option the fuzz test draws.
 _RANGES = [
-    (["thresholds"], "--tol", "tol", "(0, inf)", "0"),
     (["thresholds"], "--mu4-override", "mu4_override", "[0, inf]", "-0.05"),
     (["curves", "--kind", "lower"], "--mu4-override", "mu4_override", "[0, inf]", "-1"),
     (["curves", "--kind", "sb1"], "--e-start", "e_start", "(-inf, inf)", "-inf"),

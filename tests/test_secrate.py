@@ -16,8 +16,10 @@ from threepass.qmath import (
     von_neumann_entropy,
 )
 from threepass.secrate import (
-    BOUND_TOL,
     EFFICIENCY_PRESETS,
+    REFERENCE_THRESHOLDS,
+    THRESHOLD_BRACKET,
+    THRESHOLD_TOL,
     BracketError,
     EfficiencyInputs,
     _log2_slope,
@@ -53,7 +55,7 @@ UPPER_AT_0P1_Q0P1 = 0.58927155192390268
 CROSSING_AT_0P1_Q0P1 = 0.050574356619537638
 # Roots of the bound rates at q = Q_NEAR_HALF, where the bound thresholds
 # were taken before they became the q -> 1/2 limit: the e values
-# find_threshold returns at BOUND_TOL, frozen bit for bit.  Each lies within
+# find_threshold returns at THRESHOLD_TOL, frozen bit for bit.  Each lies within
 # 2e-9 of the root of its rate; near q = 1/2 the rate is O((1 - 2q)**2), so
 # the last digits of a root are rounding noise of the rate's arithmetic.
 Q_NEAR_HALF = 0.4999
@@ -89,8 +91,8 @@ def _bound_name(rate, mu4):
 
 
 def _root_near_half(rate, mu4=None):
-    """find_threshold's root of rate(., Q_NEAR_HALF, mu4) at BOUND_TOL."""
-    return find_threshold(lambda e: rate(e, Q_NEAR_HALF, mu4), 1e-4, 0.45, BOUND_TOL)
+    """find_threshold's root of rate(., Q_NEAR_HALF, mu4) at THRESHOLD_TOL."""
+    return find_threshold(lambda e: rate(e, Q_NEAR_HALF, mu4), 1e-4, 0.45, THRESHOLD_TOL)
 
 
 def test_key_rate_sb1_limit_at_zero():
@@ -176,8 +178,20 @@ def test_find_threshold_bracket_error():
         find_threshold(lambda e: 1.0, 0.0, 0.4)
     with pytest.raises(BracketError):
         find_threshold(lambda e: -1.0, 0.0, 0.4)
-    with pytest.raises(ValueError):
-        find_threshold(lambda e: 0.1 - e, 0.0, 0.4, tol=0.0)
+
+
+@pytest.mark.parametrize("tol,message", [
+    (math.nan, "lie in (0, inf), got nan"), (0.0, "lie in (0, inf), got 0.0"),
+    (-1e-6, "lie in (0, inf), got -1e-06"), (math.inf, "lie in (0, inf), got inf"),
+    # At or above the bracket width the search would stop at once and
+    # return a point of the unsearched bracket.
+    (1.0, "be below the bracket width"),
+], ids=["nan", "0", "-1e-6", "inf", "1"])
+def test_find_threshold_refuses_invalid_tol(tol, message):
+    with pytest.raises(ValueError) as exc:
+        find_threshold(lambda e: key_rate_sb1(e, False), *THRESHOLD_BRACKET, tol)
+    assert type(exc.value) is ValueError
+    assert str(exc.value).startswith(f"tol must {message}")
 
 
 @pytest.mark.parametrize("lo,hi,err", [
@@ -288,8 +302,8 @@ def test_default_mu4_upper_bound_makes_no_eigensolve(monkeypatch, capsys):
     # A given mu4 still takes the 4x4 path; its q -> 1/2 limit does not.
     with pytest.raises(_Eigensolve):
         holevo_chi(e, q, mu4=0.0)
-    assert abs(upper_bound_threshold() - LIMIT_ROOTS["upper"]) <= BOUND_TOL
-    assert abs(upper_bound_threshold(0.0) - LIMIT_ROOTS["upper_mu4_0"]) <= BOUND_TOL
+    assert abs(upper_bound_threshold() - LIMIT_ROOTS["upper"]) <= THRESHOLD_TOL
+    assert abs(upper_bound_threshold(0.0) - LIMIT_ROOTS["upper_mu4_0"]) <= THRESHOLD_TOL
 
 
 def test_holevo_chi_frozen_value():
@@ -561,7 +575,7 @@ def test_find_threshold_closed_form_budget(rate_fn, root):
 @pytest.mark.parametrize("mu4", [None, 0.0])
 def test_find_threshold_bound_budget(rate, mu4):
     counted, calls = _counted(lambda e: rate(e, Q_NEAR_HALF, mu4))
-    find_threshold(counted, 1e-4, 0.45, BOUND_TOL)
+    find_threshold(counted, 1e-4, 0.45, THRESHOLD_TOL)
     assert calls[0] <= 10
 
 
@@ -583,10 +597,14 @@ def test_find_threshold_sign_step_bisects(level):
     assert abs(root - 0.1) <= 1e-6
 
 
-# float.hex() of every root `thresholds` computes, frozen bit for bit: the four
-# closed-form roots at --tol 1e-6 and 1e-12, and both bounds at the default
-# mu4 and at mu4 = 0.
+# float.hex() of threshold roots, frozen bit for bit: the four closed-form
+# roots at tol 1e-7 (THRESHOLD_TOL, which `thresholds` prints), 1e-6 and
+# 1e-12, and both bounds at the default mu4 and at mu4 = 0.
 THRESHOLD_ROOTS_HEX = {
+    ("sb1", 1e-7): "0x1.fdf172c757ba5p-6",
+    ("sb1_announced", 1e-7): "0x1.f7badcc01f149p-5",
+    ("sifted", 1e-7): "0x1.78567e379d3a4p-6",
+    ("sifted_announced", 1e-7): "0x1.8d6fd533fd471p-5",
     ("sb1", 1e-6): "0x1.fdf172c75db3ep-6",
     ("sb1_announced", 1e-6): "0x1.f7badcc01fd70p-5",
     ("sifted", 1e-6): "0x1.78567e37a1642p-6",
@@ -633,14 +651,40 @@ AWKWARD_ROOTS = {
 }
 
 
+CLOSED_FORM_RATES = {
+    "sb1": lambda e: key_rate_sb1(e, False),
+    "sb1_announced": lambda e: key_rate_sb1(e, True),
+    "sifted": lambda e: key_rate_sifted(e, False),
+    "sifted_announced": lambda e: key_rate_sifted(e, True),
+}
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-12])
 def test_closed_form_threshold_roots_frozen_bit_for_bit(tol):
-    from threepass.cli import _THRESHOLD_SPECS
-
-    for key, _, rate_fn, _ in _THRESHOLD_SPECS:
+    for key, rate_fn in CLOSED_FORM_RATES.items():
         root = find_threshold(rate_fn, 1e-4, 0.45, tol)
         assert type(root) is float
         assert root.hex() == THRESHOLD_ROOTS_HEX[key, tol], key
+
+
+@pytest.mark.parametrize("mu4", [None, 0.0])
+def test_thresholds_table_roots_frozen_bit_for_bit(mu4):
+    # The roots `thresholds` prints, from its own table: each closed-form
+    # root ignores mu4 and is found at tol 1e-7.
+    from threepass.cli import _THRESHOLDS
+
+    assert [key for key, *_ in _THRESHOLDS] == list(REFERENCE_THRESHOLDS)
+    for key, _, root_of_mu4, _ in _THRESHOLDS:
+        root = root_of_mu4(mu4)
+        assert type(root) is float
+        frozen = THRESHOLD_ROOTS_HEX[key, mu4 if key in ("lower_bound", "upper_bound") else 1e-7]
+        assert root.hex() == frozen, key
+
+
+def test_default_sb1_tolerance_is_the_published_announced_threshold():
+    # The step-3 abort test's default tolerance is the return pass's
+    # tolerable error with Y announced, as published.
+    assert protocol.DEFAULT_SB1_TOLERANCE == REFERENCE_THRESHOLDS["sb1_announced"] == 0.0617
 
 
 @pytest.mark.parametrize("mu4", [None, 0.0])
@@ -669,7 +713,7 @@ def test_bound_thresholds_frozen_bit_for_bit():
     assert _root_near_half(upper_bound_crossing, 0.0) == UPPER_THRESHOLD_MU4_0
     # mu4 = e**2 given explicitly takes the batched 4x4 eigvalsh path.
     assert find_threshold(lambda e: upper_bound_crossing(e, Q_NEAR_HALF, e * e),
-                          1e-4, 0.45, BOUND_TOL) == UPPER_THRESHOLD_4X4
+                          1e-4, 0.45, THRESHOLD_TOL) == UPPER_THRESHOLD_4X4
 
 
 @pytest.mark.parametrize("name,frozen", [
@@ -691,7 +735,7 @@ def test_frozen_bound_thresholds_lie_within_2e_9_of_40_digit_roots(name, frozen)
 ], ids=["lower", "upper", "lower_mu4_0", "upper_mu4_0"])
 def test_frozen_bound_roots_lie_within_bound_tol(rate, mu4, frozen):
     root = find_threshold(lambda x: rate(x, Q_NEAR_HALF, mu4), 1e-4, 0.45, 1e-12)
-    assert abs(frozen - root) <= BOUND_TOL
+    assert abs(frozen - root) <= THRESHOLD_TOL
 
 
 @pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
@@ -717,7 +761,7 @@ def test_bound_limit_roots_match_50_digit_references(rate, threshold, mu4):
     reference = LIMIT_ROOTS[_bound_name(rate, mu4)]
     root = find_threshold(lambda e: LIMITS[rate](e, mu4), 1e-4, 0.45, 1e-15)
     assert abs(root - reference) <= 1e-15
-    assert abs(threshold(mu4) - reference) <= BOUND_TOL
+    assert abs(threshold(mu4) - reference) <= THRESHOLD_TOL
 
 
 @pytest.mark.parametrize("rate", [lower_bound_rate, upper_bound_crossing])
