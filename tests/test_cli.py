@@ -35,8 +35,6 @@ def test_thresholds_table(tmp_path, capsys):
     text = _read(out)
     assert text.startswith("# command: thresholds\n")
     assert "# timestamp: 2023-11-14T22:13:20Z" in text
-    # One tolerance, closed-form and bound rows alike.
-    assert [l for l in text.splitlines() if l.startswith("# tol")] == ["# tol: 1e-07"]
     header = [l for l in text.splitlines() if not l.startswith("#")][0]
     assert header == "key,description,computed,reference,deviation,within_tolerance"
     # all six published reference values appear in the table
@@ -58,6 +56,15 @@ def test_thresholds_prints_correctly_rounded_roots(capsys):
     assert computed["sb1_announced"] == "0.0614905"
     assert computed["sifted"] == "0.0229698"
     assert computed["sifted_announced"] == "0.0485152"
+
+
+def test_thresholds_manifest_records_bound_tolerance(tmp_path):
+    # The bound rows' tolerance is the one every row uses, so the manifest
+    # records it on a single line and has no separate bound_tol line.
+    out = tmp_path / "t.csv"
+    assert main(["thresholds", "--out", str(out)]) == 0
+    manifest = [l for l in _read(out).splitlines() if l.startswith("#")]
+    assert [l for l in manifest if "tol" in l] == ["# tol: 1e-07"]
 
 
 def test_thresholds_check_exit_code(tmp_path):
