@@ -344,7 +344,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             # The exact probabilities at this QBER and attack; the off-table
             # rounds have the rest.
             eve = config.eve is Eavesdropper.INTERCEPT_RESEND
-            expected = code_distribution(config.channel_qber, eve)[BRANCH_CODES].tolist()
+            law = code_distribution(config.channel_qber, eve)
+            expected = [law[code] for code in BRANCH_CODES]
             for (*states, _), prob, count in zip(TABLE1_BRANCHES, expected, report.branch_counts):
                 names = ",".join(STATE_NAMES[s] for s in states)
                 out.write(f"{names},{_fmt(prob)},{_fmt(prob * config.n_rounds)},{count}\n")

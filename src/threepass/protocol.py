@@ -42,14 +42,14 @@ decimal intervals decide (:func:`_accept_certified`).  No float probability
 decides an outcome, and a zero count, or p = 0, draws nothing.  So a run
 draws a few thousand words, a buffer of uint64 per draw of which only the
 words read are boxed as ints, and its cost and memory do not grow with the
-round count, up to 2**63 - 1.  A level holds at most 32 counts, so the kernel
-runs on Python ints and floats, and only the 256 code counts are an array.
+round count, up to 2**63 - 1.  A level holds at most 32 counts, so the whole
+path, from the walk to the report, runs on Python ints and floats.
 
 All words come from one stream, ``random.Random(seed)`` (:func:`_word_source`),
 so a report is bit-for-bit reproducible from its seed.  Sift fraction, QBER
 and the orthogonal fraction follow from per-pattern tables: each protocol's
-sifting rule is written once, as array expressions over the bits of the 64
-reachable round patterns (:func:`_pattern_tables`).  The three passes are
+sifting rule is written once, in one function of a round pattern's bits
+(:func:`_pattern`), mapped over the 64 reachable patterns.  The three passes are
 written once too, in :func:`_walk`: :func:`code_distribution` walks the
 kernel's tree on probabilities, for the exact law of the round codes, and
 the published table's noiseless branches are the support of that law at
@@ -66,8 +66,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
 
 from .qmath import in_range
 
@@ -90,7 +89,7 @@ DEFAULT_SB1_TOLERANCE = 0.0617
 #: The names of the four signal states, indexed as 2*basis + bit (Z = 0, X = 1).
 STATE_NAMES = ("|0>", "|1>", "|+>", "|->")
 
-#: Largest round count: the kernel's histogram is int64, and the CLI's contract.
+#: Largest round count, the CLI's contract: an int64.
 _MAX_ROUNDS = 2**63 - 1
 
 
@@ -120,52 +119,44 @@ def _node_bits(width: int) -> tuple:
     return tuple(tuple(n >> s & 1 for n in range(1 << width)) for s in range(width - 1, -1, -1))
 
 
-def _pattern_tables() -> tuple:
-    """The tables of the 64 reachable (basis_a, bits_a, basis_b, y, r1, r2)
-    round patterns, each indexed by the pattern read as a 6-bit number:
+def _pattern(basis_a, bits_a, basis_b, y, r1, r2) -> tuple:
+    """What the tables say of one reachable round pattern:
 
-    - the round code ``((s_a*4 + y)*4 + r1)*4 + r2`` of the states, as
+    - its round code ``((s_a*4 + y)*4 + r1)*4 + r2`` of the states, as
       2*basis + bit;
-    - each protocol's determined state, or -1 to discard the round;
+    - P1's and P2's determined state, or -1 to discard the round;
     - whether r1 is orthogonal to Alice's state (the sb1 test);
-    - the codes, in the published table's order (:func:`_published_branches`).
+    - its key in the published table's order (:func:`_published_branches`):
+      Bob's result in Alice's basis first, her echo before the orthogonal r1.
 
     Alice measures r2 in basis mb = basis_a ^ (r1 == bits_a), so the other
     192 codes never occur.
     """
-    basis_a, bits_a, basis_b, y, r1, r2 = np.array(_node_bits(6))
     echo = r1 == bits_a  # Alice's return measurement gave her own state
-    mb = basis_a ^ echo
     s_a = 2 * basis_a + bits_a
-    codes = ((s_a * 4 + 2 * basis_b + y) * 4 + 2 * basis_a + r1) * 4 + 2 * mb + r2
+    code = ((s_a * 4 + 2 * basis_b + y) * 4 + 2 * basis_a + r1) * 4 + 2 * (basis_a ^ echo) + r2
     other = 2 - 2 * basis_a  # a bit in Alice's other basis is the state other + bit
-    determined = {
-        # P1, on Bob's announced basis J: an orthogonal r1 means r2 was
-        # measured in Alice's basis and gave Bob's bit, determined in her
-        # other basis; an echo is kept only when J matched and r2 gave her bit.
-        ProtocolId.P1: np.where(echo, np.where((basis_b == basis_a) & (r2 == bits_a), s_a, -1),
-                                other + r2),
-        # P2, on Bob's partition label m = y: Bob's bit in Alice's other
-        # basis, unless m is her bit and r1 and r2 agree: both gave her bit
-        # (her own state is determined) or neither did (discarded).
-        ProtocolId.P2: np.where((y == bits_a) & (echo == (r2 == bits_a)),
-                                np.where(echo, s_a, -1), other + y),
-    }
-    # The published order sorts the patterns by (s_a, basis_b ^ basis_a, y,
-    # r1 ^ bits_a, r2): Bob's result in Alice's basis first, her echo before
-    # the orthogonal r1.  That relabelling of a pattern's bits is its own
-    # inverse, so at index k it gives the pattern in place k.  (A sort would
-    # do as well, but its first call maps about 0.25 MB more of numpy into
-    # every CLI run.)
-    order = (s_a * 2 + (basis_b ^ basis_a)) * 8 + y * 4 + (r1 ^ bits_a) * 2 + r2
-    return codes, determined, ~echo, codes[order]
+    # P1, on Bob's announced basis J: an orthogonal r1 means r2 was measured
+    # in Alice's basis and gave Bob's bit, determined in her other basis; an
+    # echo is kept only when J matched and r2 gave her bit.
+    p1 = (s_a if basis_b == basis_a and r2 == bits_a else -1) if echo else other + r2
+    # P2, on Bob's partition label m = y: Bob's bit in Alice's other basis,
+    # unless m is her bit and r1 and r2 agree: both gave her bit (her own
+    # state is determined) or neither did (discarded).
+    p2 = (s_a if echo else -1) if y == bits_a and echo == (r2 == bits_a) else other + y
+    return code, p1, p2, not echo, (s_a, basis_b ^ basis_a, y, r1 ^ bits_a, r2)
 
 
-_PATTERN_CODES, _DETERMINED, _ORTH, _PUBLISHED_ORDER = _pattern_tables()
+#: The tables of the 64 reachable (basis_a, bits_a, basis_b, y, r1, r2) round
+#: patterns (:func:`_pattern`), each indexed by the pattern read as a 6-bit
+#: number, and the codes in the published order.
+_PATTERN_CODES, _P1, _P2, _ORTH, _KEYS = zip(*map(_pattern, *_node_bits(6)))
+_PUBLISHED_ORDER = [code for _, code in sorted(zip(_KEYS, _PATTERN_CODES))]
+_DETERMINED = {ProtocolId.P1: _P1, ProtocolId.P2: _P2}
 #: Per-pattern sift tables: the round is kept, or kept with a determined
 #: state other than Bob's result y (bits 4-5 of the code).
-_KEPT = {pid: determined >= 0 for pid, determined in _DETERMINED.items()}
-_ERR = {pid: _KEPT[pid] & (determined != _PATTERN_CODES >> 4 & 3)
+_KEPT = {pid: tuple(d >= 0 for d in determined) for pid, determined in _DETERMINED.items()}
+_ERR = {pid: tuple(d >= 0 and d != code >> 4 & 3 for d, code in zip(determined, _PATTERN_CODES))
         for pid, determined in _DETERMINED.items()}
 
 
@@ -545,9 +536,9 @@ def _chances(e: float, eve: bool) -> tuple:
     return (1, 1), (a, b)
 
 
-def _walk(total, part, e: float, eve: bool) -> np.ndarray:
+def _walk(total, part, e: float, eve: bool) -> list:
     """Split ``total``, an int or a float, down the protocol tree; return the
-    int64 or float64 [256] part of it at each round code.
+    part of it at each of the 256 round codes, a list of the same type.
 
     Each level appends one bit to every node: three uniform bits split
     ``total`` into the 8 (basis_a, bits_a, basis_b) classes, and each pass
@@ -583,14 +574,15 @@ def _walk(total, part, e: float, eve: bool) -> np.ndarray:
     basis_a, bits_a, basis_b, y, r1 = _node_bits(5)
     counts = send(counts, [1 - s for s in basis_b], y,
                   [s ^ (r == t) for s, r, t in zip(basis_a, r1, bits_a)])
-    by_code = np.zeros(256, dtype=type(total))
-    by_code[_PATTERN_CODES] = counts
+    by_code = [type(total)()] * 256
+    for code, x in zip(_PATTERN_CODES, counts):
+        by_code[code] = x
     return by_code
 
 
-def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
+def _code_counts(config: SimulationConfig, raw) -> list:
     """Simulate ``config.n_rounds`` rounds from the words of ``raw``; return
-    the int64[256] count of each round code.
+    the count of each of the 256 round codes.
 
     The rounds are exchangeable and only their histogram is kept, so they are
     never drawn one at a time: :func:`_walk` splits the count at each node by
@@ -600,8 +592,8 @@ def _code_counts(config: SimulationConfig, raw) -> np.ndarray:
                  config.channel_qber, config.eve is Eavesdropper.INTERCEPT_RESEND)
 
 
-def code_distribution(e: float, eve: bool) -> np.ndarray:
-    """float64[256]: the probability of each round code at channel QBER e,
+def code_distribution(e: float, eve: bool) -> list:
+    """The probability of each of the 256 round codes at channel QBER e,
     with or without the intercept-resend eavesdropper.  It is the kernel's
     walk down the protocol tree on probability 1, a node's part read as the
     other bit the node times the float nearest its exact p."""
@@ -614,9 +606,8 @@ def _published_branches() -> tuple:
     without Eve, the branches in which each pass measured in the qubit's own
     basis gave its bit, which are the support of the exact law."""
     law = code_distribution(0.0, False)
-    codes = _PUBLISHED_ORDER[law[_PUBLISHED_ORDER] > 0]
-    columns = (codes >> 6, codes >> 4 & 3, codes >> 2 & 3, codes & 3, law[codes])
-    return list(zip(*(column.tolist() for column in columns))), codes
+    codes = [code for code in _PUBLISHED_ORDER if law[code] > 0]
+    return [(c >> 6, c >> 4 & 3, c >> 2 & 3, c & 3, law[c]) for c in codes], codes
 
 
 TABLE1_BRANCHES, BRANCH_CODES = _published_branches()
@@ -644,11 +635,11 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     """
     code_counts = _code_counts(config, _word_source(config.rng_seed))
 
-    branch_counts = tuple(code_counts[BRANCH_CODES].tolist())
-    counts = code_counts[_PATTERN_CODES]
-    kept = int(counts @ _KEPT[config.protocol])
-    errors = int(counts @ _ERR[config.protocol])
-    orth_fraction = int(counts @ _ORTH) / config.n_rounds
+    branch_counts = tuple(code_counts[code] for code in BRANCH_CODES)
+    counts = [code_counts[code] for code in _PATTERN_CODES]
+    kept, errors, orthogonal = (sum(compress(counts, table)) for table in
+                                (_KEPT[config.protocol], _ERR[config.protocol], _ORTH))
+    orth_fraction = orthogonal / config.n_rounds
     return SimulationReport(
         config=config,
         sift_fraction=kept / config.n_rounds,

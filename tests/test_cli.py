@@ -3,6 +3,7 @@ import io
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -737,6 +738,29 @@ def test_bound_outputs_match_golden_files(capsys, name, argv):
     assert main(argv) == 0
     with open(os.path.join(_GOLDEN, name), "rb") as expected:
         assert capsys.readouterr().out.encode() == expected.read()
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_commands() -> list:
+    """The lines of README's "Command line" sh block as argv lists, with
+    backslash continuations joined and comments dropped."""
+    with open(_README, encoding="utf-8") as f:
+        section = f.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.strip()]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Every command README shows runs as written, writing its CSVs to a
+    # scratch directory, so the docs cannot drift from the parser.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands and all(argv[0] == "threepass" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_cli_import_leaves_out_fractions():

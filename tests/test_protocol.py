@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 import functools
 import hashlib
+import inspect
 import math
 import random
 import tracemalloc
@@ -23,7 +26,7 @@ from enum_oracle import oracle_stats
 # States are indexed as 2*basis + bit: |0>, |1>, |+>, |->.
 _BY_NAME = {"0": 0, "1": 1, "+": 2, "-": 3}
 # The pattern of each reachable round code ((s_a*4 + y)*4 + r1)*4 + r2.
-_PATTERN_OF = {code: pattern for pattern, code in enumerate(protocol._PATTERN_CODES.tolist())}
+_PATTERN_OF = {code: pattern for pattern, code in enumerate(protocol._PATTERN_CODES)}
 
 # The 28 published rounds at zero noise: measurement pattern, probability,
 # announced J for the basis-sifted variant with its determination (None =
@@ -244,9 +247,10 @@ def test_sift_tables_reproduce_oracle_exactly(e, eve):
         assert expect(protocol._ERR[pid]) / expect(protocol._KEPT[pid]) == qber
 
 
-def _fits_oracle(counts: np.ndarray, e: Fraction, eve: bool) -> None:
-    """Assert that a kernel histogram of counts.sum() rounds stays on the
+def _fits_oracle(counts: list, e: Fraction, eve: bool) -> None:
+    """Assert that a kernel histogram of sum(counts) rounds stays on the
     oracle's support and passes Pearson's chi-square test against it."""
+    counts = np.asarray(counts, dtype=np.int64)
     n = int(counts.sum())
     expected = np.zeros(256)
     for key, p in oracle_stats(e=e, eve=eve).histogram.items():
@@ -256,7 +260,8 @@ def _fits_oracle(counts: np.ndarray, e: Fraction, eve: bool) -> None:
 
 def _kernel(config: SimulationConfig, seed) -> np.ndarray:
     random_raw = np.random.default_rng(seed).bit_generator.random_raw
-    return protocol._code_counts(config, lambda n: array("Q", random_raw(n).tobytes()))
+    counts = protocol._code_counts(config, lambda n: array("Q", random_raw(n).tobytes()))
+    return np.asarray(counts, dtype=np.int64)
 
 
 def _config(n: int, e: Fraction, eve: bool) -> SimulationConfig:
@@ -335,26 +340,44 @@ def test_flips_keep_the_halvings_few(monkeypatch, pid, eve):
         calls.update(dict.fromkeys(calls, 0))
         config = SimulationConfig(protocol=pid, n_rounds=10**7, channel_qber=e, eve=eve)
         counts = protocol._code_counts(config, protocol._word_source(0))
-        assert counts.sum() == 10**7
+        assert sum(counts) == 10**7
         assert calls["_binomial"] == 6
         assert calls["_binomial_by_rejection"] <= 6
 
 
-def test_kernel_calls_numpy_only_for_its_histogram(monkeypatch):
-    # The walk, the binomials and the sampler run on Python ints and floats:
-    # the one numpy call of a run builds the [256] histogram at its end.
-    calls = []
+def _leaf_types(value) -> set:
+    """The types of the scalars in nested tuples, lists and dict values."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return set().union(*map(_leaf_types, value))
+    return {type(value)}
 
-    class Recorder:
-        def __getattr__(self, name):
-            calls.append(name)
-            return getattr(np, name)
 
-    monkeypatch.setattr(protocol, "np", Recorder())
+def test_simulate_path_holds_no_numpy():
+    # The walk, the binomials, the tables and the report run on Python ints,
+    # floats and bools: protocol imports no numpy and holds none of its names.
+    imports = [node for node in ast.walk(ast.parse(inspect.getsource(protocol)))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [alias.name for node in imports for alias in node.names]
+    names += [node.module for node in imports if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [name for name in names if name.split(".")[0] == "numpy"]
+    for value in vars(protocol).values():
+        homes = (getattr(value, "__name__", None) if inspect.ismodule(value) else None,
+                 getattr(value, "__module__", None), type(value).__module__)
+        assert not [h for h in homes if isinstance(h, str) and h.split(".")[0] == "numpy"], value
+    tables = (protocol._PATTERN_CODES, protocol._DETERMINED, protocol._ORTH, protocol._KEPT,
+              protocol._ERR, protocol._PUBLISHED_ORDER, TABLE1_BRANCHES, protocol.BRANCH_CODES)
+    assert _leaf_types(tables) <= {int, float, bool}
     for e, eve in ((0.03, Eavesdropper.INTERCEPT_RESEND), (1e-9, Eavesdropper.NONE)):
         config = SimulationConfig(ProtocolId.P2, 10**7, e, eve)
-        assert protocol._code_counts(config, protocol._word_source(1)).sum() == 10**7
-    assert calls == ["zeros", "zeros"]
+        counts = protocol._code_counts(config, protocol._word_source(1))
+        assert len(counts) == 256 and _leaf_types(counts) == {int}
+        law = protocol.code_distribution(e, eve is Eavesdropper.INTERCEPT_RESEND)
+        assert len(law) == 256 and _leaf_types(law) == {float}
+        report = run_simulation(config)
+        fields = [getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "config"]
+        assert _leaf_types(fields) <= {int, float, bool}
 
 
 def test_simulation_frozen_outputs():
@@ -365,7 +388,7 @@ def test_simulation_frozen_outputs():
     assert report.error_count == 9_666
     # The frozen draw is a fair one: its whole histogram fits the exact law.
     counts = protocol._code_counts(FROZEN_CONFIG, protocol._word_source(FROZEN_CONFIG.rng_seed))
-    assert tuple(counts[protocol.BRANCH_CODES].tolist()) == FROZEN_BRANCH_COUNTS
+    assert tuple(counts[code] for code in protocol.BRANCH_CODES) == FROZEN_BRANCH_COUNTS
     _fits_oracle(counts, Fraction(FROZEN_CONFIG.channel_qber), True)
     report = run_simulation(FROZEN_SMALL_MODES_CONFIG)
     assert report.branch_counts == FROZEN_SMALL_MODES_BRANCH_COUNTS
@@ -392,11 +415,12 @@ def test_kernel_words_and_law_are_pinned():
                 for eve in (Eavesdropper.NONE, Eavesdropper.INTERCEPT_RESEND):
                     config = SimulationConfig(ProtocolId.P1, n, e, eve, seed)
                     counts = protocol._code_counts(config, protocol._word_source(seed))
-                    assert counts.dtype == np.int64 and counts.shape == (256,)
-                    digest.update(counts.tobytes())
+                    assert len(counts) == 256 and all(type(x) is int for x in counts)
+                    digest.update(np.asarray(counts, dtype=np.int64).tobytes())
     for e in _PIN_QBERS:
         for eve in (False, True):
-            digest.update(protocol.code_distribution(e, eve).tobytes())
+            law = protocol.code_distribution(e, eve)
+            digest.update(np.asarray(law, dtype=np.float64).tobytes())
     assert digest.hexdigest() == _PIN_DIGEST
 
 
@@ -459,13 +483,13 @@ def test_run_draws_words_in_getrandbits_order():
         draw = bits(64 * n)
         return array("Q", [draw >> 64 * i & _ONES for i in range(n)])
 
-    counts = protocol._code_counts(config, raw)
+    counts = np.asarray(protocol._code_counts(config, raw), dtype=np.int64)
     report = run_simulation(config)
     assert report.branch_counts == tuple(
         int(counts[((s * 4 + y) * 4 + r1) * 4 + r2]) for s, y, r1, r2, _ in TABLE1_BRANCHES)
-    pattern_counts = counts[protocol._PATTERN_CODES]
-    assert report.sifted_count == int(pattern_counts @ protocol._KEPT[ProtocolId.P1])
-    assert report.error_count == int(pattern_counts @ protocol._ERR[ProtocolId.P1])
+    pattern_counts = counts[list(protocol._PATTERN_CODES)]
+    assert report.sifted_count == int(pattern_counts @ np.asarray(protocol._KEPT[ProtocolId.P1]))
+    assert report.error_count == int(pattern_counts @ np.asarray(protocol._ERR[ProtocolId.P1]))
 
 
 @pytest.mark.parametrize("n_words,chunk", [(0, 3), (5, 3), (3, 7), (9, 2), (2_500, 3)])
@@ -499,7 +523,7 @@ def test_config_rejects_bad_sb1_tolerance():
 @pytest.mark.parametrize("eve", [False, True])
 @pytest.mark.parametrize("e", [Fraction(0), Fraction(3, 100), Fraction(1, 5)])
 def test_code_distribution_matches_oracle(e, eve):
-    got = protocol.code_distribution(float(e), eve)
+    got = np.asarray(protocol.code_distribution(float(e), eve), dtype=np.float64)
     expected = np.zeros(256)
     for key, p in oracle_stats(e=e, eve=eve).histogram.items():
         expected[_code(key)] = float(p)
@@ -515,7 +539,7 @@ def test_code_distribution_is_relatively_accurate_at_small_qbers(e, eve):
     # 1e-9 a code three flips deep has probability about 1e-29, which an
     # absolute band cannot see.  The part read as the other bit is its
     # node times p, never the node less the rest.
-    got = protocol.code_distribution(e, eve)
+    got = np.asarray(protocol.code_distribution(e, eve), dtype=np.float64)
     expected = np.zeros(256)
     for key, p in oracle_stats(e=Fraction(e), eve=eve).histogram.items():
         expected[_code(key)] = float(p)
@@ -1090,4 +1114,4 @@ def test_halves_at_the_largest_count():
     config = SimulationConfig(protocol=ProtocolId.P2, n_rounds=m, channel_qber=0.03,
                               eve=Eavesdropper.INTERCEPT_RESEND, rng_seed=1)
     counts = protocol._code_counts(config, protocol._word_source(2))
-    assert counts.min() >= 0 and sum(counts.tolist()) == m
+    assert min(counts) >= 0 and sum(counts) == m

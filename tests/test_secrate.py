@@ -409,9 +409,10 @@ def test_cabello_efficiency_presets():
 def test_efficiency_presets_match_the_noiseless_sift_tables():
     # P1's and P2's b_s are the noiseless fractions of rounds kept without
     # error, 3/4 and 15/16, read from the sift tables and the exact law.
-    patterns = protocol.code_distribution(0.0, False)[protocol._PATTERN_CODES]
+    law = np.asarray(protocol.code_distribution(0.0, False), dtype=np.float64)
+    patterns = law[list(protocol._PATTERN_CODES)]
     for pid in protocol.ProtocolId:
-        kept_right = protocol._KEPT[pid] & ~protocol._ERR[pid]
+        kept_right = np.asarray(protocol._KEPT[pid]) & ~np.asarray(protocol._ERR[pid])
         assert EFFICIENCY_PRESETS[pid.value].b_s == patterns @ kept_right
 
 
