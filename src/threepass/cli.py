@@ -9,9 +9,9 @@ Sweep rows are byte-identical to formatting each number with ``.6g``: they
 use ``%g``, which is ``.6g`` by definition; a width or precision would take
 CPython's ``%`` off its fast path, which writes a float with no temporary.
 ``curves`` formats each grid coordinate once and writes each q row from one
-template, so only the rates are converted per row; ``pns --out`` formats its
-rows one sub-block at a time.  A ``curves`` grid is checked at its corners
-before anything is written, so an invalid one leaves stdout empty.
+template, so only the rates are converted per row; ``pns --out`` templates its
+lengths at a step 1/P, P dividing 10^4.  A ``curves`` grid is checked at its
+corners before anything is written, so an invalid one leaves stdout empty.
 
 Exit codes: 0 on success, 1 when --check finds a reference-value mismatch,
 2 on usage, numerical or file errors (an output path that cannot be
@@ -55,9 +55,9 @@ ERROR_EXIT = 2
 #: axis when the row is longer, and ``pns`` evaluates this many lengths.
 _BLOCK = 2048
 
-#: Rows per formatted string in a ``pns --out`` scan: one string per whole
-#: block raised the peak RSS of two 100001-row scans by 0.3 to 0.9 MB, with
-#: no gain in speed.  ``curves`` writes one string per q row or chunk.
+#: Rows per string of :func:`_write_rows`, and fewest rows of a ``pns --out``
+#: length unit (:func:`_length_spans`): one string per whole block raised the
+#: peak RSS of two 100001-row scans by 0.3 to 0.9 MB, with no gain in speed.
 _SUB_BLOCK = 256
 
 #: The conversion of every number in the CSV output: %-style, so a sub-block
@@ -233,12 +233,6 @@ def _axis_points(axis: str, start: float, stop: float, step: float) -> tuple:
             lambda i: np.minimum(start + i * step, stop))
 
 
-def _blocks(n: int) -> Iterator[np.ndarray]:
-    """The indices 0, 1, ..., n - 1 in arrays of at most :data:`_BLOCK`."""
-    for first in range(0, n, _BLOCK):
-        yield np.arange(first, min(first + _BLOCK, n))
-
-
 def cmd_curves(args: argparse.Namespace) -> int:
     if args.kind in ("sb1", "sifted"):
         unused = [key for key in (*_Q_AXIS_DEFAULTS, "mu4_override")
@@ -355,6 +349,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _length_spans(step: float, n: int) -> list:
+    """Spans (first, stop, template) of the rows 0..n - 1 of a ``pns --out``
+    scan of lengths i*step: template(a, b), where not None, is rows a..b - 1
+    with only their i_eve numbers left as %g.
+
+    If step is fl(1/P), P dividing 10^4, 1/P has k <= 4 decimals and
+    length_at(i) = fl(i fl(1/P)) lies within 2^-52 (relative) of i/P, which has
+    at most 6 significant digits for 1 <= i/P < 10^(6 - k); %g, correctly
+    rounded, then writes i/P.  Unit U >= 1 of 10^d km, d the least with R =
+    10^d P >= :data:`_SUB_BLOCK` rows but at most 5 - k, has row U R + r as
+    str(U) then 10^d + r/P after its 1.  Unit 0, lengths from 10^(6 - k) km on,
+    the last row, which may be clipped to --max-km, and other steps go per row."""
+    p = round(1 / step) if step >= 1e-4 else 0  # 1/step may overflow
+    k = next((k for k in range(5) if 10**k % p == 0), None) if p and 1 / p == step else None
+    if k is None:
+        return [(0, n, None)]
+    d = next((d for d in range(5 - k) if 10**d * p >= _SUB_BLOCK), 5 - k)
+    rows, row = 10**d * p, f",{_NUMBER}\n"
+    first, stop = min(rows, n), max(min(rows, n), min(n - 1, p * 10 ** (6 - k)))
+    suffixes = [_fmt(10**d + r / p)[1:] for r in range(min(rows, stop - first))]
+    template = lambda a, b: "".join(
+        str(u) + (row + str(u)).join(suffixes[max(a - u * rows, 0):b - u * rows]) + row
+        for u in range(a // rows, (b - 1) // rows + 1))
+    return [(0, first, None), (first, stop, template), (stop, n, None)]
+
+
 def cmd_pns(args: argparse.Namespace) -> int:
     if args.attack == "pns" and args.chi is not None:
         raise ValueError("--chi does not apply to --attack pns")
@@ -376,10 +396,14 @@ def cmd_pns(args: argparse.Namespace) -> int:
                 "chi": chi, "max_km": args.max_km, "step_km": args.step_km,
             })
             out.write("l_km,i_eve\n")
-            for i in _blocks(n):
-                lengths = length_at(i)
-                _write_rows(out, f"{_NUMBER},{_NUMBER}\n", lengths,
-                            pns_mod.per_detection(numerator, args.alpha, lengths, args.mu))
+            for lo, hi, template in _length_spans(args.step_km, n):
+                for first in range(lo, hi, _BLOCK):
+                    lengths = length_at(np.arange(first, min(first + _BLOCK, hi)))
+                    info = pns_mod.per_detection(numerator, args.alpha, lengths, args.mu)
+                    if template is None:
+                        _write_rows(out, f"{_NUMBER},{_NUMBER}\n", lengths, info)
+                    else:
+                        out.write(template(first, first + len(info)) % tuple(info.tolist()))
 
     print(f"attack:            {args.attack}")
     print(f"critical distance: l_c = {l_c:.2f} km")

@@ -256,8 +256,9 @@ def _count_constants(m: int, a: int, b: int) -> tuple:
     float test's constants (:func:`_binomial_by_rejection`): M and G = m - M
     as floats, log1p(t), m/12 and (1/M + 1/G)/12, or 0s at M = 0 or m, where
     the test is singular.  1 + t = (m - M)p/(Mq), and t = (m a - M (a + b))
-    / (M b) is one rounding of a ratio of exact integers."""
-    mode = (m + 1) * a // (a + b)
+    / (M b) is one rounding of a ratio of exact integers.  a + b is a power of
+    two (:func:`_dyadic`), so M = floor((m + 1) a / (a + b)) is a shift."""
+    mode = (m + 1) * a >> (a + b).bit_length() - 1
     mf, gf = float(mode), float(m - mode)
     return (m, a, b, mode, _width(m, a / (a + b), mode)) + (
         (mf, gf, math.log1p((m * a - mode * (a + b)) / (mode * b)), float(m) / 12,

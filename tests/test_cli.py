@@ -814,6 +814,70 @@ def test_pns_scan_ends_at_max_km(tmp_path):
     assert data[-2].startswith("699.93,") and data[-1] == "700,4.3267e+13"
 
 
+def _template_scans():
+    """(step, max_km) of a scan at step 1/P for every P dividing 10^4: 2*10^4
+    rows, or fewer where the lengths reach 10^(6 - k) km, the last that
+    1/P's k decimals keep within 6 significant digits, plus 3 rows past it."""
+    scans = []
+    for p in (p for p in range(1, 10**4 + 1) if 10**4 % p == 0):
+        k = next(k for k in range(5) if 10**k % p == 0)
+        scans.append((repr(1 / p), repr(min(2 * 10**4, p * 10 ** (6 - k) + 3) / p)))
+    return scans
+
+
+@pytest.mark.parametrize("step,max_km", [
+    *_template_scans(),
+    # A scan's end inside a unit of 10 km, on a unit's end, which is also
+    # the 6-digit limit, and past that limit; the 6-digit limit at step 1.
+    ("0.005", "999.995"), ("0.005", "1000"), ("0.005", "1234.5"), ("1", "1000003"),
+    # A last row that length_at clips to --max-km, on a template step.
+    ("1", "4999.9999999999"), ("0.07", "700"),
+    # Steps that are not 1/P for a P dividing 10^4: one whose inverse rounds
+    # to 200, one whose inverse overflows.
+    ("0.3", "1000"), ("2.5", "10000"), ("3", "30000"), ("5e-05", "1"),
+    (repr(1 / 3), "1000"), ("0.00500001", "500"), ("2.5e-312", "2.5e-307"),
+])
+def test_pns_scan_rows_match_per_row_format(tmp_path, step, max_km):
+    # Every data row against the per-row conversion of the same lengths and
+    # information, whichever writer formats it: a length template or a %g
+    # per number.
+    alpha = min(50 / float(max_km), 1.79e308)  # puts the crossing inside the scan
+    out = tmp_path / "pns.csv"
+    assert main(["pns", "--attack", "pns", "--mu", "0.1", "--alpha", repr(alpha),
+                 "--step-km", step, "--max-km", max_km, "--out", str(out)]) == 0
+    n, length_at = cli._axis_points("l", 0.0, float(max_km), float(step))
+    lengths = length_at(np.arange(n))
+    info = pns_mod.per_detection(pns_mod.numerator_pns(0.1), alpha, lengths, 0.1)
+    expected = "".join(f"{x:.6g},{y:.6g}\n" for x, y in zip(lengths.tolist(), info.tolist()))
+    text = _read(out)
+    got = text[text.index("l_km,i_eve\n") + len("l_km,i_eve\n"):]
+    if got != expected:  # name the first differing row, not a diff of the scan
+        got, expected = got.splitlines(), expected.splitlines()
+        at = next((i for i, pair in enumerate(zip(got, expected)) if len(set(pair)) > 1),
+                  min(len(got), len(expected)))
+        pytest.fail(f"row {at} of {len(got)}, {len(expected)} expected: "
+                    f"{got[at:at + 1]} != {expected[at:at + 1]}")
+
+
+@pytest.mark.parametrize("step,n,spans", [
+    # 1/P for P dividing 10^4: unit 0, the template rows, the last row.
+    (0.005, 100001, [(0, 2000, None), (2000, 100000, True), (100000, 100001, None)]),
+    (1.0, 10**6 + 4, [(0, 1000, None), (1000, 10**6, True), (10**6, 10**6 + 4, None)]),
+    (0.0625, 1604, [(0, 160, None), (160, 1600, True), (1600, 1604, None)]),
+    (1e-4, 10003, [(0, 10000, None), (10000, 10002, True), (10002, 10003, None)]),
+    (0.5, 1001, [(0, 1001, None), (1001, 1001, True), (1001, 1001, None)]),
+    # Any other step is converted per row.
+    (0.07, 10001, [(0, 10001, None)]), (5e-05, 20001, [(0, 20001, None)]),
+    (2.5e-312, 100001, [(0, 100001, None)]),
+])
+def test_pns_length_spans_template_only_exact_rows(step, n, spans):
+    # Unit 0 and the last row stay per row, as do lengths of 7 digits, from
+    # 10^6 km at step 1 and from 100 km at 1/16, whose units are 10 km: units
+    # of 100 km would leave no template row below 100 km.
+    got = cli._length_spans(step, n)
+    assert [(a, b, t is not None or None) for a, b, t in got] == spans
+
+
 def test_pns_check_passes_for_storage_attack():
     assert main(["pns", "--attack", "pns", "--alpha", "0.25", "--mu", "0.1",
                  "--check"]) == 0
