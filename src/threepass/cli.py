@@ -355,7 +355,7 @@ def _length_spans(step: float, n: int) -> list:
     with only their i_eve numbers left as %g.
 
     If step is fl(1/P), P dividing 10^4, 1/P has k <= 4 decimals and
-    length_at(i) = fl(i fl(1/P)) lies within 2^-52 (relative) of i/P, which has
+    length_at(i) = fl(i fl(1/P)) lies within 2^-51 (relative) of i/P, which has
     at most 6 significant digits for 1 <= i/P < 10^(6 - k); %g, correctly
     rounded, then writes i/P.  Unit U >= 1 of 10^d km, d the least with R =
     10^d P >= :data:`_SUB_BLOCK` rows but at most 5 - k, has row U R + r as
