@@ -43,7 +43,7 @@ from .protocol import (
     code_distribution,
     run_simulation,
 )
-from . import pns as pns_mod
+from . import paper, pns as pns_mod
 from . import secrate
 from .qmath import in_range
 
@@ -83,18 +83,18 @@ def _closed_form_root(rate_fn):
     return lambda mu4: secrate.find_threshold(rate_fn, *secrate.THRESHOLD_BRACKET)
 
 
-#: (key, label, root of mu4, --check tolerance) for the six thresholds.
+#: (key in :data:`paper.FIGURES`, label, root of mu4) for the six thresholds.
 _THRESHOLDS = [
     ("sb1", "return pass (no announcement)",
-     _closed_form_root(lambda e: secrate.key_rate_sb1(e, False)), 5e-4),
+     _closed_form_root(lambda e: secrate.key_rate_sb1(e, False))),
     ("sb1_announced", "return pass (Y announced)",
-     _closed_form_root(lambda e: secrate.key_rate_sb1(e, True)), 5e-4),
+     _closed_form_root(lambda e: secrate.key_rate_sb1(e, True))),
     ("sifted", "sifted key (no announcement)",
-     _closed_form_root(lambda e: secrate.key_rate_sifted(e, False)), 5e-4),
+     _closed_form_root(lambda e: secrate.key_rate_sifted(e, False))),
     ("sifted_announced", "sifted key (X announced)",
-     _closed_form_root(lambda e: secrate.key_rate_sifted(e, True)), 5e-3),
-    ("lower_bound", "collective lower bound (q->1/2)", secrate.lower_bound_threshold, 2e-3),
-    ("upper_bound", "collective upper bound (q->1/2)", secrate.upper_bound_threshold, 2e-3),
+     _closed_form_root(lambda e: secrate.key_rate_sifted(e, True))),
+    ("lower_bound", "collective lower bound (q->1/2)", secrate.lower_bound_threshold),
+    ("upper_bound", "collective upper bound (q->1/2)", secrate.upper_bound_threshold),
 ]
 
 
@@ -124,6 +124,15 @@ def _mu4_params(mu4: float | None) -> dict:
         return {"mu4_override": "default (e^2)"}
     in_range("mu4_override", mu4, 0.0, math.inf)
     return {"mu4_override": mu4, "mu4_rule": _MU4_RULE}
+
+
+def _check_exit(failures: list) -> int:
+    """The exit code of a ``--check``: 0 when no published number was
+    missed, else 1, with the keys of ``failures`` on stderr."""
+    if failures:
+        print(f"check failed for: {', '.join(failures)}", file=sys.stderr)
+        return CHECK_FAILED_EXIT
+    return 0
 
 
 def _fmt(x: float) -> str:
@@ -187,26 +196,20 @@ def _csv_out(path: str | None) -> Iterator[IO[str]]:
 def cmd_thresholds(args: argparse.Namespace) -> int:
     mu4 = args.mu4_override
     params = {"tol": secrate.THRESHOLD_TOL, **_mu4_params(mu4)}
-    rows = [(key, label, root(mu4), secrate.REFERENCE_THRESHOLDS[key], check_tol)
-            for key, label, root, check_tol in _THRESHOLDS]
+    computed = {key: root(mu4) for key, _, root in _THRESHOLDS}
+    failures = paper.failures(computed)
 
     with _csv_out(args.out) as out:
         write_manifest(out, "thresholds", params)
         out.write("key,description,computed,reference,deviation,within_tolerance\n")
-        failures = []
-        for key, label, computed, reference, check_tol in rows:
-            dev = abs(computed - reference)
-            ok = dev <= check_tol
-            if not ok:
-                failures.append(key)
-            out.write(f"{key},{label},{_fmt(computed)},{_fmt(reference)},"
-                      f"{_fmt(dev)},{'yes' if ok else 'NO'}\n")
+        for key, label, _ in _THRESHOLDS:
+            reference = paper.FIGURES[key].value
+            out.write(f"{key},{label},{_fmt(computed[key])},{_fmt(reference)},"
+                      f"{_fmt(abs(computed[key] - reference))},"
+                      f"{'NO' if key in failures else 'yes'}\n")
         if mu4 is not None:
             out.write("# note: bound thresholds computed under a non-default mu4\n")
-    if args.check and failures:
-        print(f"check failed for: {', '.join(failures)}", file=sys.stderr)
-        return CHECK_FAILED_EXIT
-    return 0
+    return _check_exit(failures) if args.check else 0
 
 
 def _grid_points(last: float) -> int:
@@ -408,23 +411,22 @@ def cmd_pns(args: argparse.Namespace) -> int:
     print(f"attack:            {args.attack}")
     print(f"critical distance: l_c = {l_c:.2f} km")
     print(f"critical loss:     delta_c = {delta_c:.4f} dB")
-    ref = pns_mod.REFERENCE_CRITICAL[args.attack]
-    print(f"reference:         l_c = {ref['l_km']} km, delta_c = {ref['delta_db']} dB")
-    print(f"deviation:         {l_c - ref['l_km']:+.2f} km, "
-          f"{delta_c - ref['delta_db']:+.4f} dB")
-    if args.check:
-        if args.attack == "pns":
-            ok = abs(l_c - ref["l_km"]) <= 1.0 and abs(delta_c - ref["delta_db"]) <= 0.1
-        else:
-            # The published crossing is not asserted for this attack; check
-            # the conclusive-information formula and monotonicity instead.
-            i3 = pns_mod.unambiguous_info(3, chi)
-            grid = pns_mod.eve_info_irud(args.alpha, np.arange(41) * 5.0, args.mu, chi)
-            ok = abs(i3 - 0.7942369457243101) <= 1e-6 and bool(np.all(grid[:-1] < grid[1:]))
-        if not ok:
-            print("check failed", file=sys.stderr)
-            return CHECK_FAILED_EXIT
-    return 0
+    computed = {f"{args.attack}_l_c": l_c, f"{args.attack}_delta_c": delta_c}
+    l_ref, delta_ref = (paper.FIGURES[key].value for key in computed)
+    print(f"reference:         l_c = {l_ref} km, delta_c = {delta_ref} dB")
+    print(f"deviation:         {l_c - l_ref:+.2f} km, {delta_c - delta_ref:+.4f} dB")
+    if not args.check:
+        return 0
+    if args.attack == "pns":
+        failures = paper.failures(computed)
+    else:
+        # The published crossing is not checked (its band is None): the
+        # conclusive information is, and that the information grows with length.
+        failures = paper.failures({"i3": pns_mod.unambiguous_info(3, chi)})
+        grid = pns_mod.eve_info_irud(args.alpha, np.arange(41) * 5.0, args.mu, chi)
+        if not np.all(grid[:-1] < grid[1:]):
+            failures.append("monotone")
+    return _check_exit(failures)
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
@@ -437,20 +439,13 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
         inputs = secrate.EfficiencyInputs(args.bs, args.qt, args.bt)
         print(f"custom: eta = {secrate.cabello_efficiency(inputs):.6g}")
         return 0
-    presets = [args.preset] if args.preset else ["p1", "p2", "sarg04"]
-    reference = {"p1": 0.2069, "p2": 0.25, "sarg04": 0.125}
-    failures = []
-    for name in presets:
+    computed = {}
+    for name in [args.preset] if args.preset else ["p1", "p2", "sarg04"]:
         inputs = secrate.EFFICIENCY_PRESETS[name]
-        eta = secrate.cabello_efficiency(inputs)
+        computed[name] = eta = secrate.cabello_efficiency(inputs)
         print(f"{name:7s} b_s={inputs.b_s:.6g} q_t={inputs.q_t:.6g} "
               f"b_t={inputs.b_t:.6g}  eta = {eta:.6g}")
-        if abs(round(eta, 4) - reference[name]) > 5e-5:
-            failures.append(name)
-    if args.check and failures:
-        print(f"check failed for: {', '.join(failures)}", file=sys.stderr)
-        return CHECK_FAILED_EXIT
-    return 0
+    return _check_exit(paper.failures(computed)) if args.check else 0
 
 
 def _thresholds_arguments(p: argparse.ArgumentParser) -> None:

@@ -30,10 +30,9 @@ loss does not depend on alpha.  Both attacks take alpha, the length,
 mu (and chi) as plain numbers, each checked by
 :func:`threepass.qmath.in_range`.  The length may be an array: both attacks
 then work elementwise and compute the distance-free numerator once per call;
-a scalar length gives a float.  Published reference
-figures for the second attack (delta_c = 75.7 dB, l_c = 302.8 km) disagree
-with the formula as written, which crosses near 84.9 dB / 339.5 km; callers
-should report both (the CLI does).
+a scalar length gives a float.  The published critical distances are in
+:mod:`threepass.paper`; the second attack's disagree with the formula as
+written, so callers should report both (the CLI does).
 """
 
 from __future__ import annotations
@@ -45,12 +44,6 @@ import numpy as np
 from .qmath import binary_entropy, float_if_0d, in_range
 
 DEFAULT_IRUD_OVERLAP = 1.0 / math.sqrt(2.0)
-
-#: Published reference critical distance / attenuation for each attack.
-REFERENCE_CRITICAL = {
-    "pns": {"l_km": 154.5, "delta_db": 38.625},
-    "irud": {"l_km": 302.8, "delta_db": 75.7},
-}
 
 
 def poisson_pmf(n: int, mu: float) -> float:

@@ -68,6 +68,7 @@ import sys
 from dataclasses import dataclass
 from itertools import compress
 
+from .paper import FIGURES
 from .qmath import in_range
 
 
@@ -81,10 +82,9 @@ class ProtocolId(enum.Enum):
     P2 = "p2"
 
 
-# Tolerance on |orthogonal fraction - 1/4| in the step-3 abort test; equals
-# the published basis-announced tolerable error of the return-pass key rate,
-# secrate.REFERENCE_THRESHOLDS["sb1_announced"].
-DEFAULT_SB1_TOLERANCE = 0.0617
+# Tolerance on |orthogonal fraction - 1/4| in the step-3 abort test: the
+# published tolerable error of the return pass with Y announced (paper.py).
+DEFAULT_SB1_TOLERANCE = FIGURES["sb1_announced"].value
 
 #: The names of the four signal states, indexed as 2*basis + bit (Z = 0, X = 1).
 STATE_NAMES = ("|0>", "|1>", "|+>", "|->")

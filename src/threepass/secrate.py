@@ -53,11 +53,9 @@ nonnegative, so it has no zero crossing in e and cannot define a threshold.
 [H(b) - H(b|c)] - chi(E) whose sign change (Eve's ceiling overtaking the
 Alice-Bob mutual information) is what a threshold can be extracted from.
 
-Reference threshold values as published: 0.0314 and 0.0617 for the
-return pass, 0.0316 and 0.15 for the sifted key, 0.124 and 0.114 for the
-lower/upper collective-attack bounds.  Three of these (0.0316, 0.15, 0.114)
-are not reproducible from the defining formulas above; the computed values
-are 0.0230, 0.0485, and 0.1201.  The CLI prints both sides with deviations.
+The published thresholds, and the three that the defining formulas above
+do not give, are in :mod:`threepass.paper`; the CLI prints both sides with
+deviations.
 """
 
 from __future__ import annotations
@@ -95,16 +93,6 @@ _LN2 = math.log(2.0)
 #: The e bracket and root tolerance of every section-III threshold.
 THRESHOLD_BRACKET = (1e-4, 0.45)
 THRESHOLD_TOL = 1e-7
-
-#: Published reference values for the six section-III thresholds.
-REFERENCE_THRESHOLDS = {
-    "sb1": 0.0314,
-    "sb1_announced": 0.0617,
-    "sifted": 0.0316,
-    "sifted_announced": 0.15,
-    "lower_bound": 0.124,
-    "upper_bound": 0.114,
-}
 
 
 class BracketError(ValueError):

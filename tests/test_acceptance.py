@@ -19,11 +19,40 @@ failing on purpose rather than weakened:
 import numpy as np
 import pytest
 
-import threepass as tp
 from threepass.cli import main as cli_main
-from threepass.protocol import TABLE1_BRANCHES
-from threepass.qmath import bell_weights, spectral_entropy
-from threepass.secrate import EFFICIENCY_PRESETS
+from threepass.paper import FIGURES
+from threepass.pns import (
+    critical_distance,
+    eve_info_irud,
+    eve_info_pns,
+    numerator_pns,
+    unambiguous_info,
+)
+from threepass.protocol import (
+    TABLE1_BRANCHES,
+    Eavesdropper,
+    ProtocolId,
+    SimulationConfig,
+    run_simulation,
+)
+from threepass.qmath import (
+    bell_weights,
+    binary_entropy,
+    eve_state,
+    reconditioned_entropy,
+    spectral_entropy,
+)
+from threepass.secrate import (
+    EFFICIENCY_PRESETS,
+    cabello_efficiency,
+    find_threshold,
+    key_rate_sb1,
+    key_rate_sifted,
+    lower_bound_rate,
+    lower_bound_threshold,
+    upper_bound_rate,
+    upper_bound_threshold,
+)
 from enum_oracle import oracle_stats
 
 SEED = 2024
@@ -42,31 +71,31 @@ def _check(cid: str, text: str, ok: bool, detail: str = "") -> None:
 
 
 def _threshold(fn) -> float:
-    return tp.find_threshold(fn, 1e-4, 0.45, 1e-6)
+    return find_threshold(fn, 1e-4, 0.45, 1e-6)
 
 
 # --- criterion 1: closed-form threshold reproduction ------------------------
 
 def test_c1a_return_pass_threshold():
-    got = _threshold(lambda e: tp.key_rate_sb1(e, False))
+    got = _threshold(lambda e: key_rate_sb1(e, False))
     _check("1a", "return-pass threshold = 0.0314 +- 5e-4", abs(got - 0.0314) <= 5e-4,
            f"computed {got:.6f}")
 
 
 def test_c1b_return_pass_threshold_announced():
-    got = _threshold(lambda e: tp.key_rate_sb1(e, True))
+    got = _threshold(lambda e: key_rate_sb1(e, True))
     _check("1b", "return-pass threshold (Y) = 0.0617 +- 5e-4",
            abs(got - 0.0617) <= 5e-4, f"computed {got:.6f}")
 
 
 def test_c1c_sifted_threshold():
-    got = _threshold(lambda e: tp.key_rate_sifted(e, False))
+    got = _threshold(lambda e: key_rate_sifted(e, False))
     _check("1c", "sifted threshold = 0.0316 +- 5e-4", abs(got - 0.0316) <= 5e-4,
            f"published 0.0316 is not a root of the defining rate; computed {got:.6f}")
 
 
 def test_c1d_sifted_threshold_announced():
-    got = _threshold(lambda e: tp.key_rate_sifted(e, True))
+    got = _threshold(lambda e: key_rate_sifted(e, True))
     _check("1d", "sifted threshold (X) = 0.15 +- 5e-3", abs(got - 0.15) <= 5e-3,
            f"published 0.15 is not a root of the defining rate; computed {got:.6f}")
 
@@ -74,13 +103,13 @@ def test_c1d_sifted_threshold_announced():
 # --- criterion 2: collective-attack bounds ----------------------------------
 
 def test_c2a_lower_bound_threshold():
-    got = tp.lower_bound_threshold()
+    got = lower_bound_threshold()
     _check("2a", "lower-bound threshold = 0.124 +- 2e-3", abs(got - 0.124) <= 2e-3,
            f"computed {got:.6f} as q -> 1/2")
 
 
 def test_c2b_upper_bound_threshold():
-    got = tp.upper_bound_threshold()
+    got = upper_bound_threshold()
     _check("2b", "upper-bound threshold = 0.114 +- 2e-3", abs(got - 0.114) <= 2e-3,
            f"published form has no zero; information-margin crossing {got:.6f}")
 
@@ -88,10 +117,10 @@ def test_c2b_upper_bound_threshold():
 # --- criterion 3: critical distance, storage attack -------------------------
 
 def test_c3_pns_critical_distance():
-    l_c, delta_c = tp.critical_distance(0.25, 0.1, tp.numerator_pns(0.1), 400.0)
+    l_c, delta_c = critical_distance(0.25, 0.1, numerator_pns(0.1), 400.0)
     ok_l = abs(l_c - 154.5) <= 1.0
     ok_d = abs(delta_c - 38.625) <= 0.1
-    below = all(tp.eve_info_pns(0.25, float(l), 0.1) < 0.01
+    below = all(eve_info_pns(0.25, float(l), 0.1) < 0.01
                 for l in np.linspace(0.0, 70.0, 71))
     _check("3", "storage attack: l_c=154.5+-1 km, delta_c=38.625+-0.1 dB, "
            "info<0.01 to 70 km", ok_l and ok_d and below,
@@ -101,7 +130,7 @@ def test_c3_pns_critical_distance():
 # --- criterion 4: discrimination attack -------------------------------------
 
 def test_c4a_irud_monotone():
-    grid = [tp.eve_info_irud(0.25, float(l), 0.2)
+    grid = [eve_info_irud(0.25, float(l), 0.2)
             for l in np.linspace(0.0, 500.0, 101)]
     _check("4a", "discrimination-attack information increases with distance",
            all(a < b for a, b in zip(grid, grid[1:])))
@@ -110,7 +139,7 @@ def test_c4a_irud_monotone():
 def test_c4b_conclusive_information_formula():
     # 40-digit evaluation of 1 - h((1 + sqrt(1 - 2^-3))/2); the published
     # rounding 0.794231 differs from the formula by 6e-6.
-    got = tp.unambiguous_info(3, 1.0 / 2.0 ** 0.5)
+    got = unambiguous_info(3, 1.0 / 2.0 ** 0.5)
     _check("4b", "I(3, 1/sqrt(2)) = 0.7942369 +- 1e-6",
            abs(got - 0.7942369457243099) <= 1e-6, f"computed {got:.9f}")
 
@@ -129,10 +158,10 @@ def test_c4c_both_crossings_reported(capsys):
 def test_c5_monte_carlo_branch_fidelity():
     ok = True
     details = []
-    rep1 = tp.run_simulation(tp.SimulationConfig(
-        protocol=tp.ProtocolId.P1, n_rounds=ROUNDS, rng_seed=SEED))
-    rep2 = tp.run_simulation(tp.SimulationConfig(
-        protocol=tp.ProtocolId.P2, n_rounds=ROUNDS, rng_seed=SEED))
+    rep1 = run_simulation(SimulationConfig(
+        protocol=ProtocolId.P1, n_rounds=ROUNDS, rng_seed=SEED))
+    rep2 = run_simulation(SimulationConfig(
+        protocol=ProtocolId.P2, n_rounds=ROUNDS, rng_seed=SEED))
     for rep in (rep1, rep2):
         for (_, _, _, _, prob), count in zip(TABLE1_BRANCHES, rep.branch_counts):
             p = float(prob)
@@ -170,8 +199,8 @@ def test_c6_entropy_identities():
         e = float(e)
         for frac in np.linspace(0.01, 0.99, 100):
             mu4 = float(frac) * e
-            lhs = tp.reconditioned_entropy(e, mu4)
-            rhs = spectral_entropy(bell_weights(e, mu4)) - tp.binary_entropy(e)
+            lhs = reconditioned_entropy(e, mu4)
+            rhs = spectral_entropy(bell_weights(e, mu4)) - binary_entropy(e)
             worst = max(worst, abs(lhs - rhs))
     if worst > 1e-9:
         ok = False
@@ -184,7 +213,7 @@ def test_c6_entropy_identities():
         if abs(best - e * e) > step:
             ok = False
         if abs(spectral_entropy(bell_weights(e, e * e))
-               - 2.0 * tp.binary_entropy(e)) > 1e-9:
+               - 2.0 * binary_entropy(e)) > 1e-9:
             ok = False
     _check("6", "conditioning identity on 100x100 grid; maximizer at e^2",
            ok, f"worst identity residual {worst:.2e}")
@@ -205,19 +234,19 @@ def test_c7_eve_state_structure():
                 expected[2, 2], expected[3, 3] = mu[2], mu[3]
                 expected[0, 1] = expected[1, 0] = s * np.sqrt(mu[0] * mu[1])
                 expected[2, 3] = expected[3, 2] = s * np.sqrt(mu[2] * mu[3])
-                got = tp.eve_state(mu, k).matrix
+                got = eve_state(mu, k).matrix
                 if not np.allclose(got, expected, atol=1e-12, rtol=0.0):
                     ok = False
-            e0 = np.linalg.eigvalsh(tp.eve_state(mu, 0).matrix)
-            e1 = np.linalg.eigvalsh(tp.eve_state(mu, 1).matrix)
+            e0 = np.linalg.eigvalsh(eve_state(mu, 0).matrix)
+            e1 = np.linalg.eigvalsh(eve_state(mu, 1).matrix)
             if not np.allclose(e0, e1, atol=1e-12):
                 ok = False
     for e in (0.05, 0.2):
         for q in np.linspace(0.0, 1.0, 11):
             q = float(q)
-            if abs(tp.lower_bound_rate(e, q) - tp.lower_bound_rate(e, 1 - q)) > 1e-9:
+            if abs(lower_bound_rate(e, q) - lower_bound_rate(e, 1 - q)) > 1e-9:
                 ok = False
-            if abs(tp.upper_bound_rate(e, q) - tp.upper_bound_rate(e, 1 - q)) > 1e-9:
+            if abs(upper_bound_rate(e, q) - upper_bound_rate(e, 1 - q)) > 1e-9:
                 ok = False
     _check("7", "conditional-state blocks exact; isospectral; q<->1-q symmetric", ok)
 
@@ -225,7 +254,7 @@ def test_c7_eve_state_structure():
 # --- criterion 8: efficiency -------------------------------------------------
 
 def test_c8_efficiency_presets():
-    values = {name: round(tp.cabello_efficiency(inp), 4)
+    values = {name: round(cabello_efficiency(inp), 4)
               for name, inp in EFFICIENCY_PRESETS.items()}
     ok = values == {"p1": 0.2069, "p2": 0.25, "sarg04": 0.125}
     _check("8", "efficiency presets 0.2069 / 0.25 / 0.125 to four decimals",
@@ -239,12 +268,12 @@ def test_c9_intercept_resend_detectable():
     ok = True
     details = []
     for pid, sift_exp, qber_exp in (
-        (tp.ProtocolId.P1, oracle.p1_sift, oracle.p1_qber),
-        (tp.ProtocolId.P2, oracle.p2_sift, oracle.p2_qber),
+        (ProtocolId.P1, oracle.p1_sift, oracle.p1_qber),
+        (ProtocolId.P2, oracle.p2_sift, oracle.p2_qber),
     ):
-        rep = tp.run_simulation(tp.SimulationConfig(
+        rep = run_simulation(SimulationConfig(
             protocol=pid, n_rounds=ROUNDS, rng_seed=SEED,
-            eve=tp.Eavesdropper.INTERCEPT_RESEND))
+            eve=Eavesdropper.INTERCEPT_RESEND))
         deviation = abs(rep.sb1_orthogonal_fraction - 0.25)
         if not (deviation > 0.0617 and rep.sifted_qber > 0.15):
             ok = False
@@ -271,10 +300,10 @@ def test_c9_intercept_resend_detectable():
 
 def test_c10_determinism(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    config = tp.SimulationConfig(protocol=tp.ProtocolId.P1, n_rounds=100_000,
+    config = SimulationConfig(protocol=ProtocolId.P1, n_rounds=100_000,
                                  channel_qber=0.02, rng_seed=SEED)
-    rep_a = tp.run_simulation(config)
-    rep_b = tp.run_simulation(config)
+    rep_a = run_simulation(config)
+    rep_b = run_simulation(config)
     ok = rep_a == rep_b and rep_a.to_text() == rep_b.to_text()
 
     files = []
@@ -288,6 +317,30 @@ def test_c10_determinism(tmp_path, monkeypatch, capsys):
     ok = ok and files[0] == files[1]
     with capsys.disabled():
         _check("10", "same seed gives byte-identical outputs", ok)
+
+
+# --- the table that every --check reads --------------------------------------
+
+def test_paper_table_holds_each_criterion_literal():
+    # (criterion, value, band) as the tests above assert them, so the table
+    # cannot loosen a criterion; criterion 8's four decimals are a 5e-5 band,
+    # and 4c's published crossing is reported, not checked.
+    assert {key: fig[:3] for key, fig in FIGURES.items()} == {
+        "sb1": ("1a", 0.0314, 5e-4),
+        "sb1_announced": ("1b", 0.0617, 5e-4),
+        "sifted": ("1c", 0.0316, 5e-4),
+        "sifted_announced": ("1d", 0.15, 5e-3),
+        "lower_bound": ("2a", 0.124, 2e-3),
+        "upper_bound": ("2b", 0.114, 2e-3),
+        "pns_l_c": ("3", 154.5, 1.0),
+        "pns_delta_c": ("3", 38.625, 0.1),
+        "irud_l_c": ("4c", 302.8, None),
+        "irud_delta_c": ("4c", 75.7, None),
+        "i3": ("4b", 0.7942369457243099, 1e-6),
+        "p1": ("8", 0.2069, 5e-5),
+        "p2": ("8", 0.25, 5e-5),
+        "sarg04": ("8", 0.125, 5e-5),
+    }
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from threepass import cli, pns as pns_mod, secrate
+from threepass import cli, paper, pns as pns_mod, secrate
 from threepass.cli import _NUMBER, _SUB_BLOCK, _fmt, _write_rows, main
 from conftest import assert_fits
 
@@ -68,9 +68,28 @@ def test_thresholds_manifest_records_bound_tolerance(tmp_path):
     assert [l for l in manifest if "tol" in l] == ["# tol: 1e-07"]
 
 
-def test_thresholds_check_exit_code(tmp_path):
+def test_paper_formula_values_are_the_computed_ones():
+    # The records the formulas miss hold the values the commands print.
+    missed = {key: fig.formula for key, fig in paper.FIGURES.items() if fig.formula is not None}
+    roots = {key: root(None) for key, _, root in cli._THRESHOLDS}
+    l_c, delta_c = pns_mod.critical_distance(0.25, 0.2, pns_mod.numerator_irud(0.2), 500.0)
+    assert missed == {
+        "sifted": round(roots["sifted"], 6),
+        "sifted_announced": round(roots["sifted_announced"], 6),
+        "upper_bound": round(roots["upper_bound"], 6),
+        "irud_l_c": round(l_c, 2),
+        "irud_delta_c": round(delta_c, 4),
+    }
+
+
+def test_thresholds_check_exit_code(tmp_path, capsys):
+    # The three published values that the formulas do not give fail --check;
+    # at mu4 = 0 the upper bound passes and the lower one fails instead.
     out = tmp_path / "t.csv"
-    assert main(["thresholds", "--check", "--out", str(out)]) == 1
+    for mu4, bound in ((), "upper_bound"), (("--mu4-override", "0"), "lower_bound"):
+        assert main(["thresholds", "--check", *mu4, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"check failed for: sifted, sifted_announced, {bound}\n")
 
 
 def test_thresholds_mu4_override_flagged(tmp_path):
@@ -137,8 +156,15 @@ def test_thresholds_take_no_eigensolve_and_no_bound_rate(monkeypatch, capsys, ar
     assert capsys.readouterr().out.count("(q->1/2)") == 2
 
 
-@pytest.mark.parametrize("attack,mu,info_calls", [("pns", "0.1", 0), ("irud", "0.2", 1)])
-def test_pns_takes_no_root_search(monkeypatch, capsys, attack, mu, info_calls):
+@pytest.mark.parametrize("attack,mu,info_calls,more,failed", [
+    pytest.param("pns", "0.1", 0, [], "", id="pns-0.1-0"),
+    pytest.param("irud", "0.2", 1, [], "", id="irud-0.2-1"),
+    # The storage attack's figures are published at mu = 0.1 only.
+    pytest.param("pns", "0.2", 0, [], "pns_l_c, pns_delta_c", id="pns-0.2-0"),
+    # I(3, chi) is published at chi = 1/sqrt(2) only.
+    pytest.param("irud", "0.2", 1, ["--chi", "0.5"], "i3", id="irud-0.2-1-chi-0.5"),
+])
+def test_pns_takes_no_root_search(monkeypatch, capsys, attack, mu, info_calls, more, failed):
     # The crossing is closed form; the information is evaluated only for
     # the irud --check grid, in one array call.
     monkeypatch.setattr(secrate, "find_threshold", lambda *a, **k: pytest.fail("a root search"))
@@ -146,8 +172,10 @@ def test_pns_takes_no_root_search(monkeypatch, capsys, attack, mu, info_calls):
     name = f"eve_info_{attack}"
     info = getattr(pns_mod, name)
     monkeypatch.setattr(pns_mod, name, lambda *a: calls.append(a) or info(*a))
-    assert main(["pns", "--attack", attack, "--mu", mu, "--check"]) == 0
-    assert capsys.readouterr().out.startswith(f"attack:            {attack}\n")
+    assert main(["pns", "--attack", attack, "--mu", mu, *more, "--check"]) == (1 if failed else 0)
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"attack:            {attack}\n")
+    assert captured.err == (f"check failed for: {failed}\n" if failed else "")
     assert len(calls) == info_calls
 
 

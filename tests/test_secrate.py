@@ -17,7 +17,6 @@ from threepass.qmath import (
 )
 from threepass.secrate import (
     EFFICIENCY_PRESETS,
-    REFERENCE_THRESHOLDS,
     THRESHOLD_BRACKET,
     THRESHOLD_TOL,
     BracketError,
@@ -39,7 +38,7 @@ from threepass.secrate import (
     upper_bound_rate,
     upper_bound_threshold,
 )
-from threepass import protocol
+from threepass import paper, protocol
 from threepass.cli import main
 
 # 40-digit evaluations of the defining expressions, frozen.
@@ -674,8 +673,10 @@ def test_thresholds_table_roots_frozen_bit_for_bit(mu4):
     # root ignores mu4 and is found at tol 1e-7.
     from threepass.cli import _THRESHOLDS
 
-    assert [key for key, *_ in _THRESHOLDS] == list(REFERENCE_THRESHOLDS)
-    for key, _, root_of_mu4, _ in _THRESHOLDS:
+    # Its rows are the published thresholds, criteria 1 and 2, in order.
+    assert [key for key, *_ in _THRESHOLDS] == [
+        key for key, fig in paper.FIGURES.items() if fig.criterion[0] in "12"]
+    for key, _, root_of_mu4 in _THRESHOLDS:
         root = root_of_mu4(mu4)
         assert type(root) is float
         frozen = THRESHOLD_ROOTS_HEX[key, mu4 if key in ("lower_bound", "upper_bound") else 1e-7]
@@ -685,7 +686,7 @@ def test_thresholds_table_roots_frozen_bit_for_bit(mu4):
 def test_default_sb1_tolerance_is_the_published_announced_threshold():
     # The step-3 abort test's default tolerance is the return pass's
     # tolerable error with Y announced, as published.
-    assert protocol.DEFAULT_SB1_TOLERANCE == REFERENCE_THRESHOLDS["sb1_announced"] == 0.0617
+    assert protocol.DEFAULT_SB1_TOLERANCE == paper.FIGURES["sb1_announced"].value == 0.0617
 
 
 @pytest.mark.parametrize("mu4", [None, 0.0])
