@@ -1,10 +1,11 @@
 """Command-line front end: thresholds, rate curves, simulation, attack curves.
 
-Every CSV written by this tool starts with a reproducibility manifest as
-'#'-prefixed comment lines: the subcommand, every resolved parameter, the
-seed, the tool version, and a UTC timestamp.  Re-running with the manifest's
-parameters reproduces the data rows byte for byte; set SOURCE_DATE_EPOCH to
-pin the timestamp line as well.  THREEPASS_SEED provides the default seed.
+Every CSV written by this tool starts with '#'-prefixed manifest lines above
+its header (:func:`write_manifest`): the subcommand, tool version and UTC
+timestamp, each option set, resolved defaults included, as ``# key: value``
+for ``--key value``, and ``# note:`` lines.  The subcommand and those options,
+with the run's own --out, --histogram or --check, reproduce the data rows byte
+for byte; SOURCE_DATE_EPOCH pins the timestamp and THREEPASS_SEED the seed.
 Sweep rows are byte-identical to formatting each number with ``.6g``: they
 use ``%g``, which is ``.6g`` by definition; a width or precision would take
 CPython's ``%`` off its fast path, which writes a float with no temporary.
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import os
 import sys
+import time
 from contextlib import contextmanager, nullcontext
-from datetime import datetime, timezone
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -77,6 +79,9 @@ _Q_AXIS_DEFAULTS = {"q_start": 0.0, "q_stop": 0.5, "q_step": 0.025}
 #: How the bound rates read --mu4-override (:func:`secrate._bound_inputs`).
 _MU4_RULE = "min(mu4_override, e) at each point"
 
+#: Parsed names no manifest records: the handler, and where output goes.
+_UNRECORDED = {"func", "out", "histogram", "check"}
+
 
 def _closed_form_root(rate_fn):
     """The threshold of a closed-form rate as a function of mu4, which it ignores."""
@@ -98,32 +103,32 @@ _THRESHOLDS = [
 ]
 
 
-def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        dt = datetime.now(tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _default_seed() -> int:
-    """THREEPASS_SEED, or 0 when it is unset; a non-integer is a ValueError."""
-    value = os.environ.get("THREEPASS_SEED", "0")
+def _env_int(name: str, default, lo: int, hi=math.inf):
+    """The integer in environment variable ``name``, or ``default`` if unset; a
+    value that is not an integer in [lo, hi] is a ValueError naming ``name``."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
     try:
-        return int(value)
+        value = int(text)
     except ValueError:
-        raise ValueError(f"THREEPASS_SEED must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return value
 
 
-def _mu4_params(mu4: float | None) -> dict:
-    """Manifest entries of --mu4-override: its value and, when given, its
-    rule.  Called before any rate is evaluated, so a negative or NaN value is
-    refused once, by name; inf reads as mu4 = e."""
-    if mu4 is None:
-        return {"mu4_override": "default (e^2)"}
-    in_range("mu4_override", mu4, 0.0, math.inf)
-    return {"mu4_override": mu4, "mu4_rule": _MU4_RULE}
+def _timestamp() -> str:
+    epoch = _env_int("SOURCE_DATE_EPOCH", None, -62135596800, 253402300799)  # years 1-9999
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % time.gmtime(epoch)[:6]
+
+
+def _mu4_note(mu4: float | None) -> str:
+    """The note of the bound rates' mu4.  Called before any rate, so a negative
+    or NaN --mu4-override is refused once, by name; inf reads as mu4 = e."""
+    if mu4 is not None:
+        in_range("mu4_override", mu4, 0.0, math.inf)
+    return f"bound rates take mu4 = {'e^2' if mu4 is None else _MU4_RULE}"
 
 
 def _check_exit(failures: list) -> int:
@@ -152,14 +157,18 @@ def _write_rows(out: IO[str], row_format: str, *columns) -> None:
         out.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def write_manifest(stream: IO[str], command: str, params: dict, seed=None) -> None:
-    stream.write(f"# command: {command}\n")
-    stream.write(f"# tool: threepass {__version__}\n")
-    stream.write(f"# timestamp: {_timestamp()}\n")
-    if seed is not None:
-        stream.write(f"# seed: {seed}\n")
-    for key in sorted(params):
-        stream.write(f"# {key}: {params[key]}\n")
+def write_manifest(stream: IO[str], command: str, args: argparse.Namespace,
+                   notes: Sequence[str] = ()) -> None:
+    """Write the manifest of a ``command`` run with parsed options ``args``:
+    the command, tool and timestamp, each option that is set as ``# key:
+    value`` for ``--key value`` (a flag when true, replayed as ``--key``),
+    then each note.  All lines are built first: a bad SOURCE_DATE_EPOCH writes none."""
+    options = sorted((key.replace("_", "-"), value) for key, value in vars(args).items()
+                     if key not in _UNRECORDED and value is not None and value is not False)
+    lines = [f"command: {command}", f"tool: threepass {__version__}",
+             f"timestamp: {_timestamp()}", *(f"{key}: {value}" for key, value in options),
+             *(f"note: {note}" for note in notes)]
+    stream.write("".join(f"# {line}\n" for line in lines))
 
 
 @contextmanager
@@ -195,20 +204,18 @@ def _csv_out(path: str | None) -> Iterator[IO[str]]:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     mu4 = args.mu4_override
-    params = {"tol": secrate.THRESHOLD_TOL, **_mu4_params(mu4)}
+    notes = [f"every root is searched to tol {secrate.THRESHOLD_TOL}", _mu4_note(mu4)]
     computed = {key: root(mu4) for key, _, root in _THRESHOLDS}
     failures = paper.failures(computed)
 
     with _csv_out(args.out) as out:
-        write_manifest(out, "thresholds", params)
+        write_manifest(out, "thresholds", args, notes)
         out.write("key,description,computed,reference,deviation,within_tolerance\n")
         for key, label, _ in _THRESHOLDS:
             reference = paper.FIGURES[key].value
             out.write(f"{key},{label},{_fmt(computed[key])},{_fmt(reference)},"
                       f"{_fmt(abs(computed[key] - reference))},"
                       f"{'NO' if key in failures else 'yes'}\n")
-        if mu4 is not None:
-            out.write("# note: bound thresholds computed under a non-default mu4\n")
     return _check_exit(failures) if args.check else 0
 
 
@@ -246,29 +253,22 @@ def cmd_curves(args: argparse.Namespace) -> int:
         option = "--" + unused[0].replace("_", "-")
         raise ValueError(f"{option} does not apply to --kind {args.kind}")
     n_e, e_at = _axis_points("e", args.e_start, args.e_stop, args.e_step)
-    params = {
-        "kind": args.kind, "e_start": args.e_start, "e_stop": args.e_stop,
-        "e_step": args.e_step,
-    }
+    notes = []
     if args.kind in ("sb1", "sifted"):
-        params["announce"] = args.announce
         fn = secrate.key_rate_sb1 if args.kind == "sb1" else secrate.key_rate_sifted
         # One q row with no q column: its "q" is the row index, never read.
         n_q, q_at, q_text, header = 1, np.asarray, lambda q: "", "e,r"
         rate = lambda e, q: fn(e, args.announce)
     else:
-        q_start, q_stop, q_step = (default if getattr(args, key) is None
-                                   else getattr(args, key)
-                                   for key, default in _Q_AXIS_DEFAULTS.items())
-        n_q, q_at = _axis_points("q", q_start, q_stop, q_step)
+        vars(args).update((k, v) for k, v in _Q_AXIS_DEFAULTS.items() if getattr(args, k) is None)
+        n_q, q_at = _axis_points("q", args.q_start, args.q_stop, args.q_step)
         _grid_points(n_e * n_q - 1)  # the whole surface
-        params.update(q_start=q_start, q_stop=q_stop, q_step=q_step,
-                      **_mu4_params(args.mu4_override))
+        notes.append(_mu4_note(args.mu4_override))
         if args.kind == "upper":
             # The r column is the information margin (mutual information
             # minus Holevo ceiling); its sign boundary locates the
             # threshold, which the published closed form cannot express.
-            params["r_column"] = "information margin [H(b)-H(b|c)] - chi(E)"
+            notes.append("r is the information margin [H(b)-H(b|c)] - chi(E)")
             fn = secrate.upper_bound_crossing
         else:
             fn = secrate.lower_bound_rate
@@ -308,7 +308,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     # stays bounded however fine the grid; each row's template holds its
     # coordinates' strings, so only the rates are converted per row.
     with _csv_out(args.out) as out:
-        write_manifest(out, "curves", params)
+        write_manifest(out, "curves", args, notes)
         out.write(header + "\n")
         for tails, text, r in blocks():
             for tail, row in zip(tails, r.tolist()):
@@ -317,25 +317,25 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
+    args.seed = _env_int("THREEPASS_SEED", 0, 0) if args.seed is None else args.seed
     config = SimulationConfig(
         protocol=ProtocolId(args.protocol),
         n_rounds=args.rounds,
         channel_qber=args.qber,
         eve=Eavesdropper(args.eve),
-        rng_seed=seed,
+        rng_seed=args.seed,
         sb1_tolerance=args.sb1_tolerance,
     )
-    # The histogram target is opened first, so a bad path fails before any
-    # round is drawn.
+    # The manifest is built, and the histogram target opened, before any
+    # round is drawn, so a bad SOURCE_DATE_EPOCH or path prints no report.
+    manifest = io.StringIO()
+    if args.histogram:
+        write_manifest(manifest, "simulate", args)
     with _csv_out(args.histogram) if args.histogram else nullcontext() as out:
         report = run_simulation(config)
         print(report.to_text())
         if out is not None:
-            write_manifest(out, "simulate", {
-                "protocol": args.protocol, "rounds": args.rounds, "qber": args.qber,
-                "eve": args.eve, "sb1_tolerance": args.sb1_tolerance,
-            }, seed=seed)
+            out.write(manifest.getvalue())
             out.write("alice_state,bob_result,sb1_result,sb2_result,"
                       "expected_probability,expected_count,observed_count\n")
             # The exact probabilities at this QBER and attack; the off-table
@@ -381,23 +381,21 @@ def _length_spans(step: float, n: int) -> list:
 def cmd_pns(args: argparse.Namespace) -> int:
     if args.attack == "pns" and args.chi is not None:
         raise ValueError("--chi does not apply to --attack pns")
-    chi = pns_mod.DEFAULT_IRUD_OVERLAP if args.chi is None else args.chi
+    if args.attack == "irud" and args.chi is None:
+        args.chi = pns_mod.DEFAULT_IRUD_OVERLAP
     in_range("step_km", args.step_km, 0.0, math.inf, "()")
     in_range("max_km", args.max_km, 0.0, math.inf, "[)")
     if args.attack == "pns":
         numerator = pns_mod.numerator_pns(args.mu)
     else:
-        numerator = pns_mod.numerator_irud(args.mu, chi)
+        numerator = pns_mod.numerator_irud(args.mu, args.chi)
 
     l_c, delta_c = pns_mod.critical_distance(args.alpha, args.mu, numerator, args.max_km)
 
     if args.out:
         n, length_at = _axis_points("l", 0.0, args.max_km, args.step_km)
         with _csv_out(args.out) as out:
-            write_manifest(out, "pns", {
-                "attack": args.attack, "alpha": args.alpha, "mu": args.mu,
-                "chi": chi, "max_km": args.max_km, "step_km": args.step_km,
-            })
+            write_manifest(out, "pns", args)
             out.write("l_km,i_eve\n")
             for lo, hi, template in _length_spans(args.step_km, n):
                 for first in range(lo, hi, _BLOCK):
@@ -422,8 +420,8 @@ def cmd_pns(args: argparse.Namespace) -> int:
     else:
         # The published crossing is not checked (its band is None): the
         # conclusive information is, and that the information grows with length.
-        failures = paper.failures({"i3": pns_mod.unambiguous_info(3, chi)})
-        grid = pns_mod.eve_info_irud(args.alpha, np.arange(41) * 5.0, args.mu, chi)
+        failures = paper.failures({"i3": pns_mod.unambiguous_info(3, args.chi)})
+        grid = pns_mod.eve_info_irud(args.alpha, np.arange(41) * 5.0, args.mu, args.chi)
         if not np.all(grid[:-1] < grid[1:]):
             failures.append("monotone")
     return _check_exit(failures)

@@ -61,11 +61,11 @@ def test_thresholds_prints_correctly_rounded_roots(capsys):
 
 def test_thresholds_manifest_records_bound_tolerance(tmp_path):
     # The bound rows' tolerance is the one every row uses, so the manifest
-    # records it on a single line and has no separate bound_tol line.
+    # notes it on a single line, above the header; it is not an option.
     out = tmp_path / "t.csv"
     assert main(["thresholds", "--out", str(out)]) == 0
     manifest = [l for l in _read(out).splitlines() if l.startswith("#")]
-    assert [l for l in manifest if "tol" in l] == ["# tol: 1e-07"]
+    assert [l for l in manifest if "tol" in l] == ["# note: every root is searched to tol 1e-07"]
 
 
 def test_paper_formula_values_are_the_computed_ones():
@@ -93,12 +93,14 @@ def test_thresholds_check_exit_code(tmp_path, capsys):
 
 
 def test_thresholds_mu4_override_flagged(tmp_path):
+    # The option in CLI spelling and the rule it sets, both above the header.
     out = tmp_path / "t.csv"
     assert main(["thresholds", "--mu4-override", "0.0", "--out", str(out)]) == 0
-    text = _read(out)
-    assert "# mu4_override: 0.0" in text
-    assert "# mu4_rule: min(mu4_override, e) at each point" in text
-    assert "non-default mu4" in text
+    lines = _read(out).splitlines()
+    header = lines.index("key,description,computed,reference,deviation,within_tolerance")
+    assert "# mu4-override: 0.0" in lines[:header]
+    assert "# note: bound rates take mu4 = min(mu4_override, e) at each point" in lines[:header]
+    assert not any(line.startswith("#") for line in lines[header:])
 
 
 def test_mu4_override_above_e_is_read_as_e(capsys):
@@ -110,7 +112,7 @@ def test_mu4_override_above_e_is_read_as_e(capsys):
     assert (rows["lower_bound"], rows["upper_bound"]) == ("0.124503", "0.118457")
     assert main(["curves", "--kind", "lower", "--mu4-override", "0.001", "--e-step", "0.1"]) == 0
     out = capsys.readouterr().out
-    assert "# mu4_rule: min(mu4_override, e) at each point\n" in out
+    assert "# note: bound rates take mu4 = min(mu4_override, e) at each point\n" in out
     expected = "%.6g" % secrate.lower_bound_rate(0.1, 0.0, 0.001)
     assert f"\n0.1,0,{expected}\n" in out
 
@@ -249,7 +251,7 @@ def test_curves_upper_has_sign_boundary(tmp_path):
                  "--q-start", "0.3", "--q-stop", "0.3", "--q-step", "1",
                  "--out", str(out)]) == 0
     text = _read(out)
-    assert "# r_column: information margin" in text
+    assert "# note: r is the information margin" in text
     rows = [l.split(",") for l in text.splitlines()
             if l and not l.startswith("#") and not l.startswith("e,")]
     vals = [float(r) for _, _, r in rows]
@@ -574,13 +576,14 @@ def test_simulate_seed_env_default(monkeypatch, capsys):
 
 
 def test_bad_seed_env_fails_only_simulate_without_seed(monkeypatch, capsys):
-    monkeypatch.setenv("THREEPASS_SEED", "abc")
-    assert main(["efficiency"]) == 0
-    assert main(["simulate", "--protocol", "p1", "--rounds", "1000", "--seed", "1"]) == 0
-    capsys.readouterr()
-    assert main(["simulate", "--protocol", "p1", "--rounds", "1000"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: THREEPASS_SEED must be an integer, got 'abc'\n"
+    for seed, message in (("abc", "must be an integer, got 'abc'"),
+                          ("-1", "must lie in [0, inf], got -1")):
+        monkeypatch.setenv("THREEPASS_SEED", seed)
+        assert main(["efficiency"]) == 0
+        assert main(["simulate", "--protocol", "p1", "--rounds", "1000", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--protocol", "p1", "--rounds", "1000"]) == 2
+        assert capsys.readouterr().err == f"error: THREEPASS_SEED {message}\n"
 
 
 def test_parser_is_built_once(capsys):
@@ -713,6 +716,21 @@ def test_simulate_leaves_out_numpy_random(tmp_path):
 _GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def _replay_argv(text: str) -> list:
+    """The argv a manifest in ``text`` records: its command, then each option
+    line ``# key: value`` as ``--key=value``, or as ``--key`` for a flag
+    (value True).  Tool, timestamp and note lines are not options."""
+    argv = []
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(": ", 1)
+            if key == "command":
+                argv.append(value)
+            elif key not in ("tool", "timestamp", "note"):
+                argv.append(f"--{key}" if value == "True" else f"--{key}={value}")
+    return argv
+
+
 @pytest.mark.parametrize("name,argv", [
     ("p1_noiseless", ["--protocol", "p1", "--rounds", "20000", "--seed", "7"]),
     ("p2_qber0.03_eve", ["--protocol", "p2", "--rounds", "20000", "--qber", "0.03",
@@ -724,13 +742,17 @@ _GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 def test_simulate_outputs_match_golden_files(tmp_path, capsys, name, argv):
     # The report and the histogram CSV, byte for byte: state names, row
     # order, number formatting and the manifest (its timestamp pinned by
-    # SOURCE_DATE_EPOCH) are all frozen in tests/golden.
+    # SOURCE_DATE_EPOCH) are all frozen in tests/golden.  The argv rebuilt
+    # from the CSV's manifest reproduces both as well.
+    with open(os.path.join(_GOLDEN, name + ".txt"), "rb") as f:
+        report = f.read()
+    with open(os.path.join(_GOLDEN, name + ".csv"), "rb") as f:
+        csv = f.read()
     hist = tmp_path / "hist.csv"
-    assert main(["simulate", *argv, "--histogram", str(hist)]) == 0
-    with open(os.path.join(_GOLDEN, name + ".txt"), "rb") as expected:
-        assert capsys.readouterr().out.encode() == expected.read()
-    with open(os.path.join(_GOLDEN, name + ".csv"), "rb") as expected:
-        assert hist.read_bytes() == expected.read()
+    for run in ["simulate", *argv], _replay_argv(csv.decode()):
+        assert main([*run, "--histogram", str(hist)]) == 0
+        assert capsys.readouterr().out.encode() == report
+        assert hist.read_bytes() == csv
 
 
 @pytest.mark.parametrize("name", ["p1_noiseless", "p2_qber0.03_eve", "p1_qber0.1_eve",
@@ -762,10 +784,13 @@ def test_bound_outputs_match_golden_files(capsys, name, argv):
     # 1001-row attack scans with their summaries, byte for byte, manifest
     # included: the default mu4 (closed-form Holevo term) and mu4 = 0
     # (batched 4x4 eigvalsh) alike; the scans hold fixed and exponent
-    # notation, from 3.6e-09 up to 4.3e+08.
-    assert main(argv) == 0
-    with open(os.path.join(_GOLDEN, name), "rb") as expected:
-        assert capsys.readouterr().out.encode() == expected.read()
+    # notation, from 3.6e-09 up to 4.3e+08.  The argv rebuilt from the
+    # file's manifest reproduces it as well.
+    with open(os.path.join(_GOLDEN, name), "rb") as f:
+        expected = f.read()
+    for run in argv, [*_replay_argv(expected.decode()), "--out", "-"]:
+        assert main(run) == 0
+        assert capsys.readouterr().out.encode() == expected
 
 
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -1149,6 +1174,10 @@ def _argv(draw):
 _RANGE_ERROR = re.compile(r"error: \w+ must lie in [\[(]-?\w+, [\w.]+[\])], got \S+\n")
 
 
+def _data_rows(text: str) -> list:
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
 @given(argv=_argv())
 def test_fuzzed_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -1161,14 +1190,58 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        data = [line for line in out.getvalue().splitlines()
-                if line and not line.startswith("#")]
-        assert data == [], (argv, err.getvalue())
+        assert out.getvalue() == "", (argv, err.getvalue())
     if code == 2 and parsed:
         # One line; a range error in the one form.
         message = err.getvalue()
         assert message.startswith("error: ") and message.count("\n") == 1, (argv, message)
         assert " must lie in " not in message or _RANGE_ERROR.fullmatch(message), (argv, message)
+    replay = _replay_argv(out.getvalue())
+    if replay:
+        # The manifest's options, with the run's own output options, give
+        # the same data rows and exit code.
+        replay += [arg for arg in argv
+                   if arg.split("=")[0] in ("--out", "--histogram", "--check")]
+        replayed = io.StringIO()
+        with redirect_stdout(replayed), redirect_stderr(io.StringIO()):
+            assert main(replay) == code, (argv, replay)
+        assert _data_rows(replayed.getvalue()) == _data_rows(out.getvalue()), (argv, replay)
+
+
+@pytest.mark.parametrize("epoch,message", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("1e9", "must be an integer, got '1e9'"),
+    ("99999999999999999999",
+     "must lie in [-62135596800, 253402300799], got 99999999999999999999"),
+    ("-99999999999", "must lie in [-62135596800, 253402300799], got -99999999999"),
+], ids=["abc", "1e9", "1e20", "-1e11"])
+def test_bad_source_date_epoch_exits_2_before_any_output(monkeypatch, tmp_path, capsys,
+                                                         epoch, message):
+    # Each command that writes a manifest reads SOURCE_DATE_EPOCH before its
+    # first byte of output, to stdout or a file; the others never read it.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    target = tmp_path / "out.csv"
+    simulate = ["simulate", "--protocol", "p1", "--rounds", "100"]
+    for argv in (["thresholds"], ["thresholds", "--out", str(target)],
+                 ["curves", "--kind", "sb1", "--e-step", "0.1"],
+                 ["curves", "--kind", "lower", "--e-step", "0.1", "--out", str(target)],
+                 [*simulate, "--histogram", "-"], [*simulate, "--histogram", str(target)],
+                 ["pns", "--attack", "pns", "--mu", "0.1", "--out", "-"],
+                 ["pns", "--attack", "irud", "--mu", "0.2", "--out", str(target)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and not target.exists(), argv
+        assert captured.err == f"error: SOURCE_DATE_EPOCH {message}\n", argv
+    for argv in ["efficiency"], simulate, ["pns", "--attack", "pns", "--mu", "0.1"]:
+        assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("epoch,stamp", [("-62135596800", "0001-01-01T00:00:00Z"),
+                                         ("253402300799", "9999-12-31T23:59:59Z")])
+def test_source_date_epoch_range_ends_are_written_in_full(monkeypatch, capsys, epoch, stamp):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert main(["thresholds"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == f"# timestamp: {stamp}"
 
 
 #: (argv, option, its name in the error, the interval, a value outside it) for
