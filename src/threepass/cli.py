@@ -9,14 +9,17 @@ for byte; SOURCE_DATE_EPOCH pins the timestamp and THREEPASS_SEED the seed.
 Sweep rows are byte-identical to formatting each number with ``.6g``: they
 use ``%g``, which is ``.6g`` by definition; a width or precision would take
 CPython's ``%`` off its fast path, which writes a float with no temporary.
-``curves`` formats each grid coordinate once and writes each q row from one
-template, so only the rates are converted per row; ``pns --out`` templates its
-lengths at a step 1/P, P dividing 10^4.  A ``curves`` grid is checked at its
-corners before anything is written, so an invalid one leaves stdout empty.
+Rows are filled into templates that hold their coordinates already
+formatted, so only the values are converted per row: ``curves`` formats each
+grid coordinate once, one template per q row; ``pns --out`` fills a block from
+its length unit's template at a step 1/P, P dividing 10^4, and otherwise from
+the block's own, one ``%`` over its lengths.  A ``curves`` grid is checked at its corners before anything is
+written, so an invalid one leaves stdout empty.
 
 Exit codes: 0 on success, 1 when --check finds a reference-value mismatch,
 2 on usage, numerical or file errors (an output path that cannot be
-written, a sweep of more than MAX_GRID_POINTS rows).
+written, a sweep of more than MAX_GRID_POINTS rows), 141 (128 + SIGPIPE),
+with nothing on stderr, when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -51,19 +54,21 @@ from .qmath import in_range
 
 CHECK_FAILED_EXIT = 1
 ERROR_EXIT = 2
+BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a filter it killed
 
 #: Grid points per rate or eve_info call in a sweep, so memory stays bounded
 #: for any grid: a ``curves`` block is whole q rows, or a chunk of one row's e
 #: axis when the row is longer, and ``pns`` evaluates this many lengths.
 _BLOCK = 2048
 
-#: Rows per string of :func:`_write_rows`, and fewest rows of a ``pns --out``
-#: length unit (:func:`_length_spans`): one string per whole block raised the
-#: peak RSS of two 100001-row scans by 0.3 to 0.9 MB, with no gain in speed.
+#: Fewest rows of a ``pns --out`` length unit (:func:`_length_spans`).  A warm
+#: 100001-row scan at step 0.005 (2-vCPU Xeon; time, tracemalloc peak) took
+#: 37 ms and 292 kB at 256 (2000-row units), 39-40 ms and 182 kB at 1 or 64
+#: (200-row units), and 50 ms and 1.4 MB at 2048 (20000-row units).
 _SUB_BLOCK = 256
 
-#: The conversion of every number in the CSV output: %-style, so a sub-block
-#: of rows, or a curves row template, is one ``%`` call; it gives the bytes of
+#: The conversion of every number in the CSV output: %-style, so a block of
+#: rows, or a curves row template, is one ``%`` call; it gives the bytes of
 #: ``f"{x:.6g}"``.  ``%g`` is precision 6 by definition.  Do not write
 #: ``%.6g``: with a width or precision CPython's ``%`` formats each float into
 #: a temporary string and copies it; without one it writes straight into the
@@ -142,19 +147,6 @@ def _check_exit(failures: list) -> int:
 
 def _fmt(x: float) -> str:
     return _NUMBER % x
-
-
-def _write_rows(out: IO[str], row_format: str, *columns) -> None:
-    """Write one row of ``row_format`` per element of the equal-length ``columns``.
-
-    ``row_format`` holds one %-conversion per column and ends in a newline.
-    Rows are formatted and written :data:`_SUB_BLOCK` at a time, so the
-    strings stay small.
-    """
-    cells = np.column_stack(columns)
-    for first in range(0, len(cells), _SUB_BLOCK):
-        rows = cells[first:first + _SUB_BLOCK]
-        out.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_manifest(stream: IO[str], command: str, args: argparse.Namespace,
@@ -363,7 +355,7 @@ def _length_spans(step: float, n: int) -> list:
     rounded, then writes i/P.  Unit U >= 1 of 10^d km, d the least with R =
     10^d P >= :data:`_SUB_BLOCK` rows but at most 5 - k, has row U R + r as
     str(U) then 10^d + r/P after its 1.  Unit 0, lengths from 10^(6 - k) km on,
-    the last row, which may be clipped to --max-km, and other steps go per row."""
+    the last row, which may be clipped to --max-km, and other steps get none."""
     p = round(1 / step) if step >= 1e-4 else 0  # 1/step may overflow
     k = next((k for k in range(5) if 10**k % p == 0), None) if p and 1 / p == step else None
     if k is None:
@@ -401,10 +393,11 @@ def cmd_pns(args: argparse.Namespace) -> int:
                 for first in range(lo, hi, _BLOCK):
                     lengths = length_at(np.arange(first, min(first + _BLOCK, hi)))
                     info = pns_mod.per_detection(numerator, args.alpha, lengths, args.mu)
-                    if template is None:
-                        _write_rows(out, f"{_NUMBER},{_NUMBER}\n", lengths, info)
-                    else:
-                        out.write(template(first, first + len(info)) % tuple(info.tolist()))
+                    # Without a unit template the block is its own: its lengths
+                    # filled in, the escaped %%g left for i_eve (no %g output has a %).
+                    rows = (template(first, first + len(info)) if template else
+                            f"{_NUMBER},%{_NUMBER}\n" * len(info) % tuple(lengths.tolist()))
+                    out.write(rows % tuple(info.tolist()))
 
     print(f"attack:            {args.attack}")
     print(f"critical distance: l_c = {l_c:.2f} km")
@@ -550,7 +543,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except argparse.ArgumentError:  # printed by the tree, whose root may refuse first
         args = build_parser(None).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return code
+    except BrokenPipeError:  # the reader left: quiet, as a filter SIGPIPE killed
+        if sys.stdout is sys.__stdout__:  # so the exit flush writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
     except (ValueError, secrate.BracketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXIT

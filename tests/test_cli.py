@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from threepass import cli, paper, pns as pns_mod, secrate
-from threepass.cli import _NUMBER, _SUB_BLOCK, _fmt, _write_rows, main
+from threepass.cli import _fmt, main
 from conftest import assert_fits
 
 pytestmark = pytest.mark.usefixtures("pinned_timestamp")
@@ -490,8 +491,8 @@ def test_curves_determinism(tmp_path):
     assert _read(a) == _read(b)
 
 
-# Pools of at most 8 floats, repeated to the row count, keep the examples
-# small; nan, infinities, signed zeros and subnormals are all drawn.
+# Pools of at most 8 floats keep the examples small; nan, infinities,
+# signed zeros and subnormals are all drawn.
 _FLOAT_POOLS = st.lists(st.floats(), min_size=1, max_size=8)
 
 
@@ -516,22 +517,12 @@ def _format_sweep():
 _SWEEP = _format_sweep()
 
 
-@example(n=len(_SWEEP), a=_SWEEP + [np.float64(0.1234565), np.int64(-2**62)],
-         b=_SWEEP[::-1])
-@given(n=st.sampled_from([0, 1, _SUB_BLOCK, 2 * _SUB_BLOCK + 37]),
-       a=_FLOAT_POOLS, b=_FLOAT_POOLS)
-def test_write_rows_matches_per_row_format(n, a, b):
-    # The row writer, with the production conversion, against the per-row
-    # f-string loop it replaced; the single-value formatter against the same
-    # reference.  The explicit example is the fixed sweep, plus a numpy float
-    # and a numpy integer for the formatter.
+@example(a=_SWEEP + [np.float64(0.1234565), np.int64(-2**62)])
+@given(a=_FLOAT_POOLS)
+def test_fmt_matches_6g(a):
+    # The production conversion against the f-string it stands for; the
+    # explicit example is the fixed sweep, plus a numpy float and integer.
     assert [_fmt(x) for x in a] == [f"{x:.6g}" for x in a]
-    a, b = np.resize(a, n).tolist(), np.resize(b, n).tolist()
-    out = io.StringIO()
-    _write_rows(out, f"{_NUMBER},{_NUMBER}\n", np.array(a), np.array(b))
-    expected = "".join(f"{x:.6g},{r:.6g}\n" for x, r in zip(a, b))
-    # Compared by row: a failing example then shrinks in seconds.
-    assert out.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def test_simulate_report_and_histogram(tmp_path, capsys):
@@ -891,16 +882,25 @@ def _template_scans():
     (repr(1 / 3), "1000"), ("0.00500001", "500"), ("2.5e-312", "2.5e-307"),
 ])
 def test_pns_scan_rows_match_per_row_format(tmp_path, step, max_km):
-    # Every data row against the per-row conversion of the same lengths and
-    # information, whichever writer formats it: a length template or a %g
-    # per number.
-    alpha = min(50 / float(max_km), 1.79e308)  # puts the crossing inside the scan
-    out = tmp_path / "pns.csv"
-    assert main(["pns", "--attack", "pns", "--mu", "0.1", "--alpha", repr(alpha),
+    # alpha puts the crossing inside the scan.
+    _assert_scan_rows(tmp_path / "pns.csv", "pns", step, max_km,
+                      min(50 / float(max_km), 1.79e308))
+
+
+_SCAN_MU = {"pns": 0.1, "irud": 0.2}
+
+
+def _assert_scan_rows(out, attack, step, max_km, alpha):
+    """Every data row of a ``pns --out`` scan against the per-row conversion
+    of the same lengths and information, whichever template formats it."""
+    mu = _SCAN_MU[attack]
+    assert main(["pns", "--attack", attack, "--mu", repr(mu), "--alpha", repr(alpha),
                  "--step-km", step, "--max-km", max_km, "--out", str(out)]) == 0
     n, length_at = cli._axis_points("l", 0.0, float(max_km), float(step))
     lengths = length_at(np.arange(n))
-    info = pns_mod.per_detection(pns_mod.numerator_pns(0.1), alpha, lengths, 0.1)
+    numerator = (pns_mod.numerator_pns(mu) if attack == "pns" else
+                 pns_mod.numerator_irud(mu, pns_mod.DEFAULT_IRUD_OVERLAP))
+    info = pns_mod.per_detection(numerator, alpha, lengths, mu)
     expected = "".join(f"{x:.6g},{y:.6g}\n" for x, y in zip(lengths.tolist(), info.tolist()))
     text = _read(out)
     got = text[text.index("l_km,i_eve\n") + len("l_km,i_eve\n"):]
@@ -910,6 +910,19 @@ def test_pns_scan_rows_match_per_row_format(tmp_path, step, max_km):
                   min(len(got), len(expected)))
         pytest.fail(f"row {at} of {len(got)}, {len(expected)} expected: "
                     f"{got[at:at + 1]} != {expected[at:at + 1]}")
+
+
+@given(attack=st.sampled_from(sorted(_SCAN_MU)),
+       step=st.sampled_from([1 / p for p in range(1, 10**4 + 1) if 10**4 % p == 0])
+       | st.floats(1e-306, 1e300),
+       rows=st.floats(1.0, 2e4))
+def test_pns_scan_rows_match_per_row_format_for_any_step(tmp_path_factory, attack, step,
+                                                         rows):
+    # Template steps 1/P and any other step, to about 2*10^4 rows; alpha puts
+    # the crossing, at most 85 dB, inside the scan.
+    max_km = step * rows
+    _assert_scan_rows(tmp_path_factory.mktemp("scan") / "pns.csv", attack, repr(step),
+                      repr(max_km), 100 / max_km)
 
 
 @pytest.mark.parametrize("step,n,spans", [
@@ -924,11 +937,31 @@ def test_pns_scan_rows_match_per_row_format(tmp_path, step, max_km):
     (2.5e-312, 100001, [(0, 100001, None)]),
 ])
 def test_pns_length_spans_template_only_exact_rows(step, n, spans):
-    # Unit 0 and the last row stay per row, as do lengths of 7 digits, from
-    # 10^6 km at step 1 and from 100 km at 1/16, whose units are 10 km: units
-    # of 100 km would leave no template row below 100 km.
+    # Unit 0 and the last row have no unit template, nor do lengths of 7
+    # digits, from 10^6 km at step 1 and from 100 km at 1/16, whose units are
+    # 10 km: units of 100 km would leave no template row below 100 km.
     got = cli._length_spans(step, n)
     assert [(a, b, t is not None or None) for a, b, t in got] == spans
+
+
+@pytest.mark.parametrize("step", ["0.005", "0.005000001"])
+def test_pns_scan_memory_does_not_grow_with_rows(tmp_path, step):
+    # A unit template and a block's own template, at about 3*10^4 and 2*10^5
+    # rows (155 km is the shortest scan with a crossing at the default alpha).
+    peaks = []
+    for max_km in ("155", "1000"):
+        argv = ["pns", "--attack", "pns", "--mu", "0.1", "--step-km", step,
+                "--max-km", max_km, "--out", str(tmp_path / "pns.csv")]
+        assert main(argv) == 0  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # One block's strings and floats, plus at step 0.005 the unit's suffix
+    # table: 169 and 292 kB are used.
+    assert max(peaks) < 1 << 20 and peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_pns_check_passes_for_storage_attack():
@@ -999,6 +1032,32 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
     assert captured.out == ""  # refused before any work, simulate's report included
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv,lines", [
+    # Longer than a pipe's buffer, so a write meets the closed pipe; buffered,
+    # what is left in stdout's buffer would meet it again at exit.
+    (["curves", "--kind", "lower", "--e-step", "0.0001"], 1),
+    (["pns", "--attack", "pns", "--mu", "0.1", "--step-km", "0.005", "--out", "-"], 1),
+    # Short: buffered, nothing is written before main's own flush.
+    (["thresholds"], 0),
+])
+def test_closed_stdout_exits_141_quietly(argv, lines, unbuffered):
+    # A reader that takes its lines and leaves, as `| head -1` does: the run
+    # ends as SIGPIPE would end it, with nothing on stderr.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen([sys.executable, "-m", "threepass.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [
